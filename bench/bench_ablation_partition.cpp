@@ -5,15 +5,17 @@
 // binning. Both are output-sensitive in k'; the segment tree bounds the
 // *per-item* work by O(log m) while direct binning pays O(beams spanned).
 //
-// Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the slab-overlap
-// contour index (each slab rect-clips only the contours whose y-interval
-// overlaps it) versus the paper's broadcast formulation (every slab scans
-// both whole inputs, O(p·n)). `touched` counts input vertices the partition
-// step read — a deterministic, machine-noise-free measure of partition
-// work. With --json <path>, section 2 is mirrored to a machine-readable
-// report; the process exits nonzero if the index ever reads more input
-// than the broadcast scan at p >= 4 slabs or if the two paths disagree on
-// the output, which is what CI gates on.
+// Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the fused partition
+// (a slab-overlap contour index limits each slab to the contours whose
+// y-interval overlaps it, and those contribute globally prepared bound
+// fragments) versus the paper's broadcast formulation (every slab scans
+// both whole inputs, O(p·n)). `touched` counts the partition step's work
+// per slab — bound edges appended (fused) or input vertices read
+// (broadcast) — a deterministic, machine-noise-free measure. With --json
+// <path>, section 2 is mirrored to a machine-readable report; the process
+// exits nonzero if the fused partition ever touches more than the broadcast
+// scan at p >= 4 slabs or if the two paths disagree on the output, which is
+// what CI gates on.
 
 #include <algorithm>
 #include <cstdio>
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
   }
 
   bench::header(
-      "Ablation — Alg 2 slab partition: contour interval index vs broadcast",
+      "Ablation — Alg 2 slab partition: fused vs broadcast",
       "paper Alg 2 Steps 4-5, made output-sensitive");
 
   // Multi-contour overlay: two polygon-layer fields, the workload where
@@ -85,9 +87,8 @@ int main(int argc, char** argv) {
       static_cast<long long>(subject.num_vertices() + clip.num_vertices());
   std::printf("workload: 2 x polygon_field(%d contours), %lld vertices\n\n",
               field_count, total_verts);
-  std::printf("%6s | %14s %14s %14s | %12s %12s %12s\n", "slabs",
-              "touched(fus)", "touched(idx)", "touched(bcast)", "fused (ms)",
-              "idx (ms)", "bcast (ms)");
+  std::printf("%6s | %14s %14s | %12s %12s\n", "slabs", "touched(fus)",
+              "touched(bcast)", "fused (ms)", "bcast (ms)");
 
   bench::JsonReport report;
   report.field("bench", std::string("ablation_partition"));
@@ -98,44 +99,36 @@ int main(int argc, char** argv) {
 
   bool gate_ok = true;
   for (const unsigned slabs : {1u, 4u, 8u, 16u}) {
-    mt::Alg2Options of, oi, ob;
-    of.slabs = oi.slabs = ob.slabs = slabs;
+    mt::Alg2Options of, ob;
+    of.slabs = ob.slabs = slabs;
     of.partition = mt::Alg2Partition::kFused;
-    oi.partition = mt::Alg2Partition::kIndexed;
     ob.partition = mt::Alg2Partition::kBroadcast;
 
-    mt::Alg2Stats sf, si, sb;
-    geom::PolygonSet rf, ri, rb;
+    mt::Alg2Stats sf, sb;
+    geom::PolygonSet rf, rb;
     const double t_fused = bench::time_median3([&] {
       rf = mt::slab_clip(subject, clip, geom::BoolOp::kUnion, pool, of, &sf);
-    });
-    const double t_idx = bench::time_median3([&] {
-      ri = mt::slab_clip(subject, clip, geom::BoolOp::kUnion, pool, oi, &si);
     });
     const double t_bcast = bench::time_median3([&] {
       rb = mt::slab_clip(subject, clip, geom::BoolOp::kUnion, pool, ob, &sb);
     });
 
-    long long touched_fused = 0, touched_idx = 0, touched_bcast = 0;
+    long long touched_fused = 0, touched_bcast = 0;
     for (const auto& sl : sf.slabs) touched_fused += sl.touched_edges;
-    for (const auto& sl : si.slabs) touched_idx += sl.touched_edges;
     for (const auto& sl : sb.slabs) touched_bcast += sl.touched_edges;
-    const double ratio =
-        touched_bcast > 0
-            ? static_cast<double>(touched_idx) / static_cast<double>(touched_bcast)
-            : 1.0;
-    std::printf("%6u | %14lld %14lld %14lld | %12.3f %12.3f %12.3f\n", slabs,
-                touched_fused, touched_idx, touched_bcast, t_fused * 1e3,
-                t_idx * 1e3, t_bcast * 1e3);
+    const double ratio = touched_bcast > 0
+                             ? static_cast<double>(touched_fused) /
+                                   static_cast<double>(touched_bcast)
+                             : 1.0;
+    std::printf("%6u | %14lld %14lld | %12.3f %12.3f\n", slabs, touched_fused,
+                touched_bcast, t_fused * 1e3, t_bcast * 1e3);
 
     report.row("slab_partition");
     report.cell("slabs", static_cast<long long>(slabs));
     report.cell("touched_fused", touched_fused);
-    report.cell("touched_indexed", touched_idx);
     report.cell("touched_broadcast", touched_bcast);
     report.cell("touched_ratio", ratio);
     report.cell("fused_ms", t_fused * 1e3);
-    report.cell("indexed_ms", t_idx * 1e3);
     report.cell("broadcast_ms", t_bcast * 1e3);
     // Peak scratch-arena bytes over the run's slabs (fused path): the
     // high-water mark the request memory budget would charge (schema 4).
@@ -156,12 +149,6 @@ int main(int argc, char** argv) {
     report.cell("fused_partition_cpu_ms", sf.phases.partition_cpu * 1e3);
     report.cell("fused_clip_cpu_ms", sf.phases.clip_cpu * 1e3);
     report.cell("fused_merge_cpu_ms", sf.phases.merge_cpu * 1e3);
-    report.cell("indexed_partition_wall_ms", si.phases.partition * 1e3);
-    report.cell("indexed_clip_wall_ms", si.phases.clip * 1e3);
-    report.cell("indexed_merge_wall_ms", si.phases.merge * 1e3);
-    report.cell("indexed_partition_cpu_ms", si.phases.partition_cpu * 1e3);
-    report.cell("indexed_clip_cpu_ms", si.phases.clip_cpu * 1e3);
-    report.cell("indexed_merge_cpu_ms", si.phases.merge_cpu * 1e3);
     report.cell("broadcast_partition_wall_ms", sb.phases.partition * 1e3);
     report.cell("broadcast_clip_wall_ms", sb.phases.clip * 1e3);
     report.cell("broadcast_merge_wall_ms", sb.phases.merge * 1e3);
@@ -169,18 +156,16 @@ int main(int argc, char** argv) {
     report.cell("broadcast_clip_cpu_ms", sb.phases.clip_cpu * 1e3);
     report.cell("broadcast_merge_cpu_ms", sb.phases.merge_cpu * 1e3);
 
-    if (!identical(ri, rb) || !identical(rf, ri)) {
-      std::fprintf(stderr,
-                   "FAIL: fused/indexed/broadcast outputs differ at %u "
-                   "slabs\n",
+    if (!identical(rf, rb)) {
+      std::fprintf(stderr, "FAIL: fused/broadcast outputs differ at %u slabs\n",
                    slabs);
       gate_ok = false;
     }
-    if (slabs >= 4 && touched_idx > touched_bcast) {
+    if (slabs >= 4 && touched_fused > touched_bcast) {
       std::fprintf(stderr,
-                   "FAIL: index read more input than broadcast at %u slabs "
+                   "FAIL: fused touched more than broadcast at %u slabs "
                    "(%lld > %lld)\n",
-                   slabs, touched_idx, touched_bcast);
+                   slabs, touched_fused, touched_bcast);
       gate_ok = false;
     }
   }

@@ -1,10 +1,7 @@
 #include "mt/algorithm2.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -12,6 +9,7 @@
 #include "error.hpp"
 #include "mt/arena.hpp"
 #include "mt/slab_index.hpp"
+#include "mt/slab_run.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
@@ -22,26 +20,6 @@
 
 namespace psclip::mt {
 namespace {
-
-/// Record the in-flight exception's taxonomy code and message into a slab's
-/// degradation report. Must be called from inside a catch block.
-void classify_failure(DegradationReport& rep) {
-  try {
-    throw;
-  } catch (const Error& e) {
-    rep.cause = e.code();
-    rep.message = e.what();
-  } catch (const std::bad_alloc&) {
-    rep.cause = ErrorCode::kResource;
-    rep.message = "std::bad_alloc";
-  } catch (const std::exception& e) {
-    rep.cause = ErrorCode::kSlabFailure;
-    rep.message = e.what();
-  } catch (...) {
-    rep.cause = ErrorCode::kSlabFailure;
-    rep.message = "unknown exception";
-  }
-}
 
 /// Slab boundaries with (nearly) equal event counts per slab, each placed
 /// midway between two adjacent distinct event ordinates so that no input
@@ -65,6 +43,23 @@ std::vector<double> slab_bounds(const std::vector<double>& ys,
   return bounds;
 }
 
+constexpr SlabRunNames kNames{
+    .request = "alg2.slab_clip",
+    .clip = "alg2.clip",
+    .slab = "alg2.slab",
+    .requests = "alg2.requests",
+    .slabs = "alg2.slabs",
+    .degraded_slabs = "alg2.degraded_slabs",
+    .partial_requests = "alg2.partial_requests",
+    .missing_slabs = "alg2.missing_slabs",
+    .steals = "alg2.steals",
+    .request_seconds = "alg2.request_seconds",
+};
+
+// slab_clip's per-slab degradation ladder, most to least optimistic.
+constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
+                            Rung::kAltRectMethod, Rung::kSlabSequential};
+
 }  // namespace
 
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
@@ -74,16 +69,8 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   const unsigned p =
       opts.slabs ? opts.slabs
                  : pool.size() * std::max(1u, opts.oversubscribe);
-  // Install the request's governance token for the whole run; a null token
-  // inherits whatever the caller (psclip::clip facade) already installed.
-  // TaskGroup/parallel_for re-install it inside every task they run, so
-  // checkpoints fire on all workers.
-  std::optional<par::gov::ScopedToken> gov_scope;
-  if (opts.cancel.valid()) gov_scope.emplace(opts.cancel);
-  par::gov::checkpoint_now();
+  SlabRun run(kNames, pool, opts, stats);
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan req_span(sink, "alg2.slab_clip", obs::Cat::kRequest);
-  par::WallTimer req_timer;
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
   par::WallTimer phase_timer;
   par::ThreadCpuTimer phase_cpu_timer;
@@ -107,16 +94,14 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   const std::vector<double> bounds = slab_bounds(ys, mbr, p);
   const std::size_t nslabs = bounds.size() - 1;
 
-  // Slab-overlap contour index (Alg2Partition::kIndexed and kFused): cache
-  // each contour's bbox in one parallel pass, then build per-slab exact
-  // overlap lists so slab t only ever reads its own contours. Under
-  // kBroadcast the index is skipped and every slab scans both whole inputs
-  // (the paper's O(p·n) formulation).
+  // Slab-overlap contour index (kFused): cache each contour's bbox in one
+  // parallel pass, then build per-slab exact overlap lists so slab t only
+  // ever reads its own contours. Under kBroadcast the index is skipped and
+  // every slab scans both whole inputs (the paper's O(p·n) formulation).
   const bool fused = opts.partition == Alg2Partition::kFused;
-  const bool use_index = fused || opts.partition == Alg2Partition::kIndexed;
   std::vector<geom::BBox> sub_boxes, clip_boxes;
   SlabContourIndex sub_idx, clip_idx;
-  if (use_index) {
+  if (fused) {
     sub_boxes.resize(subject.num_contours());
     clip_boxes.resize(clip.num_contours());
     pool.parallel_for(
@@ -142,66 +127,41 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   // their schedule ys go into one shared globally merged y-schedule that
   // slab tasks slice instead of re-sorting, and the strict containment is
   // what makes the slice exact.
-  // Two ownership modes behind one pointer view: without a cache the
-  // fragments live in the local *_own vectors (the pre-cache behavior);
-  // with Alg2Options::prepared_cache they are shared immutable fragments
-  // held alive for this run by the *_held shared_ptrs. Downstream code
-  // reads only the *_prep pointer views (null = degenerate contour), so it
-  // cannot tell the modes apart — the basis of the cache's byte-identity.
-  std::vector<seq::PreparedContour> sub_own, clip_own;
-  std::vector<std::shared_ptr<const seq::PreparedContour>> sub_held, clip_held;
-  std::vector<const seq::PreparedContour*> sub_prep, clip_prep;
+  PreparedInput sub_prep, clip_prep;
   std::vector<std::uint8_t> sub_well, clip_well;
   std::vector<double> shared_ys;
   if (fused) {
     obs::ScopedSpan prep_span(sink, "alg2.fused_prep", obs::Cat::kPhase);
     auto prep_input = [&](const geom::PolygonSet& input,
                           const std::vector<geom::BBox>& boxes,
-                          std::vector<seq::PreparedContour>& own,
-                          std::vector<std::shared_ptr<
-                              const seq::PreparedContour>>& held,
-                          std::vector<const seq::PreparedContour*>& prep,
+                          PreparedInput& prep,
                           std::vector<std::uint8_t>& well, bool is_clip) {
-      const std::size_t n = input.num_contours();
-      prep.assign(n, nullptr);
-      well.assign(n, 0);
-      if (opts.prepared_cache)
-        held.resize(n);
-      else
-        own.resize(n);
-      pool.parallel_for(
-          n,
-          [&](std::size_t i) {
-            if (opts.prepared_cache) {
-              held[i] =
-                  opts.prepared_cache->prepared(input.contours[i], is_clip);
-              prep[i] = held[i].get();
-            } else if (seq::prepare_contour(input.contours[i], is_clip,
-                                            own[i])) {
-              prep[i] = &own[i];
-            }
-            if (!prep[i]) return;
+      well.assign(input.num_contours(), 0);
+      prep.prepare(
+          pool, input.num_contours(),
+          [&](std::size_t i) -> const geom::Contour& {
+            return input.contours[i];
+          },
+          is_clip, opts.prepared_cache,
+          [&](std::size_t i, const seq::PreparedContour& pc) {
             const SlabRange r =
                 slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
             well[i] = r.lo <= r.hi && r.single() &&
-                              bounds[r.lo] < prep[i]->box.ymin &&
-                              prep[i]->box.ymax < bounds[r.lo + 1]
+                              bounds[r.lo] < pc.box.ymin &&
+                              pc.box.ymax < bounds[r.lo + 1]
                           ? 1
                           : 0;
-          },
-          /*grain=*/16);
+          });
     };
-    prep_input(subject, sub_boxes, sub_own, sub_held, sub_prep, sub_well,
-               /*is_clip=*/false);
-    prep_input(clip, clip_boxes, clip_own, clip_held, clip_prep, clip_well,
-               /*is_clip=*/true);
+    prep_input(subject, sub_boxes, sub_prep, sub_well, /*is_clip=*/false);
+    prep_input(clip, clip_boxes, clip_prep, clip_well, /*is_clip=*/true);
     std::vector<std::size_t> runs{0};
-    auto collect = [&](const std::vector<const seq::PreparedContour*>& prep,
+    auto collect = [&](const PreparedInput& prep,
                        const std::vector<std::uint8_t>& well) {
-      for (std::size_t i = 0; i < prep.size(); ++i) {
-        if (!well[i] || prep[i]->ys.empty()) continue;
-        shared_ys.insert(shared_ys.end(), prep[i]->ys.begin(),
-                         prep[i]->ys.end());
+      for (std::size_t i = 0; i < prep.prep.size(); ++i) {
+        if (!well[i] || prep.prep[i]->ys.empty()) continue;
+        shared_ys.insert(shared_ys.end(), prep.prep[i]->ys.begin(),
+                         prep.prep[i]->ys.end());
         runs.push_back(shared_ys.size());
       }
     };
@@ -211,23 +171,11 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     prep_span.arg("shared_ys",
                   static_cast<std::int64_t>(shared_ys.size()));
   }
-  // Steps 4-6 per slab, in parallel: rectangle-clip both inputs to the
-  // slab, then run the sequential clipper on the slab pair.
-  struct SlabOut {
-    geom::PolygonSet result;
-    SlabLoad load;
-    DegradationReport report;
-    double partition_seconds = 0.0;
-    double partition_cpu = 0.0;  ///< thread CPU time of the partition step
-    int worker = -1;  ///< pool worker that executed the slab (-1 = caller)
-    bool done = false;       ///< slab task body ran (vs. lost to a group fault)
-    bool exhausted = false;  ///< every per-slab ladder rung failed
-  };
-  std::vector<SlabOut> outs(nslabs);
   const double t_setup = phase_timer.seconds();
   const double t_setup_cpu = phase_cpu_timer.seconds();
   phase_timer.reset();
   setup_span.end();
+  obs::ScopedSpan& req_span = run.request_span();
   req_span.arg("slabs", static_cast<std::int64_t>(nslabs));
   req_span.arg("vertices", static_cast<std::int64_t>(
                                subject.num_vertices() + clip.num_vertices()));
@@ -240,7 +188,9 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
           ? seq::RectClipMethod::kGreinerHormann
           : seq::RectClipMethod::kVatti;
 
-  // One attempt at one slab on one ladder rung. Throws on any failure —
+  // Steps 4-6 for one slab on one ladder rung: rectangle-clip both inputs
+  // to the slab, then run the sequential clipper on the slab pair. Throws
+  // on any failure —
   // injected faults, resource exhaustion, or a non-finite coordinate caught
   // by the post-checks — with `so` reset so the next rung starts clean.
   auto attempt_slab = [&](std::size_t t, SlabOut& so, Rung rung) {
@@ -267,7 +217,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       // intermediate slab polygon sets, no per-slab re-preparation, no
       // per-slab schedule sort. The degradation ladder's next rung
       // (kRetrySafe) is the materializing broadcast path, byte-identical
-      // by the identity chain fused == indexed == broadcast.
+      // to this one.
       SlabArena& arena = worker_arena();
       ++arena.tasks_served;
       seq::VattiScratch& scratch = arena.vatti;
@@ -292,8 +242,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       bool finite = true;
       auto fused_input = [&](const geom::PolygonSet& input,
                              const SlabContourIndex& idx,
-                             const std::vector<
-                                 const seq::PreparedContour*>& prep,
+                             const PreparedInput& prep,
                              const std::vector<std::uint8_t>& well,
                              bool is_clip) {
         const std::span<const SlabEntry> list = idx.slab(t);
@@ -308,7 +257,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
         for (const SlabEntry& e : list) {
           arena.refs.push_back(&input.contours[e.contour]);
           arena.inside.push_back(e.inside ? 1 : 0);
-          arena.prep_refs.push_back(prep[e.contour]);
+          arena.prep_refs.push_back(prep.prep[e.contour]);
           arena.in_shared.push_back(well[e.contour] ? 1 : 0);
         }
         if (!seq::clip_bounds_to_slab(arena.prep_refs, arena.refs,
@@ -386,42 +335,16 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       SlabArena& arena = worker_arena();
       ++arena.tasks_served;
       scratch = &arena.vatti;
-      // Materialize this slab's inputs. Indexed: walk the overlap list
-      // (ascending contour order == the broadcast scan order) and hand
-      // rect_clip_subset the precomputed inside flags; the slab only reads
-      // the contours it overlaps. Broadcast: scan and classify everything.
-      auto slab_input = [&](const geom::PolygonSet& input,
-                            const SlabContourIndex& idx) {
-        if (!use_index) {
-          so.load.touched_edges +=
-              static_cast<std::int64_t>(input.num_vertices());
-          return seq::rect_clip(input, rect, opts.rect_method);
-        }
-        const std::span<const SlabEntry> list = idx.slab(t);
-        arena.refs.clear();
-        arena.inside.clear();
-        arena.refs.reserve(list.size());
-        arena.inside.reserve(list.size());
-        for (const SlabEntry& e : list) {
-          const geom::Contour& c = input.contours[e.contour];
-          arena.refs.push_back(&c);
-          arena.inside.push_back(e.inside ? 1 : 0);
-          so.load.touched_edges += static_cast<std::int64_t>(c.size());
-        }
-        return seq::rect_clip_subset(arena.refs, arena.inside, rect,
-                                     opts.rect_method, &arena.rect);
-      };
-      a_t = slab_input(subject, sub_idx);
-      b_t = slab_input(clip, clip_idx);
-    } else if (rung == Rung::kRetrySafe || rung == Rung::kAltRectMethod) {
-      // Broadcast partition, fresh scratch, no arena: bit-identical to the
-      // healthy path (kRetrySafe) or the same region via the alternate
-      // rectangle clipper (kAltRectMethod).
+    }
+    so.load.touched_edges = static_cast<std::int64_t>(
+        subject.num_vertices() + clip.num_vertices());
+    if (rung != Rung::kSlabSequential) {
+      // Broadcast partition: scan and classify both whole inputs. kHealthy
+      // (kBroadcast) and kRetrySafe differ only in the sweep scratch, so
+      // they are bit-identical; kAltRectMethod reaches the same region via
+      // the alternate rectangle clipper.
       const seq::RectClipMethod m =
-          rung == Rung::kRetrySafe ? opts.rect_method : alt_method;
-      so.load.touched_edges =
-          static_cast<std::int64_t>(subject.num_vertices() +
-                                    clip.num_vertices());
+          rung == Rung::kAltRectMethod ? alt_method : opts.rect_method;
       a_t = seq::rect_clip(subject, rect, m);
       b_t = seq::rect_clip(clip, rect, m);
     } else {  // kSlabSequential: no rect_clip fast path at all — clip the
@@ -430,9 +353,6 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       geom::PolygonSet rp;
       rp.contours.push_back(
           geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax));
-      so.load.touched_edges =
-          static_cast<std::int64_t>(subject.num_vertices() +
-                                    clip.num_vertices());
       a_t = seq::vatti_clip(subject, rp, geom::BoolOp::kIntersection, nullptr,
                             nullptr, opts.sweep_kernel);
       b_t = seq::vatti_clip(clip, rp, geom::BoolOp::kIntersection, nullptr,
@@ -487,205 +407,11 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                       " clip output");
   };
 
-  // Walk one slab down the degradation ladder starting at `first`. Records
-  // rung reached / attempt count / first cause in so.report; flags the slab
-  // exhausted when every rung fails. Never throws.
-  auto run_ladder = [&](std::size_t t, SlabOut& so, Rung first) {
-    so.done = true;
-    static constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
-                                       Rung::kAltRectMethod,
-                                       Rung::kSlabSequential};
-    bool recorded = !so.report.message.empty();
-    for (const Rung rung : kLadder) {
-      if (rung < first) continue;
-      // Governance gate before burning a rung: a cancelled request, an
-      // expired deadline, or a *sticky* blown budget (memory still
-      // retained over the limit) makes every further attempt hopeless —
-      // time and memory lost in this slab are lost globally, unlike the
-      // slab-local faults the ladder exists for. A transient budget
-      // failure (e.g. an allocation spike released with its attempt)
-      // passes this gate and gets its retry on the next rung, preserving
-      // byte-identical recovery.
-      try {
-        par::gov::checkpoint_now();
-      } catch (...) {
-        if (!recorded) classify_failure(so.report);
-        so.result = geom::PolygonSet{};
-        so.exhausted = true;
-        return;
-      }
-      ++so.report.attempts;
-      // One kRung span per ladder attempt, named after the rung; nests
-      // under the enclosing slab span (same thread, implicit parent).
-      obs::ScopedSpan rung_span(sink, to_string(rung), obs::Cat::kRung);
-      rung_span.arg("rung", static_cast<std::int64_t>(rung));
-      try {
-        attempt_slab(t, so, rung);
-        so.report.rung = rung;
-        return;
-      } catch (...) {
-        rung_span.arg("failed", 1);
-        if (!recorded) {
-          classify_failure(so.report);
-          recorded = true;
-        }
-      }
-    }
-    so.result = geom::PolygonSet{};  // a failed attempt may leave debris
-    so.exhausted = true;
-  };
-
-  // One stealable task per slab. Every worker starts with its round-robin
-  // share; whoever drains its deque first steals half of a busy worker's
-  // queued slabs, so oversubscribed decompositions (nslabs > pool.size())
-  // self-balance without any cost model. The slab decomposition is fixed
-  // before scheduling and outs[] is indexed by slab, so the result is
-  // byte-identical regardless of which worker runs which slab.
-  const std::vector<par::StealStats> steal_before = pool.steal_stats();
-  obs::ScopedSpan clip_span(sink, "alg2.clip", obs::Cat::kPhase);
-  const obs::SpanId clip_id = clip_span.id();
-  par::TaskGroup group(pool);
-  for (std::size_t t = 0; t < nslabs; ++t) {
-    group.run([&, t] {
-      SlabOut& so = outs[t];
-      so.worker = pool.current_worker();
-      // The slab span parents to the clip-phase span *explicitly*: the
-      // phase span lives on the calling thread while slab tasks run on
-      // whichever worker steals them, so implicit (same-thread) nesting
-      // cannot link them.
-      obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab, clip_id);
-      slab_span.arg("slab", static_cast<std::int64_t>(t));
-      slab_span.arg("worker", so.worker);
-      // Deterministic fault key: a plan keyed on slab index t fires for
-      // this slab no matter which worker the scheduler hands it to.
-      par::fault::ScopedKey key(t);
-      if (opts.isolate_faults) {
-        so.report.attempts = 0;
-        run_ladder(t, so, Rung::kHealthy);
-      } else {
-        attempt_slab(t, so, Rung::kHealthy);
-        so.done = true;
-      }
-      slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
-      slab_span.arg("attempts",
-                    static_cast<std::int64_t>(so.report.attempts));
-    });
-  }
-  PartialReport partial;
-  if (!opts.isolate_faults) {
-    group.wait();  // fail-fast: first slab failure propagates unchanged
-  } else {
-    DegradationReport group_rep;
-    bool group_failed = false;
-    try {
-      group.wait();
-    } catch (...) {
-      // A fault fired in the scheduler wrapper itself (or several task
-      // bodies were lost): TaskGroup aggregated it into one exception and
-      // skipped not-yet-started tasks. Recover every lost slab here on the
-      // calling thread, starting one rung down the ladder.
-      group_failed = true;
-      classify_failure(group_rep);
-    }
-    if (group_failed) {
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        SlabOut& so = outs[t];
-        if (so.done) continue;
-        so.report = group_rep;
-        so.report.attempts = 1;  // the task attempt the group aborted
-        obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab,
-                                  clip_id);
-        slab_span.arg("slab", static_cast<std::int64_t>(t));
-        slab_span.arg("worker", -1);  // recovered on the calling thread
-        par::fault::ScopedKey key(t);
-        run_ladder(t, so, Rung::kRetrySafe);
-        slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
-        slab_span.arg("attempts",
-                      static_cast<std::int64_t>(so.report.attempts));
-      }
-    }
-    // Exhausted slabs split two ways. Governance-exhausted slabs (the
-    // ladder gate tripped on cancel/deadline/budget) must NOT reach the
-    // whole-input fallback — recomputing everything sequentially is the
-    // most expensive possible response to "stop spending resources".
-    // They either become a partial result (allow_partial) or fail the
-    // request with the precise governance code. Only fault-exhausted
-    // slabs (every rung genuinely failed) take the whole-input rung.
-    bool fault_exhausted = false, gov_exhausted = false;
-    for (const SlabOut& so : outs)
-      if (so.exhausted) {
-        if (is_governance(so.report.cause))
-          gov_exhausted = true;
-        else
-          fault_exhausted = true;
-      }
-    if (gov_exhausted && !opts.allow_partial) {
-      // Prefer the live token state (clean message); fall back to the
-      // recorded first governance failure (e.g. a transient budget trip
-      // whose sticky state has since cleared).
-      par::gov::rethrow_if_stopped();
-      for (const SlabOut& so : outs)
-        if (so.exhausted && is_governance(so.report.cause))
-          throw Error(so.report.cause, so.report.message);
-    }
-    if (gov_exhausted) {
-      partial.partial = true;
-      for (const SlabOut& so : outs)
-        if (so.exhausted && is_governance(so.report.cause)) {
-          partial.cause = so.report.cause;
-          partial.message = so.report.message;
-          break;
-        }
-      for (std::size_t t = 0; t < nslabs; ++t) {
-        SlabOut& so = outs[t];
-        if (!so.exhausted) continue;
-        so.report.rung = Rung::kPartialResult;
-        if (!partial.missing.empty() &&
-            partial.missing.back().last + 1 == t) {
-          partial.missing.back().last = t;
-          partial.missing.back().y_hi = bounds[t + 1];
-        } else {
-          partial.missing.push_back({t, t, bounds[t], bounds[t + 1]});
-        }
-      }
-    } else if (fault_exhausted) {
-      // Final rung: abandon the slab decomposition and recompute the whole
-      // request sequentially. Runs keyless so slab-keyed fault plans cannot
-      // follow the computation here; a fault that still fires (kAnyKey plan
-      // with shots left) means nothing can produce output, and propagates.
-      obs::ScopedSpan whole_span(sink, to_string(Rung::kWholeInput),
-                                 obs::Cat::kRung);
-      whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
-      par::fault::ScopedKey key(par::fault::kNoKey);
-      geom::PolygonSet whole = seq::vatti_clip(subject, clip, op, nullptr,
-                                               nullptr, opts.sweep_kernel);
-      for (SlabOut& so : outs) {
-        so.result = geom::PolygonSet{};
-        so.report.rung = Rung::kWholeInput;
-      }
-      outs[0].result = std::move(whole);
-    }
-  }
-
+  run.run(nslabs, kLadder, attempt_slab,
+          [&](std::size_t t) { return std::pair(bounds[t], bounds[t + 1]); },
+          subject, clip, op);
   const double t_par = phase_timer.seconds();
   phase_timer.reset();
-
-  // Steal totals attributed to this run (pool-counter deltas).
-  std::vector<par::StealStats> steal_after;
-  if (stats || sink) steal_after = pool.steal_stats();
-  if (sink) {
-    std::int64_t steals = 0, stolen = 0;
-    for (unsigned i = 0; i < pool.size(); ++i) {
-      steals += static_cast<std::int64_t>(steal_after[i].steals -
-                                          steal_before[i].steals);
-      stolen += static_cast<std::int64_t>(steal_after[i].tasks_stolen -
-                                          steal_before[i].tasks_stolen);
-    }
-    clip_span.arg("steals", steals);
-    clip_span.arg("tasks_stolen", stolen);
-    sink->add_counter("alg2.steals", steals);
-  }
-  clip_span.end();
 
   // Step 8 (sequential in the paper): concatenate the per-slab outputs.
   // merge_cpu is measured with the thread CPU clock, not copied from the
@@ -694,7 +420,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   obs::ScopedSpan merge_span(sink, "alg2.merge", obs::Cat::kPhase);
   par::ThreadCpuTimer merge_cpu_timer;
   geom::PolygonSet out;
-  for (auto& so : outs)
+  for (auto& so : run.outs())
     for (auto& c : so.result.contours) out.contours.push_back(std::move(c));
   const double t_merge = phase_timer.seconds();
   const double t_merge_cpu = merge_cpu_timer.seconds();
@@ -702,74 +428,17 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                  static_cast<std::int64_t>(out.num_contours()));
   merge_span.end();
 
-  if (sink) {
-    std::int64_t degraded = 0;
-    for (const SlabOut& so : outs)
-      if (so.report.rung != Rung::kHealthy) ++degraded;
-    req_span.arg("degraded_slabs", degraded);
-    sink->add_counter("alg2.requests", 1);
-    sink->add_counter("alg2.slabs", static_cast<std::int64_t>(nslabs));
-    sink->add_counter("alg2.degraded_slabs", degraded);
-    sink->observe("alg2.request_seconds", req_timer.seconds());
-    if (partial.partial) {
-      req_span.arg("partial", 1);
-      req_span.arg("missing_slabs",
-                   static_cast<std::int64_t>(partial.missing_slabs()));
-      sink->add_counter("alg2.partial_requests", 1);
-      sink->add_counter("alg2.missing_slabs",
-                        static_cast<std::int64_t>(partial.missing_slabs()));
-    }
-    if (const par::ResourceBudget* b = opts.cancel.budget())
-      sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));
-  }
-
-  if (stats) {
-    double partition_cpu_in_slabs = 0.0;
-    stats->slabs.clear();
-    stats->degradation.clear();
-    for (const auto& so : outs) {
-      stats->slabs.push_back(so.load);
-      stats->degradation.push_back(so.report);
-      partition_cpu_in_slabs += so.partition_cpu;
-    }
-    // Per-worker scheduling record: slot i < pool.size() is pool worker i,
-    // the last slot is the calling thread (which helps while waiting).
-    // Steal/idle numbers are pool-counter deltas, attributable to this run
-    // only when the pool is not shared with concurrent work.
-    stats->workers.assign(pool.size() + 1, WorkerLoad{});
-    for (const auto& so : outs) {
-      const std::size_t slot = so.worker >= 0
-                                   ? static_cast<std::size_t>(so.worker)
-                                   : pool.size();
-      WorkerLoad& w = stats->workers[slot];
-      ++w.slab_jobs;
-      w.busy_seconds += so.partition_seconds + so.load.seconds;
-    }
-    for (unsigned i = 0; i < pool.size(); ++i) {
-      WorkerLoad& w = stats->workers[i];
-      w.steals = steal_after[i].steals - steal_before[i].steals;
-      w.tasks_stolen =
-          steal_after[i].tasks_stolen - steal_before[i].tasks_stolen;
-      w.idle_seconds =
-          steal_after[i].idle_seconds - steal_before[i].idle_seconds;
-    }
-    // Fig. 9's categories, in two consistent unit systems (see PhaseTimes):
-    // wall = the calling thread's sections (setup / parallel region /
-    // merge); cpu = per-worker time actually spent in the phase, summed
-    // across workers. Mixing the two in one field made per-phase numbers
-    // exceed the wall total whenever slabs ran concurrently — or, at
-    // slabs = 1, made "clip" exceed the whole run.
-    double clip_cpu_in_slabs = 0.0;
-    for (const auto& so : outs) clip_cpu_in_slabs += so.load.cpu_seconds;
-    stats->phases.partition = t_setup;
-    stats->phases.clip = t_par;
-    stats->phases.merge = t_merge;
-    stats->phases.partition_cpu = t_setup_cpu + partition_cpu_in_slabs;
-    stats->phases.clip_cpu = clip_cpu_in_slabs;
-    stats->phases.merge_cpu = t_merge_cpu;
-    stats->output_contours = static_cast<std::int64_t>(out.num_contours());
-    stats->partial = partial;
-  }
+  // Fig. 9's categories, in two consistent unit systems (see PhaseTimes):
+  // wall = the calling thread's sections (setup / parallel region /
+  // merge); cpu = per-worker time actually spent in the phase, summed
+  // across workers.
+  PhaseTimes phases;
+  phases.partition = t_setup;
+  phases.clip = t_par;
+  phases.merge = t_merge;
+  phases.partition_cpu = t_setup_cpu;
+  phases.merge_cpu = t_merge_cpu;
+  run.finish(out, phases);
   return out;
 }
 

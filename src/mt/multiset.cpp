@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "error.hpp"
 #include "mt/arena.hpp"
+#include "mt/slab_run.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
@@ -97,6 +95,23 @@ geom::PolygonSet drop_duplicates(geom::PolygonSet merged,
   return out;
 }
 
+constexpr SlabRunNames kNames{
+    .request = "alg2.multiset_clip",
+    .clip = "multiset.clip",
+    .slab = "multiset.slab",
+    .requests = "multiset.requests",
+    .slabs = "multiset.slabs",
+    .degraded_slabs = "multiset.degraded_slabs",
+    .partial_requests = "multiset.partial_requests",
+    .missing_slabs = "multiset.missing_slabs",
+    .steals = "multiset.steals",
+    .request_seconds = "multiset.request_seconds",
+};
+
+// Replication never splits a polygon, so there is no rectangle clipper to
+// swap and no per-slab sequential fallback below the byte-identical retry.
+constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
+
 }  // namespace
 
 const char* to_string(MultisetAssign a) {
@@ -122,16 +137,8 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
                ? MultisetAssign::kSubjectOwner
                : MultisetAssign::kBlockClosure;
   }
+  SlabRun run(kNames, pool, opts, stats);
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan req_span(sink, "alg2.multiset_clip", obs::Cat::kRequest);
-  par::WallTimer req_timer;
-  // Install the request's governance token for the whole run (slab tasks
-  // re-capture it through parallel_for); a null token inherits whatever the
-  // caller installed on this thread (psclip::clip facade) or governs
-  // nothing. Checkpoint immediately: an already-dead request does no work.
-  std::optional<par::gov::ScopedToken> gov_scope;
-  if (opts.cancel.valid()) gov_scope.emplace(opts.cancel);
-  par::gov::checkpoint_now();
   obs::ScopedSpan events_span(sink, "multiset.events", obs::Cat::kPhase);
   par::WallTimer phase_timer;
   par::ThreadCpuTimer phase_cpu_timer;
@@ -168,9 +175,9 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   events_span.arg("events", static_cast<std::int64_t>(events.size()));
   events_span.arg("slabs", static_cast<std::int64_t>(nslabs));
   events_span.end();
-  req_span.arg("polygons",
-               static_cast<std::int64_t>(srecs.size() + crecs.size()));
-  req_span.arg("op", static_cast<std::int64_t>(op));
+  run.request_span().arg(
+      "polygons", static_cast<std::int64_t>(srecs.size() + crecs.size()));
+  run.request_span().arg("op", static_cast<std::int64_t>(op));
   obs::ScopedSpan assign_span(sink, "multiset.assign", obs::Cat::kPhase);
 
   // ---- Distribute polygons to slabs per the assignment mode. ----
@@ -313,43 +320,20 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // then concatenate the prepared fragments. Every prep step is
   // per-contour deterministic, so a fragment copy is bit for bit what a
   // materializing vatti_clip would have rebuilt inside the slab.
-  // Ownership as in slab_clip's fused setup: fragments are either prepared
-  // locally into the *_own vectors or fetched from
-  // MultisetOptions::prepared_cache and held alive by the *_held
-  // shared_ptrs; slab tasks read only the *_prep pointer views (null =
-  // degenerate after cleaning).
-  std::vector<seq::PreparedContour> sub_own, clip_own;
-  std::vector<std::shared_ptr<const seq::PreparedContour>> sub_held, clip_held;
-  std::vector<const seq::PreparedContour*> sub_prep, clip_prep;
+  PreparedInput sub_prep, clip_prep;
   if (opts.fused) {
     obs::ScopedSpan prep_span(sink, "multiset.fused_prep", obs::Cat::kPhase);
     auto prep_recs = [&](const std::vector<PolyRec>& recs,
-                         std::vector<seq::PreparedContour>& own,
-                         std::vector<std::shared_ptr<
-                             const seq::PreparedContour>>& held,
-                         std::vector<const seq::PreparedContour*>& prep,
-                         bool is_clip) {
-      prep.assign(recs.size(), nullptr);
-      if (opts.prepared_cache)
-        held.resize(recs.size());
-      else
-        own.resize(recs.size());
-      pool.parallel_for(
-          recs.size(),
-          [&](std::size_t i) {
-            if (opts.prepared_cache) {
-              held[i] =
-                  opts.prepared_cache->prepared(*recs[i].contour, is_clip);
-              prep[i] = held[i].get();
-            } else if (seq::prepare_contour(*recs[i].contour, is_clip,
-                                            own[i])) {
-              prep[i] = &own[i];
-            }
+                         PreparedInput& prep, bool is_clip) {
+      prep.prepare(
+          pool, recs.size(),
+          [&](std::size_t i) -> const geom::Contour& {
+            return *recs[i].contour;
           },
-          /*grain=*/16);
+          is_clip, opts.prepared_cache);
     };
-    prep_recs(srecs, sub_own, sub_held, sub_prep, /*is_clip=*/false);
-    prep_recs(crecs, clip_own, clip_held, clip_prep, /*is_clip=*/true);
+    prep_recs(srecs, sub_prep, /*is_clip=*/false);
+    prep_recs(crecs, clip_prep, /*is_clip=*/true);
   }
   const double t_assign = phase_timer.seconds();
   const double t_assign_cpu = phase_cpu_timer.seconds();
@@ -358,22 +342,10 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   assign_span.end();
 
   // ---- Per-slab sequential clipping, all slabs in parallel. ----
-  struct SlabOut {
-    geom::PolygonSet result;
-    SlabLoad load;
-    DegradationReport report;
-    bool exhausted = false;
-    /// The slab's ladder ran to a verdict (success or exhausted). False
-    /// means the scheduler never ran the body — a governance trip escaped
-    /// through parallel_for's own chunk checkpoints — and the caller must
-    /// finish the slab itself so it gets routed below.
-    bool done = false;
-  };
-  std::vector<SlabOut> outs(nwork);
-
   // One attempt at one slab. The slab id lists are immutable during the
   // clip phase, so a retry simply re-reads them; the only state a rung
-  // sheds is the worker-local arena. Throws on failure with outs[t] reset.
+  // sheds is the worker-local arena. Throws on failure; each attempt starts
+  // from a reset `so`.
   //
   // Healthy + fused: concatenate the globally prepared bound fragments of
   // the slab's polygons into the arena's bound table, run-merge their
@@ -381,8 +353,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   // schedule sort. kRetrySafe (and fused off) materializes the slab's
   // PolygonSets from the id lists and runs the ordinary vatti_clip, which
   // rebuilds the same table bit for bit (per-contour deterministic prep).
-  auto attempt_slab = [&](std::size_t t, Rung rung) {
-    SlabOut& so = outs[t];
+  auto attempt_slab = [&](std::size_t t, SlabOut& so, Rung rung) {
     so.result = geom::PolygonSet{};
     so.load = SlabLoad{};
     // Cooperative checkpoint at attempt entry, then a budget charge scoped
@@ -408,12 +379,12 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
       arena.run_end.push_back(0);
       bool finite = true;
       auto append_ids = [&](const std::vector<std::uint32_t>& ids,
-                            const std::vector<
-                                const seq::PreparedContour*>& prep) {
+                            const PreparedInput& prep) {
         for (const std::uint32_t id : ids) {
-          if (!prep[id]) continue;  // degenerate after cleaning: skipped,
-                                    // same as the materializing prep loop
-          const seq::PreparedContour& pc = *prep[id];
+          // Degenerate after cleaning: skipped, same as the materializing
+          // prep loop.
+          if (!prep.prep[id]) continue;
+          const seq::PreparedContour& pc = *prep.prep[id];
           if (!pc.finite) {
             finite = false;
             continue;
@@ -499,165 +470,13 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
                       " output");
   };
 
-  obs::ScopedSpan clip_span(sink, "multiset.clip", obs::Cat::kPhase);
-  const obs::SpanId clip_id = clip_span.id();
-
-  const auto run_slab = [&](std::size_t t) {
-        // Deterministic fault key: plans keyed on slab t fire for slab t
-        // regardless of which worker the pool hands it to.
-        par::fault::ScopedKey key(t);
-        obs::ScopedSpan slab_span(sink, "multiset.slab", obs::Cat::kSlab,
-                                  clip_id);
-        slab_span.arg("slab", static_cast<std::int64_t>(t));
-        if (!opts.isolate_faults) {
-          attempt_slab(t, Rung::kHealthy);
-          outs[t].done = true;
-          return;
-        }
-        SlabOut& so = outs[t];
-        so.done = true;
-        so.report.attempts = 0;
-        bool recorded = false;
-        for (const Rung rung : {Rung::kHealthy, Rung::kRetrySafe}) {
-          // Governance gate (same contract as slab_clip's run_ladder): a
-          // cancelled request, expired deadline or sticky blown budget makes
-          // every further rung hopeless — abandon the slab. A transient
-          // budget failure passes and gets its byte-identical retry.
-          try {
-            par::gov::checkpoint_now();
-          } catch (const Error& e) {
-            if (!recorded) {
-              so.report.cause = e.code();
-              so.report.message = e.what();
-              recorded = true;
-            }
-            break;
-          }
-          ++so.report.attempts;
-          obs::ScopedSpan rung_span(sink, to_string(rung), obs::Cat::kRung);
-          rung_span.arg("rung", static_cast<std::int64_t>(rung));
-          try {
-            attempt_slab(t, rung);
-            so.report.rung = rung;
-            slab_span.arg("rung", static_cast<std::int64_t>(rung));
-            slab_span.arg("attempts", so.report.attempts);
-            return;
-          } catch (const Error& e) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = e.code();
-              so.report.message = e.what();
-              recorded = true;
-            }
-          } catch (const std::bad_alloc&) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kResource;
-              so.report.message = "std::bad_alloc";
-              recorded = true;
-            }
-          } catch (const std::exception& e) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kSlabFailure;
-              so.report.message = e.what();
-              recorded = true;
-            }
-          } catch (...) {
-            rung_span.arg("failed", 1);
-            if (!recorded) {
-              so.report.cause = ErrorCode::kSlabFailure;
-              so.report.message = "unknown exception";
-              recorded = true;
-            }
-          }
-        }
-        so.result = geom::PolygonSet{};
-        so.exhausted = true;
-        slab_span.arg("exhausted", 1);
-  };
-  try {
-    pool.parallel_for(nwork, run_slab, /*grain=*/1);
-  } catch (...) {
-    // The slab bodies themselves never throw under fault isolation, so
-    // this is a governance trip that escaped through parallel_for's own
-    // chunk-boundary checkpoints, skipping not-yet-started slabs. The
-    // condition is sticky (cancel flag, expired deadline, blown budget),
-    // so finishing the skipped slabs on the calling thread makes each
-    // trip its ladder gate immediately and routes it below — partial
-    // result or precise error, same as slabs the gate caught directly.
-    if (!opts.isolate_faults) throw;  // fail-fast contract
-    for (std::size_t t = 0; t < nwork; ++t)
-      if (!outs[t].done) run_slab(t);
-    bool any_exhausted = false;
-    for (const auto& so : outs) any_exhausted = any_exhausted || so.exhausted;
-    if (!any_exhausted) throw;  // not governance after all — don't swallow it
-  }
-
-  // Exhausted slabs split two ways (same policy as slab_clip): slabs the
-  // governance gate abandoned must NOT reach the whole-input fallback —
-  // recomputing everything sequentially is the most expensive possible
-  // response to "stop spending resources". They become a partial result
-  // (allow_partial) or fail the request with the precise governance code;
-  // only fault-exhausted slabs take the whole-input rung.
-  PartialReport partial;
-  bool fault_exhausted = false, gov_exhausted = false;
-  for (const auto& so : outs)
-    if (so.exhausted) {
-      if (is_governance(so.report.cause))
-        gov_exhausted = true;
-      else
-        fault_exhausted = true;
-    }
-  if (gov_exhausted && !opts.allow_partial) {
-    par::gov::rethrow_if_stopped();
-    for (const auto& so : outs)
-      if (so.exhausted && is_governance(so.report.cause))
-        throw Error(so.report.cause, so.report.message);
-  }
-  if (gov_exhausted) {
-    // Completed slabs keep their outputs (dedup still runs over them);
-    // abandoned slabs are simply missing, named by task index and y-extent.
-    partial.partial = true;
-    for (const auto& so : outs)
-      if (so.exhausted && is_governance(so.report.cause)) {
-        partial.cause = so.report.cause;
-        partial.message = so.report.message;
-        break;
-      }
-    for (std::size_t t = 0; t < nwork; ++t) {
-      SlabOut& so = outs[t];
-      if (!so.exhausted) continue;
-      so.report.rung = Rung::kPartialResult;
-      if (!partial.missing.empty() && partial.missing.back().last + 1 == t) {
-        partial.missing.back().last = t;
-        partial.missing.back().y_hi = work_extent[t].second;
-      } else {
-        partial.missing.push_back(
-            {t, t, work_extent[t].first, work_extent[t].second});
-      }
-    }
-  } else if (fault_exhausted) {
-    // Final rung: one sequential clip of the whole multisets, replacing
-    // every per-slab output (same region; contours are no longer grouped
-    // per slab and dedup becomes unnecessary). Runs keyless so slab-keyed
-    // fault plans cannot follow the computation here.
-    par::fault::ScopedKey key(par::fault::kNoKey);
-    obs::ScopedSpan whole_span(sink, to_string(Rung::kWholeInput),
-                               obs::Cat::kRung);
-    whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
-    geom::PolygonSet whole = seq::vatti_clip(subject, clip, op, nullptr,
-                                             nullptr, opts.sweep_kernel);
-    for (auto& so : outs) {
-      so.result = geom::PolygonSet{};
-      so.report.rung = Rung::kWholeInput;
-    }
-    outs[0].result = std::move(whole);
-    need_dedup = false;
-  }
+  run.run(nwork, kLadder, attempt_slab,
+          [&](std::size_t t) { return work_extent[t]; }, subject, clip, op);
+  // The whole-input rung replaced every per-slab output with one
+  // sequential clip (same region, nothing replicated left to drop).
+  if (run.whole_input()) need_dedup = false;
   const double t_clip = phase_timer.seconds();
   phase_timer.reset();
-  clip_span.end();
 
   // ---- Post-processing: concatenate; drop replicated duplicates. ----
   // merge_cpu comes from the thread CPU clock (the merge runs on the caller
@@ -665,7 +484,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   obs::ScopedSpan merge_span(sink, "multiset.merge", obs::Cat::kPhase);
   par::ThreadCpuTimer merge_cpu_timer;
   geom::PolygonSet merged;
-  for (auto& so : outs)
+  for (auto& so : run.outs())
     for (auto& c : so.result.contours)
       merged.contours.push_back(std::move(c));
   std::int64_t dups = 0;
@@ -679,51 +498,19 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   merge_span.arg("duplicates_removed", dups);
   merge_span.end();
 
-  if (sink) {
-    std::int64_t degraded = 0;
-    for (const auto& so : outs)
-      if (so.report.rung != Rung::kHealthy) ++degraded;
-    req_span.arg("degraded_slabs", degraded);
-    sink->add_counter("multiset.requests", 1);
-    sink->add_counter("multiset.slabs", static_cast<std::int64_t>(nwork));
-    sink->add_counter("multiset.degraded_slabs", degraded);
-    sink->observe("multiset.request_seconds", req_timer.seconds());
-    if (partial.partial) {
-      req_span.arg("partial", 1);
-      req_span.arg("missing_slabs",
-                   static_cast<std::int64_t>(partial.missing_slabs()));
-      sink->add_counter("multiset.partial_requests", 1);
-      sink->add_counter("multiset.missing_slabs",
-                        static_cast<std::int64_t>(partial.missing_slabs()));
-    }
-    if (const par::ResourceBudget* b = opts.cancel.budget())
-      sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));
-  }
-
-  if (stats) {
-    stats->slabs.clear();
-    stats->degradation.clear();
-    for (const auto& so : outs) {
-      stats->slabs.push_back(so.load);
-      stats->degradation.push_back(so.report);
-    }
-    // Wall and CPU split (see PhaseTimes): the event/assignment/prep passes
-    // run as caller-side sections (their CPU is the caller's thread CPU
-    // clock over the same window); the clip phase is the parallel region,
-    // so its cpu time is the per-slab sum of thread-CPU clip times, which
-    // can exceed the region's wall time p-fold.
-    double clip_cpu_in_slabs = 0.0;
-    for (const auto& so : outs) clip_cpu_in_slabs += so.load.cpu_seconds;
-    stats->phases.partition = t_events + t_assign;
-    stats->phases.clip = t_clip;
-    stats->phases.merge = t_merge;
-    stats->phases.partition_cpu = t_assign_cpu;
-    stats->phases.clip_cpu = clip_cpu_in_slabs;
-    stats->phases.merge_cpu = t_merge_cpu;
-    stats->output_contours = static_cast<std::int64_t>(out.num_contours());
-    stats->duplicates_removed = dups;
-    stats->partial = partial;
-  }
+  // Wall and CPU split (see PhaseTimes): the event/assignment/prep passes
+  // run as caller-side sections (their CPU is the caller's thread CPU clock
+  // over the same window); the clip phase is the parallel region, so its
+  // cpu time is the per-slab sum of thread-CPU clip times, which can exceed
+  // the region's wall time p-fold.
+  PhaseTimes phases;
+  phases.partition = t_events + t_assign;
+  phases.clip = t_clip;
+  phases.merge = t_merge;
+  phases.partition_cpu = t_assign_cpu;
+  phases.merge_cpu = t_merge_cpu;
+  run.finish(out, phases);
+  if (stats) stats->duplicates_removed = dups;
   return out;
 }
 

@@ -2,17 +2,9 @@
 
 #include "geom/bool_op.hpp"
 #include "geom/polygon.hpp"
+#include "mt/algorithm2.hpp"
 #include "mt/stats.hpp"
-#include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
-#include "seq/vatti.hpp"
-
-namespace psclip::obs {
-class TraceSink;
-}
-namespace psclip::seq {
-class PreparedSource;
-}
 
 namespace psclip::mt {
 
@@ -45,8 +37,9 @@ enum class MultisetAssign {
 const char* to_string(MultisetAssign a);
 
 /// Options for the two-sets-of-polygons variant of Algorithm 2 (paper
-/// §IV, last paragraph).
-struct MultisetOptions {
+/// §IV, last paragraph). Its degradation ladder is retry-safe → whole-input
+/// recompute (SlabEngineOptions::isolate_faults).
+struct MultisetOptions : SlabEngineOptions {
   unsigned slabs = 0;  ///< 0 = pool thread count
   MultisetAssign assign = MultisetAssign::kAuto;
   /// Fused slab-local bound construction (default on): every polygon is
@@ -60,33 +53,6 @@ struct MultisetOptions {
   /// rebuilt; output is byte-identical either way. Off reproduces the
   /// copy-then-rederive baseline for ablation.
   bool fused = true;
-  /// Sweep kernel for the per-slab sequential clips (see seq::SweepKernel);
-  /// both settings are byte-identical, kReference exists for ablations.
-  seq::SweepKernel sweep_kernel = seq::SweepKernel::kTuned;
-  /// Fault isolation (default on): each slab's clip runs behind a guard
-  /// that catches exceptions and rejects non-finite output, retries the
-  /// slab on safe settings (fresh scratch, no arena — bit-identical), and
-  /// falls back to one sequential whole-input clip if a slab still cannot
-  /// complete. Alg2Stats::degradation records the rung per slab. Off:
-  /// the first slab failure propagates out of multiset_clip unchanged.
-  bool isolate_faults = true;
-  /// Trace + metrics sink for this run; null (default) = tracing off at the
-  /// cost of one pointer test per site. Same contract as
-  /// Alg2Options::trace_sink.
-  obs::TraceSink* trace_sink = nullptr;
-  /// Request governance handle (DESIGN.md §11), same contract as
-  /// Alg2Options::cancel: a null token governs nothing and inherits any
-  /// token already installed on the calling thread.
-  par::CancelToken cancel;
-  /// Partial-result contract, same as Alg2Options::allow_partial: slabs
-  /// abandoned by a governance trip report Rung::kPartialResult and are
-  /// recorded in Alg2Stats::partial instead of failing the request.
-  bool allow_partial = false;
-  /// Cross-request prepared-contour source, same contract as
-  /// Alg2Options::prepared_cache: null prepares locally; non-null fetches
-  /// shared immutable fragments from the source during the fused setup.
-  /// Byte-identical output either way.
-  seq::PreparedSource* prepared_cache = nullptr;
 };
 
 /// Clip two *sets* of polygons (e.g. two GIS layers) — the paper's

@@ -1,0 +1,141 @@
+#pragma once
+
+// Failure and governance policy shared by the two Algorithm 2 engines
+// (slab_clip and multiset_clip). Internal to psclip_mt: not part of the
+// public API and not included by psclip.hpp.
+//
+// Each engine owns its decomposition and the body of one slab attempt;
+// SlabRun owns everything around it — the request scope (stats reset,
+// governance token, request span), scheduling slab tasks on a TaskGroup,
+// the per-slab degradation ladder with its governance gate, recovery of
+// slabs a group fault lost, settling exhausted slabs (partial result,
+// precise governance error, or whole-input recompute), and the request-end
+// counters and Alg2Stats fill (DESIGN.md §7, §11).
+
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "geom/bool_op.hpp"
+#include "geom/polygon.hpp"
+#include "mt/algorithm2.hpp"
+#include "mt/stats.hpp"
+#include "obs/trace.hpp"
+#include "parallel/cancel.hpp"
+#include "parallel/thread_pool.hpp"
+#include "parallel/timing.hpp"
+#include "seq/bounds.hpp"
+
+namespace psclip::mt {
+
+/// Outcome of one slab task, index-aligned with the engine's decomposition.
+struct SlabOut {
+  geom::PolygonSet result;
+  SlabLoad load;
+  DegradationReport report;
+  double partition_seconds = 0.0;  ///< wall time of the partition step
+  double partition_cpu = 0.0;      ///< thread CPU time of the partition step
+  int worker = -1;  ///< pool worker that executed the slab (-1 = caller)
+  bool done = false;       ///< slab task body ran (vs. lost to a group fault)
+  bool exhausted = false;  ///< every per-slab ladder rung failed
+};
+
+/// One engine's span, counter and histogram names. Trace sinks store the
+/// pointers, so every name must be a static string.
+struct SlabRunNames {
+  const char* request;           ///< request span
+  const char* clip;              ///< clip-phase span
+  const char* slab;              ///< per-slab span
+  const char* requests;          ///< counter: completed requests
+  const char* slabs;             ///< counter: slab tasks run
+  const char* degraded_slabs;    ///< counter: slabs off the healthy rung
+  const char* partial_requests;  ///< counter: partial results returned
+  const char* missing_slabs;     ///< counter: slabs missing from them
+  const char* steals;            ///< counter: steal-half operations
+  const char* request_seconds;   ///< histogram: request latency
+};
+
+/// Globally prepared contour fragments of one input (the fused setup of
+/// both engines). Two ownership modes behind one pointer view: without a
+/// cache the fragments live in `own`; with a prepared_cache they are shared
+/// immutable fragments held alive for the run by `held`. Slab tasks read
+/// only `prep` (null = degenerate contour), so they cannot tell the modes
+/// apart — the basis of the cache's byte-identity.
+struct PreparedInput {
+  std::vector<const seq::PreparedContour*> prep;
+  std::vector<seq::PreparedContour> own;
+  std::vector<std::shared_ptr<const seq::PreparedContour>> held;
+
+  /// Prepare contours `contour_at(0..n-1)` on the pool, fetching from
+  /// `cache` when it is non-null. `on_prepared(i, frag)` runs in the same
+  /// task for every contour that did not degenerate.
+  void prepare(
+      par::ThreadPool& pool, std::size_t n,
+      const std::function<const geom::Contour&(std::size_t)>& contour_at,
+      bool is_clip, seq::PreparedSource* cache,
+      const std::function<void(std::size_t, const seq::PreparedContour&)>&
+          on_prepared = {});
+};
+
+/// The request scope and slab runner of one engine call.
+class SlabRun {
+ public:
+  /// One attempt at slab `t` on `rung`: fills `so.result` and `so.load`,
+  /// throws on any failure. Each attempt starts from a clean `so`.
+  using Attempt = std::function<void(std::size_t t, SlabOut& so, Rung rung)>;
+  /// y-extent [lo, hi] of slab task `t`, for PartialReport's missing ranges.
+  using Extent = std::function<std::pair<double, double>(std::size_t t)>;
+
+  /// Opens the request: resets `*stats`, installs `opts.cancel` on this
+  /// thread for the call (a null token inherits the caller's), checkpoints
+  /// — an already-dead request does no work — and opens the request span.
+  SlabRun(const SlabRunNames& names, par::ThreadPool& pool,
+          const SlabEngineOptions& opts, Alg2Stats* stats);
+
+  SlabRun(const SlabRun&) = delete;
+  SlabRun& operator=(const SlabRun&) = delete;
+
+  [[nodiscard]] obs::ScopedSpan& request_span() { return req_span_; }
+
+  /// Runs `ntasks` slab tasks as stealable TaskGroup tasks under the clip
+  /// span. Without fault isolation the first slab failure propagates
+  /// unchanged. With it, every slab walks `ladder` (rungs in order,
+  /// kHealthy first) behind a governance gate; slabs a group fault lost
+  /// are recovered on the calling thread from kRetrySafe; and exhausted
+  /// slabs are settled: governance-exhausted ones become a partial result
+  /// (allow_partial) or the request's precise governance error, and
+  /// fault-exhausted ones replace every slab output with one keyless
+  /// sequential clip of `subject` op `clip`.
+  void run(std::size_t ntasks, std::span<const Rung> ladder,
+           const Attempt& attempt, const Extent& extent,
+           const geom::PolygonSet& subject, const geom::PolygonSet& clip,
+           geom::BoolOp op);
+
+  [[nodiscard]] std::vector<SlabOut>& outs() { return outs_; }
+  /// The whole-input rung replaced the slab outputs (outs()[0] holds all).
+  [[nodiscard]] bool whole_input() const { return whole_input_; }
+
+  /// Ends the request: request span args, counters and the Alg2Stats fill.
+  /// `phases` carries the caller's wall sections and its setup and merge
+  /// CPU; the per-slab partition and clip CPU sums are added here.
+  void finish(const geom::PolygonSet& out, PhaseTimes phases);
+
+ private:
+  const SlabRunNames& names_;
+  par::ThreadPool& pool_;
+  const SlabEngineOptions& opts_;
+  Alg2Stats* const stats_;
+  std::optional<par::gov::ScopedToken> gov_scope_;
+  obs::ScopedSpan req_span_;
+  par::WallTimer req_timer_;
+  std::vector<SlabOut> outs_;
+  PartialReport partial_;
+  std::vector<par::StealStats> steal_before_, steal_after_;
+  bool whole_input_ = false;
+};
+
+}  // namespace psclip::mt

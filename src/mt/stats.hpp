@@ -12,7 +12,9 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The configured fast path (indexed partition + worker arena) succeeded.
+  /// The configured fast path (slab_clip: the configured partition, fused
+  /// by default; multiset_clip: fused fragment concatenation) on the
+  /// worker arena succeeded.
   kHealthy = 0,
   /// Retry on safe settings: broadcast partition (slab_clip) or re-read
   /// shared slab inputs (multiset_clip), fresh scratch, no arena. Produces
@@ -110,12 +112,12 @@ struct SlabLoad {
   /// work the slab's Step 6 really did, not the raw vertex count handed in.
   std::int64_t input_edges = 0;
   std::int64_t output_vertices = 0;
-  /// Input vertices the *partition* step read for this slab. Broadcast
-  /// partitioning scans every contour of both inputs per slab; the indexed
-  /// partition only reads contours whose y-interval overlaps the slab; the
-  /// fused partition counts the bound edges it appends (prepared fragments
-  /// are copied, not re-derived). Deterministic (no timing noise), which
-  /// makes it the CI-gateable ablation metric.
+  /// Work of the *partition* step for this slab. Broadcast partitioning
+  /// reads every input vertex of both inputs per slab; the fused partition
+  /// counts the bound edges it appends for the contours whose y-interval
+  /// overlaps the slab (prepared fragments are copied, not re-derived).
+  /// Deterministic (no timing noise), which makes it the CI-gateable
+  /// ablation metric.
   std::int64_t touched_edges = 0;
   /// Nanoseconds this slab spent building bounds (fused: fragment copies +
   /// piece prep inside clip_bounds_to_slab; materializing paths: the

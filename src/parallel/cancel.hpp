@@ -121,13 +121,14 @@ class ResourceBudget {
     used_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  /// Probe a transient spike: charge then immediately release, reporting
-  /// whether it fit. Peak still records the spike; a failed probe does NOT
-  /// set the sticky flag (the memory was never retained), letting the
-  /// degradation ladder retry the attempt that hogged.
+  /// Probe a transient spike: report whether `bytes` on top of the current
+  /// usage would fit, without retaining it. Peak still records a fitting
+  /// spike; a failed probe does NOT set the sticky flag (the memory was
+  /// never retained), letting the degradation ladder retry the attempt that
+  /// hogged. The spike is never added to `used`, so a concurrent try_charge
+  /// cannot see it and stick the flag for a request that never held it.
   [[nodiscard]] bool charge_transient(std::uint64_t bytes) {
-    const std::uint64_t now =
-        used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    const std::uint64_t now = used_.load(std::memory_order_relaxed) + bytes;
     const bool fits = limit_ == 0 || now <= limit_;
     if (fits) {
       std::uint64_t p = peak_.load(std::memory_order_relaxed);
@@ -135,7 +136,6 @@ class ResourceBudget {
              !peak_.compare_exchange_weak(p, now, std::memory_order_relaxed)) {
       }
     }
-    used_.fetch_sub(bytes, std::memory_order_relaxed);
     return fits;
   }
 

@@ -31,7 +31,7 @@ namespace psclip::par::fault {
 
 /// Where a fault can be injected.
 enum class Site : int {
-  kRectClip = 0,  ///< seq::rect_clip / rect_clip_subset straddling path
+  kRectClip = 0,  ///< seq::rect_clip straddling path (broadcast and fused)
   kVattiSweep,    ///< seq::vatti_clip entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
   kTaskGroup,     ///< par::TaskGroup task wrapper, before the body runs

@@ -13,8 +13,8 @@ namespace {
 
 /// Run the selected clipper on the boundary-straddling contours against the
 /// rectangle ring and append the pieces to `out`. Shared by the broadcast
-/// path (rect_clip) and the indexed path (rect_clip_subset) so the two
-/// produce bit-identical output for the same straddling set.
+/// path (rect_clip) and the fused path (clip_bounds_to_slab) so the two
+/// produce bit-identical pieces for the same straddling set.
 void clip_straddling(const geom::PolygonSet& straddling,
                      const geom::BBox& rect, RectClipMethod method,
                      geom::PolygonSet& out) {
@@ -74,26 +74,6 @@ geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
   return out;
 }
 
-geom::PolygonSet rect_clip_subset(
-    std::span<const geom::Contour* const> contours,
-    std::span<const std::uint8_t> inside, const geom::BBox& rect,
-    RectClipMethod method, RectClipScratch* scratch) {
-  assert(contours.size() == inside.size());
-  geom::PolygonSet out;
-  RectClipScratch local;
-  RectClipScratch& sc = scratch ? *scratch : local;
-  sc.straddling.contours.clear();
-  for (std::size_t i = 0; i < contours.size(); ++i) {
-    if (inside[i])
-      out.contours.push_back(*contours[i]);  // move-not-clip fast path
-    else
-      sc.straddling.contours.push_back(*contours[i]);
-  }
-  if (sc.straddling.empty()) return out;
-  clip_straddling(sc.straddling, rect, method, out);
-  return out;
-}
-
 bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
                          std::span<const geom::Contour* const> originals,
                          std::span<const std::uint8_t> inside,
@@ -112,8 +92,8 @@ bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
   RectClipScratch& sc = scratch ? *scratch : local;
   bool finite = true;
 
-  // Inside contours first, in list order — the emission order
-  // rect_clip_subset hands the set pipeline, so the assembled table's
+  // Inside contours first, in list order — the emission order rect_clip
+  // hands the set pipeline, so the assembled table's
   // pre-sort minima sequence is identical to the materializing path's.
   sc.straddling.contours.clear();
   for (std::size_t i = 0; i < prepared.size(); ++i) {
@@ -143,7 +123,7 @@ bool clip_bounds_to_slab(std::span<const PreparedContour* const> prepared,
     }
   }
 
-  // Straddling contours: identical pieces to rect_clip/rect_clip_subset
+  // Straddling contours: identical pieces to rect_clip
   // (same clipper, same straddling set, same kRectClip fault sites), but
   // each piece goes straight through the shared per-contour prep into the
   // bound table — never into an intermediate slab polygon set.

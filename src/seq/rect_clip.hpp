@@ -31,29 +31,14 @@ geom::PolygonSet rect_clip(const geom::PolygonSet& subject,
                            const geom::BBox& rect,
                            RectClipMethod method = RectClipMethod::kGreinerHormann);
 
-/// Reusable scratch for rect_clip_subset / clip_bounds_to_slab: the
-/// staging buffers survive between calls (a slab-arena worker resets them
-/// instead of reallocating them for every slab task).
+/// Reusable scratch for clip_bounds_to_slab: the staging buffers survive
+/// between calls (a slab-arena worker resets them instead of reallocating
+/// them for every slab task).
 struct RectClipScratch {
   geom::PolygonSet straddling;
   geom::PolygonSet pieces;      ///< clip_bounds_to_slab: rect-clip output
   PreparedContour piece_prep;   ///< clip_bounds_to_slab: per-piece prep
 };
-
-/// Clip a pre-selected subset of contours (a slab's overlap list, in input
-/// order) to the rectangle. `inside[i]` marks contours[i] as lying fully
-/// inside `rect` — precomputed from cached bounding boxes by the slab
-/// index — and such contours are moved through untouched; the rest run
-/// through the selected clipper together.
-///
-/// Produces output identical to rect_clip() on a PolygonSet holding exactly
-/// these contours in this order, but without re-deriving any bounding box:
-/// the caller's index already decided overlap and containment.
-geom::PolygonSet rect_clip_subset(
-    std::span<const geom::Contour* const> contours,
-    std::span<const std::uint8_t> inside, const geom::BBox& rect,
-    RectClipMethod method = RectClipMethod::kGreinerHormann,
-    RectClipScratch* scratch = nullptr);
 
 /// Deterministic work counters of one clip_bounds_to_slab call.
 struct FusedClipStats {
@@ -77,10 +62,10 @@ struct FusedClipStats {
 ///    bound re-derivation. `prepared[i]` may be null (degenerate after
 ///    prep: contributes nothing, exactly as the set pipeline drops it).
 ///  - boundary-straddling contours: `originals[i]` runs through the
-///    selected rectangle clipper (byte-identical pieces to
-///    rect_clip/rect_clip_subset, same kRectClip fault sites), and each
-///    piece is prepared and appended — after every inside fragment, which
-///    is the emission order rect_clip_subset feeds the set pipeline.
+///    selected rectangle clipper (byte-identical pieces to rect_clip, same
+///    kRectClip fault sites), and each piece is prepared and appended —
+///    after every inside fragment, which is the emission order rect_clip
+///    feeds the set pipeline.
 ///
 /// The per-slab scanbeam schedule is assembled as sorted runs in
 /// `ys`/`run_end` (see merge_sorted_runs_unique): one run per piece, plus

@@ -96,15 +96,15 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
   EXPECT_EQ(canonical_vertices(out4), canonical_vertices(out2))
       << "slab_clip output depends on scheduling";
 
-  // The slab-overlap contour index (kIndexed, the default above) must be a
-  // pure work optimization: against the O(p·n) broadcast partition it has
-  // to produce the same contours in the same order with the same bits —
-  // not just the same area.
+  // The fused partition (kFused, the default above) must be a pure work
+  // optimization: against the O(p·n) broadcast partition it has to produce
+  // the same contours in the same order with the same bits — not just the
+  // same area.
   mt::Alg2Options ob = o;
   ob.partition = mt::Alg2Partition::kBroadcast;
   const PolygonSet outb = mt::slab_clip(in.a, in.b, c.op, pool4, ob);
   ASSERT_EQ(out4.num_contours(), outb.num_contours())
-      << "indexed vs broadcast contour count";
+      << "fused vs broadcast contour count";
   for (std::size_t i = 0; i < out4.contours.size(); ++i) {
     const auto& ci = out4.contours[i];
     const auto& cb = outb.contours[i];

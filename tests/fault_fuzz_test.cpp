@@ -5,8 +5,8 @@
 // then arm a single-shot fault plan derived from the case seed
 // (fault::seeded_plan picks site, kind and slab key pseudo-randomly) and
 // run again. A single-shot fault is always recovered on the kRetrySafe
-// rung — broadcast repartition with fresh scratch, which PR 2's
-// indexed≡broadcast guarantee makes bit-equal to the healthy path — so
+// rung — broadcast repartition with fresh scratch, which the
+// fused≡broadcast guarantee makes bit-equal to the healthy path — so
 // the faulted run must be BYTE-IDENTICAL to the clean run, not merely
 // area-equal, on every corpus case. Degradation accounting must show
 // nothing deeper than kRetrySafe.

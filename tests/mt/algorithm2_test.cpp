@@ -206,5 +206,29 @@ TEST(Algorithm2, EmptyInputs) {
               16.0, 1e-4);
 }
 
+TEST(Algorithm2, EmptyInputResetsReusedStats) {
+  // A stats object reused across calls must not keep the previous run's
+  // record when the next call returns early on empty input.
+  par::ThreadPool pool(2);
+  Alg2Stats st;
+  st.slabs.resize(3);
+  st.workers.resize(2);
+  st.degradation.resize(3);
+  st.degradation[1].rung = Rung::kPartialResult;
+  st.partial.partial = true;
+  st.partial.missing.push_back({1, 1, 0.0, 1.0});
+  st.output_contours = 7;
+  st.phases.clip = 1.0;
+  EXPECT_TRUE(slab_clip({}, {}, BoolOp::kUnion, pool, {}, &st).empty());
+  EXPECT_TRUE(st.slabs.empty());
+  EXPECT_TRUE(st.workers.empty());
+  EXPECT_TRUE(st.degradation.empty());
+  EXPECT_FALSE(st.partial.partial);
+  EXPECT_TRUE(st.partial.missing.empty());
+  EXPECT_EQ(st.output_contours, 0);
+  EXPECT_EQ(st.phases.clip, 0.0);
+  EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
+}
+
 }  // namespace
 }  // namespace psclip::mt

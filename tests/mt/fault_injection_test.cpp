@@ -9,7 +9,7 @@
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
 //      when recovery happens on the kRetrySafe rung (which is broadcast
-//      repartition, guaranteed bit-equal to the healthy indexed path by
+//      repartition, guaranteed bit-equal to the healthy fused path by
 //      the cross-engine fuzz harness), area-equal on the deeper rungs
 //      (alternate rectangle clipper / sequential fallbacks legitimately
 //      change the vertex representation);

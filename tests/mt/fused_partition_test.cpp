@@ -5,7 +5,7 @@
 // scanbeam schedule from one shared merged y-list, instead of
 // materializing rectangle-clipped slab polygons and re-deriving the sweep
 // structures per slab. That is only a legal optimization if it is
-// *invisible*: against the materializing kIndexed/kBroadcast paths it must
+// *invisible*: against the materializing kBroadcast path it must
 // produce the same contours in the same order with the same bits — not
 // just the same area — on every corpus case, for both sweep kernels, at
 // one slab and many. The multiset clipper's fused fragment concatenation
@@ -57,8 +57,7 @@ void expect_identical(const PolygonSet& got, const PolygonSet& want,
   }
 }
 
-/// fused == indexed == broadcast, bit for bit, at the given slab count and
-/// kernel. One slab exercises the "whole input is one slab" degenerate
+/// fused == broadcast, bit for bit, at the given slab count and kernel. One slab exercises the "whole input is one slab" degenerate
 /// decomposition (everything is well-contained, the shared-schedule slice
 /// is the whole schedule); many slabs exercise straddling-piece prep.
 void check_slab_identity(const PolygonSet& a, const PolygonSet& b, BoolOp op,
@@ -69,13 +68,13 @@ void check_slab_identity(const PolygonSet& a, const PolygonSet& b, BoolOp op,
   of.partition = mt::Alg2Partition::kFused;
   of.rect_method = seq::RectClipMethod::kVatti;  // corpus has self-crossings
   of.sweep_kernel = kernel;
-  mt::Alg2Options oi = of;
-  oi.partition = mt::Alg2Partition::kIndexed;
+  mt::Alg2Options ob = of;
+  ob.partition = mt::Alg2Partition::kBroadcast;
 
   mt::Alg2Stats sf;
   const PolygonSet rf = mt::slab_clip(a, b, op, pool, of, &sf);
-  const PolygonSet ri = mt::slab_clip(a, b, op, pool, oi);
-  expect_identical(rf, ri, what + " fused-vs-indexed");
+  const PolygonSet rb = mt::slab_clip(a, b, op, pool, ob);
+  expect_identical(rf, rb, what + " fused-vs-broadcast");
 
   // The fused run must stay on the healthy rung — falling back to the
   // materializing ladder would make this test vacuous.
@@ -85,6 +84,7 @@ void check_slab_identity(const PolygonSet& a, const PolygonSet& b, BoolOp op,
 
 class FusedPartitionFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
+// Reference: the broadcast partition (the test keeps its established name).
 TEST_P(FusedPartitionFuzz, FusedMatchesIndexedBitForBit) {
   const FuzzCase c = GetParam();
   SCOPED_TRACE("repro: " + c.repro());
@@ -215,26 +215,30 @@ INSTANTIATE_TEST_SUITE_P(CorpusSlice, FusedMultisetFuzz,
                          }()));
 
 // The output-sensitivity claim itself, in deterministic units: per-slab
-// touched edges under fused must not exceed the indexed partition's count
-// (fused copies prepared bound edges; indexed re-reads input vertices and
-// then re-derives bounds from them — the bound table never has more edges
-// than vertices).
+// touched edges under fused must not exceed the broadcast partition's count
+// (fused copies the prepared bound edges of the contours overlapping the
+// slab; broadcast re-reads every input vertex per slab — and the bound
+// table never has more edges than vertices), and must be strictly lower
+// once the field is spread over several slabs.
 TEST(FusedPartition, TouchedEdgesAreOutputSensitive) {
   const PolygonSet a = data::polygon_field(701, 60, 120.0, 10);
   const PolygonSet b = data::polygon_field(702, 60, 120.0, 9);
   par::ThreadPool pool(4);
   for (const unsigned slabs : {4u, 8u}) {
-    mt::Alg2Options of, oi;
-    of.slabs = oi.slabs = slabs;
+    mt::Alg2Options of, ob;
+    of.slabs = ob.slabs = slabs;
     of.partition = mt::Alg2Partition::kFused;
-    oi.partition = mt::Alg2Partition::kIndexed;
-    mt::Alg2Stats sf, si;
+    ob.partition = mt::Alg2Partition::kBroadcast;
+    mt::Alg2Stats sf, sb;
     (void)mt::slab_clip(a, b, BoolOp::kUnion, pool, of, &sf);
-    (void)mt::slab_clip(a, b, BoolOp::kUnion, pool, oi, &si);
-    std::int64_t tf = 0, ti = 0;
+    (void)mt::slab_clip(a, b, BoolOp::kUnion, pool, ob, &sb);
+    std::int64_t tf = 0, tb = 0;
     for (const auto& s : sf.slabs) tf += s.touched_edges;
-    for (const auto& s : si.slabs) ti += s.touched_edges;
-    EXPECT_LE(tf, ti) << "slabs=" << slabs;
+    for (const auto& s : sb.slabs) tb += s.touched_edges;
+    EXPECT_EQ(tb, static_cast<std::int64_t>(
+                      (a.num_vertices() + b.num_vertices()) * sb.slabs.size()))
+        << "slabs=" << slabs;
+    EXPECT_LT(tf, tb) << "slabs=" << slabs;
     // The fused stats carry the new counters; bound building must have
     // been charged somewhere.
     std::int64_t build = 0;

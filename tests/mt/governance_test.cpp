@@ -30,6 +30,7 @@
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
 #include "mt/multiset.hpp"
+#include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
@@ -95,6 +96,26 @@ void check_partial_report(const mt::Alg2Stats& stats, unsigned nslabs,
     if (d.rung == mt::Rung::kPartialResult) ++partial_rungs;
   EXPECT_EQ(partial_rungs, p.missing_slabs());
   EXPECT_EQ(stats.worst_rung(), mt::Rung::kPartialResult);
+}
+
+/// Every slab span of the run records the rung it ended on and its attempt
+/// count — exhausted slabs included — matching Alg2Stats::degradation.
+void check_slab_spans(const obs::TraceRecorder& rec, const char* slab_name,
+                      const mt::Alg2Stats& stats) {
+  std::size_t seen = 0;
+  for (const auto& sp : rec.spans()) {
+    if (std::strcmp(sp.name, slab_name) != 0) continue;
+    ++seen;
+    const std::int64_t slab = sp.arg("slab");
+    ASSERT_GE(slab, 0);
+    ASSERT_LT(static_cast<std::size_t>(slab), stats.degradation.size());
+    EXPECT_GE(sp.arg("rung"), 0) << slab_name << " " << slab;
+    EXPECT_EQ(sp.arg("attempts"),
+              static_cast<std::int64_t>(
+                  stats.degradation[static_cast<std::size_t>(slab)].attempts))
+        << slab_name << " " << slab;
+  }
+  EXPECT_EQ(seen, stats.degradation.size());
 }
 
 struct Fixture {
@@ -178,10 +199,13 @@ TEST(Governance, TinyBudgetWithAllowPartialReturnsPartial) {
   auto budget = std::make_shared<par::ResourceBudget>(1);
   o.cancel.set_budget(budget);
   o.allow_partial = true;
+  obs::TraceRecorder rec;
+  o.trace_sink = &rec;
   mt::Alg2Stats stats;
   const geom::PolygonSet got = mt::slab_clip(
       f.subject, f.clip, geom::BoolOp::kUnion, f.pool, o, &stats);
   check_partial_report(stats, o.slabs, ErrorCode::kBudgetExceeded);
+  check_slab_spans(rec, "alg2.slab", stats);
   // A 1-byte budget rejects the very first arena charge of every slab that
   // does any work at all; this workload spans all slabs.
   EXPECT_EQ(stats.partial.missing_slabs(), o.slabs);
@@ -304,8 +328,11 @@ TEST(GovernanceMultiset, TinyBudgetWithAllowPartialReturnsPartial) {
   auto budget = std::make_shared<par::ResourceBudget>(1);
   o.cancel.set_budget(budget);
   o.allow_partial = true;
+  obs::TraceRecorder rec;
+  o.trace_sink = &rec;
   mt::Alg2Stats stats;
   mt::multiset_clip(f.a, f.b, geom::BoolOp::kUnion, f.pool, o, &stats);
+  check_slab_spans(rec, "multiset.slab", stats);
   const mt::PartialReport& p = stats.partial;
   EXPECT_TRUE(p.partial);
   EXPECT_EQ(p.cause, ErrorCode::kBudgetExceeded);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "data/synthetic.hpp"
 #include "geom/area_oracle.hpp"
 #include "test_support.hpp"
@@ -188,6 +190,12 @@ TEST(Multiset, StatsFilled) {
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   EXPECT_EQ(st.degraded_slabs(), 0);
   EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
+  // Slab tasks run on the stealing scheduler: one record per pool worker
+  // plus the calling thread, and every slab task counted exactly once.
+  ASSERT_EQ(st.workers.size(), pool.size() + 1);
+  std::uint64_t jobs = 0;
+  for (const auto& w : st.workers) jobs += w.slab_jobs;
+  EXPECT_EQ(jobs, st.slabs.size());
 }
 
 TEST(Multiset, EmptyInputs) {
@@ -197,6 +205,30 @@ TEST(Multiset, EmptyInputs) {
   EXPECT_TRUE(test::areas_match(
       geom::signed_area(multiset_clip(a, {}, BoolOp::kUnion, pool)),
       geom::even_odd_area(a), 1e-5));
+}
+
+TEST(Multiset, EmptyInputResetsReusedStats) {
+  // A stats object reused across calls must not keep the previous run's
+  // record when the next call returns early on empty input.
+  par::ThreadPool pool(2);
+  Alg2Stats st;
+  st.slabs.resize(3);
+  st.workers.resize(2);
+  st.degradation.resize(3);
+  st.degradation[1].rung = Rung::kPartialResult;
+  st.partial.partial = true;
+  st.partial.missing.push_back({1, 1, 0.0, 1.0});
+  st.output_contours = 7;
+  st.duplicates_removed = 2;
+  EXPECT_TRUE(multiset_clip({}, {}, BoolOp::kUnion, pool, {}, &st).empty());
+  EXPECT_TRUE(st.slabs.empty());
+  EXPECT_TRUE(st.workers.empty());
+  EXPECT_TRUE(st.degradation.empty());
+  EXPECT_FALSE(st.partial.partial);
+  EXPECT_TRUE(st.partial.missing.empty());
+  EXPECT_EQ(st.output_contours, 0);
+  EXPECT_EQ(st.duplicates_removed, 0);
+  EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
 #include "mt/arena.hpp"
-#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -158,60 +157,6 @@ TEST(SlabIndex, NoBoundsOrNoBoxes) {
   EXPECT_EQ(idx.total_entries(), 0);
 }
 
-TEST(RectClipSubset, FullyInsideContourIsMovedVerbatim) {
-  // The move-not-clip fast path must hand the contour through untouched —
-  // same vertices, same order, not a clipped/rebuilt copy.
-  PolygonSet p = geom::make_polygon({{1, 1}, {4, 2}, {3, 5}});
-  const Contour* ref = &p.contours[0];
-  const std::uint8_t inside = 1;
-  const geom::BBox rect{0.0, 0.0, 10.0, 10.0};
-  seq::RectClipScratch scratch;
-  const PolygonSet out = seq::rect_clip_subset(
-      {&ref, 1}, {&inside, 1}, rect, seq::RectClipMethod::kGreinerHormann,
-      &scratch);
-  ASSERT_EQ(out.num_contours(), 1u);
-  ASSERT_EQ(out.contours[0].pts.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(out.contours[0].pts[i].x, p.contours[0].pts[i].x);
-    EXPECT_EQ(out.contours[0].pts[i].y, p.contours[0].pts[i].y);
-  }
-}
-
-TEST(RectClipSubset, MatchesRectClipOnSameSubset) {
-  // Feeding rect_clip_subset the contours rect_clip would keep must yield
-  // byte-identical output for every rectangle clipper backend.
-  const PolygonSet field = data::polygon_field(7, 24, 50.0, 9);
-  const geom::BBox rect{-1.0, 12.0, 51.0, 31.0};
-  for (const auto method : {seq::RectClipMethod::kGreinerHormann,
-                            seq::RectClipMethod::kVatti,
-                            seq::RectClipMethod::kSutherlandHodgman}) {
-    const PolygonSet want = seq::rect_clip(field, rect, method);
-    std::vector<const Contour*> refs;
-    std::vector<std::uint8_t> inside;
-    for (const auto& c : field.contours) {
-      const BBox b = geom::bounds(c);
-      if (!b.overlaps(rect)) continue;
-      refs.push_back(&c);
-      inside.push_back(b.xmin >= rect.xmin && b.xmax <= rect.xmax &&
-                               b.ymin >= rect.ymin && b.ymax <= rect.ymax
-                           ? 1
-                           : 0);
-    }
-    seq::RectClipScratch scratch;
-    const PolygonSet got =
-        seq::rect_clip_subset(refs, inside, rect, method, &scratch);
-    ASSERT_EQ(got.num_contours(), want.num_contours())
-        << seq::to_string(method);
-    for (std::size_t i = 0; i < want.contours.size(); ++i) {
-      ASSERT_EQ(got.contours[i].pts.size(), want.contours[i].pts.size());
-      for (std::size_t j = 0; j < want.contours[i].pts.size(); ++j) {
-        EXPECT_EQ(got.contours[i].pts[j].x, want.contours[i].pts[j].x);
-        EXPECT_EQ(got.contours[i].pts[j].y, want.contours[i].pts[j].y);
-      }
-    }
-  }
-}
-
 void expect_identical(const PolygonSet& a, const PolygonSet& b,
                       const char* what) {
   ASSERT_EQ(a.num_contours(), b.num_contours()) << what;
@@ -221,35 +166,6 @@ void expect_identical(const PolygonSet& a, const PolygonSet& b,
     for (std::size_t j = 0; j < a.contours[i].pts.size(); ++j) {
       EXPECT_EQ(a.contours[i].pts[j].x, b.contours[i].pts[j].x) << what;
       EXPECT_EQ(a.contours[i].pts[j].y, b.contours[i].pts[j].y) << what;
-    }
-  }
-}
-
-TEST(Algorithm2Partition, IndexedMatchesBroadcastBitForBit) {
-  par::ThreadPool pool(4);
-  const PolygonSet a = data::polygon_field(101, 40, 60.0, 11);
-  const PolygonSet b = data::polygon_field(202, 36, 60.0, 9);
-  for (const unsigned slabs : {1u, 4u, 9u, 16u}) {
-    for (const BoolOp op : geom::kAllOps) {
-      Alg2Options oi, ob;
-      oi.slabs = ob.slabs = slabs;
-      oi.partition = Alg2Partition::kIndexed;
-      ob.partition = Alg2Partition::kBroadcast;
-      Alg2Stats si, sb;
-      const PolygonSet ri = slab_clip(a, b, op, pool, oi, &si);
-      const PolygonSet rb = slab_clip(a, b, op, pool, ob, &sb);
-      expect_identical(ri, rb, geom::to_string(op));
-      // The deterministic partition-work metric: the index must never read
-      // more input than the broadcast scan, and strictly less once the
-      // field is spread over several slabs.
-      std::int64_t ti = 0, tb = 0;
-      for (const auto& s : si.slabs) ti += s.touched_edges;
-      for (const auto& s : sb.slabs) tb += s.touched_edges;
-      const auto total = static_cast<std::int64_t>(
-          (a.num_vertices() + b.num_vertices()) * si.slabs.size());
-      EXPECT_EQ(tb, total);
-      EXPECT_LE(ti, tb);
-      if (slabs >= 4) EXPECT_LT(ti, tb);
     }
   }
 }

@@ -298,6 +298,31 @@ TEST(CancelRace, StolenTasksInheritTheSubmitterToken) {
       << "every task body must run with the submitter's token installed";
 }
 
+TEST(CancelRace, FailedSpikeNeverBlowsConcurrentCharges) {
+  // A spike that does not fit is never retained, so a charge racing it on
+  // another thread must neither fail nor stick the blown flag.
+  ResourceBudget b(1 << 20);
+  std::atomic<bool> started{false}, stop{false};
+  std::thread hog([&] {
+    started.store(true);
+    while (!stop.load(std::memory_order_relaxed))
+      (void)b.charge_transient(1ull << 30);
+  });
+  while (!started.load()) std::this_thread::yield();
+  int failed = 0;
+  for (int i = 0; i < 200000; ++i) {
+    if (b.try_charge(4096))
+      b.release(4096);
+    else
+      ++failed;
+  }
+  stop.store(true);
+  hog.join();
+  EXPECT_EQ(failed, 0);
+  EXPECT_FALSE(b.blown());
+  EXPECT_EQ(b.used(), 0u);
+}
+
 TEST(CancelRace, ConcurrentChargesBalance) {
   ThreadPool pool(4);
   CancelToken t = CancelToken::make();
