@@ -3,15 +3,15 @@
 // different amounts of clipping work — the load imbalance that limits the
 // paper's Intersect(1,2) scaling to ~3.4x.
 //
-// Part B goes beyond the paper: the same skew is attacked with the
-// work-stealing slab scheduler. The static one-slab-per-thread
-// decomposition is compared against adaptive over-partitioning
-// (Alg2Options::oversubscribe = 4): c × p slabs are queued on the pool's
-// steal deques and idle workers steal half of a busy worker's queue, so the
-// per-*worker* busy-time imbalance drops even though the per-*slab* skew is
-// unchanged. A bit-identity check confirms scheduling never changes the
-// output: the same decomposition produces byte-identical results no matter
-// how many workers run it or who steals what.
+// Part B goes beyond the paper: the same skew is attacked with dynamic slab
+// scheduling. The static one-slab-per-thread decomposition is compared
+// against adaptive over-partitioning (Alg2Options::oversubscribe = 4):
+// parallel_for hands the c × p slabs out one at a time, so a worker that
+// finishes early takes the next slab and the per-*worker* busy-time
+// imbalance drops even though the per-*slab* skew is unchanged. A
+// bit-identity check confirms scheduling never changes the output: the
+// same decomposition produces byte-identical results no matter how many
+// workers run it or which worker runs which slab.
 
 #include <cstdio>
 
@@ -62,23 +62,19 @@ bool bit_identical(const geom::PolygonSet& a, const geom::PolygonSet& b) {
 
 void print_workers(const char* label, const mt::Alg2Stats& st) {
   std::printf("\n%s\n", label);
-  std::printf("%8s %10s %12s %8s %10s %10s\n", "worker", "slab jobs",
-              "busy (ms)", "steals", "stolen", "idle (ms)");
+  std::printf("%8s %10s %12s %10s\n", "worker", "slab jobs", "busy (ms)",
+              "idle (ms)");
   for (std::size_t i = 0; i < st.workers.size(); ++i) {
     const auto& w = st.workers[i];
     const bool caller = i + 1 == st.workers.size();
-    std::printf("%8s %10llu %12.3f %8llu %10llu %10.3f\n",
+    std::printf("%8s %10llu %12.3f %10.3f\n",
                 caller ? "caller" : std::to_string(i).c_str(),
                 static_cast<unsigned long long>(w.slab_jobs),
-                w.busy_seconds * 1e3,
-                static_cast<unsigned long long>(w.steals),
-                static_cast<unsigned long long>(w.tasks_stolen),
-                w.idle_seconds * 1e3);
+                w.busy_seconds * 1e3, w.idle_seconds * 1e3);
   }
   std::printf("slabs=%zu  per-slab imbalance (max/mean)=%.2f  "
-              "per-worker imbalance (max/mean)=%.2f  steals=%llu\n",
-              st.slabs.size(), st.load_imbalance(), st.worker_imbalance(),
-              static_cast<unsigned long long>(st.total_steals()));
+              "per-worker imbalance (max/mean)=%.2f\n",
+              st.slabs.size(), st.load_imbalance(), st.worker_imbalance());
 }
 
 }  // namespace
@@ -141,7 +137,7 @@ int main(int argc, char** argv) {
   }
 
   bench::header(
-      "Fig. 11 (b) — work-stealing slab scheduler on a skewed workload",
+      "Fig. 11 (b) — dynamic slab scheduling on a skewed workload",
       "paper Fig. 11, plus the scheduler this repo adds on top");
 
   const SkewPair w = make_skewed_workload();
@@ -179,8 +175,6 @@ int main(int argc, char** argv) {
                                 : std::to_string(i));
       report.cell("slab_jobs", static_cast<long long>(w.slab_jobs));
       report.cell("busy_ms", w.busy_seconds * 1e3);
-      report.cell("steals", static_cast<long long>(w.steals));
-      report.cell("tasks_stolen", static_cast<long long>(w.tasks_stolen));
       report.cell("idle_ms", w.idle_seconds * 1e3);
     }
   };
@@ -192,15 +186,14 @@ int main(int argc, char** argv) {
 
   std::printf("\nworker imbalance %0.2f -> %0.2f with oversubscribe=4 "
               "(lower is better; the per-slab skew itself is unchanged,\n"
-              "idle workers now steal queued slab jobs instead of waiting "
-              "out the heaviest slab).\n",
+              "a worker that finishes early takes the next slab instead of "
+              "waiting out the heaviest one).\n",
               st_static.worker_imbalance(), st_oversub.worker_imbalance());
 
-  // Scheduling must never leak into the output: the same decomposition on
-  // one worker (no concurrency, no steals) must match byte for byte.
+  // Scheduling must never leak into the output: the same decomposition
+  // (p * 4 = 16 slabs, explicitly) on one worker, with no concurrency,
+  // must match byte for byte — scheduling is the only variable left.
   par::ThreadPool serial(1);
-  // Same decomposition (p * 4 = 16 slabs, explicitly) on one worker: no
-  // concurrency, no steals — stealing is the only variable left.
   const geom::PolygonSet ref = run(serial, /*fixed_slabs=*/p * 4,
                                    /*oversubscribe=*/1, nullptr);
   const bool identical = bit_identical(out, ref);

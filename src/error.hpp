@@ -15,7 +15,7 @@ enum class ErrorCode {
   kNonFinite,      ///< a NaN/Inf/overflowing coordinate was produced or read
   kSlabFailure,    ///< a slab task of Algorithm 2 failed (see Alg2Stats)
   kResource,       ///< allocation or thread-resource exhaustion
-  kTaskFailure,    ///< aggregated parallel task failures (TaskGroup/parallel_for)
+  kTaskFailure,    ///< aggregated parallel task failures (parallel_for)
   kInjected,       ///< deterministic test fault (PSCLIP_FAULT_INJECTION builds)
   kCancelled,        ///< request cancelled via par::CancelToken::cancel()
   kDeadlineExceeded, ///< request deadline expired at a cooperative checkpoint

@@ -52,7 +52,6 @@ constexpr SlabRunNames kNames{
     .degraded_slabs = "alg2.degraded_slabs",
     .partial_requests = "alg2.partial_requests",
     .missing_slabs = "alg2.missing_slabs",
-    .steals = "alg2.steals",
     .request_seconds = "alg2.request_seconds",
 };
 

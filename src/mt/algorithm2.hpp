@@ -62,9 +62,8 @@ struct SlabEngineOptions {
   /// one pointer test, the same "free when off" discipline as the
   /// fault.hpp injection sites. Non-null: the run records a
   /// request → phase → slab → rung span hierarchy (slab spans carry slab
-  /// id, executing worker, degradation rung and attempt count; the clip
-  /// phase span carries the steal totals) plus per-engine counters and
-  /// latency histograms. The sink must outlive the call and be thread-safe
+  /// id, executing worker, degradation rung and attempt count) plus
+  /// per-engine counters and latency histograms. The sink must outlive the call and be thread-safe
   /// (obs::TraceRecorder is).
   obs::TraceSink* trace_sink = nullptr;
   /// Request governance handle (DESIGN.md §11): cancel flag, deadline and
@@ -103,9 +102,9 @@ struct Alg2Options : SlabEngineOptions {
   /// from the pool: oversubscribe × pool.size().
   unsigned slabs = 0;
   /// Adaptive over-partitioning factor used when `slabs == 0`: the input is
-  /// cut into oversubscribe × p slabs and the slab jobs are scheduled on
-  /// the pool's work-stealing deques, so idle workers steal queued slabs
-  /// from busy ones. The paper's static one-slab-per-thread decomposition
+  /// cut into oversubscribe × p slabs, which the pool's parallel_for hands
+  /// out one at a time, so a worker that finishes early takes the next
+  /// slab. The paper's static one-slab-per-thread decomposition
   /// (oversubscribe = 1) leaves workers idle while the heaviest slab
   /// finishes (Fig. 11); a factor of ~4 trades a little extra rectangle
   /// clipping for a much tighter per-worker load distribution. The slab

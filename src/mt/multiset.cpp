@@ -104,7 +104,6 @@ constexpr SlabRunNames kNames{
     .degraded_slabs = "multiset.degraded_slabs",
     .partial_requests = "multiset.partial_requests",
     .missing_slabs = "multiset.missing_slabs",
-    .steals = "multiset.steals",
     .request_seconds = "multiset.request_seconds",
 };
 

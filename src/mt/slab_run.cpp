@@ -5,7 +5,6 @@
 
 #include "error.hpp"
 #include "parallel/fault.hpp"
-#include "parallel/work_steal.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
@@ -64,8 +63,8 @@ SlabRun::SlabRun(const SlabRunNames& names, par::ThreadPool& pool,
   // A reused stats object must not carry the previous run's record into a
   // call that returns early (empty input) or throws.
   if (stats_) *stats_ = Alg2Stats{};
-  // TaskGroup/parallel_for re-install the token inside every task they
-  // run, so checkpoints fire on all workers.
+  // parallel_for re-installs the token inside every chunk it runs, so
+  // checkpoints fire on all workers.
   if (opts_.cancel.valid()) gov_scope_.emplace(opts_.cancel);
   par::gov::checkpoint_now();
   req_span_ = obs::ScopedSpan(opts_.trace_sink, names_.request,
@@ -129,7 +128,7 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
   const obs::SpanId clip_id = clip_span.id();
   // The slab span parents to the clip-phase span *explicitly*: the phase
   // span lives on the calling thread while slab tasks run on whichever
-  // worker steals them, so implicit (same-thread) nesting cannot link them.
+  // thread claims them, so implicit (same-thread) nesting cannot link them.
   auto run_slab = [&](std::size_t t, Rung first) {
     SlabOut& so = outs_[t];
     obs::ScopedSpan slab_span(sink, names_.slab, obs::Cat::kSlab, clip_id);
@@ -150,41 +149,47 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
     if (so.exhausted) slab_span.arg("exhausted", 1);
   };
 
-  // One stealable task per slab. Every worker starts with its round-robin
-  // share; whoever drains its deque first steals half of a busy worker's
-  // queued slabs, so oversubscribed decompositions self-balance without
-  // any cost model. outs_ is indexed by slab, so the result is
-  // byte-identical regardless of which worker runs which slab.
-  steal_before_ = pool_.steal_stats();
-  par::TaskGroup group(pool_);
-  for (std::size_t t = 0; t < ntasks; ++t)
-    group.run([&, t] {
-      outs_[t].worker = pool_.current_worker();
-      run_slab(t, Rung::kHealthy);
-    });
+  // One parallel_for index per slab, grain 1: the shared index hands the
+  // next slab to whichever thread frees up first, so oversubscribed
+  // decompositions self-balance without any cost model, and the caller
+  // only ever runs this request's slabs. outs_ is indexed by slab, so the
+  // result is byte-identical regardless of which thread runs which slab.
+  auto slab_task = [&](std::size_t t) {
+    outs_[t].worker = pool_.current_worker();
+    {
+      // Keyed on the slab index, so a plan fires for this slab no matter
+      // which thread runs it.
+      par::fault::ScopedKey key(t);
+      par::fault::inject(par::fault::Site::kSlabTask);
+    }
+    run_slab(t, Rung::kHealthy);
+  };
+  std::vector<par::StealStats> before;
+  if (stats_) before = pool_.steal_stats();
   if (!opts_.isolate_faults) {
-    group.wait();  // fail-fast: first slab failure propagates unchanged
+    // Fail-fast: the first slab failure propagates unchanged.
+    pool_.parallel_for(ntasks, slab_task, /*grain=*/1);
   } else {
-    DegradationReport group_rep;
-    bool group_failed = false;
+    DegradationReport task_rep;
+    bool task_failed = false;
     try {
-      group.wait();
+      pool_.parallel_for(ntasks, slab_task, /*grain=*/1);
     } catch (...) {
-      // A fault fired in the scheduler wrapper itself, or the wrapper's
-      // governance checkpoint tripped: TaskGroup aggregated it into one
-      // exception and skipped not-yet-started tasks. Recover every lost
+      // A fault fired in the slab task wrapper itself, or a chunk's
+      // governance checkpoint tripped: parallel_for aggregated it into one
+      // exception and skipped not-yet-started slabs. Recover every lost
       // slab here on the calling thread, starting one rung down the ladder
       // (a governance trip then stops each at the gate and routes it
       // below).
-      group_failed = true;
-      classify_failure(group_rep);
+      task_failed = true;
+      classify_failure(task_rep);
     }
-    if (group_failed) {
+    if (task_failed) {
       for (std::size_t t = 0; t < ntasks; ++t) {
         SlabOut& so = outs_[t];
         if (so.done) continue;
-        so.report = group_rep;
-        so.report.attempts = 1;  // the task attempt the group aborted
+        so.report = task_rep;
+        so.report.attempts = 1;  // the task attempt the fault aborted
         run_slab(t, Rung::kRetrySafe);
       }
     }
@@ -247,19 +252,12 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
     }
   }
 
-  // Steal totals attributed to this run (pool-counter deltas).
-  if (stats_ || sink) steal_after_ = pool_.steal_stats();
-  if (sink) {
-    std::int64_t steals = 0, stolen = 0;
-    for (unsigned i = 0; i < pool_.size(); ++i) {
-      steals += static_cast<std::int64_t>(steal_after_[i].steals -
-                                          steal_before_[i].steals);
-      stolen += static_cast<std::int64_t>(steal_after_[i].tasks_stolen -
-                                          steal_before_[i].tasks_stolen);
-    }
-    clip_span.arg("steals", steals);
-    clip_span.arg("tasks_stolen", stolen);
-    sink->add_counter(names_.steals, steals);
+  // Pool idle time attributed to this run (pool-counter deltas).
+  if (stats_) {
+    const std::vector<par::StealStats> after = pool_.steal_stats();
+    idle_seconds_.resize(pool_.size());
+    for (unsigned i = 0; i < pool_.size(); ++i)
+      idle_seconds_[i] = after[i].idle_seconds - before[i].idle_seconds;
   }
 }
 
@@ -292,9 +290,9 @@ void SlabRun::finish(const geom::PolygonSet& out, PhaseTimes phases) {
     phases.clip_cpu += so.load.cpu_seconds;
   }
   // Per-worker scheduling record: slot i < pool.size() is pool worker i,
-  // the last slot is the calling thread (which helps while waiting).
-  // Steal/idle numbers are pool-counter deltas, attributable to this run
-  // only when the pool is not shared with concurrent work.
+  // the last slot is the calling thread (which drives slabs too). Idle
+  // times are pool-counter deltas, attributable to this run only when the
+  // pool is not shared with concurrent work.
   stats_->workers.assign(pool_.size() + 1, WorkerLoad{});
   for (const SlabOut& so : outs_) {
     const std::size_t slot = so.worker >= 0
@@ -304,14 +302,8 @@ void SlabRun::finish(const geom::PolygonSet& out, PhaseTimes phases) {
     ++w.slab_jobs;
     w.busy_seconds += so.partition_seconds + so.load.seconds;
   }
-  for (unsigned i = 0; i < pool_.size(); ++i) {
-    WorkerLoad& w = stats_->workers[i];
-    w.steals = steal_after_[i].steals - steal_before_[i].steals;
-    w.tasks_stolen =
-        steal_after_[i].tasks_stolen - steal_before_[i].tasks_stolen;
-    w.idle_seconds =
-        steal_after_[i].idle_seconds - steal_before_[i].idle_seconds;
-  }
+  for (unsigned i = 0; i < pool_.size(); ++i)
+    stats_->workers[i].idle_seconds = idle_seconds_[i];
   stats_->phases = phases;
   stats_->output_contours = static_cast<std::int64_t>(out.num_contours());
   stats_->partial = partial_;

@@ -6,9 +6,9 @@
 //
 // Each engine owns its decomposition and the body of one slab attempt;
 // SlabRun owns everything around it — the request scope (stats reset,
-// governance token, request span), scheduling slab tasks on a TaskGroup,
+// governance token, request span), scheduling slab tasks on the pool,
 // the per-slab degradation ladder with its governance gate, recovery of
-// slabs a group fault lost, settling exhausted slabs (partial result,
+// slabs a task fault lost, settling exhausted slabs (partial result,
 // precise governance error, or whole-input recompute), and the request-end
 // counters and Alg2Stats fill (DESIGN.md §7, §11).
 
@@ -40,7 +40,7 @@ struct SlabOut {
   double partition_seconds = 0.0;  ///< wall time of the partition step
   double partition_cpu = 0.0;      ///< thread CPU time of the partition step
   int worker = -1;  ///< pool worker that executed the slab (-1 = caller)
-  bool done = false;       ///< slab task body ran (vs. lost to a group fault)
+  bool done = false;       ///< slab task body ran (vs. lost to a task fault)
   bool exhausted = false;  ///< every per-slab ladder rung failed
 };
 
@@ -55,7 +55,6 @@ struct SlabRunNames {
   const char* degraded_slabs;    ///< counter: slabs off the healthy rung
   const char* partial_requests;  ///< counter: partial results returned
   const char* missing_slabs;     ///< counter: slabs missing from them
-  const char* steals;            ///< counter: steal-half operations
   const char* request_seconds;   ///< histogram: request latency
 };
 
@@ -101,10 +100,10 @@ class SlabRun {
 
   [[nodiscard]] obs::ScopedSpan& request_span() { return req_span_; }
 
-  /// Runs `ntasks` slab tasks as stealable TaskGroup tasks under the clip
-  /// span. Without fault isolation the first slab failure propagates
-  /// unchanged. With it, every slab walks `ladder` (rungs in order,
-  /// kHealthy first) behind a governance gate; slabs a group fault lost
+  /// Runs `ntasks` slab tasks through the pool's parallel_for (grain 1)
+  /// under the clip span. Without fault isolation the first slab failure
+  /// propagates unchanged. With it, every slab walks `ladder` (rungs in
+  /// order, kHealthy first) behind a governance gate; slabs a task fault lost
   /// are recovered on the calling thread from kRetrySafe; and exhausted
   /// slabs are settled: governance-exhausted ones become a partial result
   /// (allow_partial) or the request's precise governance error, and
@@ -134,7 +133,7 @@ class SlabRun {
   par::WallTimer req_timer_;
   std::vector<SlabOut> outs_;
   PartialReport partial_;
-  std::vector<par::StealStats> steal_before_, steal_after_;
+  std::vector<double> idle_seconds_;  ///< per-worker pool idle time of run()
   bool whole_input_ = false;
 };
 

@@ -139,16 +139,13 @@ struct SlabLoad {
   std::int64_t peak_arena_bytes = 0;
 };
 
-/// Per-worker scheduling record for one Algorithm 2 run under the
-/// work-stealing slab scheduler: how much slab work each worker actually
-/// executed and how it got it. The last entry (index == pool size) is the
-/// calling thread, which helps drain the queue while it waits.
+/// Per-worker scheduling record for one Algorithm 2 run: how much slab
+/// work each worker actually executed. The last entry (index == pool size)
+/// is the calling thread, which drives slab tasks alongside the workers.
 struct WorkerLoad {
-  std::uint64_t slab_jobs = 0;     ///< slab tasks this worker executed
-  std::uint64_t steals = 0;        ///< steal-half operations (pool delta)
-  std::uint64_t tasks_stolen = 0;  ///< tasks acquired through those steals
-  double busy_seconds = 0.0;       ///< sum of executed slab partition+clip time
-  double idle_seconds = 0.0;       ///< pool idle-time delta over the run
+  std::uint64_t slab_jobs = 0;  ///< slab tasks this worker executed
+  double busy_seconds = 0.0;    ///< sum of executed slab partition+clip time
+  double idle_seconds = 0.0;    ///< pool idle-time delta over the run
 };
 
 /// Contiguous run of slabs missing from a partial result, plus the y-range
@@ -236,9 +233,9 @@ struct Alg2Stats {
 
   /// max(worker busy time) / mean(worker busy time) over workers that could
   /// run slab jobs: 1.0 = every worker spent the same time clipping. This is
-  /// the quantity the work-stealing scheduler improves — slab times stay
-  /// skewed (Fig. 11), but oversubscription + stealing spreads them evenly
-  /// across workers.
+  /// the quantity dynamic slab scheduling improves — slab times stay
+  /// skewed (Fig. 11), but oversubscription + handing out one slab at a
+  /// time spreads them evenly across workers.
   [[nodiscard]] double worker_imbalance() const {
     if (workers.empty()) return 1.0;
     double sum = 0.0, mx = 0.0;
@@ -248,13 +245,6 @@ struct Alg2Stats {
     }
     const double mean = sum / static_cast<double>(workers.size());
     return mean > 0.0 ? mx / mean : 1.0;
-  }
-
-  /// Total successful steal-half operations across workers for this run.
-  [[nodiscard]] std::uint64_t total_steals() const {
-    std::uint64_t s = 0;
-    for (const auto& w : workers) s += w.steals;
-    return s;
   }
 };
 

@@ -14,7 +14,7 @@ enum class Cat : std::uint8_t {
   kSlab,         ///< one slab task of Algorithm 2
   kRung,         ///< one attempt on one degradation-ladder rung
   kParse,        ///< WKT / GeoJSON parsing
-  kSchedule,     ///< thread-pool / task-group scheduling sections
+  kSchedule,     ///< thread-pool scheduling sections
 };
 
 const char* to_string(Cat c);

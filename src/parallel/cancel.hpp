@@ -19,9 +19,9 @@
 // Propagation mirrors fault::ScopedKey: a thread installs the token state
 // in a thread_local via ScopedToken, so checkpoints deep in the sequential
 // kernels (per scanbeam in the Vatti sweep) need no plumbed parameter.
-// ThreadPool::parallel_for and TaskGroup::run capture the submitter's
-// installed token and re-install it inside each task body, so governance
-// survives work stealing exactly like fault keys do.
+// ThreadPool::parallel_for captures the submitter's installed token and
+// re-installs it on every thread that runs its chunks, so governance
+// follows a chunk to whichever worker runs it, exactly like fault keys do.
 //
 // checkpoint() is the single cooperative preemption point. Hot path: one
 // thread_local load + null test. With a token installed: one relaxed load

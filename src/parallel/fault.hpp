@@ -25,16 +25,16 @@ namespace psclip::par::fault {
 /// ladder k rungs deep), or every attempt within one slab (forcing the
 /// whole-input fallback) — all bit-reproducibly, with no timing dependence.
 ///
-/// Keys make targeting deterministic under the work-stealing scheduler: a
-/// slab task installs ScopedKey(slab) for its whole attempt, so a plan
-/// keyed on a slab fires in that slab no matter which worker runs it.
+/// Keys make targeting deterministic under dynamic slab scheduling: a slab
+/// task installs ScopedKey(slab) for its whole attempt, so a plan keyed on
+/// a slab fires in that slab no matter which worker runs it.
 
 /// Where a fault can be injected.
 enum class Site : int {
   kRectClip = 0,  ///< seq::rect_clip straddling path (broadcast and fused)
   kVattiSweep,    ///< seq::vatti_clip entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
-  kTaskGroup,     ///< par::TaskGroup task wrapper, before the body runs
+  kSlabTask,      ///< mt::SlabRun slab task wrapper, before the ladder runs
   kFusedBounds,   ///< seq::clip_bounds_to_slab entry / piece output
 };
 inline constexpr int kSiteCount = 5;
@@ -44,7 +44,7 @@ inline const char* to_string(Site s) {
     case Site::kRectClip: return "rect-clip";
     case Site::kVattiSweep: return "vatti-sweep";
     case Site::kArena: return "arena";
-    case Site::kTaskGroup: return "task-group";
+    case Site::kSlabTask: return "slab-task";
     case Site::kFusedBounds: return "fused-bounds";
   }
   return "?";
@@ -88,7 +88,7 @@ struct Plan {
   Site site = Site::kVattiSweep;
   Kind kind = Kind::kThrow;
   /// Context key the plan fires in: a slab index (sites inside slab
-  /// attempts), a TaskGroup submission index (kTaskGroup), or kAnyKey.
+  /// attempts and the kSlabTask wrapper), or kAnyKey.
   std::uint64_t key = kAnyKey;
   /// Number of matching site evaluations that fault before the plan goes
   /// quiet (it stays armed so `fired()` keeps reporting).
@@ -104,7 +104,7 @@ inline constexpr std::uint64_t kDefaultHogBytes = 1ull << 30;
 
 /// Derive a pseudo-random single-shot plan from a seed — the fuzz lane's
 /// source of fault diversity. kCorrupt is only meaningful at sites that
-/// produce geometry, so kTaskGroup faults are always kThrow.
+/// produce geometry, so kSlabTask faults are always kThrow.
 inline Plan seeded_plan(std::uint64_t seed, std::uint64_t max_key) {
   // SplitMix64 finalizer: decorrelate the consecutive corpus seeds.
   std::uint64_t z = seed + 0x9e3779b97f4a7c15ull;
@@ -113,7 +113,7 @@ inline Plan seeded_plan(std::uint64_t seed, std::uint64_t max_key) {
   z ^= z >> 31;
   Plan p;
   p.site = static_cast<Site>(z % kSiteCount);
-  p.kind = p.site == Site::kTaskGroup
+  p.kind = p.site == Site::kSlabTask
                ? Kind::kThrow
                : static_cast<Kind>((z >> 8) % kKindCount);
   p.key = max_key ? (z >> 16) % max_key : kAnyKey;
@@ -166,8 +166,7 @@ inline bool claim(Site site, Kind kind) {
 }  // namespace detail
 
 /// Install the fault key for the current thread for the current scope
-/// (slab attempts install their slab index; TaskGroup installs the
-/// submission index around each task body).
+/// (slab tasks and attempts install their slab index).
 class ScopedKey {
  public:
   explicit ScopedKey(std::uint64_t key) : prev_(detail::t_key) {

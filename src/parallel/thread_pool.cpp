@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <string>
+#include <utility>
 
 #include "error.hpp"
 #include "obs/trace.hpp"
@@ -22,12 +23,9 @@ thread_local unsigned t_worker = 0;
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   num_threads_ = threads;
-  deques_.reserve(threads);
   counters_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    deques_.push_back(std::make_unique<StealDeque>());
+  for (unsigned i = 0; i < threads; ++i)
     counters_.push_back(std::make_unique<WorkerCounters>());
-  }
   // The caller participates in parallel_for, so spawn size()-1 workers for
   // batch work plus enough to serve submit()-style tasks; we keep it simple
   // with size() dedicated workers (idle workers cost nothing measurable).
@@ -55,91 +53,24 @@ void ThreadPool::worker_loop(unsigned id) {
   WorkerCounters& ctr = *counters_[id];
   for (;;) {
     std::function<void()> task;
-    bool have = false;
-    bool from_deque = false;
     {
       std::unique_lock lk(mu_);
-      if (queue_.empty() &&
-          stealable_.load(std::memory_order_relaxed) == 0 && !stop_) {
+      if (queue_.empty() && !stop_) {
         const WallTimer idle;
-        cv_task_.wait(lk, [this] {
-          return stop_ || !queue_.empty() ||
-                 stealable_.load(std::memory_order_relaxed) > 0;
-        });
+        cv_task_.wait(lk, [this] { return stop_ || !queue_.empty(); });
         ctr.idle_ns.fetch_add(static_cast<std::uint64_t>(idle.seconds() * 1e9),
                               std::memory_order_relaxed);
       }
-      if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-        have = true;
-        ++active_;  // covers the task until finish_task()
-      } else if (stealable_.load(std::memory_order_relaxed) > 0) {
-        from_deque = true;
-        ++active_;  // covers the not-yet-acquired deque task (see wait_idle)
-      } else if (stop_) {
-        return;  // both queue families drained
-      } else {
-        continue;  // spurious wakeup
-      }
-    }
-    if (from_deque) {
-      have = acquire_stealable(static_cast<int>(id), task);
-      if (!have) {
-        // The deques were drained between the check and the steal (or a
-        // push is still in flight); release the active slot and re-check.
-        finish_task();
-        std::this_thread::yield();
-        continue;
-      }
+      if (queue_.empty()) return;  // stop_ and the queue is drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
+      ++active_;
     }
     task();
     ctr.tasks_run.fetch_add(1, std::memory_order_relaxed);
-    finish_task();
+    std::lock_guard lk(mu_);
+    if (--active_ == 0 && queue_.empty()) cv_idle_.notify_all();
   }
-}
-
-bool ThreadPool::acquire_stealable(int self, std::function<void()>& task) {
-  if (self < 0) {
-    // External helper: no home deque to stash a batch in, take one task.
-    for (unsigned v = 0; v < num_threads_; ++v) {
-      if (deques_[v]->steal_one(task)) {
-        stealable_.fetch_sub(1, std::memory_order_acq_rel);
-        return true;
-      }
-    }
-    return false;
-  }
-  const auto id = static_cast<unsigned>(self);
-  if (deques_[id]->pop(task)) {
-    stealable_.fetch_sub(1, std::memory_order_acq_rel);
-    return true;
-  }
-  WorkerCounters& ctr = *counters_[id];
-  for (unsigned k = 1; k < num_threads_; ++k) {
-    const unsigned v = (id + k) % num_threads_;
-    auto batch = deques_[v]->steal_half();
-    if (batch.empty()) continue;
-    ctr.steals.fetch_add(1, std::memory_order_relaxed);
-    ctr.tasks_stolen.fetch_add(batch.size(), std::memory_order_relaxed);
-    task = std::move(batch.front());
-    stealable_.fetch_sub(1, std::memory_order_acq_rel);
-    // The rest of the batch moves to our own deque; it stays counted in
-    // stealable_ throughout, so wait_idle/sleep predicates never miss it.
-    for (std::size_t i = 1; i < batch.size(); ++i)
-      deques_[id]->push(std::move(batch[i]));
-    if (batch.size() > 1) cv_task_.notify_one();
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::finish_task() {
-  std::lock_guard lk(mu_);
-  --active_;
-  if (active_ == 0 && queue_.empty() &&
-      stealable_.load(std::memory_order_relaxed) == 0)
-    cv_idle_.notify_all();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
@@ -150,62 +81,9 @@ void ThreadPool::submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
-void ThreadPool::submit_stealable(std::function<void()> task) {
-  const unsigned target =
-      t_pool == this
-          ? t_worker
-          : rr_.fetch_add(1, std::memory_order_relaxed) % num_threads_;
-  // Count first, push second: sleep/idle predicates read stealable_ under
-  // mu_, so over-counting during the window is safe (a waker may spin once)
-  // while under-counting could strand the task until the next wakeup.
-  stealable_.fetch_add(1, std::memory_order_release);
-  deques_[target]->push(std::move(task));
-  {
-    // Empty critical section: a worker that evaluated its sleep predicate
-    // before our fetch_add cannot be *between* predicate and sleep here —
-    // it holds mu_ until the wait parks it. Pairs with the wait in
-    // worker_loop.
-    std::lock_guard lk(mu_);
-  }
-  cv_task_.notify_one();
-}
-
-bool ThreadPool::help_one() {
-  std::function<void()> task;
-  bool have = false;
-  {
-    std::lock_guard lk(mu_);
-    if (!queue_.empty()) {
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      have = true;
-      ++active_;
-    } else if (stealable_.load(std::memory_order_relaxed) > 0) {
-      ++active_;
-    } else {
-      return false;
-    }
-  }
-  if (!have) {
-    have = acquire_stealable(current_worker(), task);
-    if (!have) {
-      finish_task();
-      return false;
-    }
-  }
-  task();
-  if (t_pool == this)
-    counters_[t_worker]->tasks_run.fetch_add(1, std::memory_order_relaxed);
-  finish_task();
-  return true;
-}
-
 void ThreadPool::wait_idle() {
   std::unique_lock lk(mu_);
-  cv_idle_.wait(lk, [this] {
-    return queue_.empty() && active_ == 0 &&
-           stealable_.load(std::memory_order_relaxed) == 0;
-  });
+  cv_idle_.wait(lk, [this] { return queue_.empty() && active_ == 0; });
 }
 
 std::vector<StealStats> ThreadPool::steal_stats() const {
@@ -213,8 +91,6 @@ std::vector<StealStats> ThreadPool::steal_stats() const {
   for (unsigned i = 0; i < num_threads_; ++i) {
     const WorkerCounters& c = *counters_[i];
     out[i].tasks_run = c.tasks_run.load(std::memory_order_relaxed);
-    out[i].steals = c.steals.load(std::memory_order_relaxed);
-    out[i].tasks_stolen = c.tasks_stolen.load(std::memory_order_relaxed);
     out[i].idle_seconds =
         static_cast<double>(c.idle_ns.load(std::memory_order_relaxed)) * 1e-9;
   }
@@ -224,11 +100,79 @@ std::vector<StealStats> ThreadPool::steal_stats() const {
 void ThreadPool::reset_steal_stats() {
   for (auto& c : counters_) {
     c->tasks_run.store(0, std::memory_order_relaxed);
-    c->steals.store(0, std::memory_order_relaxed);
-    c->tasks_stolen.store(0, std::memory_order_relaxed);
     c->idle_ns.store(0, std::memory_order_relaxed);
   }
 }
+
+namespace {
+
+/// State of one parallel_for call, shared by the caller and its helper
+/// tickets. It lives on the heap because a ticket may be popped after the
+/// call returned: such a ticket claims no index, so it touches only this
+/// state and never `body` or anything else the caller owns.
+struct ForLoop {
+  ForLoop(std::size_t count, std::size_t chunk,
+          const std::function<void(std::size_t)>& fn)
+      : n(count), grain(chunk), body(fn) {}
+
+  const std::size_t n, grain;
+  const std::function<void(std::size_t)>& body;
+  /// The submitter's governance token rides into every thread that runs
+  /// chunks (pool workers have none of their own) and is re-checked at
+  /// each chunk boundary, so a cancel/deadline/budget trip stops the region
+  /// even when `body` itself never checkpoints.
+  const gov::CapturedToken tok;
+  std::atomic<std::size_t> next{0};
+  /// Threads between a claim attempt and the end of its chunk. Raised
+  /// before the claim, so once the caller has seen the index run out (or
+  /// the error flag set) and this reach zero, no chunk can start.
+  std::atomic<unsigned> inflight{0};
+  std::atomic<bool> error{false};
+  // Failure bookkeeping: the first exception is kept whole, later ones are
+  // counted (never silently dropped) and folded into one aggregated
+  // psclip::Error when more than one chunk threw.
+  std::atomic<std::uint64_t> failures{0};
+  std::mutex mu;
+  std::exception_ptr eptr;
+  std::string first_msg;
+
+  void drive() {
+    gov::ScopedState gov_state(tok.state());
+    for (;;) {
+      inflight.fetch_add(1);
+      const std::size_t begin = next.fetch_add(grain);
+      if (begin >= n || error.load()) return release();
+      try {
+        gov::checkpoint();
+        const std::size_t end = std::min(n, begin + grain);
+        for (std::size_t i = begin; i < end; ++i) body(i);
+      } catch (...) {
+        record_failure();
+      }
+      release();
+    }
+  }
+
+  void release() {
+    if (inflight.fetch_sub(1) == 1) inflight.notify_all();
+  }
+
+  void record_failure() {
+    failures.fetch_add(1);
+    std::lock_guard lk(mu);
+    if (error.exchange(true)) return;
+    eptr = std::current_exception();
+    try {
+      std::rethrow_exception(eptr);
+    } catch (const std::exception& e) {
+      first_msg = e.what();
+    } catch (...) {
+      first_msg = "unknown exception";
+    }
+  }
+};
+
+}  // namespace
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body,
@@ -250,68 +194,29 @@ void ThreadPool::parallel_for(std::size_t n,
   sched_span.arg("n", static_cast<std::int64_t>(n));
   sched_span.arg("grain", static_cast<std::int64_t>(grain));
 
-  // Failure bookkeeping shared by all drivers: the first exception is kept
-  // whole, later ones are counted (never silently dropped) and folded into
-  // one aggregated psclip::Error when more than one driver threw.
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto pending = std::make_shared<std::atomic<unsigned>>(0);
-  auto error = std::make_shared<std::atomic<bool>>(false);
-  auto failures = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto eptr = std::make_shared<std::exception_ptr>();
-  auto first_msg = std::make_shared<std::string>();
-  auto eptr_mu = std::make_shared<std::mutex>();
-
-  // The submitter's governance token rides into every driver (pool workers
-  // have none of their own) and is re-checked at each chunk boundary, so a
-  // cancel/deadline/budget trip stops the region even when `body` itself
-  // never checkpoints.
-  const gov::CapturedToken tok;
-
-  auto drive = [next, pending, error, failures, eptr, first_msg, eptr_mu, n,
-                grain, tok, &body] {
-    gov::ScopedState gov_state(tok.state());
-    try {
-      for (;;) {
-        gov::checkpoint();
-        const std::size_t begin = next->fetch_add(grain);
-        if (begin >= n || error->load(std::memory_order_relaxed)) break;
-        const std::size_t end = std::min(n, begin + grain);
-        for (std::size_t i = begin; i < end; ++i) body(i);
-      }
-    } catch (...) {
-      failures->fetch_add(1, std::memory_order_acq_rel);
-      std::lock_guard lk(*eptr_mu);
-      if (!error->exchange(true)) {
-        *eptr = std::current_exception();
-        try {
-          std::rethrow_exception(std::current_exception());
-        } catch (const std::exception& e) {
-          *first_msg = e.what();
-        } catch (...) {
-          *first_msg = "unknown exception";
-        }
-      }
-    }
-    pending->fetch_sub(1, std::memory_order_acq_rel);
-  };
-
+  auto loop = std::make_shared<ForLoop>(n, grain, body);
   const unsigned helpers = std::min<std::size_t>(num_threads_ - 1,
                                                  (n + grain - 1) / grain);
-  pending->store(helpers + 1);
-  for (unsigned i = 0; i < helpers; ++i) submit(drive);
-  drive();  // caller participates
-  while (pending->load(std::memory_order_acquire) != 0)
-    std::this_thread::yield();
-  const std::uint64_t nfail = failures->load(std::memory_order_acquire);
+  for (unsigned i = 0; i < helpers; ++i) submit([loop] { loop->drive(); });
+  loop->drive();  // caller participates
+  // Every index is claimed (or the error flag stops further claims); wait
+  // only for chunks still running elsewhere, never for unstarted tickets.
+  for (unsigned busy; (busy = loop->inflight.load()) != 0;)
+    loop->inflight.wait(busy);
+
+  const std::uint64_t nfail = loop->failures.load();
   // A tripped token outranks the aggregation fold: concurrent failures
   // caused by governance must surface with their precise code, not as an
   // opaque kTaskFailure.
-  if (nfail > 0) gov::rethrow_if_stopped(tok.state());
+  if (nfail > 0) gov::rethrow_if_stopped(loop->tok.state());
   if (nfail > 1)
     throw Error(ErrorCode::kTaskFailure, std::to_string(nfail) +
                                              " tasks failed; first: " +
-                                             *first_msg);
-  if (nfail == 1 && *eptr) std::rethrow_exception(*eptr);
+                                             loop->first_msg);
+  // Move the exception out: a late ticket may release `loop` on a worker,
+  // which must not drop the last reference to an exception the caller is
+  // still handling.
+  if (nfail == 1) std::rethrow_exception(std::exchange(loop->eptr, nullptr));
 }
 
 void ThreadPool::parallel_blocks(

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -10,21 +11,27 @@
 #include <thread>
 #include <vector>
 
-#include "parallel/work_steal.hpp"
-
 namespace psclip::par {
+
+/// Snapshot of one worker's scheduler counters (see
+/// ThreadPool::steal_stats). Counters accumulate from pool construction or
+/// the last reset_steal_stats(); callers interested in one parallel region
+/// diff two snapshots.
+struct StealStats {
+  std::uint64_t tasks_run = 0;  ///< queued tasks this worker executed
+  double idle_seconds = 0.0;    ///< time spent parked waiting for work
+};
 
 /// Fixed-size worker pool. This is the library's stand-in for the paper's
 /// PRAM processor set: "allocate p processors" maps to "run p-way
 /// parallel_for on the pool". Workers are started once and reused, so
 /// per-call overhead is one lock + wakeup per task batch.
 ///
-/// Two queue families feed the workers:
-///   * a central FIFO (`submit`) for fire-and-forget tasks, and
-///   * per-worker steal deques (`submit_stealable`) with steal-half
-///     semantics, used by TaskGroup and the slab scheduler of Algorithm 2
-///     so that idle workers take queued slab jobs from busy ones instead of
-///     waiting out Fig. 11's load imbalance.
+/// One central FIFO feeds the workers. parallel_for puts helper tickets on
+/// it; each ticket claims chunks from the call's shared index, so a slow
+/// item never holds up the rest (greedy dynamic scheduling — what
+/// Algorithm 2's slab tasks need against Fig. 11's load imbalance), and a
+/// caller only ever runs its own chunks.
 class ThreadPool {
  public:
   /// Creates `threads` workers (0 = hardware concurrency).
@@ -40,7 +47,10 @@ class ThreadPool {
 
   /// Run `body(i)` for every i in [0, n). Work is distributed dynamically
   /// in chunks of `grain` indices, so irregular per-item cost (the norm for
-  /// polygon workloads, cf. Fig. 11) still balances. Blocks until done.
+  /// polygon workloads, cf. Fig. 11) still balances. The caller drives
+  /// chunks too and blocks until every claimed chunk has finished; helper
+  /// tickets that have not started by then claim nothing, so the call
+  /// never waits on a busy pool and may be nested inside pool tasks.
   /// Exceptions from `body` propagate to the caller: a single failure is
   /// rethrown unchanged; concurrent failures are all counted and folded
   /// into one psclip::Error (kTaskFailure, count + first message). Chunks
@@ -56,27 +66,12 @@ class ThreadPool {
       const std::function<void(unsigned block, std::size_t begin,
                                std::size_t end)>& body);
 
-  /// Enqueue one fire-and-forget task on the central FIFO (used by the
-  /// recursive parallel mergesort). Caller synchronizes through wait_idle
-  /// or its own latch.
+  /// Enqueue one fire-and-forget task on the central FIFO (parallel_for
+  /// queues its helper tickets here). Caller synchronizes through
+  /// wait_idle or its own latch.
   void submit(std::function<void()> task);
 
-  /// Enqueue one stealable task. If the calling thread is a worker of this
-  /// pool the task lands on its own deque (hot end); otherwise it is
-  /// round-robined across worker deques. Idle workers steal half of a
-  /// victim's deque at a time. Prefer TaskGroup over calling this raw —
-  /// the group also handles completion and exceptions.
-  void submit_stealable(std::function<void()> task);
-
-  /// Run one queued task (central queue first, then the steal deques) on
-  /// the *calling* thread. Returns false if nothing was available. This is
-  /// the help-first primitive TaskGroup::wait uses so that blocked waiters
-  /// contribute cycles instead of sleeping.
-  bool help_one();
-
-  /// Block until both queue families are empty and all workers are idle.
-  /// Stealable tasks count: wait_idle cannot return while a stolen task is
-  /// still in flight on any worker.
+  /// Block until the queue is empty and all workers are idle.
   void wait_idle();
 
   /// Index of the calling thread within this pool: 0..size()-1 for pool
@@ -84,7 +79,7 @@ class ThreadPool {
   [[nodiscard]] int current_worker() const;
 
   /// Per-worker scheduler counters (index = worker id). Counters accumulate
-  /// across the pool's lifetime; diff two snapshots to attribute steals and
+  /// across the pool's lifetime; diff two snapshots to attribute tasks and
   /// idle time to one parallel region.
   [[nodiscard]] std::vector<StealStats> steal_stats() const;
 
@@ -97,28 +92,15 @@ class ThreadPool {
   /// they are statistics, not synchronization).
   struct WorkerCounters {
     std::atomic<std::uint64_t> tasks_run{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> tasks_stolen{0};
     std::atomic<std::uint64_t> idle_ns{0};
   };
 
   void worker_loop(unsigned id);
-  /// Pop from `self`'s deque or steal half of a victim's; `self < 0` means
-  /// an external helper (steals a single task, owns no deque).
-  bool acquire_stealable(int self, std::function<void()>& task);
-  void notify_workers(std::size_t tasks);
-  void finish_task();
 
   unsigned num_threads_;
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  std::vector<std::unique_ptr<StealDeque>> deques_;
   std::vector<std::unique_ptr<WorkerCounters>> counters_;
-  /// Tasks currently resident in any steal deque. Incremented before the
-  /// push and read under mu_ by sleep/idle predicates, so a task is never
-  /// invisible to both; transiently over-counts during a push, never under.
-  std::atomic<std::size_t> stealable_{0};
-  std::atomic<unsigned> rr_{0};  ///< round-robin cursor for external submits
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;

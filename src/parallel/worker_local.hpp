@@ -14,10 +14,10 @@ namespace psclip::par {
 /// `local()` returns a T owned by the pair (this WorkerLocal instance,
 /// calling thread). ThreadPool workers are long-lived threads, so a worker
 /// that executes many slab tasks gets the same T back every time and its
-/// internal buffers stay warm across tasks — including stolen ones, since
-/// ownership follows the *executing* thread, not the submitting one.
-/// External threads (e.g. a TaskGroup waiter helping to drain the queues)
-/// get their own slot, so two pools, or two concurrent parallel regions on
+/// internal buffers stay warm across tasks, since ownership follows the
+/// *executing* thread, not the submitting one. External threads (e.g. a
+/// parallel_for caller driving its own chunks) get their own slot, so two
+/// pools, or two concurrent parallel regions on
 /// one pool, never hand the same T to two threads: no synchronization is
 /// needed inside T and no locks are taken on the local() fast path beyond
 /// one thread-local hash lookup.
@@ -48,7 +48,7 @@ class WorkerLocal {
 
   /// Visit every slot created so far (for aggregate statistics). Takes the
   /// registry lock; must not race with owners mutating their slots — call
-  /// from quiescent points (e.g. after TaskGroup::wait).
+  /// from quiescent points (e.g. after parallel_for returns).
   template <typename F>
   void for_each(F&& f) const {
     std::lock_guard lk(mu_);

@@ -79,13 +79,13 @@ struct ClipResult {
 /// (max_in_flight running, max_queued waiting, reject beyond — kResource),
 /// then executes through the exact psclip::clip / mt::multiset_clip path a
 /// direct caller would run, on the service's pool. Slab tasks of all
-/// admitted requests interleave on the pool's work-stealing deques:
-/// submit_stealable round-robins each request's slabs across workers and
-/// owners pop LIFO, so a small request's handful of slabs starts promptly
-/// even while a million-vertex request's slabs queue — fair share without
-/// a priority scheduler. Each request's CancelToken and trace span
-/// propagate to exactly the workers executing its slabs, as PR 9's
-/// governance does for a single call.
+/// admitted requests share the pool's one FIFO, but each request's caller
+/// drives its own slabs through parallel_for and never runs another
+/// request's: a small request finishes on its own thread even while a
+/// million-vertex request's slabs keep every worker busy — fair share
+/// without a priority scheduler. Each request's CancelToken and trace span
+/// propagate to exactly the threads executing its slabs, as the governance
+/// layer does for a single call.
 ///
 /// Identity guarantee: every result is byte-identical to a serial
 /// psclip::clip call with the same inputs, options and pool — cached or

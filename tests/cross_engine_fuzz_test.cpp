@@ -10,7 +10,7 @@
 //   * seq::martinez         — an independent x-directed sweep,
 //   * seq::greiner_hormann  — where its preconditions hold (simple,
 //                             single-contour, general-position inputs),
-//   * mt::slab_clip         — Algorithm 2 on the work-stealing scheduler.
+//   * mt::slab_clip         — Algorithm 2 on the thread pool.
 //
 // Canonicalized outputs must agree: every engine's area against the
 // trapezoid-sweep area oracle (which shares no code with any engine), and
@@ -78,7 +78,7 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
         << "greiner_hormann=" << gh << " oracle=" << want;
   }
 
-  // Algorithm 2 on the work-stealing scheduler, twice with different pool
+  // Algorithm 2 on the thread pool, twice with different pool
   // sizes but the same decomposition: area against the oracle AND
   // bit-identical canonical vertex sets across schedules.
   static par::ThreadPool pool4(4);

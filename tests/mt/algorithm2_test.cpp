@@ -120,7 +120,7 @@ TEST(Algorithm2, OversubscribeSweepMatchesSequentialVatti) {
 }
 
 TEST(Algorithm2, OversubscribedOutputIsScheduleInvariant) {
-  // Same decomposition on 4 workers (stealing) and on 1 worker (serial):
+  // Same decomposition on 4 workers (dynamic) and on 1 worker (serial):
   // the outputs must match contour for contour, coordinate for coordinate.
   par::ThreadPool pool4(4), pool1(1);
   const PolygonSet a = test::random_polygon(921, 48, 0, 0, 10);

@@ -2,7 +2,7 @@
 // -DPSCLIP_FAULT_INJECTION=ON; the tests are not registered otherwise).
 //
 // Each case arms one deterministic fault plan — a site (rect-clip, Vatti
-// sweep, arena borrow, task-group wrapper), a kind (throw, bad_alloc,
+// sweep, arena borrow, slab-task wrapper), a kind (throw, bad_alloc,
 // silent output corruption), a slab key, and a fire count — then runs
 // slab_clip / multiset_clip and asserts BOTH halves of the isolation
 // contract:
@@ -221,11 +221,11 @@ INSTANTIATE_TEST_SUITE_P(Matrix, SlabFaultMatrix,
                            return n;
                          });
 
-// A fault in the TaskGroup wrapper kills the slab task before its body
+// A fault in the slab task wrapper kills the slab task before its ladder
 // runs; the caller must recover the lost slab on the safe-retry rung with
-// byte-identical output. (Sibling slabs skipped by the group's
-// fail-fast flag are recovered the same way — also bit-identical.)
-TEST(SlabFaultInjection, TaskGroupFaultRecoversOnCaller) {
+// byte-identical output. (Sibling slabs parallel_for skipped after the
+// failure are recovered the same way — also bit-identical.)
+TEST(SlabFaultInjection, SlabTaskFaultRecoversOnCaller) {
   const auto pair = data::synthetic_pair(11, 48);
   par::ThreadPool pool(4);
   mt::Alg2Options o;
@@ -237,9 +237,9 @@ TEST(SlabFaultInjection, TaskGroupFaultRecoversOnCaller) {
       mt::slab_clip(pair.subject, pair.clip, BoolOp::kUnion, pool, o);
 
   Plan p;
-  p.site = Site::kTaskGroup;
+  p.site = Site::kSlabTask;
   p.kind = Kind::kThrow;
-  p.key = kSlab;  // TaskGroup keys by submission index == slab index
+  p.key = kSlab;  // the wrapper keys by slab index
   p.fire_count = 1;
   ArmedPlan armed(p);
 
@@ -252,12 +252,12 @@ TEST(SlabFaultInjection, TaskGroupFaultRecoversOnCaller) {
   EXPECT_EQ(stats.degradation[kSlab].rung, Rung::kRetrySafe)
       << stats.degradation[kSlab].message;
   EXPECT_EQ(stats.degradation[kSlab].cause, ErrorCode::kInjected);
-  // Slabs the group skipped after the failure also land on kRetrySafe;
+  // Slabs skipped after the failure also land on kRetrySafe;
   // nothing may fall deeper than that.
   for (const auto& rep : stats.degradation)
     EXPECT_LE(rep.rung, Rung::kRetrySafe) << rep.message;
 
-  expect_identical(got, want, "task-group fault");
+  expect_identical(got, want, "slab-task fault");
 }
 
 // Fail-fast mode: with isolation off, the injected fault must surface to

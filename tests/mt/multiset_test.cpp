@@ -190,7 +190,7 @@ TEST(Multiset, StatsFilled) {
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   EXPECT_EQ(st.degraded_slabs(), 0);
   EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
-  // Slab tasks run on the stealing scheduler: one record per pool worker
+  // Slab tasks run through parallel_for: one record per pool worker
   // plus the calling thread, and every slab task counted exactly once.
   ASSERT_EQ(st.workers.size(), pool.size() + 1);
   std::uint64_t jobs = 0;

@@ -6,8 +6,8 @@
 // unwind, transient probes never stick, charge watermarks are quantized.
 //
 // The racing half is the TSan target for this subsystem: cancellation is
-// delivered from a foreign thread while workers are stealing tasks and a
-// waiter is blocked in TaskGroup::wait / parallel_for. The assertions are
+// delivered from a foreign thread while workers run parallel_for chunks and
+// the caller is blocked waiting for them. The assertions are
 // about *delivery* (the precise error code surfaces, the pool stays
 // reusable); TSan supplies the data-race verdict on the token state shared
 // across submitter, workers, and canceller.
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -23,7 +24,6 @@
 #include "error.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/work_steal.hpp"
 
 namespace psclip::par {
 namespace {
@@ -206,7 +206,7 @@ TEST(ScopedCharge, ReleasesOnUnwind) {
   EXPECT_TRUE(budget->blown());
 }
 
-// ---- Races: foreign-thread cancellation vs. the work-stealing pool. ----
+// ---- Races: foreign-thread cancellation vs. the pool. ----
 
 TEST(CancelRace, ParallelForThrowsPreciseCodeAndPoolSurvives) {
   ThreadPool pool(4);
@@ -242,60 +242,67 @@ TEST(CancelRace, ParallelForThrowsPreciseCodeAndPoolSurvives) {
   EXPECT_EQ(sum.load(), 1000u * 999u / 2);
 }
 
-TEST(CancelRace, TaskGroupWaitThrowsCancelled) {
+TEST(CancelRace, WaitingParallelForCallerThrowsCancelled) {
+  // Workers' chunks spin until a foreign cancel lands. The caller's chunks
+  // return as soon as one worker chunk has started, so the caller runs out
+  // of indices and blocks waiting for the workers. The waiting caller must
+  // surface kCancelled.
   ThreadPool pool(4);
   CancelToken t = CancelToken::make();
   std::atomic<bool> started{false};
   std::thread canceller([&] {
     while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
     t.cancel();
   });
   {
     gov::ScopedToken scope(t);
-    TaskGroup group(pool);
-    for (int i = 0; i < 64; ++i)
-      group.run([&] {
-        started.store(true, std::memory_order_release);
-        while (!t.cancel_requested()) std::this_thread::yield();
-        gov::checkpoint();
-      });
     try {
-      group.wait();
-      FAIL() << "cancelled TaskGroup::wait returned normally";
+      pool.parallel_for(
+          64,
+          [&](std::size_t) {
+            if (pool.current_worker() == -1) {
+              while (!started.load(std::memory_order_acquire))
+                std::this_thread::yield();
+              return;
+            }
+            started.store(true, std::memory_order_release);
+            while (!t.cancel_requested()) std::this_thread::yield();
+            gov::checkpoint();
+          },
+          /*grain=*/1);
+      FAIL() << "cancelled parallel_for returned normally";
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kCancelled);
     }
   }
   canceller.join();
-  // Fresh group on the same pool still works.
+  // The same pool still runs a fresh region to completion.
   std::atomic<int> ran{0};
-  TaskGroup again(pool);
-  for (int i = 0; i < 32; ++i)
-    again.run([&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  again.wait();
+  pool.parallel_for(32, [&](std::size_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
   EXPECT_EQ(ran.load(), 32);
 }
 
-TEST(CancelRace, StolenTasksInheritTheSubmitterToken) {
-  // Tasks observe the token through the captured state even when executed
-  // by a worker that never installed it: every task sees stopped() after a
-  // foreign cancel, none before the canary is set.
+TEST(CancelRace, HelperChunksInheritTheSubmitterToken) {
+  // Chunks observe the token through the captured state even when executed
+  // by a worker that never installed it.
   ThreadPool pool(4);
   CancelToken t = CancelToken::make();
   std::atomic<int> governed{0};
   {
     gov::ScopedToken scope(t);
-    TaskGroup group(pool);
-    for (int i = 0; i < 128; ++i)
-      group.run([&] {
-        if (gov::current_state() == t.state()) {
-          governed.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    group.wait();
+    pool.parallel_for(
+        128,
+        [&](std::size_t) {
+          if (gov::current_state() == t.state())
+            governed.fetch_add(1, std::memory_order_relaxed);
+        },
+        /*grain=*/1);
   }
   EXPECT_EQ(governed.load(), 128)
-      << "every task body must run with the submitter's token installed";
+      << "every chunk must run with the submitter's token installed";
 }
 
 TEST(CancelRace, FailedSpikeNeverBlowsConcurrentCharges) {

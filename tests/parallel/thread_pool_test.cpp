@@ -3,15 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "error.hpp"
 
 namespace psclip::par {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Yield until `ready()` holds or `limit` passes; returns ready().
+template <typename Pred>
+bool wait_until(Pred ready, std::chrono::milliseconds limit) {
+  const auto until = Clock::now() + limit;
+  while (!ready() && Clock::now() < until) std::this_thread::yield();
+  return ready();
+}
 
 TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
   ThreadPool pool;
@@ -136,6 +148,122 @@ TEST(ThreadPool, NestedParallelForDoesNotDeadlock) {
     pool.parallel_for(8, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 64);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceUnderContention) {
+  // Grain 1 and more workers than cores: every claim races on the shared
+  // index.
+  ThreadPool pool(8);
+  const std::size_t n = 5000;
+  std::vector<std::atomic<int>> hits(n);
+  pool.parallel_for(
+      n, [&](std::size_t i) { hits[i].fetch_add(1, std::memory_order_relaxed); },
+      /*grain=*/1);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, ParallelForReturnsWhileEveryWorkerIsBusy) {
+  // Both workers are parked, so the helper ticket parallel_for queues
+  // cannot start. The caller drives every chunk itself and must return
+  // without waiting for that ticket; the watchdog only bounds a failure.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  std::atomic<int> parked{0}, timed_out{0};
+  for (unsigned w = 0; w < pool.size(); ++w)
+    pool.submit([&] {
+      parked.fetch_add(1);
+      if (!wait_until([&] { return release.load(); }, std::chrono::seconds(2)))
+        timed_out.fetch_add(1);
+    });
+  ASSERT_TRUE(wait_until([&] { return parked.load() == 2; },
+                         std::chrono::seconds(5)));
+  std::atomic<int> on_caller{0};
+  {
+    const std::function<void(std::size_t)> body = [&](std::size_t) {
+      if (pool.current_worker() == -1) on_caller.fetch_add(1);
+    };
+    pool.parallel_for(8, body, /*grain=*/1);
+  }
+  EXPECT_EQ(timed_out.load(), 0) << "parallel_for waited for the watchdog";
+  EXPECT_EQ(on_caller.load(), 8);
+  release.store(true);
+  pool.wait_idle();  // the late ticket runs now and claims nothing
+}
+
+TEST(ThreadPool, ParallelForInsideEveryWorkerCompletes) {
+  // Every worker is inside a parallel_for at once, so no worker is free to
+  // pick up another call's helper ticket. Each caller must still finish by
+  // driving its own chunks.
+  ThreadPool pool(2);
+  std::atomic<int> entered{0};
+  std::atomic<int> total{0};
+  for (unsigned w = 0; w < pool.size(); ++w)
+    pool.submit([&] {
+      entered.fetch_add(1);
+      wait_until([&] { return entered.load() == 2; }, std::chrono::seconds(2));
+      pool.parallel_for(64, [&](std::size_t) { total.fetch_add(1); });
+    });
+  pool.wait_idle();
+  EXPECT_EQ(total.load(), 128);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t)
+    callers.emplace_back([&] {
+      pool.parallel_for(200, [&](std::size_t) {
+        done.fetch_add(1, std::memory_order_relaxed);
+      });
+    });
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(done.load(), 4 * 200);
+}
+
+TEST(ThreadPool, SubmitMixesWithParallelFor) {
+  // Fire-and-forget tasks and parallel_for tickets share the one FIFO;
+  // running both at once must lose neither.
+  ThreadPool pool(4);
+  std::atomic<int> submitted_done{0};
+  std::atomic<int> for_done{0};
+  for (int i = 0; i < 128; ++i)
+    pool.submit([&submitted_done] {
+      submitted_done.fetch_add(1, std::memory_order_relaxed);
+    });
+  pool.parallel_for(1000, [&for_done](std::size_t) {
+    for_done.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(for_done.load(), 1000);
+  pool.wait_idle();
+  EXPECT_EQ(submitted_done.load(), 128);
+}
+
+TEST(ThreadPool, CurrentWorkerIdentifiesPoolThreads) {
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.current_worker(), -1);  // the test thread is external
+  std::atomic<int> bad{0};
+  pool.parallel_for(128, [&](std::size_t) {
+    // Chunks run on pool workers or on the (external) caller.
+    const int w = pool.current_worker();
+    if (w < -1 || w >= static_cast<int>(pool.size())) ++bad;
+  });
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ThreadPool, StealStatsCountTasksAndReset) {
+  ThreadPool pool(2);
+  // wait_idle parks the caller, so every task is run by a pool worker.
+  for (int i = 0; i < 64; ++i) pool.submit([] {});
+  pool.wait_idle();
+  std::uint64_t run = 0;
+  for (const auto& s : pool.steal_stats()) run += s.tasks_run;
+  EXPECT_EQ(run, 64u);
+  pool.reset_steal_stats();
+  for (const auto& s : pool.steal_stats()) {
+    EXPECT_EQ(s.tasks_run, 0u);
+    EXPECT_EQ(s.idle_seconds, 0.0);
+  }
 }
 
 TEST(ThreadPool, DefaultPoolIsSingleton) {

@@ -4,10 +4,10 @@
 // flight" condition is manufactured with a trace sink that blocks exactly
 // one of the large request's slab tasks on a latch (the same sink
 // technique governance_test uses to cancel mid-slab). The blocked task is
-// *running* on a pool worker — not sitting in a deque where a helping
-// thread could steal it — so the large request provably cannot finish
-// until the test releases it, while the pool's remaining workers and the
-// admission gate stay live for the small request.
+// *running* — on a pool worker or on the large request's own caller, never
+// on another request's caller — so the large request provably cannot
+// finish until the test releases it, while the small request's caller, the
+// pool's remaining workers and the admission gate stay live.
 
 #include "svc/clip_service.hpp"
 
@@ -157,7 +157,7 @@ TEST(Fairness, SmallRequestFinishesWhileLargeRequestOccupiesTheService) {
   entered.wait();
 
   // The small request must run to completion on the remaining capacity —
-  // work-stealing interleaves its slab tasks with the parked request's —
+  // its caller drives its own slabs beside the parked request's —
   // within a deadline generous for sanitizer builds yet far below "after
   // the big request" (which never finishes until released below).
   ClipRequest small = f.small_request();

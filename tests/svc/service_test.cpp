@@ -1,7 +1,7 @@
 // Cross-request determinism battery for svc::ClipService (DESIGN.md §12).
 //
 // The service's contract is byte-identity: whatever interleaving the
-// admission gate and the pool's work stealing produce, every result must
+// admission gate and the pool's slab scheduling produce, every result must
 // equal the serial psclip::clip call a direct caller would have made with
 // the same inputs, engine and pool. The battery runs the full 216-case
 // fuzz corpus through the service from several client threads at once, in
