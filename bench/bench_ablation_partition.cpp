@@ -5,19 +5,20 @@
 // binning. Both are output-sensitive in k'; the segment tree bounds the
 // *per-item* work by O(log m) while direct binning pays O(beams spanned).
 //
-// Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the fused partition
-// (a slab-overlap contour index limits each slab to the contours whose
-// y-interval overlaps it, and those contribute globally prepared bound
-// fragments) versus the paper's broadcast formulation (every slab scans
-// both whole inputs, O(p·n)). `touched` counts the partition step's work
-// per slab — bound edges appended (fused) or input vertices read
-// (broadcast) — a deterministic, machine-noise-free measure. With --json
-// <path>, section 2 is mirrored to a machine-readable report; the process
-// exits nonzero if the fused partition ever touches more than the broadcast
-// scan at p >= 4 slabs or if the two paths disagree on the output, which is
-// what CI gates on.
+// Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the slab cut
+// (mt::SlabIndex) reads, per slab line, only the bound edges crossing it
+// (the seeds of the slab above) plus the edges its binary searches along
+// the chains probe to find them. The paper's formulation rectangle-clipped
+// both whole inputs per slab, O(p·n). `touched` sums SlabLoad::
+// touched_edges (seeds + probes) — a deterministic, machine-noise-free
+// measure. With --json <path>, section 2 is mirrored to a machine-readable
+// report. The process exits nonzero, which is what CI gates on, if at
+// p in {4, 16, 64} slabs the cut reads more than 1.3x the edges a one-slab
+// run reads (every table edge once), or if the area leaves 1e-12
+// (relative) of seq::vatti_clip's.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -25,23 +26,7 @@
 #include "data/synthetic.hpp"
 #include "geom/perturb.hpp"
 #include "mt/algorithm2.hpp"
-
-namespace {
-
-bool identical(const psclip::geom::PolygonSet& a,
-               const psclip::geom::PolygonSet& b) {
-  if (a.num_contours() != b.num_contours()) return false;
-  for (std::size_t i = 0; i < a.contours.size(); ++i) {
-    if (a.contours[i].pts.size() != b.contours[i].pts.size()) return false;
-    for (std::size_t j = 0; j < a.contours[i].pts.size(); ++j)
-      if (a.contours[i].pts[j].x != b.contours[i].pts[j].x ||
-          a.contours[i].pts[j].y != b.contours[i].pts[j].y)
-        return false;
-  }
-  return true;
-}
-
-}  // namespace
+#include "seq/vatti.hpp"
 
 int main(int argc, char** argv) {
   using namespace psclip;
@@ -70,103 +55,110 @@ int main(int argc, char** argv) {
                 t_tree * 1e3, t_direct * 1e3);
   }
 
-  bench::header(
-      "Ablation — Alg 2 slab partition: fused vs broadcast",
-      "paper Alg 2 Steps 4-5, made output-sensitive");
+  bench::header("Ablation — Alg 2 slab partition: cut reads vs slab count",
+                "paper Alg 2 Steps 4-5, made output-sensitive");
 
-  // Multi-contour overlay: two polygon-layer fields, the workload where
-  // per-slab contour selection matters (a single huge contour overlaps
-  // every slab and the index degenerates to the broadcast, by design).
-  const int field_count =
-      std::max(40, static_cast<int>(4000 * bench::dataset_scale()));
-  const geom::PolygonSet subject =
-      data::polygon_field(9001, field_count, 100.0, 12);
-  const geom::PolygonSet clip =
-      data::polygon_field(9002, field_count, 100.0, 10);
-  const auto total_verts =
-      static_cast<long long>(subject.num_vertices() + clip.num_vertices());
-  std::printf("workload: 2 x polygon_field(%d contours), %lld vertices\n\n",
-              field_count, total_verts);
-  std::printf("%6s | %14s %14s | %12s %12s\n", "slabs", "touched(fus)",
-              "touched(bcast)", "fused (ms)", "bcast (ms)");
+  // Two workloads at their full size (the gate is about the cut's reads
+  // relative to the table, so it needs slabs taller than most contours):
+  // a dense field of 2 x 4000 small polygons, and Fig. 9's dataset II
+  // pair, one 24k-edge contour per side, where every line cuts hundreds
+  // of bound edges.
+  struct Workload {
+    const char* name;
+    geom::PolygonSet subject, clip;
+  };
+  const auto pair = data::synthetic_pair(7919, 24000);
+  const Workload workloads[] = {
+      {"polygon_field x2", data::polygon_field(9001, 4000, 100.0, 12),
+       data::polygon_field(9002, 4000, 100.0, 10)},
+      {"synthetic_pair(7919, 24000)", pair.subject, pair.clip},
+  };
 
   bench::JsonReport report;
   report.field("bench", std::string("ablation_partition"));
-  report.field("workload", std::string("polygon_field x2"));
-  report.field("contours_per_layer", static_cast<long long>(field_count));
-  report.field("total_vertices", total_verts);
   report.field("pool_threads", static_cast<long long>(pool.size()));
+  report.field("gate_reads_ratio", 1.3);
+  report.field("gate_area_rel", 1e-12);
 
   bool gate_ok = true;
-  for (const unsigned slabs : {1u, 4u, 8u, 16u}) {
-    mt::Alg2Options of, ob;
-    of.slabs = ob.slabs = slabs;
-    of.partition = mt::Alg2Partition::kFused;
-    ob.partition = mt::Alg2Partition::kBroadcast;
+  for (const Workload& w : workloads) {
+    const geom::BoolOp op = geom::BoolOp::kUnion;
+    const double want =
+        geom::signed_area(seq::vatti_clip(w.subject, w.clip, op));
+    std::printf("\nworkload: %s, %zu vertices\n", w.name,
+                w.subject.num_vertices() + w.clip.num_vertices());
+    std::printf("%6s | %9s %9s %9s %7s | %10s %12s %12s %10s\n", "slabs",
+                "seeds", "probes", "touched", "ratio", "area dev",
+                "part wall ms", "part cpu ms", "total ms");
+    long long table_edges = 0;
+    for (const unsigned slabs : {1u, 4u, 16u, 64u}) {
+      mt::Alg2Options o;
+      o.slabs = slabs;
+      mt::Alg2Stats st;
+      geom::PolygonSet out;
+      const double t = bench::time_median3(
+          [&] { out = mt::slab_clip(w.subject, w.clip, op, pool, o, &st); });
+      long long touched = 0, seeds = 0, swept = 0;
+      for (const auto& sl : st.slabs) {
+        touched += sl.touched_edges;
+        seeds += sl.boundary_edges;
+        swept += sl.input_edges;
+      }
+      if (slabs == 1) table_edges = swept;
+      const double ratio = table_edges > 0
+                               ? static_cast<double>(touched) /
+                                     static_cast<double>(table_edges)
+                               : 0.0;
+      const double got = geom::signed_area(out);
+      const double dev = std::fabs(got - want) / std::max(1.0, std::fabs(want));
+      std::printf("%6u | %9lld %9lld %9lld %7.3f | %10.2e %12.3f %12.3f "
+                  "%10.3f\n",
+                  slabs, seeds, touched - seeds, touched, ratio, dev,
+                  st.phases.partition * 1e3, st.phases.partition_cpu * 1e3,
+                  t * 1e3);
 
-    mt::Alg2Stats sf, sb;
-    geom::PolygonSet rf, rb;
-    const double t_fused = bench::time_median3([&] {
-      rf = mt::slab_clip(subject, clip, geom::BoolOp::kUnion, pool, of, &sf);
-    });
-    const double t_bcast = bench::time_median3([&] {
-      rb = mt::slab_clip(subject, clip, geom::BoolOp::kUnion, pool, ob, &sb);
-    });
+      report.row("slab_partition");
+      report.cell("workload", std::string(w.name));
+      report.cell("slabs", static_cast<long long>(slabs));
+      report.cell("table_edges", table_edges);
+      report.cell("seeds", seeds);
+      report.cell("touched", touched);
+      report.cell("touched_ratio", ratio);
+      report.cell("swept_edges", swept);
+      report.cell("area_rel_dev", dev);
+      report.cell("total_ms", t * 1e3);
+      // Peak scratch-arena bytes over the run's slabs: the high-water mark
+      // the request memory budget would charge.
+      long long peak_arena = 0;
+      for (const auto& sl : st.slabs)
+        peak_arena = std::max(peak_arena,
+                              static_cast<long long>(sl.peak_arena_bytes));
+      report.cell("peak_arena_bytes", peak_arena);
+      // Phase breakdown (from the instrumented Alg2Stats of the last of the
+      // three timed runs). Wall = calling-thread section times (sum ≈ the
+      // run's elapsed time); cpu = thread-CPU-clock phase time summed across
+      // workers (clip_cpu can approach clip_wall × cores).
+      report.cell("partition_wall_ms", st.phases.partition * 1e3);
+      report.cell("clip_wall_ms", st.phases.clip * 1e3);
+      report.cell("merge_wall_ms", st.phases.merge * 1e3);
+      report.cell("partition_cpu_ms", st.phases.partition_cpu * 1e3);
+      report.cell("clip_cpu_ms", st.phases.clip_cpu * 1e3);
+      report.cell("merge_cpu_ms", st.phases.merge_cpu * 1e3);
 
-    long long touched_fused = 0, touched_bcast = 0;
-    for (const auto& sl : sf.slabs) touched_fused += sl.touched_edges;
-    for (const auto& sl : sb.slabs) touched_bcast += sl.touched_edges;
-    const double ratio = touched_bcast > 0
-                             ? static_cast<double>(touched_fused) /
-                                   static_cast<double>(touched_bcast)
-                             : 1.0;
-    std::printf("%6u | %14lld %14lld | %12.3f %12.3f\n", slabs, touched_fused,
-                touched_bcast, t_fused * 1e3, t_bcast * 1e3);
-
-    report.row("slab_partition");
-    report.cell("slabs", static_cast<long long>(slabs));
-    report.cell("touched_fused", touched_fused);
-    report.cell("touched_broadcast", touched_bcast);
-    report.cell("touched_ratio", ratio);
-    report.cell("fused_ms", t_fused * 1e3);
-    report.cell("broadcast_ms", t_bcast * 1e3);
-    // Peak scratch-arena bytes over the run's slabs (fused path): the
-    // high-water mark the request memory budget would charge (schema 4).
-    long long peak_arena = 0;
-    for (const auto& sl : sf.slabs)
-      peak_arena = std::max(peak_arena,
-                            static_cast<long long>(sl.peak_arena_bytes));
-    report.cell("peak_arena_bytes", peak_arena);
-    // Phase breakdown of each path (from the instrumented Alg2Stats of the
-    // last of the three timed runs). Wall = calling-thread section times
-    // (sum ≈ the run's elapsed time); cpu = thread-CPU-clock phase time
-    // summed across workers (clip_cpu can approach clip_wall × cores).
-    // Schema 1 had one column mixing both units; schema 2 filled the cpu
-    // side from wall timers inside the tasks.
-    report.cell("fused_partition_wall_ms", sf.phases.partition * 1e3);
-    report.cell("fused_clip_wall_ms", sf.phases.clip * 1e3);
-    report.cell("fused_merge_wall_ms", sf.phases.merge * 1e3);
-    report.cell("fused_partition_cpu_ms", sf.phases.partition_cpu * 1e3);
-    report.cell("fused_clip_cpu_ms", sf.phases.clip_cpu * 1e3);
-    report.cell("fused_merge_cpu_ms", sf.phases.merge_cpu * 1e3);
-    report.cell("broadcast_partition_wall_ms", sb.phases.partition * 1e3);
-    report.cell("broadcast_clip_wall_ms", sb.phases.clip * 1e3);
-    report.cell("broadcast_merge_wall_ms", sb.phases.merge * 1e3);
-    report.cell("broadcast_partition_cpu_ms", sb.phases.partition_cpu * 1e3);
-    report.cell("broadcast_clip_cpu_ms", sb.phases.clip_cpu * 1e3);
-    report.cell("broadcast_merge_cpu_ms", sb.phases.merge_cpu * 1e3);
-
-    if (!identical(rf, rb)) {
-      std::fprintf(stderr, "FAIL: fused/broadcast outputs differ at %u slabs\n",
-                   slabs);
-      gate_ok = false;
-    }
-    if (slabs >= 4 && touched_fused > touched_bcast) {
-      std::fprintf(stderr,
-                   "FAIL: fused touched more than broadcast at %u slabs "
-                   "(%lld > %lld)\n",
-                   slabs, touched_fused, touched_bcast);
-      gate_ok = false;
+      if (dev > 1e-12) {
+        std::fprintf(stderr,
+                     "FAIL: %s at %u slabs: area %.17g vs vatti %.17g "
+                     "(rel %.2e > 1e-12)\n",
+                     w.name, slabs, got, want, dev);
+        gate_ok = false;
+      }
+      if (slabs > 1 && ratio > 1.3) {
+        std::fprintf(stderr,
+                     "FAIL: %s at %u slabs: the cut read %lld edges, %.3fx "
+                     "the %lld a one-slab run reads (gate 1.3x)\n",
+                     w.name, slabs, touched, ratio, table_edges);
+        gate_ok = false;
+      }
     }
   }
   report.field("gate_ok", static_cast<long long>(gate_ok ? 1 : 0));

@@ -143,14 +143,13 @@ int main(int argc, char** argv) {
   const SkewPair w = make_skewed_workload();
   const unsigned p = 4;
   par::ThreadPool pool(p);
-  // The polygram is self-intersecting, which only the Vatti rectangle
-  // clipper supports (the very limitation of GH the paper discusses).
+  // The polygram is self-intersecting; every slab sweeps it with Vatti,
+  // which handles self-crossings natively.
   const auto run = [&](par::ThreadPool& on, unsigned fixed_slabs,
                        unsigned oversubscribe, mt::Alg2Stats* st) {
     mt::Alg2Options o;
     o.slabs = fixed_slabs;
     o.oversubscribe = oversubscribe;
-    o.rect_method = seq::RectClipMethod::kVatti;
     return mt::slab_clip(w.subject, w.clip, geom::BoolOp::kIntersection, on,
                          o, st);
   };

@@ -1,14 +1,12 @@
-// Slab-clip CPU scaling gate — the regression this PR exists to kill.
+// Slab-clip CPU scaling gate.
 //
 // The question: when the same request is cut into p slabs instead of 1, how
-// much *extra CPU* does the clip phase burn? Before the fused partition,
-// every slab materialized its rectangle-clipped inputs and then re-derived
-// the Vatti sweep structures from scratch (clean + coalesce + perturb +
-// bound decomposition + schedule sort), so slabbing inflated clip CPU by
-// ~2x even though the slabs' touched edges barely grew. The fused partition
-// (Alg2Partition::kFused) copies globally prepared bound fragments and
-// slices one shared schedule, making per-slab setup cost proportional to
-// what the slab actually sweeps.
+// much *extra CPU* does the clip phase burn? Once every slab re-derived the
+// Vatti sweep structures from rectangle-clipped inputs, and slabbing
+// inflated clip CPU by ~2x. slab_clip now prepares every contour once into
+// one shared bound table and sweeps each slab's window of it
+// (seq::vatti_sweep_window), so a slab's cost is what it sweeps plus its
+// seed edges at the bottom line.
 //
 // Gates (exit nonzero on violation, what CI's perf-smoke keys on):
 //   1. inflation: clip_cpu(slabs=p) / clip_cpu(slabs=1) <= GATE for
@@ -39,7 +37,7 @@
 
 int main(int argc, char** argv) {
   using namespace psclip;
-  bench::header("Slab-clip CPU scaling: fused partition inflation gate",
+  bench::header("Slab-clip CPU scaling: slab-cut inflation gate",
                 "Alg 2 Steps 4-6, output-sensitive per-slab setup");
 
   double gate = 1.30;
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
   double cpu_base = 0.0, wall_base = 0.0;
   for (const unsigned slabs : {1u, 4u, 8u, 16u}) {
     mt::Alg2Options o;
-    o.slabs = slabs;  // kFused is the default partition
+    o.slabs = slabs;
     mt::Alg2Stats st;
     geom::PolygonSet r;
     const double wall = bench::time_median3([&] {

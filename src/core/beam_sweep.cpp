@@ -34,7 +34,6 @@ BeamResult process_beam(const seq::BoundTable& bt,
   auto edge = [&bt](const Entry& en) -> const seq::BoundEdge& {
     return bt.edges[static_cast<std::size_t>(en.e)];
   };
-  auto res = [op](bool s, bool c) { return geom::in_result(s, c, op); };
 
   // --- Lemma 1: order edges on the lower scanline. ---
   std::vector<Entry> ents(edge_ids.size());
@@ -49,43 +48,14 @@ BeamResult process_beam(const seq::BoundTable& bt,
     return edge(a).dxdy < edge(b).dxdy;
   });
 
-  // --- Lemma 2/3: parity prefix classifies contributing spans. ---
-  {
-    bool s = false, c = false;
-    for (auto& en : ents) {
-      en.left_s = s;
-      en.left_c = c;
-      s ^= !edge(en).is_clip;
-      c ^= edge(en).is_clip;
-    }
-  }
-
-  // --- Open partial polygons along the lower scanline: each interior
-  // stretch runs between two consecutive *contributing* edges (edges
-  // across which result membership flips); non-contributing edges inside
-  // an interior stretch are not boundary and own nothing. ---
+  // --- Lemma 2/3: the parity prefix classifies contributing spans; open
+  // one partial polygon along the lower scanline per interior run. ---
+  auto at = [&ents](std::size_t i) -> seq::SweepEntry& { return ents[i]; };
+  seq::label_by_parity(bt, ents.size(), at);
   seq::OutPolyPool pool;
-  {
-    Entry* open_left = nullptr;
-    for (auto& en : ents) {
-      const bool lhs = res(en.left_s, en.left_c);
-      const bool rhs = res(en.left_s ^ !edge(en).is_clip,
-                           en.left_c ^ edge(en).is_clip);
-      if (lhs == rhs) continue;  // not contributing
-      if (rhs) {
-        open_left = &en;  // interior opens to the right of this edge
-      } else if (open_left != nullptr) {
-        const Point pl{open_left->xb, yb};
-        const Point pr{en.xb, yb};
-        const std::int32_t id =
-            pool.create(pl, /*hole=*/false, open_left->e, en.e);
-        if (!(pr == pl)) pool.extend(id, en.e, pr);
-        open_left->poly = id;
-        en.poly = id;
-        open_left = nullptr;
-      }
-    }
-  }
+  seq::open_line_runs(
+      pool, bt, ents.size(), at, [&ents](std::size_t i) { return ents[i].xb; },
+      yb, op);
 
   // --- Lemma 4: crossings = inversions between lower and upper orders,
   // reported by the extended-mergesort machinery. ---
@@ -163,13 +133,7 @@ BeamResult process_beam(const seq::BoundTable& bt,
             std::swap(ents[iu], ents[iv]);
             pos[ents[iu].e] = iu;
             pos[ents[iv].e] = iv;
-            bool s = false, c = false;
-            for (auto& en : ents) {
-              en.left_s = s;
-              en.left_c = c;
-              s ^= !edge(en).is_clip;
-              c ^= edge(en).is_clip;
-            }
+            seq::label_by_parity(bt, ents.size(), at);
           }
           break;
         }
@@ -179,26 +143,9 @@ BeamResult process_beam(const seq::BoundTable& bt,
 
   // --- Close partial polygons along the upper scanline, again pairing
   // consecutive contributing edges. ---
-  {
-    Entry* open_left = nullptr;
-    for (auto& en : ents) {
-      const bool lhs = res(en.left_s, en.left_c);
-      const bool rhs = res(en.left_s ^ !edge(en).is_clip,
-                           en.left_c ^ edge(en).is_clip);
-      if (lhs == rhs) continue;
-      if (rhs) {
-        open_left = &en;
-      } else if (open_left != nullptr) {
-        Entry& l = *open_left;
-        open_left = nullptr;
-        if (l.poly < 0 || en.poly < 0) continue;  // degenerate-tie fallback
-        const Point pl{l.xt, yt};
-        const Point pr{en.xt, yt};
-        if (!(pl == pr)) pool.extend(l.poly, l.e, pl);
-        pool.close(l.poly, l.e, en.poly, en.e, pr);
-      }
-    }
-  }
+  seq::close_line_runs(
+      pool, bt, ents.size(), at, [&ents](std::size_t i) { return ents[i].xt; },
+      yt, op);
 
   // --- Harvest rings. The pool orients material rings counter-clockwise
   // and holes clockwise. Holes arise when an exterior pocket opens at a

@@ -35,10 +35,10 @@ int remove_horizontals(Contour& c, double magnitude) {
   // with the *next* neighbour, so iterate to a fixpoint (bounded). The
   // perturbation is entirely per-contour — the nudge quantum comes from the
   // contour's own bbox and the salt from (pass, vertex index) — so a
-  // contour perturbs identically whether it travels alone (the fused slab
-  // partition prepares contours one by one), in a whole input set, or in a
-  // replicated multiset copy. The fused path's bit-identity with the
-  // materializing path rests on exactly this independence.
+  // contour perturbs identically whether it travels alone (the slab
+  // engines prepare contours one by one), in a whole input set, or in a
+  // replicated multiset copy. slab_clip's byte-identity with vatti_clip
+  // rests on exactly this independence.
   for (int pass = 0; pass < 64; ++pass) {
     bool changed = false;
     const BBox cb = bounds(c);

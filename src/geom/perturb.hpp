@@ -18,8 +18,8 @@ int remove_horizontals(PolygonSet& p, double magnitude = 1e-9);
 
 /// Per-contour form. The nudge quantum (contour bbox height) and the salt
 /// schedule are both per-contour quantities, so perturbing a contour alone
-/// is bit-identical to perturbing it as part of any set — the fused slab
-/// partition prepares contours one at a time and relies on this.
+/// is bit-identical to perturbing it as part of any set — the slab engines
+/// prepare contours one at a time and rely on this.
 int remove_horizontals(Contour& c, double magnitude = 1e-9);
 
 /// Deterministic pseudo-random jitter of all vertices by up to `magnitude`

@@ -83,7 +83,7 @@ PolygonSet cleaned(const PolygonSet& p, double eps = 0.0);
 /// Per-contour form of cleaned(): removes consecutive (and closing)
 /// duplicate vertices of one contour. May return a contour with fewer than
 /// 3 vertices — cleaned() drops those from the set; callers operating
-/// contour-by-contour (the fused slab partition) must apply the same skip
+/// contour-by-contour (the slab engines' shared prep) must apply the same skip
 /// themselves to stay bit-identical with the set pipeline.
 Contour cleaned_contour(const Contour& c, double eps = 0.0);
 

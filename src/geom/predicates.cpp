@@ -82,7 +82,10 @@ inline void two_product(double a, double b, double& x, double& y) {
   y = (alo * blo) - err3;
 }
 
-// Sum two expansions with zero elimination; result length returned.
+// Sum two expansions with zero elimination; result length returned. The
+// look-ahead reads are guarded: Shewchuk's original reads one element past
+// the end of whichever input runs out first (the value is never used), which
+// overflows the fixed-size expansion buffers of orient2d_adapt.
 int fast_expansion_sum_zeroelim(int elen, const double* e, int flen,
                                 const double* f, double* h) {
   double Q, Qnew, hh;
@@ -90,28 +93,28 @@ int fast_expansion_sum_zeroelim(int elen, const double* e, int flen,
   double enow = e[0], fnow = f[0];
   if ((fnow > enow) == (fnow > -enow)) {
     Q = enow;
-    enow = e[++eindex];
+    if (++eindex < elen) enow = e[eindex];
   } else {
     Q = fnow;
-    fnow = f[++findex];
+    if (++findex < flen) fnow = f[findex];
   }
   if (eindex < elen && findex < flen) {
     if ((fnow > enow) == (fnow > -enow)) {
       fast_two_sum(enow, Q, Qnew, hh);
-      enow = e[++eindex];
+      if (++eindex < elen) enow = e[eindex];
     } else {
       fast_two_sum(fnow, Q, Qnew, hh);
-      fnow = f[++findex];
+      if (++findex < flen) fnow = f[findex];
     }
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
     while (eindex < elen && findex < flen) {
       if ((fnow > enow) == (fnow > -enow)) {
         two_sum(Q, enow, Qnew, hh);
-        enow = e[++eindex];
+        if (++eindex < elen) enow = e[eindex];
       } else {
         two_sum(Q, fnow, Qnew, hh);
-        fnow = f[++findex];
+        if (++findex < flen) fnow = f[findex];
       }
       Q = Qnew;
       if (hh != 0.0) h[hindex++] = hh;
@@ -119,13 +122,13 @@ int fast_expansion_sum_zeroelim(int elen, const double* e, int flen,
   }
   while (eindex < elen) {
     two_sum(Q, enow, Qnew, hh);
-    enow = e[++eindex];
+    if (++eindex < elen) enow = e[eindex];
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
   }
   while (findex < flen) {
     two_sum(Q, fnow, Qnew, hh);
-    fnow = f[++findex];
+    if (++findex < flen) fnow = f[findex];
     Q = Qnew;
     if (hh != 0.0) h[hindex++] = hh;
   }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "error.hpp"
 #include "mt/arena.hpp"
@@ -13,35 +14,12 @@
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
-#include "parallel/sort.hpp"
 #include "parallel/timing.hpp"
 #include "seq/bounds.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
 namespace {
-
-/// Slab boundaries with (nearly) equal event counts per slab, each placed
-/// midway between two adjacent distinct event ordinates so that no input
-/// vertex lies exactly on a boundary (keeps the Greiner–Hormann rectangle
-/// clipping in general position).
-std::vector<double> slab_bounds(const std::vector<double>& ys,
-                                const geom::BBox& mbr, unsigned slabs) {
-  std::vector<double> bounds;
-  bounds.reserve(slabs + 1);
-  const double margin = 0.5 * std::max(mbr.height(), 1e-9) * 1e-6 + 1e-12;
-  bounds.push_back(mbr.ymin - margin);
-  const std::size_t n = ys.size();
-  for (unsigned t = 1; t < slabs; ++t) {
-    const std::size_t cut = t * n / slabs;
-    if (cut == 0 || cut >= n) continue;
-    const double b = 0.5 * (ys[cut - 1] + ys[cut]);
-    if (b > bounds.back()) bounds.push_back(b);
-  }
-  const double top = mbr.ymax + margin;
-  if (top > bounds.back()) bounds.push_back(top);
-  return bounds;
-}
 
 constexpr SlabRunNames kNames{
     .request = "alg2.slab_clip",
@@ -56,8 +34,7 @@ constexpr SlabRunNames kNames{
 };
 
 // slab_clip's per-slab degradation ladder, most to least optimistic.
-constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe,
-                            Rung::kAltRectMethod, Rung::kSlabSequential};
+constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
 
 }  // namespace
 
@@ -69,107 +46,70 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
       opts.slabs ? opts.slabs
                  : pool.size() * std::max(1u, opts.oversubscribe);
   SlabRun run(kNames, pool, opts, stats);
+  if (subject.num_vertices() + clip.num_vertices() == 0) return {};
   obs::TraceSink* const sink = opts.trace_sink;
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
   par::WallTimer phase_timer;
   par::ThreadCpuTimer phase_cpu_timer;
 
-  // Steps 1-3: event ordinates, sorted, and the joint MBR.
+  // Steps 1–3: prepare every contour once (clean + coalesce + perturb +
+  // bound decomposition + per-contour schedule run), in parallel.
+  PreparedInput sub_prep, clip_prep;
+  {
+    obs::ScopedSpan prep_span(sink, "alg2.prepare", obs::Cat::kPhase);
+    sub_prep.prepare(
+        pool, subject.num_contours(),
+        [&](std::size_t i) -> const geom::Contour& {
+          return subject.contours[i];
+        },
+        /*is_clip=*/false, opts.prepared_cache);
+    clip_prep.prepare(
+        pool, clip.num_contours(),
+        [&](std::size_t i) -> const geom::Contour& {
+          return clip.contours[i];
+        },
+        /*is_clip=*/true, opts.prepared_cache);
+  }
+
+  // One read-only bound table for every slab: the fragments concatenated
+  // in contour order with sorted minima — byte for byte the table
+  // vatti_clip builds — and its schedule merged from the fragments' runs.
+  seq::BoundTable bt;
   std::vector<double> ys;
-  ys.reserve(subject.num_vertices() + clip.num_vertices());
-  geom::BBox mbr;
-  for (const auto* input : {&subject, &clip}) {
-    for (const auto& c : input->contours) {
-      for (const auto& pt : c.pts) {
-        ys.push_back(pt.y);
-        mbr.expand(pt);
+  bool finite = true;
+  {
+    std::size_t nedges = 0, nminima = 0, nys = 0;
+    for (const PreparedInput* prep : {&sub_prep, &clip_prep})
+      for (const seq::PreparedContour* pc : prep->prep)
+        if (pc) {
+          nedges += pc->bt.edges.size();
+          nminima += pc->bt.minima.size();
+          nys += pc->ys.size();
+        }
+    bt.edges.reserve(nedges);
+    bt.minima.reserve(nminima);
+    ys.reserve(nys);
+    std::vector<std::size_t> run_end{0};
+    for (const PreparedInput* prep : {&sub_prep, &clip_prep}) {
+      for (const seq::PreparedContour* pc : prep->prep) {
+        if (!pc) continue;  // degenerate after cleaning: no bounds
+        finite = finite && pc->finite;
+        seq::append_prepared(bt, *pc);
+        ys.insert(ys.end(), pc->ys.begin(), pc->ys.end());
+        run_end.push_back(ys.size());
       }
     }
-  }
-  if (ys.empty()) return {};
-  par::parallel_sort(pool, ys);
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
-
-  const std::vector<double> bounds = slab_bounds(ys, mbr, p);
-  const std::size_t nslabs = bounds.size() - 1;
-
-  // Slab-overlap contour index (kFused): cache each contour's bbox in one
-  // parallel pass, then build per-slab exact overlap lists so slab t only
-  // ever reads its own contours. Under kBroadcast the index is skipped and
-  // every slab scans both whole inputs (the paper's O(p·n) formulation).
-  const bool fused = opts.partition == Alg2Partition::kFused;
-  std::vector<geom::BBox> sub_boxes, clip_boxes;
-  SlabContourIndex sub_idx, clip_idx;
-  if (fused) {
-    sub_boxes.resize(subject.num_contours());
-    clip_boxes.resize(clip.num_contours());
-    pool.parallel_for(
-        subject.num_contours(),
-        [&](std::size_t i) { sub_boxes[i] = geom::bounds(subject.contours[i]); },
-        /*grain=*/64);
-    pool.parallel_for(
-        clip.num_contours(),
-        [&](std::size_t i) { clip_boxes[i] = geom::bounds(clip.contours[i]); },
-        /*grain=*/64);
-    sub_idx = build_slab_index(pool, sub_boxes, bounds);
-    clip_idx = build_slab_index(pool, clip_boxes, bounds);
+    seq::sort_minima(bt);
+    // A non-finite vertex poisons every ordering below; the slabs then
+    // fail their attempts and the request takes the whole-input rung.
+    if (finite) seq::merge_sorted_runs_unique(ys, run_end);
   }
 
-  // kFused setup: prepare every contour once, globally — clean + coalesce +
-  // perturb + bound decomposition + per-contour schedule run. Every prep
-  // step is per-contour deterministic, so a slab copying a fragment gets
-  // bit for bit what the materializing path's per-slab re-preparation would
-  // have rebuilt. Also classify contours as *well-contained* (overlap
-  // exactly one slab by original bbox AND the prepared bbox sits strictly
-  // inside that slab's open interval — perturbation can push a vertex past
-  // a boundary, and a boundary-touching contour is "inside" two slabs):
-  // their schedule ys go into one shared globally merged y-schedule that
-  // slab tasks slice instead of re-sorting, and the strict containment is
-  // what makes the slice exact.
-  PreparedInput sub_prep, clip_prep;
-  std::vector<std::uint8_t> sub_well, clip_well;
-  std::vector<double> shared_ys;
-  if (fused) {
-    obs::ScopedSpan prep_span(sink, "alg2.fused_prep", obs::Cat::kPhase);
-    auto prep_input = [&](const geom::PolygonSet& input,
-                          const std::vector<geom::BBox>& boxes,
-                          PreparedInput& prep,
-                          std::vector<std::uint8_t>& well, bool is_clip) {
-      well.assign(input.num_contours(), 0);
-      prep.prepare(
-          pool, input.num_contours(),
-          [&](std::size_t i) -> const geom::Contour& {
-            return input.contours[i];
-          },
-          is_clip, opts.prepared_cache,
-          [&](std::size_t i, const seq::PreparedContour& pc) {
-            const SlabRange r =
-                slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
-            well[i] = r.lo <= r.hi && r.single() &&
-                              bounds[r.lo] < pc.box.ymin &&
-                              pc.box.ymax < bounds[r.lo + 1]
-                          ? 1
-                          : 0;
-          });
-    };
-    prep_input(subject, sub_boxes, sub_prep, sub_well, /*is_clip=*/false);
-    prep_input(clip, clip_boxes, clip_prep, clip_well, /*is_clip=*/true);
-    std::vector<std::size_t> runs{0};
-    auto collect = [&](const PreparedInput& prep,
-                       const std::vector<std::uint8_t>& well) {
-      for (std::size_t i = 0; i < prep.prep.size(); ++i) {
-        if (!well[i] || prep.prep[i]->ys.empty()) continue;
-        shared_ys.insert(shared_ys.end(), prep.prep[i]->ys.begin(),
-                         prep.prep[i]->ys.end());
-        runs.push_back(shared_ys.size());
-      }
-    };
-    collect(sub_prep, sub_well);
-    collect(clip_prep, clip_well);
-    seq::merge_sorted_runs_unique(shared_ys, runs);
-    prep_span.arg("shared_ys",
-                  static_cast<std::int64_t>(shared_ys.size()));
-  }
+  // Steps 4–5: the slab lines and every line's seed edges.
+  const SlabIndex index = finite ? build_slab_index(pool, bt, ys, p)
+                                 : SlabIndex{{}, {0}, {}, {}};
+  const std::size_t nslabs = index.num_slabs();
+  setup_span.arg("seeds", static_cast<std::int64_t>(index.seeds.size()));
   const double t_setup = phase_timer.seconds();
   const double t_setup_cpu = phase_cpu_timer.seconds();
   phase_timer.reset();
@@ -180,16 +120,11 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                                subject.num_vertices() + clip.num_vertices()));
   req_span.arg("op", static_cast<std::int64_t>(op));
 
-  // Rectangle clipper for the kAltRectMethod rung: whichever of the two
-  // full clippers the run was *not* configured with.
-  const seq::RectClipMethod alt_method =
-      opts.rect_method == seq::RectClipMethod::kVatti
-          ? seq::RectClipMethod::kGreinerHormann
-          : seq::RectClipMethod::kVatti;
-
-  // Steps 4-6 for one slab on one ladder rung: rectangle-clip both inputs
-  // to the slab, then run the sequential clipper on the slab pair. Throws
-  // on any failure —
+  // Steps 4–6 for one slab on one ladder rung: cut the slab's window out
+  // of the shared table — its seeds, minima range and schedule slice —
+  // and sweep it. kHealthy sweeps on the worker arena's scratch,
+  // kRetrySafe on a fresh one; the cut and the sweep are otherwise the
+  // same, so the two rungs are byte-identical. Throws on any failure —
   // injected faults, resource exhaustion, or a non-finite coordinate caught
   // by the post-checks — with `so` reset so the next rung starts clean.
   auto attempt_slab = [&](std::size_t t, SlabOut& so, Rung rung) {
@@ -199,184 +134,67 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     so.partition_seconds = 0.0;
     so.partition_cpu = 0.0;
     // Memory budget (DESIGN.md §11): the attempt holds a charge for the
-    // arena it grows, raised to the arena's capacity watermark after each
-    // growth step and released when the attempt ends (success or unwind).
-    // Concurrent attempts therefore charge the sum of their live arenas —
+    // scratch it grows, raised to the scratch's capacity watermark before
+    // the sweep and released when the attempt ends (success or unwind).
+    // Concurrent attempts therefore charge the sum of their live scratch —
     // the process's actual slab-scratch footprint.
     par::gov::ScopedCharge arena_charge;
     obs::ScopedSpan part_span(sink, "alg2.slab_partition", obs::Cat::kPhase);
     par::WallTimer timer;
     par::ThreadCpuTimer cpu_timer;
-    const geom::BBox rect{mbr.xmin - 1.0, bounds[t], mbr.xmax + 1.0,
-                          bounds[t + 1]};
-
-    if (rung == Rung::kHealthy && fused) {
-      // Fused fast path: assemble the slab's bound table and scanbeam
-      // schedule directly from the globally prepared fragments — no
-      // intermediate slab polygon sets, no per-slab re-preparation, no
-      // per-slab schedule sort. The degradation ladder's next rung
-      // (kRetrySafe) is the materializing broadcast path, byte-identical
-      // to this one.
-      SlabArena& arena = worker_arena();
-      ++arena.tasks_served;
-      seq::VattiScratch& scratch = arena.vatti;
-      seq::BoundTable& bt = seq::scratch_bounds(scratch);
-      bt.edges.clear();
-      bt.minima.clear();
-      std::vector<double>& sched = seq::scratch_schedule(scratch);
-      sched.clear();
-      arena.run_end.clear();
-      arena.run_end.push_back(0);
-      // Shared-schedule slice: every well-contained contour's ys lie
-      // strictly inside its home slab's open interval, so the values in
-      // (bounds[t], bounds[t+1]) are exactly this slab's share.
-      {
-        const auto lo =
-            std::upper_bound(shared_ys.begin(), shared_ys.end(), bounds[t]);
-        const auto hi = std::lower_bound(lo, shared_ys.end(), bounds[t + 1]);
-        sched.insert(sched.end(), lo, hi);
-        arena.run_end.push_back(sched.size());
-      }
-      seq::FusedClipStats fstats;
-      bool finite = true;
-      auto fused_input = [&](const geom::PolygonSet& input,
-                             const SlabContourIndex& idx,
-                             const PreparedInput& prep,
-                             const std::vector<std::uint8_t>& well,
-                             bool is_clip) {
-        const std::span<const SlabEntry> list = idx.slab(t);
-        arena.refs.clear();
-        arena.inside.clear();
-        arena.prep_refs.clear();
-        arena.in_shared.clear();
-        arena.refs.reserve(list.size());
-        arena.inside.reserve(list.size());
-        arena.prep_refs.reserve(list.size());
-        arena.in_shared.reserve(list.size());
-        for (const SlabEntry& e : list) {
-          arena.refs.push_back(&input.contours[e.contour]);
-          arena.inside.push_back(e.inside ? 1 : 0);
-          arena.prep_refs.push_back(prep.prep[e.contour]);
-          arena.in_shared.push_back(well[e.contour] ? 1 : 0);
-        }
-        if (!seq::clip_bounds_to_slab(arena.prep_refs, arena.refs,
-                                      arena.inside, arena.in_shared, rect,
-                                      opts.rect_method, is_clip, &arena.rect,
-                                      bt, sched, arena.run_end, &fstats))
-          finite = false;
-      };
-      fused_input(subject, sub_idx, sub_prep, sub_well,
-                  /*is_clip=*/false);
-      fused_input(clip, clip_idx, clip_prep, clip_well,
-                  /*is_clip=*/true);
-      seq::sort_minima(bt);
-      // The slab's bound table and schedule are fully assembled: raise the
-      // attempt's budget charge to the arena watermark before committing to
-      // the sweep (whose own per-beam checkpoint then charges output
-      // growth).
-      arena_charge.raise_to(arena.resident_bytes());
-      so.load.touched_edges = fstats.touched_edges;
-      so.load.boundary_edges = fstats.boundary_edges;
-      so.load.bound_build_ns =
-          static_cast<std::int64_t>(timer.seconds() * 1e9);
-      so.partition_seconds = timer.seconds();
-      so.partition_cpu = cpu_timer.seconds();
-      part_span.arg("touched_edges", so.load.touched_edges);
-      part_span.arg("boundary_edges", so.load.boundary_edges);
-      part_span.end();
-      if (!finite)
-        throw Error(ErrorCode::kNonFinite,
-                    "non-finite vertex in slab " + std::to_string(t) +
-                        " partition output");
-      obs::ScopedSpan sweep_span(sink, "alg2.slab_sweep", obs::Cat::kPhase);
-      timer.reset();
-      cpu_timer.reset();
-      // Finish the schedule: one bottom-up merge of (shared slice, stray
-      // runs, piece runs) — same sorted distinct vector either sweep
-      // kernel would have built from this table.
-      par::WallTimer sched_timer;
-      seq::merge_sorted_runs_unique(sched, arena.run_end);
-      so.load.schedule_ns =
-          static_cast<std::int64_t>(sched_timer.seconds() * 1e9);
-      seq::VattiStats vs;
-      so.result = seq::vatti_sweep_prepared(op, &vs, scratch,
-                                            opts.sweep_kernel,
-                                            /*prebuilt_schedule=*/true);
-      if (par::fault::corrupt(par::fault::Site::kArena)) {
-        const double nan = std::numeric_limits<double>::quiet_NaN();
-        so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
-      }
-      so.load.seconds = timer.seconds();
-      so.load.cpu_seconds = cpu_timer.seconds();
-      so.load.input_edges = vs.edges;
-      so.load.output_vertices = vs.output_vertices;
-      so.load.peak_arena_bytes =
-          static_cast<std::int64_t>(arena.resident_bytes());
-      sweep_span.arg("input_edges", vs.edges);
-      sweep_span.arg("output_vertices", vs.output_vertices);
-      sweep_span.arg("schedule_ns", so.load.schedule_ns);
-      sweep_span.end();
-      if (sink) {
-        sink->observe("alg2.slab_clip_seconds", so.load.seconds);
-        sink->observe("alg2.slab_peak_arena_bytes",
-                      static_cast<double>(so.load.peak_arena_bytes));
-      }
-      if (!geom::is_finite(so.result))
-        throw Error(ErrorCode::kNonFinite,
-                    "non-finite vertex in slab " + std::to_string(t) +
-                        " clip output");
-      return;
+    par::fault::inject(par::fault::Site::kSlabCut);
+    if (!finite || par::fault::corrupt(par::fault::Site::kSlabCut))
+      throw Error(ErrorCode::kNonFinite,
+                  "non-finite vertex in slab " + std::to_string(t) +
+                      " partition output");
+    seq::SweepWindow w;
+    if (t > 0) {
+      w.y_lo = index.lines[t - 1];
+      w.seeds = index.line_seeds(t - 1);
+      so.load.touched_edges =
+          static_cast<std::int64_t>(w.seeds.size()) + index.probes[t - 1];
     }
+    if (t + 1 < nslabs) w.y_hi = index.lines[t];
+    // No vertex lies on a line, so "below the line" splits the y-sorted
+    // minima and schedule exactly.
+    const auto minima_below = [&](double y) {
+      return static_cast<std::size_t>(
+          std::partition_point(
+              bt.minima.begin(), bt.minima.end(),
+              [y](const seq::LocalMin& lm) { return lm.pt.y < y; }) -
+          bt.minima.begin());
+    };
+    const auto ys_below = [&](double y) {
+      return static_cast<std::size_t>(
+          std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
+    };
+    w.min_begin = minima_below(w.y_lo);
+    w.min_end = minima_below(w.y_hi);
+    const std::size_t ys_lo = ys_below(w.y_lo);
+    w.ys = std::span<const double>(ys).subspan(ys_lo,
+                                               ys_below(w.y_hi) - ys_lo);
 
-    geom::PolygonSet a_t, b_t;
+    std::optional<seq::VattiScratch> fresh;
     seq::VattiScratch* scratch = nullptr;
     if (rung == Rung::kHealthy) {
       SlabArena& arena = worker_arena();
       ++arena.tasks_served;
       scratch = &arena.vatti;
+    } else {
+      scratch = &fresh.emplace();
     }
-    so.load.touched_edges = static_cast<std::int64_t>(
-        subject.num_vertices() + clip.num_vertices());
-    if (rung != Rung::kSlabSequential) {
-      // Broadcast partition: scan and classify both whole inputs. kHealthy
-      // (kBroadcast) and kRetrySafe differ only in the sweep scratch, so
-      // they are bit-identical; kAltRectMethod reaches the same region via
-      // the alternate rectangle clipper.
-      const seq::RectClipMethod m =
-          rung == Rung::kAltRectMethod ? alt_method : opts.rect_method;
-      a_t = seq::rect_clip(subject, rect, m);
-      b_t = seq::rect_clip(clip, rect, m);
-    } else {  // kSlabSequential: no rect_clip fast path at all — clip the
-              // slab rectangle as an ordinary polygon operand with the full
-              // sequential Vatti clipper.
-      geom::PolygonSet rp;
-      rp.contours.push_back(
-          geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax));
-      a_t = seq::vatti_clip(subject, rp, geom::BoolOp::kIntersection, nullptr,
-                            nullptr, opts.sweep_kernel);
-      b_t = seq::vatti_clip(clip, rp, geom::BoolOp::kIntersection, nullptr,
-                            nullptr, opts.sweep_kernel);
-    }
+    arena_charge.raise_to(scratch->resident_bytes());
     so.partition_seconds = timer.seconds();
     so.partition_cpu = cpu_timer.seconds();
-    part_span.arg("touched_edges", so.load.touched_edges);
+    part_span.arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
     part_span.end();
-    // Charge the materialized slab inputs (the structures this attempt
-    // retains until it returns); the sweep's own checkpoint charges output
-    // growth on top.
-    arena_charge.raise_to(
-        (a_t.num_vertices() + b_t.num_vertices()) * sizeof(geom::Point));
-    // Never hand a corrupted partition to the sweep: a NaN vertex can wedge
-    // the event queue, not just skew the output.
-    if (!geom::is_finite(a_t) || !geom::is_finite(b_t))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in slab " + std::to_string(t) +
-                      " partition output");
+
     obs::ScopedSpan sweep_span(sink, "alg2.slab_sweep", obs::Cat::kPhase);
     timer.reset();
     cpu_timer.reset();
     seq::VattiStats vs;
-    so.result = seq::vatti_clip(a_t, b_t, op, &vs, scratch, opts.sweep_kernel);
+    so.result =
+        seq::vatti_sweep_window(bt, w, op, &vs, *scratch, opts.sweep_kernel);
     if (rung == Rung::kHealthy &&
         par::fault::corrupt(par::fault::Site::kArena)) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -385,20 +203,17 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     so.load.seconds = timer.seconds();
     so.load.cpu_seconds = cpu_timer.seconds();
     so.load.input_edges = vs.edges;
+    so.load.boundary_edges = vs.boundary_edges;
     so.load.output_vertices = vs.output_vertices;
-    so.load.bound_build_ns = vs.bound_build_ns;
-    so.load.schedule_ns = vs.schedule_ns;
-    if (scratch)
-      so.load.peak_arena_bytes =
-          static_cast<std::int64_t>(worker_arena().resident_bytes());
+    so.load.peak_arena_bytes =
+        static_cast<std::int64_t>(scratch->resident_bytes());
     sweep_span.arg("input_edges", vs.edges);
     sweep_span.arg("output_vertices", vs.output_vertices);
     sweep_span.end();
     if (sink) {
       sink->observe("alg2.slab_clip_seconds", so.load.seconds);
-      if (scratch)
-        sink->observe("alg2.slab_peak_arena_bytes",
-                      static_cast<double>(so.load.peak_arena_bytes));
+      sink->observe("alg2.slab_peak_arena_bytes",
+                    static_cast<double>(so.load.peak_arena_bytes));
     }
     if (!geom::is_finite(so.result))
       throw Error(ErrorCode::kNonFinite,
@@ -406,9 +221,15 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                       " clip output");
   };
 
-  run.run(nslabs, kLadder, attempt_slab,
-          [&](std::size_t t) { return std::pair(bounds[t], bounds[t + 1]); },
-          subject, clip, op);
+  // A slab's y-extent for partial-result reports: its lines, with the
+  // schedule's ends standing in for the unbounded outer sides.
+  const double y_min = ys.empty() ? 0.0 : ys.front();
+  const double y_max = ys.empty() ? 0.0 : ys.back();
+  const auto extent = [&](std::size_t t) {
+    return std::pair(t > 0 ? index.lines[t - 1] : y_min,
+                     t + 1 < nslabs ? index.lines[t] : y_max);
+  };
+  run.run(nslabs, kLadder, attempt_slab, extent, subject, clip, op);
   const double t_par = phase_timer.seconds();
   phase_timer.reset();
 

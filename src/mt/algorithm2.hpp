@@ -5,7 +5,6 @@
 #include "mt/stats.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
-#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::obs {
@@ -16,29 +15,6 @@ class PreparedSource;
 }
 
 namespace psclip::mt {
-
-/// How Algorithm 2's Steps 4–5 select the input handed to each slab task.
-enum class Alg2Partition {
-  /// The paper's formulation: every slab task scans both whole input sets
-  /// and rectangle-clips them against its slab. O(p·n) partition work.
-  /// Retained as the identity reference and as the degradation ladder's
-  /// kRetrySafe rung; produces byte-identical output.
-  kBroadcast,
-  /// Fused slab-local bound construction (the default): a slab-overlap
-  /// contour index (one parallel pass caches the per-contour y-intervals, a
-  /// sort + prefix-sum pass lists the contours overlapping every slab)
-  /// limits each slab task to the contours it overlaps, and contours are
-  /// prepared (clean + coalesce + perturb + bound decomposition) once
-  /// globally, so each slab task rect-clips *bounds, not contours* —
-  /// fully-inside contours drop their prepared bound fragment straight into
-  /// the worker arena's BoundTable, straddling contours are rectangle-
-  /// clipped and only their pieces re-prepared, and the per-slab scanbeam
-  /// schedule is sliced from one shared globally merged y-schedule instead
-  /// of re-sorted per slab (seq::clip_bounds_to_slab). Partition work is
-  /// O(n log n + Σ_t n_t), output-sensitive in the slab overlap sizes n_t.
-  /// Byte-identical output to kBroadcast.
-  kFused,
-};
 
 /// Options both slab engines (slab_clip and multiset_clip) share. The
 /// fault, governance and tracing policy that reads them is common to both.
@@ -84,7 +60,7 @@ struct SlabEngineOptions {
   bool allow_partial = false;
   /// Cross-request prepared-contour source (svc::PreparedCache). Null — the
   /// default — prepares every contour locally inside this call. Non-null:
-  /// the fused setup fetches each contour's prepared fragment from the
+  /// the engine's setup fetches each contour's prepared fragment from the
   /// source instead (a hit skips the whole clean + coalesce + perturb +
   /// bound-decomposition pass), holding the returned shared fragments alive
   /// for the duration of the run. Because prepare_contour is a pure
@@ -95,8 +71,8 @@ struct SlabEngineOptions {
 };
 
 /// Options for the multi-threaded slab clipper (Algorithm 2). The
-/// ladder is retry-safe → alternate rectangle clipper → per-slab
-/// sequential Vatti → whole-input recompute.
+/// per-slab ladder is healthy → retry-safe (the same cut swept on a fresh
+/// VattiScratch, byte-identical) → whole-input recompute.
 struct Alg2Options : SlabEngineOptions {
   /// Number of horizontal slabs (the paper uses one per thread). 0 = derive
   /// from the pool: oversubscribe × pool.size().
@@ -106,33 +82,37 @@ struct Alg2Options : SlabEngineOptions {
   /// out one at a time, so a worker that finishes early takes the next
   /// slab. The paper's static one-slab-per-thread decomposition
   /// (oversubscribe = 1) leaves workers idle while the heaviest slab
-  /// finishes (Fig. 11); a factor of ~4 trades a little extra rectangle
-  /// clipping for a much tighter per-worker load distribution. The slab
-  /// decomposition — and therefore the output — depends only on the
-  /// resulting slab count, never on scheduling order.
+  /// finishes (Fig. 11); a factor of ~4 trades a few more seed edges for
+  /// a much tighter per-worker load distribution. The slab decomposition —
+  /// and therefore the output — depends only on the resulting slab count,
+  /// never on scheduling order.
   unsigned oversubscribe = 4;
-  /// Clipper used for the rectangle-clipping Steps 4–5; the paper picks
-  /// Greiner–Hormann after benchmarking it against GPC.
-  seq::RectClipMethod rect_method = seq::RectClipMethod::kGreinerHormann;
-  /// Partition-input selection strategy (see Alg2Partition). Both settings
-  /// produce byte-identical results; kBroadcast is the identity reference.
-  Alg2Partition partition = Alg2Partition::kFused;
 };
 
 /// The paper's Algorithm 2 for a pair of arbitrary polygons (also accepts
-/// multi-contour inputs):
+/// multi-contour inputs), with Steps 4–5 made output-sensitive:
 ///
-///   1–2  collect and sort the distinct vertex ordinates,
-///   3    compute the minimum bounding rectangle of A ∪ B,
-///   4–5  cut both inputs into p horizontal slabs with (nearly) equal
-///        event-point counts; slab boundaries are placed *between*
-///        adjacent event ordinates so no vertex lies on a boundary,
-///   6    clip each slab pair with the sequential Vatti clipper
-///        (our GPC stand-in), all slabs in parallel,
+///   1–3  prepare every contour once (clean, perturb, bound decomposition)
+///        into one shared bound table and its sorted distinct event
+///        ordinates — the table seq::vatti_clip builds;
+///   4–5  place p − 1 slab lines with (nearly) equal event counts per slab,
+///        each strictly between two adjacent prepared ordinates so no
+///        vertex lies on a line, and cut the table's y-monotone bounds at
+///        the lines: each bound finds its crossing edges by binary search
+///        (mt::SlabIndex). Nothing is rectangle-clipped or re-prepared;
+///   6    sweep each slab's window of the shared table with the sequential
+///        Vatti clipper (our GPC stand-in), all slabs in parallel — seeded
+///        at its bottom line by the crossing edges, labelled by parity
+///        prefix (Algorithm 1's Lemmas 2–3), closed along its top line
+///        (seq::vatti_sweep_window),
 ///   8    concatenate the per-slab outputs (the paper's sequential merge:
 ///        pieces have disjoint interiors, so concatenation is the even-odd
-///        union; contours crossing slab boundaries remain split, exactly
-///        as in the paper).
+///        union; contours crossing slab lines remain split at the exact
+///        cut points of their edges, as in the paper).
+///
+/// With one slab the output is byte-identical to seq::vatti_clip; with
+/// more, each slab sweeps exactly Vatti's edges, so the region matches it
+/// to rounding in the seam vertices.
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts = {},

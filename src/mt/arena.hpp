@@ -2,60 +2,35 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
-#include "geom/polygon.hpp"
-#include "seq/rect_clip.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip::mt {
 
 /// Reusable scratch owned by one executing thread, handed out by
-/// worker_arena(). A slab task borrows the arena for its whole run —
-/// rect-clip partition buffers, the Vatti sweep scratch (bound table,
-/// scanbeam list, the SoA active edge table with its beam-bottom/beam-top
-/// x arrays and flat edge-id position index, output pool, per-beam
-/// intersection buffers, minima staging + merge buffers) and the
-/// contour-ref staging vectors used to materialize a slab's entry list from
-/// the SlabContourIndex. Because slab tasks on one thread run strictly one
-/// after another, nothing here needs synchronization; buffers are cleared
-/// (capacity retained) at each use site rather than reallocated, so a
-/// worker that clips many slabs touches the allocator only while its
-/// high-water marks are still growing.
+/// worker_arena(). A slab task borrows the arena for its whole run — the
+/// Vatti sweep scratch (scanbeam list, the SoA active edge table with its
+/// beam-bottom/beam-top x arrays and flat edge-id position index, output
+/// pool, per-beam intersection buffers, minima staging + merge buffers,
+/// and the bound table multiset_clip assembles per slab) plus the
+/// schedule-run staging of multiset_clip's fused path. Because slab tasks
+/// on one thread run strictly one after another, nothing here needs
+/// synchronization; buffers are cleared (capacity retained) at each use
+/// site rather than reallocated, so a worker that clips many slabs touches
+/// the allocator only while its high-water marks are still growing.
 struct SlabArena {
-  seq::VattiScratch vatti;      ///< sweep-structure pools for vatti_clip
-  seq::RectClipScratch rect;    ///< straddling-contour buffer for rect clips
-  std::vector<const geom::Contour*> refs;  ///< slab's contours, index order
-  std::vector<std::uint8_t> inside;        ///< 1 = fully inside, move as-is
-  // Fused-partition staging (Alg2Partition::kFused), aligned with `refs`:
-  // the contours' globally prepared fragments and whether each one's
-  // schedule ys are covered by the shared global slice.
-  std::vector<const seq::PreparedContour*> prep_refs;
-  std::vector<std::uint8_t> in_shared;
-  /// Schedule-run boundaries for the fused path's merge_sorted_runs_unique
+  seq::VattiScratch vatti;  ///< sweep-structure pools
+  /// Schedule-run boundaries for multiset_clip's merge_sorted_runs_unique
   /// over the scratch schedule (scratch_schedule(vatti)).
   std::vector<std::size_t> run_end;
-  std::uint64_t tasks_served = 0;          ///< slab tasks run on this arena
+  std::uint64_t tasks_served = 0;  ///< slab tasks run on this arena
 
   /// Approximate bytes resident in this arena (capacity-based, like
   /// seq::VattiScratch::resident_bytes): the per-worker high-water mark the
   /// memory-budget model charges and SlabLoad::peak_arena_bytes reports.
   [[nodiscard]] std::size_t resident_bytes() const {
-    auto vec = [](const auto& v) {
-      return v.capacity() *
-             sizeof(typename std::decay_t<decltype(v)>::value_type);
-    };
-    auto set_bytes = [&](const geom::PolygonSet& s) {
-      std::size_t b = vec(s.contours);
-      for (const auto& c : s.contours) b += vec(c.pts);
-      return b;
-    };
-    return vatti.resident_bytes() + vec(refs) + vec(inside) + vec(prep_refs) +
-           vec(in_shared) + vec(run_end) + set_bytes(rect.straddling) +
-           set_bytes(rect.pieces) + vec(rect.piece_prep.pts.pts) +
-           vec(rect.piece_prep.bt.edges) + vec(rect.piece_prep.bt.minima) +
-           vec(rect.piece_prep.ys);
+    return vatti.resident_bytes() + run_end.capacity() * sizeof(std::size_t);
   }
 };
 

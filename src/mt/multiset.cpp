@@ -365,7 +365,7 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
     par::ThreadCpuTimer cpu_timer;
     seq::VattiStats vs;
     if (rung == Rung::kHealthy && opts.fused) {
-      par::fault::inject(par::fault::Site::kFusedBounds);
+      par::fault::inject(par::fault::Site::kSlabCut);
       SlabArena& arena = worker_arena();
       ++arena.tasks_served;
       seq::VattiScratch& scratch = arena.vatti;

@@ -1,105 +1,131 @@
 #include "mt/slab_index.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <utility>
 
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 
 namespace psclip::mt {
 
-SlabRange slab_range(double ymin, double ymax, std::span<const double> bounds,
-                     std::size_t nslabs) {
-  SlabRange r;
-  if (!(ymin <= ymax)) return r;  // empty bbox (infinities compare false)
-  // First t with bounds[t+1] >= ymin: lower_bound gives the first index i0
-  // with bounds[i0] >= ymin, and bounds[i0 - 1] < ymin rules out t < i0-1.
-  const auto it = std::lower_bound(bounds.begin(), bounds.end(), ymin);
-  const auto i0 = static_cast<std::size_t>(it - bounds.begin());
-  if (i0 == bounds.size()) return r;  // entirely above the top boundary
-  r.lo = i0 == 0 ? 0 : i0 - 1;
-  // Last t (<= nslabs-1) with bounds[t] <= ymax.
-  const auto jt = std::upper_bound(bounds.begin(), bounds.end(), ymax);
-  const auto j0 = static_cast<std::size_t>(jt - bounds.begin());
-  if (j0 == 0) return SlabRange{};  // entirely below the bottom boundary
-                                    // (r.lo is already set — discard it)
-  r.hi = std::min(nslabs - 1, j0 - 1);
-  return r;
+std::vector<double> slab_lines(std::span<const double> ys, unsigned slabs) {
+  std::vector<double> lines;
+  const std::size_t n = ys.size();
+  if (slabs < 2) return lines;
+  lines.reserve(slabs - 1);
+  for (unsigned t = 1; t < slabs; ++t) {
+    const std::size_t cut = t * n / slabs;
+    if (cut == 0 || cut >= n) continue;
+    const double lo = ys[cut - 1], hi = ys[cut];
+    // lo + half the gap, not (lo + hi) / 2: no overflow for huge ordinates.
+    // Adjacent doubles have no value strictly between them; such a cut is
+    // skipped rather than placed on a vertex.
+    const double b = lo + 0.5 * (hi - lo);
+    if (!(lo < b && b < hi)) continue;
+    if (!lines.empty() && !(lines.back() < b)) continue;
+    lines.push_back(b);
+  }
+  return lines;
 }
 
-namespace {
+SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
+                           std::span<const double> ys, unsigned slabs) {
+  SlabIndex idx;
+  idx.lines = slab_lines(ys, slabs);
+  const std::size_t nlines = idx.lines.size();
+  idx.offsets.assign(nlines + 1, 0);
+  idx.probes.assign(nlines, 0);
+  if (nlines == 0 || bt.edges.empty()) return idx;
 
-/// Sortable (slab, contour) record; `inside` rides along.
-struct Rec {
-  std::uint32_t slab = 0;
-  SlabEntry entry;
-};
+  // Bounds: every minimum heads two chains, and each chain is a contiguous
+  // run of edge ids, so the sorted heads split the edge array into bounds.
+  std::vector<std::int32_t> starts;
+  starts.reserve(bt.minima.size() * 2);
+  for (const seq::LocalMin& lm : bt.minima) {
+    starts.push_back(lm.edge_left);
+    starts.push_back(lm.edge_right);
+  }
+  par::parallel_sort(pool, starts);
+  const std::size_t nbounds = starts.size();
+  const auto nedges = static_cast<std::int32_t>(bt.edges.size());
+  auto bound_end = [&](std::size_t k) {
+    return k + 1 < nbounds ? starts[k + 1] : nedges;
+  };
+  const std::span<const double> lines = idx.lines;
+  // Lines strictly inside the bound's y-extent, [first, last).
+  auto crossed = [&](std::size_t k) {
+    const auto s = static_cast<std::size_t>(starts[k]);
+    const auto e = static_cast<std::size_t>(bound_end(k));
+    assert(bt.edges[e - 1].next < 0);
+    const double lo_y = bt.edges[s].bot.y;
+    const double hi_y = bt.edges[e - 1].top.y;
+    const auto first = static_cast<std::size_t>(
+        std::upper_bound(lines.begin(), lines.end(), lo_y) - lines.begin());
+    const auto last = static_cast<std::size_t>(
+        std::lower_bound(lines.begin(), lines.end(), hi_y) - lines.begin());
+    return std::pair(first, std::max(first, last));
+  };
 
-}  // namespace
-
-SlabContourIndex build_slab_index(par::ThreadPool& pool,
-                                  std::span<const geom::BBox> boxes,
-                                  std::span<const double> bounds) {
-  SlabContourIndex idx;
-  const std::size_t nslabs = bounds.size() >= 2 ? bounds.size() - 1 : 0;
-  idx.offsets.assign(nslabs + 1, 0);
-  if (nslabs == 0 || boxes.empty()) return idx;
-
-  // Count phase: slabs overlapped per contour (two binary searches each).
-  const std::size_t n = boxes.size();
-  std::vector<std::int64_t> counts(n);
+  // Count phase: lines crossed per bound.
+  std::vector<std::int64_t> counts(nbounds);
   pool.parallel_for(
-      n,
-      [&](std::size_t i) {
-        const SlabRange r =
-            slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
-        counts[i] = r.lo <= r.hi
-                        ? static_cast<std::int64_t>(r.hi - r.lo + 1)
-                        : 0;
+      nbounds,
+      [&](std::size_t k) {
+        const auto [first, last] = crossed(k);
+        counts[k] = static_cast<std::int64_t>(last - first);
       },
       /*grain=*/256);
 
   // Allocate phase: the blocked prefix sum turns counts into write slots
   // (the paper's count/allocate/report pattern, Lemma 4's substrate).
   const par::Allocation alloc = par::allocate_from_counts(pool, counts);
-  std::vector<Rec> recs(static_cast<std::size_t>(alloc.total));
+  const auto total = static_cast<std::size_t>(alloc.total);
+  std::vector<std::uint32_t> line_of(total);
+  std::vector<std::int32_t> edge_of(total);
+  std::vector<std::int32_t> probes_of(total);
 
-  // Report phase: every contour writes its own disjoint slot range.
+  // Report phase: every bound writes its own disjoint slot range. The
+  // chain's edge tops ascend, so the crossing edge of a line is the first
+  // edge whose top lies above it; successive lines resume the search
+  // where the previous one stopped.
   pool.parallel_for(
-      n,
-      [&](std::size_t i) {
-        if (counts[i] == 0) return;
-        const SlabRange r =
-            slab_range(boxes[i].ymin, boxes[i].ymax, bounds, nslabs);
-        auto at = static_cast<std::size_t>(alloc.offsets[i]);
-        for (std::size_t t = r.lo; t <= r.hi; ++t, ++at) {
-          // `inside` is per (contour, slab): closed intervals let a
-          // boundary-touching zero-height contour be inside two slabs.
-          const bool inside =
-              boxes[i].ymin >= bounds[t] && boxes[i].ymax <= bounds[t + 1];
-          recs[at] = {static_cast<std::uint32_t>(t),
-                      {static_cast<std::uint32_t>(i), inside}};
+      nbounds,
+      [&](std::size_t k) {
+        if (counts[k] == 0) return;
+        const auto [first, last] = crossed(k);
+        auto lo = static_cast<std::size_t>(starts[k]);
+        const auto end = static_cast<std::size_t>(bound_end(k));
+        auto at = static_cast<std::size_t>(alloc.offsets[k]);
+        for (std::size_t j = first; j < last; ++j, ++at) {
+          std::size_t a = lo, b = end;
+          std::int32_t probes = 0;
+          while (a < b) {
+            const std::size_t mid = a + (b - a) / 2;
+            ++probes;
+            if (bt.edges[mid].top.y > lines[j])
+              b = mid;
+            else
+              a = mid + 1;
+          }
+          line_of[at] = static_cast<std::uint32_t>(j);
+          edge_of[at] = static_cast<std::int32_t>(a);
+          probes_of[at] = probes;
+          lo = a;
         }
       },
       /*grain=*/256);
 
-  // Group by slab, ascending contour within a slab, with the parallel
-  // mergesort. The fill above is contour-major, so records are already
-  // nearly sorted by contour — the comparator makes the order explicit
-  // rather than relying on stability.
-  par::parallel_sort(pool, recs, [](const Rec& a, const Rec& b) {
-    if (a.slab != b.slab) return a.slab < b.slab;
-    return a.entry.contour < b.entry.contour;
-  });
-
-  idx.entries.resize(recs.size());
-  for (std::size_t i = 0; i < recs.size(); ++i) idx.entries[i] = recs[i].entry;
-  // Per-slab offsets from the sorted slab keys (p binary searches).
-  for (std::size_t t = 1; t <= nslabs; ++t) {
-    const auto it = std::lower_bound(
-        recs.begin(), recs.end(), t,
-        [](const Rec& r, std::size_t key) { return r.slab < key; });
-    idx.offsets[t] = it - recs.begin();
+  // Counting pass: group the records by line, keeping bound order.
+  for (std::size_t i = 0; i < total; ++i) {
+    ++idx.offsets[line_of[i] + 1];
+    idx.probes[line_of[i]] += probes_of[i];
   }
+  for (std::size_t j = 0; j < nlines; ++j) idx.offsets[j + 1] += idx.offsets[j];
+  idx.seeds.resize(total);
+  std::vector<std::int64_t> cursor(idx.offsets.begin(), idx.offsets.end() - 1);
+  for (std::size_t i = 0; i < total; ++i)
+    idx.seeds[static_cast<std::size_t>(cursor[line_of[i]]++)] = edge_of[i];
   return idx;
 }
 

@@ -4,86 +4,60 @@
 #include <span>
 #include <vector>
 
-#include "geom/bbox.hpp"
 #include "parallel/thread_pool.hpp"
+#include "seq/bounds.hpp"
 
 namespace psclip::mt {
 
-/// One contour's membership in one slab of the interval index.
-struct SlabEntry {
-  std::uint32_t contour = 0;  ///< contour index in the input PolygonSet
-  /// The contour's y-range lies fully inside [bounds[t], bounds[t+1]]: the
-  /// slab moves the contour into its output untouched instead of running
-  /// the rectangle clipper on it. (A zero-height contour sitting exactly on
-  /// a slab boundary can be "fully inside" two adjacent slabs — closed
-  /// intervals — which reproduces the broadcast rect_clip classification
-  /// bit for bit.)
-  bool inside = false;
+/// Slab lines for (at most) `slabs` horizontal slabs over a sorted
+/// distinct scanbeam schedule `ys`: line t sits midway between the two
+/// schedule values around the cut t·|ys|/slabs, so the slabs hold (nearly)
+/// equal numbers of event ordinates. A line is only kept when it lies
+/// strictly between its two neighbours and above the previous line, so no
+/// vertex of the schedule's table can ever lie on a line; duplicate cuts
+/// (more slabs than ordinates) collapse. Returns the interior lines,
+/// strictly increasing; slab t is the strip between line t−1 and line t
+/// (unbounded below for t = 0 and above for the last slab).
+std::vector<double> slab_lines(std::span<const double> ys, unsigned slabs);
+
+/// The slab index of a prepared bound table (Algorithm 2 Steps 4–5 as an
+/// output-sensitive cut): the slab lines and, for every line, the bound
+/// edges crossing it — the seeds a slab's windowed sweep starts from
+/// (seq::vatti_sweep_window). Everything else a slab needs is a
+/// contiguous range of the shared table: its minima and its schedule
+/// slice, found by binary search on y. Nothing is copied, rect-clipped or
+/// re-prepared per slab.
+struct SlabIndex {
+  std::vector<double> lines;          ///< interior slab lines, ascending
+  std::vector<std::int64_t> offsets;  ///< per-line seed start, lines + 1
+  /// Ids of the edges crossing each line (bot.y < line < top.y), grouped
+  /// by line; within a line in bound order (the windowed sweep sorts them
+  /// by x itself).
+  std::vector<std::int32_t> seeds;
+  /// Per line: bound edges the binary searches along the chains read to
+  /// find that line's seeds — the partition's work beyond the seeds.
+  std::vector<std::int64_t> probes;
+
+  [[nodiscard]] std::size_t num_slabs() const { return lines.size() + 1; }
+
+  /// Seeds of line j (the bottom line of slab j + 1).
+  [[nodiscard]] std::span<const std::int32_t> line_seeds(std::size_t j) const {
+    return {seeds.data() + offsets[j],
+            static_cast<std::size_t>(offsets[j + 1] - offsets[j])};
+  }
 };
 
-/// Slab-overlap contour index: for every slab t, the exact list of contour
-/// ids whose y-interval overlaps [bounds[t], bounds[t+1]] (closed, matching
-/// geom::BBox::overlaps), in ascending contour order.
+/// Cut `bt` (minima (y, x)-sorted, every bound a contiguous run of edge
+/// ids — the layout append_bounds / append_prepared emit) at the
+/// slab_lines of its schedule `ys`.
 ///
-/// This is what makes Algorithm 2's partition phase output-sensitive: slab
-/// t rect-clips only its overlapping contours, so total partition work is
-/// O(n log n) to build the index once plus Σ_t n_t to consume it, instead
-/// of the O(p·n) of broadcasting both whole input sets to every slab task.
-/// (Skala's preprocessing-pays-for-itself line-clipping argument, applied
-/// to the slab decomposition.)
-struct SlabContourIndex {
-  std::vector<std::int64_t> offsets;  ///< per-slab start, size nslabs + 1
-  std::vector<SlabEntry> entries;     ///< grouped by slab, ascending contour
-
-  [[nodiscard]] std::size_t num_slabs() const {
-    return offsets.empty() ? 0 : offsets.size() - 1;
-  }
-
-  /// Overlap list of slab t.
-  [[nodiscard]] std::span<const SlabEntry> slab(std::size_t t) const {
-    return {entries.data() + offsets[t],
-            static_cast<std::size_t>(offsets[t + 1] - offsets[t])};
-  }
-
-  /// Σ_t n_t — the output-sensitive total the partition phase touches.
-  [[nodiscard]] std::int64_t total_entries() const {
-    return static_cast<std::int64_t>(entries.size());
-  }
-};
-
-/// Slab range [lo, hi] (inclusive) a y-interval overlaps, or lo > hi when
-/// it overlaps none. Closed-interval semantics on both ends, identical to
-/// geom::BBox::overlaps against the slab rectangle [bounds[t], bounds[t+1]]:
-///   overlaps slab t  <=>  ymin <= bounds[t+1] && ymax >= bounds[t].
-struct SlabRange {
-  std::size_t lo = 1, hi = 0;
-
-  /// The interval overlaps exactly one slab. Combined with a strict
-  /// containment test on the *prepared* bbox, this is how the fused
-  /// partition decides a contour's schedule ys can come from the shared
-  /// global slice (see Alg2Partition::kFused).
-  [[nodiscard]] bool single() const { return lo == hi; }
-};
-
-/// Compute the slab range of one y-interval against the (strictly
-/// increasing) slab boundary array — the classification primitive behind
-/// build_slab_index, exported for the fused partition's well-contained
-/// test.
-SlabRange slab_range(double ymin, double ymax, std::span<const double> bounds,
-                     std::size_t nslabs);
-
-/// Build the index for one input set from its cached per-contour bounding
-/// boxes and the (strictly increasing) slab boundary array.
-///
-/// Parallel over the pool: a bbox pass computed the boxes once upstream;
-/// here each contour locates its slab range with two binary searches, the
-/// blocked prefix sum (parallel/scan) turns per-contour overlap counts into
-/// write offsets, the (slab, contour) records are emitted in parallel and
-/// grouped with the parallel mergesort (parallel/sort). Contours with an
-/// empty bbox, or entirely outside [bounds.front(), bounds.back()], produce
-/// no entries.
-SlabContourIndex build_slab_index(par::ThreadPool& pool,
-                                  std::span<const geom::BBox> boxes,
-                                  std::span<const double> bounds);
+/// Parallel over the bounds: each bound finds the lines it crosses by two
+/// binary searches over the lines and its edge at each of them by binary
+/// search along its chain; the blocked prefix sum (parallel/scan) turns
+/// per-bound crossing counts into write slots, and one counting pass
+/// groups the (line, edge) records by line. O(B log p + Σ seeds · log n)
+/// for B bounds — independent of how many edges lie between the lines.
+SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
+                           std::span<const double> ys, unsigned slabs);
 
 }  // namespace psclip::mt

@@ -35,9 +35,7 @@ void classify_failure(DegradationReport& rep) {
 void PreparedInput::prepare(
     par::ThreadPool& pool, std::size_t n,
     const std::function<const geom::Contour&(std::size_t)>& contour_at,
-    bool is_clip, seq::PreparedSource* cache,
-    const std::function<void(std::size_t, const seq::PreparedContour&)>&
-        on_prepared) {
+    bool is_clip, seq::PreparedSource* cache) {
   prep.assign(n, nullptr);
   if (cache)
     held.resize(n);
@@ -52,7 +50,6 @@ void PreparedInput::prepare(
         } else if (seq::prepare_contour(contour_at(i), is_clip, own[i])) {
           prep[i] = &own[i];
         }
-        if (prep[i] && on_prepared) on_prepared(i, *prep[i]);
       },
       /*grain=*/16);
 }

@@ -58,8 +58,8 @@ struct SlabRunNames {
   const char* request_seconds;   ///< histogram: request latency
 };
 
-/// Globally prepared contour fragments of one input (the fused setup of
-/// both engines). Two ownership modes behind one pointer view: without a
+/// Globally prepared contour fragments of one input (the setup of both
+/// engines). Two ownership modes behind one pointer view: without a
 /// cache the fragments live in `own`; with a prepared_cache they are shared
 /// immutable fragments held alive for the run by `held`. Slab tasks read
 /// only `prep` (null = degenerate contour), so they cannot tell the modes
@@ -70,14 +70,11 @@ struct PreparedInput {
   std::vector<std::shared_ptr<const seq::PreparedContour>> held;
 
   /// Prepare contours `contour_at(0..n-1)` on the pool, fetching from
-  /// `cache` when it is non-null. `on_prepared(i, frag)` runs in the same
-  /// task for every contour that did not degenerate.
+  /// `cache` when it is non-null.
   void prepare(
       par::ThreadPool& pool, std::size_t n,
       const std::function<const geom::Contour&(std::size_t)>& contour_at,
-      bool is_clip, seq::PreparedSource* cache,
-      const std::function<void(std::size_t, const seq::PreparedContour&)>&
-          on_prepared = {});
+      bool is_clip, seq::PreparedSource* cache);
 };
 
 /// The request scope and slab runner of one engine call.

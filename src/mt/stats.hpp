@@ -12,23 +12,16 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The configured fast path (slab_clip: the configured partition, fused
-  /// by default; multiset_clip: fused fragment concatenation) on the
-  /// worker arena succeeded.
+  /// The engine's fast path on the worker arena succeeded (slab_clip: the
+  /// slab's window of the shared bound table swept on the arena's scratch;
+  /// multiset_clip: fused fragment concatenation).
   kHealthy = 0,
-  /// Retry on safe settings: broadcast partition (slab_clip) or re-read
-  /// shared slab inputs (multiset_clip), fresh scratch, no arena. Produces
-  /// bit-identical output to the healthy path — the recovery rung for every
-  /// transient or state-corruption fault.
+  /// Retry on safe settings, no arena: slab_clip sweeps the same cut on a
+  /// fresh VattiScratch; multiset_clip re-reads the shared slab inputs and
+  /// runs the ordinary vatti_clip. Bit-identical output to the healthy
+  /// path — the recovery rung for every transient or state-corruption
+  /// fault.
   kRetrySafe,
-  /// slab_clip only: broadcast partition with the *alternate* rectangle
-  /// clipper (Vatti if the configured method was Greiner–Hormann, and vice
-  /// versa). Same region, possibly different vertex representation.
-  kAltRectMethod,
-  /// slab_clip only: the slab's rectangle re-clipped against both whole
-  /// inputs with the full sequential Vatti clipper (rectangle as a polygon
-  /// operand — no rect_clip fast path at all).
-  kSlabSequential,
   /// Final rung: the entire request recomputed by the sequential Vatti
   /// clipper, abandoning the slab decomposition (result contours are no
   /// longer split at slab boundaries).
@@ -46,8 +39,6 @@ inline const char* to_string(Rung r) {
   switch (r) {
     case Rung::kHealthy: return "healthy";
     case Rung::kRetrySafe: return "retry-safe";
-    case Rung::kAltRectMethod: return "alt-rect-method";
-    case Rung::kSlabSequential: return "slab-sequential";
     case Rung::kWholeInput: return "whole-input";
     case Rung::kPartialResult: return "partial-result";
   }
@@ -82,7 +73,7 @@ struct DegradationReport {
 /// whenever workers timeshare cores, the artifact behind the committed
 /// clip-CPU "doubling" from 1 to 4 slabs while touched edges grew 4%.
 struct PhaseTimes {
-  double partition = 0.0;  ///< wall: slab placement + partition index build
+  double partition = 0.0;  ///< wall: prepare + shared table + slab index
   double clip = 0.0;       ///< wall: the whole parallel slab section
   double merge = 0.0;      ///< wall: result concatenation
   double partition_cpu = 0.0;  ///< cpu: setup + Σ per-slab partition work
@@ -112,27 +103,29 @@ struct SlabLoad {
   /// work the slab's Step 6 really did, not the raw vertex count handed in.
   std::int64_t input_edges = 0;
   std::int64_t output_vertices = 0;
-  /// Work of the *partition* step for this slab. Broadcast partitioning
-  /// reads every input vertex of both inputs per slab; the fused partition
-  /// counts the bound edges it appends for the contours whose y-interval
-  /// overlaps the slab (prepared fragments are copied, not re-derived).
+  /// Work of the *partition* step for this slab, in bound edges read: its
+  /// seeds (the edges crossing its bottom line) plus the edges the binary
+  /// searches along the chains read to find them — 0 for a one-slab run,
+  /// whose sweep reads the table once (input_edges). The paper's per-slab
+  /// rectangle clipping read the whole input per slab. multiset_clip
+  /// counts the bound edges it appends for the slab's polygons.
   /// Deterministic (no timing noise), which makes it the CI-gateable
-  /// ablation metric.
+  /// partition metric.
   std::int64_t touched_edges = 0;
-  /// Nanoseconds this slab spent building bounds (fused: fragment copies +
-  /// piece prep inside clip_bounds_to_slab; materializing paths: the
-  /// clean/coalesce/perturb/decompose pass inside vatti_clip).
+  /// Nanoseconds this slab spent building bounds (multiset_clip: fragment
+  /// copies, or the prepare pass inside vatti_clip on its retry rung).
+  /// slab_clip builds its one table in the setup and reports 0.
   std::int64_t bound_build_ns = 0;
-  /// Nanoseconds this slab spent on its scanbeam schedule (fused: slicing
-  /// the shared global schedule + merging stray/piece runs; materializing
-  /// paths: the per-slab sort or k-way merge inside the sweep).
+  /// Nanoseconds this slab spent on its scanbeam schedule (multiset_clip:
+  /// merging the fragments' runs, or the schedule build inside
+  /// vatti_clip). slab_clip slices one shared schedule and reports 0.
   std::int64_t schedule_ns = 0;
-  /// Piece edges stitched exactly onto this slab's boundary lines by the
-  /// rectangle clipper (fused partition only; see FusedClipStats).
+  /// Seed edges the slab's sweep started from: the edges crossing its
+  /// bottom line (slab_clip only; see seq::SweepWindow).
   std::int64_t boundary_edges = 0;
-  /// Approximate peak bytes resident in the scratch arena that served this
-  /// slab's successful attempt (seq::VattiScratch::resident_bytes plus the
-  /// rect-clip scratch), sampled right after the attempt. Capacity-based:
+  /// Approximate peak bytes resident in the scratch that served this
+  /// slab's successful attempt (seq::VattiScratch::resident_bytes),
+  /// sampled right after the attempt. Capacity-based:
   /// pooled worker arenas keep capacity across slabs, so one worker's
   /// arena reports the high-water mark of everything it served so far —
   /// exactly the number the memory-budget model charges (DESIGN.md §11).

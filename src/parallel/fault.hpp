@@ -31,11 +31,12 @@ namespace psclip::par::fault {
 
 /// Where a fault can be injected.
 enum class Site : int {
-  kRectClip = 0,  ///< seq::rect_clip straddling path (broadcast and fused)
-  kVattiSweep,    ///< seq::vatti_clip entry / output
+  kRectClip = 0,  ///< seq::rect_clip straddling path
+  kVattiSweep,    ///< seq::vatti_clip / vatti_sweep_* entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
   kSlabTask,      ///< mt::SlabRun slab task wrapper, before the ladder runs
-  kFusedBounds,   ///< seq::clip_bounds_to_slab entry / piece output
+  kSlabCut,       ///< slab input assembly at attempt entry: slab_clip's
+                  ///< window cut, multiset_clip's fragment concatenation
 };
 inline constexpr int kSiteCount = 5;
 
@@ -45,7 +46,7 @@ inline const char* to_string(Site s) {
     case Site::kVattiSweep: return "vatti-sweep";
     case Site::kArena: return "arena";
     case Site::kSlabTask: return "slab-task";
-    case Site::kFusedBounds: return "fused-bounds";
+    case Site::kSlabCut: return "slab-cut";
   }
   return "?";
 }

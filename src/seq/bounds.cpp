@@ -156,10 +156,8 @@ bool prepare_contour(const geom::Contour& in, bool is_clip,
   out.bt.edges.clear();
   out.bt.minima.clear();
   out.ys.clear();
-  out.box = geom::BBox{};
   out.finite = true;
   if (!prepare_contour_points(in, out.pts)) return false;
-  out.box = geom::bounds(out.pts);
   out.finite = geom::is_finite(out.pts);
   append_bounds(out.bt, out.pts, is_clip);
   scanbeam_ys_merged_into(out.bt, out.ys);

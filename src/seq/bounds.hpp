@@ -50,14 +50,14 @@ void append_bounds(BoundTable& bt, const geom::Contour& c, bool is_clip);
 
 /// Sort `bt.minima` by (y, x) — the final step of build_bounds_into,
 /// exposed so callers that assemble tables from prepared fragments (the
-/// fused slab partition) finish them identically.
+/// slab engines) finish them identically.
 void sort_minima(BoundTable& bt);
 
 /// Drop interior vertices of exactly-horizontal collinear runs: vertex i
 /// goes when prev.y == cur.y == next.y (exact compares) and cur.x lies
-/// strictly between its neighbours' x. Rect-clipping against a slab stitches
-/// chains of such vertices along the slab boundary line (one per crossing
-/// cut); left in place, perturbation turns each into a separate
+/// strictly between its neighbours' x. Rectangle-clipped or grid-snapped
+/// inputs carry chains of such vertices along one line; left in place,
+/// perturbation turns each into a separate
 /// near-horizontal bound edge whose rounded x-order flips between beams and
 /// breaks the tuned kernel's sorted-beam fast path. Dropping the interior
 /// vertex of an exactly-collinear run never changes the even-odd region.
@@ -69,22 +69,20 @@ int coalesce_horizontal_runs(geom::Contour& c);
 /// removal) -> coalesce_horizontal_runs -> per-contour
 /// geom::remove_horizontals, into `out` (storage reused). Returns false
 /// when fewer than 3 vertices survive — such contours contribute no bounds
-/// anywhere. vatti_clip and the fused slab partition prepare every contour
-/// through this one function; the fused path's bit-identity with
-/// materialize-then-reclip rests on the prep being per-contour
-/// deterministic.
+/// anywhere. vatti_clip and the slab engines prepare every contour
+/// through this one function; slab_clip's byte-identity with vatti_clip at
+/// one slab rests on the prep being per-contour deterministic.
 bool prepare_contour_points(const geom::Contour& in, geom::Contour& out);
 
 /// One globally prepared contour, ready to drop into any slab's BoundTable
 /// without re-running clean/coalesce/perturb/bound-build: the prepared
 /// vertices, the contour's own bound fragment (edge ids local to `bt`,
 /// minima in emission order, unsorted), its sorted distinct endpoint ys
-/// (a ready-made scanbeam-schedule run), prepared bbox and finiteness.
+/// (a ready-made scanbeam-schedule run) and finiteness.
 struct PreparedContour {
   geom::Contour pts;
   BoundTable bt;
   std::vector<double> ys;
-  geom::BBox box;
   bool finite = true;
 };
 
@@ -142,9 +140,8 @@ void append_prepared(BoundTable& bt, const PreparedContour& pc);
 /// ys[run_end[r], run_end[r+1]); run_end.front() must be 0 and
 /// run_end.back() == ys.size()) into one sorted distinct-value vector with
 /// bottom-up pairwise in-place merges. `run_end` is consumed as scratch.
-/// Factored out of scanbeam_ys_merged_into; the fused slab partition uses
-/// it to combine the shared-schedule slice with per-contour and per-piece
-/// runs.
+/// Factored out of scanbeam_ys_merged_into; the slab engines use it to
+/// merge the prepared fragments' schedule runs.
 void merge_sorted_runs_unique(std::vector<double>& ys,
                               std::vector<std::size_t>& run_end);
 

@@ -29,6 +29,15 @@ class OutPolyPool {
   std::int32_t create(const geom::Point& p, bool hole, std::int32_t front_edge,
                       std::int32_t back_edge);
 
+  /// Start a new partial contour at point p on a window's bottom scanline,
+  /// where the result's interior enters the window from below. Such a
+  /// contour is always exterior (the strip below the line is outside the
+  /// window, so no hole can border it), and it ranks below every partial
+  /// started inside the window: a hole opened by a crossing that rounds to
+  /// just under the line cannot flip the ring it joins.
+  std::int32_t create_on_line(const geom::Point& p, std::int32_t front_edge,
+                              std::int32_t back_edge);
+
   /// Append p to the end of `poly` owned by `edge`.
   void extend(std::int32_t poly, std::int32_t edge, const geom::Point& p);
 

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "geom/bool_op.hpp"
 #include "geom/point.hpp"
+#include "seq/bounds.hpp"
 #include "seq/out_poly.hpp"
 
 namespace psclip::seq {
@@ -36,5 +38,87 @@ struct SweepEntry {
 void emit_crossing(OutPolyPool& pool, SweepEntry& u, bool u_is_clip,
                    SweepEntry& v, bool v_is_clip, const geom::Point& p,
                    geom::BoolOp op);
+
+// Scanline steps shared by Algorithm 1's per-beam processing
+// (core::process_beam) and the windowed Vatti sweep that runs every
+// Algorithm 2 slab (seq::vatti_sweep_window). Both hold an x-ordered sweep
+// status whose entries are reached through `at(i)` (a SweepEntry& — the
+// callers store it inside different records), i in [0, n); `x_at(i)` is
+// entry i's x on the scanline.
+
+/// Lemma 2/3's parity prefix: give every entry the subject/clip parity of
+/// the entries to its left, from the x-order alone.
+template <typename EntryAt>
+void label_by_parity(const BoundTable& bt, std::size_t n, EntryAt&& at) {
+  bool s = false, c = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    SweepEntry& a = at(i);
+    a.left_s = s;
+    a.left_c = c;
+    const bool clip = bt.edges[static_cast<std::size_t>(a.e)].is_clip;
+    s ^= !clip;
+    c ^= clip;
+  }
+}
+
+/// Call `run(l, r)` for every interior run of a labelled status: l and r
+/// are consecutive *contributing* entries (result membership flips across
+/// each) with the result's interior between them. Non-contributing entries
+/// inside a run are not boundary and own nothing.
+template <typename EntryAt, typename Run>
+void for_each_interior_run(const BoundTable& bt, std::size_t n, EntryAt&& at,
+                           geom::BoolOp op, Run&& run) {
+  std::size_t open = n;  // left end of the current run, n = none
+  for (std::size_t i = 0; i < n; ++i) {
+    const SweepEntry& a = at(i);
+    const bool clip = bt.edges[static_cast<std::size_t>(a.e)].is_clip;
+    const bool lhs = geom::in_result(a.left_s, a.left_c, op);
+    const bool rhs = geom::in_result(a.left_s ^ !clip, a.left_c ^ clip, op);
+    if (lhs == rhs) continue;  // not contributing
+    if (rhs) {
+      open = i;  // interior opens to the right of this entry
+    } else if (open < n) {
+      run(open, i);
+      open = n;
+    }
+  }
+}
+
+/// Open one partial contour along scanline y for every interior run of a
+/// labelled status: the run's two entries own its two ends, and the
+/// contour starts as the run's stretch of the line (its bottom side; see
+/// OutPolyPool::create_on_line).
+template <typename EntryAt, typename XAt>
+void open_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
+                    EntryAt&& at, XAt&& x_at, double y, geom::BoolOp op) {
+  for_each_interior_run(bt, n, at, op, [&](std::size_t l, std::size_t r) {
+    SweepEntry& el = at(l);
+    SweepEntry& er = at(r);
+    const geom::Point pl{x_at(l), y};
+    const geom::Point pr{x_at(r), y};
+    const std::int32_t id = pool.create_on_line(pl, el.e, er.e);
+    if (!(pr == pl)) pool.extend(id, er.e, pr);
+    el.poly = id;
+    er.poly = id;
+  });
+}
+
+/// Close every interior run along scanline y: join the partial contours
+/// its two entries extend through the run's stretch of the line (its top
+/// side). Runs whose entries own no contour — only after the degenerate
+/// crossing-tie fallback — are skipped.
+template <typename EntryAt, typename XAt>
+void close_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
+                     EntryAt&& at, XAt&& x_at, double y, geom::BoolOp op) {
+  for_each_interior_run(bt, n, at, op, [&](std::size_t l, std::size_t r) {
+    const SweepEntry& el = at(l);
+    const SweepEntry& er = at(r);
+    if (el.poly < 0 || er.poly < 0) return;
+    const geom::Point pl{x_at(l), y};
+    const geom::Point pr{x_at(r), y};
+    if (!(pl == pr)) pool.extend(el.poly, el.e, pl);
+    pool.close(el.poly, el.e, er.poly, er.e, pr);
+  });
+}
 
 }  // namespace psclip::seq

@@ -27,6 +27,13 @@
 // adjacent scan detects the crossing-free common case and skips the
 // intersection machinery entirely. SweepKernel::kReference retains the
 // pre-optimization strategy; both kernels produce byte-identical output.
+//
+// One sweep path serves the whole plane and Algorithm 2's slabs: a
+// SweepWindow restricts it to a strip of a shared, read-only bound table —
+// seeded at the bottom line with the edges crossing it (parity by prefix
+// count, runs opened along the line), closed along the top line, with only
+// the strip's minima and schedule slice in between. vatti_clip is the
+// unbounded window with no seeds.
 
 #include "seq/vatti.hpp"
 
@@ -142,9 +149,9 @@ namespace {
 
 class Sweep {
  public:
-  Sweep(VattiScratch::Impl& sc, BoolOp op, SweepKernel kernel,
-        int validate_mode, bool build_schedule = true)
-      : bt_(sc.bt),
+  Sweep(const BoundTable& bt, VattiScratch::Impl& sc, BoolOp op,
+        SweepKernel kernel, int validate_mode, const SweepWindow& w)
+      : bt_(bt),
         op_(op),
         kernel_(kernel),
         sc_(sc),
@@ -153,33 +160,26 @@ class Sweep {
         xt_(sc.xt),
         pos_(sc.pos),
         pool_(sc.pool),
-        build_schedule_(build_schedule),
+        win_(w),
+        min_end_(std::min(w.min_end, bt.minima.size())),
         validate_(validate_mode < 0 ? env_validate_enabled()
                                     : validate_mode != 0) {}
 
+  /// Sweep the beams between consecutive scanlines of sc.ys (the caller
+  /// filled it: the whole schedule, or a window's lines and slice).
   PolygonSet run(VattiStats* stats) {
     const bool tuned = kernel_ == SweepKernel::kTuned;
-    if (build_schedule_) {
-      // Both constructions produce the same sorted distinct-value vector;
-      // the split only decides which cost profile each kernel pays. A
-      // caller-prebuilt schedule (fused slab partition: one shared global
-      // schedule sliced per slab) therefore serves either kernel.
-      const std::int64_t t0 = now_ns();
-      if (tuned)
-        scanbeam_ys_merged_into(bt_, sc_.ys);
-      else
-        scanbeam_ys_into(bt_, sc_.ys);
-      if (stats) stats->schedule_ns += now_ns() - t0;
-    }
     if (tuned) {
       // The flat position index is sized once per run; entries are written
       // before they are read (an edge's slot is set when it enters the AET),
       // so no per-run clear is needed.
       if (pos_.size() < bt_.num_edges()) pos_.resize(bt_.num_edges());
     }
-    pool_.reserve(bt_.minima.size());
+    pool_.reserve(min_end_ - std::min(win_.min_begin, min_end_) +
+                  win_.seeds.size() / 2);
     const std::vector<double>& ys = sc_.ys;
-    std::size_t next_min = 0;
+    std::size_t next_min = win_.min_begin;
+    if (!win_.seeds.empty()) seed_line(win_.y_lo);
     // Request governance (DESIGN.md §11): the scanbeam loop is the one
     // place whose trip count is output-sensitive, so it hosts the
     // cooperative cancellation checkpoint (amortized clock reads keep it
@@ -215,8 +215,16 @@ class Sweep {
             stats->max_aet, static_cast<std::int64_t>(aet_.size()));
       }
     }
+    // A window's top line: the edges still active cross it, and every
+    // interior run between them closes along the line.
+    if (win_.y_hi < std::numeric_limits<double>::infinity())
+      close_line_runs(
+          pool_, bt_, aet_.size(),
+          [this](std::size_t i) -> SweepEntry& { return aet_[i]; },
+          [this](std::size_t i) { return xb_[i]; }, win_.y_hi, op_);
     if (stats) {
-      stats->edges = static_cast<std::int64_t>(bt_.num_edges());
+      stats->edges = edges_;
+      stats->boundary_edges = static_cast<std::int64_t>(win_.seeds.size());
       stats->intersections = intersections_;
       stats->sorted_beams = sorted_beams_;
       stats->pos_rebuilds = pos_rebuilds_;
@@ -239,12 +247,48 @@ class Sweep {
   std::vector<double>& xt_;
   std::vector<std::int32_t>& pos_;
   OutPolyPool& pool_;
+  const SweepWindow& win_;
+  std::size_t min_end_;        ///< end of the window's minima range
+  std::int64_t edges_ = 0;     ///< edges that entered the AET
   std::int64_t intersections_ = 0;
   std::int64_t sorted_beams_ = 0;
   std::int64_t pos_rebuilds_ = 0;
   std::int64_t validate_failures_ = 0;
-  bool build_schedule_ = true;
   bool validate_ = false;
+
+  /// Start a window at its bottom line y: the edges crossing it become the
+  /// AET in (x on the line, slope, edge id) order — the order the AET of a
+  /// whole-input sweep holds just above y — their parity flags come from
+  /// the prefix count (Lemmas 2–3), and every interior run between them
+  /// opens a partial contour along the line.
+  void seed_line(double y) {
+    auto& keys = sc_.keys;  // (x on the line, edge id)
+    keys.clear();
+    for (const std::int32_t e : win_.seeds) {
+      const BoundEdge& be = bt_.edges[static_cast<std::size_t>(e)];
+      keys.emplace_back(geom::x_at_y(be.bot, be.top, y), e);
+    }
+    std::sort(keys.begin(), keys.end(), [this](const auto& a, const auto& b) {
+      if (a.first != b.first) return a.first < b.first;
+      const double sa = bt_.edges[static_cast<std::size_t>(a.second)].dxdy;
+      const double sb = bt_.edges[static_cast<std::size_t>(b.second)].dxdy;
+      if (sa != sb) return sa < sb;
+      return a.second < b.second;
+    });
+    for (const auto& [x, e] : keys) {
+      SweepEntry ent;
+      ent.e = e;
+      aet_.push_back(ent);
+      xb_.push_back(x);
+    }
+    edges_ += static_cast<std::int64_t>(keys.size());
+    auto at = [this](std::size_t i) -> SweepEntry& { return aet_[i]; };
+    label_by_parity(bt_, aet_.size(), at);
+    open_line_runs(
+        pool_, bt_, aet_.size(), at, [this](std::size_t i) { return xb_[i]; },
+        y, op_);
+    if (kernel_ == SweepKernel::kTuned) sync_pos(0);
+  }
 
   /// Debug self-check (VattiScratch::validate or PSCLIP_VALIDATE): parity
   /// flags of every AET entry must equal the accumulated flips of the
@@ -359,9 +403,9 @@ class Sweep {
 
   /// Pre-PR insertion strategy: one O(|AET|) mid-vector insert per minimum.
   void insert_minima_reference(double yb, std::size_t& next_min) {
-    while (next_min < bt_.minima.size() &&
-           bt_.minima[next_min].pt.y == yb) {
+    while (next_min < min_end_ && bt_.minima[next_min].pt.y == yb) {
       const LocalMin& lm = bt_.minima[next_min++];
+      edges_ += 2;
       const double slope_l =
           bt_.edges[static_cast<std::size_t>(lm.edge_left)].dxdy;
 
@@ -389,8 +433,7 @@ class Sweep {
   /// the reference kernel searches (old entries + minima staged so far), so
   /// positions, neighbour flags and pool-creation order are identical.
   void insert_minima_batched(double yb, std::size_t& next_min) {
-    if (next_min >= bt_.minima.size() || bt_.minima[next_min].pt.y != yb)
-      return;
+    if (next_min >= min_end_ || bt_.minima[next_min].pt.y != yb) return;
     std::vector<StagedEntry>& nb = sc_.staged;
     nb.clear();
     const std::size_t old_n = aet_.size();
@@ -412,9 +455,9 @@ class Sweep {
       return {false, idx - lo};  // lo staged entries precede idx
     };
 
-    while (next_min < bt_.minima.size() &&
-           bt_.minima[next_min].pt.y == yb) {
+    while (next_min < min_end_ && bt_.minima[next_min].pt.y == yb) {
       const LocalMin& lm = bt_.minima[next_min++];
+      edges_ += 2;
       const double slope_l =
           bt_.edges[static_cast<std::size_t>(lm.edge_left)].dxdy;
 
@@ -624,13 +667,9 @@ class Sweep {
           if (iu > iv) std::swap(iu, iv);
           crossing_event(iu, iv, ev.p);
           swap_entries(iu, iv);
-          bool s = false, c = false;
-          for (auto& a : aet_) {
-            a.left_s = s;
-            a.left_c = c;
-            s ^= flip_s(a);
-            c ^= flip_c(a);
-          }
+          label_by_parity(
+              bt_, aet_.size(),
+              [this](std::size_t i) -> SweepEntry& { return aet_[i]; });
         }
         break;
       }
@@ -672,6 +711,7 @@ class Sweep {
         if (outside != inside && a.poly >= 0)
           pool_.extend_reassign(a.poly, a.e, e.top, e.next);
         a.e = e.next;
+        ++edges_;
         if (tuned)
           pos_[static_cast<std::size_t>(e.next)] =
               static_cast<std::int32_t>(i);
@@ -714,19 +754,19 @@ class Sweep {
 
 namespace {
 
-/// Shared sweep tail of vatti_clip / vatti_sweep_prepared: the scratch's
-/// bound table is ready (and, with `prebuilt_schedule`, its schedule too);
-/// run the sweep, feed the trace sink, apply the kVattiSweep corruption
-/// hook.
-PolygonSet run_sweep(VattiScratch& sc, BoolOp op, VattiStats* stats,
-                     SweepKernel kernel, bool prebuilt_schedule) {
+/// The one sweep path behind vatti_clip, vatti_sweep_prepared and
+/// vatti_sweep_window: sc.ys holds the scanlines of the window `w` over
+/// `bt`; run the sweep, feed the trace sink, apply the kVattiSweep
+/// corruption hook.
+PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
+                     VattiStats* stats, SweepKernel kernel,
+                     const SweepWindow& w) {
   sc.impl->begin_run();
   ++sc.runs;
   obs::TraceSink* const sink = obs::global_sink();
   VattiStats sink_stats;
   VattiStats* st = stats ? stats : (sink ? &sink_stats : nullptr);
-  Sweep sweep(*sc.impl, op, kernel, sc.validate,
-              /*build_schedule=*/!prebuilt_schedule);
+  Sweep sweep(bt, *sc.impl, op, kernel, sc.validate, w);
   PolygonSet out = sweep.run(st);
   if (sink && st) {
     sink->add_counter("vatti.scanbeams", st->scanbeams);
@@ -738,6 +778,19 @@ PolygonSet run_sweep(VattiScratch& sc, BoolOp op, VattiStats* stats,
     out.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
   }
   return out;
+}
+
+/// Build the whole-input scanbeam schedule of `bt` into `ys`. Both
+/// constructions produce the same sorted distinct-value vector; the split
+/// only decides which cost profile each kernel pays.
+void build_schedule(const BoundTable& bt, std::vector<double>& ys,
+                    VattiStats* stats, SweepKernel kernel) {
+  const std::int64_t t0 = now_ns();
+  if (kernel == SweepKernel::kTuned)
+    scanbeam_ys_merged_into(bt, ys);
+  else
+    scanbeam_ys_into(bt, ys);
+  if (stats) stats->schedule_ns += now_ns() - t0;
 }
 
 }  // namespace
@@ -755,8 +808,8 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
     bt.minima.clear();
     // Per-contour preparation (clean -> coalesce -> perturb): every step is
     // a per-contour function, so preparing contours one at a time here is
-    // bit-identical to whole-set preparation — and to the fused slab
-    // partition preparing the same contours once globally.
+    // bit-identical to whole-set preparation — and to the slab engine
+    // preparing the same contours once globally.
     geom::Contour prep;
     for (const auto& c : subject.contours)
       if (prepare_contour_points(c, prep))
@@ -767,7 +820,8 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
     sort_minima(bt);
     if (stats) stats->bound_build_ns += now_ns() - t0;
   }
-  return run_sweep(sc, op, stats, kernel, /*prebuilt_schedule=*/false);
+  build_schedule(bt, sc.impl->ys, stats, kernel);
+  return run_sweep(bt, sc, op, stats, kernel, SweepWindow{});
 }
 
 BoundTable& scratch_bounds(VattiScratch& scratch) {
@@ -782,7 +836,23 @@ PolygonSet vatti_sweep_prepared(BoolOp op, VattiStats* stats,
                                 VattiScratch& scratch, SweepKernel kernel,
                                 bool prebuilt_schedule) {
   par::fault::inject(par::fault::Site::kVattiSweep);
-  return run_sweep(scratch, op, stats, kernel, prebuilt_schedule);
+  const BoundTable& bt = scratch.impl->bt;
+  if (!prebuilt_schedule) build_schedule(bt, scratch.impl->ys, stats, kernel);
+  return run_sweep(bt, scratch, op, stats, kernel, SweepWindow{});
+}
+
+PolygonSet vatti_sweep_window(const BoundTable& bt, const SweepWindow& w,
+                              BoolOp op, VattiStats* stats,
+                              VattiScratch& scratch, SweepKernel kernel) {
+  par::fault::inject(par::fault::Site::kVattiSweep);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double>& ys = scratch.impl->ys;
+  ys.clear();
+  ys.reserve(w.ys.size() + 2);
+  if (w.y_lo > -kInf) ys.push_back(w.y_lo);
+  ys.insert(ys.end(), w.ys.begin(), w.ys.end());
+  if (w.y_hi < kInf) ys.push_back(w.y_hi);
+  return run_sweep(bt, scratch, op, stats, kernel, w);
 }
 
 }  // namespace psclip::seq

@@ -1,7 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "geom/bool_op.hpp"
 #include "geom/polygon.hpp"
@@ -13,7 +17,10 @@ namespace psclip::seq {
 /// complexity analysis).
 struct VattiStats {
   std::int64_t scanbeams = 0;       ///< m: number of scanbeams processed
-  std::int64_t edges = 0;           ///< n: bound edges from both inputs
+  /// n: bound edges that entered the active edge table — every edge of
+  /// both inputs for a whole-input sweep; a window's seeds plus the edges
+  /// its minima and chains brought in for vatti_sweep_window.
+  std::int64_t edges = 0;
   std::int64_t intersections = 0;   ///< k: pairwise edge crossings handled
   std::int64_t output_vertices = 0; ///< vertices in the result contours
   std::int64_t max_aet = 0;         ///< peak active edge table size
@@ -34,19 +41,16 @@ struct VattiStats {
   std::int64_t validate_failures = 0;
   /// Nanoseconds spent preparing contours and building the bound table
   /// (clean + coalesce + perturb + bound decomposition + minima sort).
-  /// The fused slab partition pays this once globally; the materializing
-  /// partition pays it again inside every slab — this counter is how the
-  /// difference shows up in traces and BENCH_scaling.json.
+  /// Zero for the sweeps that run over a table the caller built
+  /// (vatti_sweep_prepared, vatti_sweep_window).
   std::int64_t bound_build_ns = 0;
   /// Nanoseconds spent building the scanbeam schedule. Zero when the
-  /// caller supplied a prebuilt schedule (vatti_sweep_prepared with
-  /// prebuilt_schedule=true: the fused path slices one shared schedule
-  /// instead of sorting per slab).
+  /// caller supplied it (vatti_sweep_prepared with prebuilt_schedule=true,
+  /// vatti_sweep_window).
   std::int64_t schedule_ns = 0;
-  /// Bound edges with an endpoint exactly on a slab-boundary scanline —
-  /// the degeneracy-rich edges rect-clipping stitches in. Counted by the
-  /// fused partition (seq::clip_bounds_to_slab); stays 0 for whole-input
-  /// sweeps.
+  /// Seed edges a windowed sweep started from: the bound edges crossing
+  /// the window's bottom line (vatti_sweep_window). 0 for whole-input
+  /// sweeps, which start from an empty AET.
   std::int64_t boundary_edges = 0;
 };
 
@@ -126,27 +130,59 @@ geom::PolygonSet vatti_clip(const geom::PolygonSet& subject,
 // Forward declaration (seq/bounds.hpp owns the definition).
 struct BoundTable;
 
-/// The scratch's bound table / scanbeam schedule, exposed so the fused slab
-/// partition can assemble them directly (prepared-contour fragments plus
-/// slab-cropped pieces; a slice of the shared global schedule) and then run
-/// the sweep via vatti_sweep_prepared without materializing intermediate
-/// polygons.
+/// The scratch's bound table / scanbeam schedule, exposed so a caller can
+/// assemble them directly from prepared fragments (multiset_clip's fused
+/// slab path) and then run the sweep via vatti_sweep_prepared without
+/// materializing intermediate polygons.
 BoundTable& scratch_bounds(VattiScratch& scratch);
 std::vector<double>& scratch_schedule(VattiScratch& scratch);
 
-/// Run the sweep over a bound table the caller already assembled in
-/// `scratch` (via scratch_bounds; minima must be (y, x)-sorted — see
-/// sort_minima). With `prebuilt_schedule`, scratch_schedule(scratch) must
-/// hold the sorted distinct endpoint ys of that table and is consumed
+/// Run the whole-input sweep over a bound table the caller already
+/// assembled in `scratch` (via scratch_bounds; minima must be (y, x)-sorted
+/// — see sort_minima). With `prebuilt_schedule`, scratch_schedule(scratch)
+/// must hold the sorted distinct endpoint ys of that table and is consumed
 /// as-is; otherwise the schedule is built here exactly as vatti_clip
-/// builds it. Fault-injection site and output-corruption hook are the same
-/// kVattiSweep sites vatti_clip fires, so the degradation-ladder behavior
-/// is identical on both partition paths. Output is byte-identical to
-/// vatti_clip on inputs whose prepared bounds/schedule match — the fused
-/// partition's whole contract.
+/// builds it. Same sweep path, fault site and corruption hook as
+/// vatti_clip, so output is byte-identical to vatti_clip on inputs whose
+/// prepared bounds and schedule match.
 geom::PolygonSet vatti_sweep_prepared(geom::BoolOp op, VattiStats* stats,
                                       VattiScratch& scratch,
                                       SweepKernel kernel = SweepKernel::kTuned,
                                       bool prebuilt_schedule = false);
+
+/// A horizontal strip [y_lo, y_hi] of a shared, read-only bound table —
+/// one Algorithm 2 slab. Neither line may pass through a vertex of the
+/// table (slab lines sit strictly between adjacent schedule values), so
+/// every edge either crosses a line or lies on one side of it. The
+/// default window is the whole plane: no seeds, every minimum.
+struct SweepWindow {
+  double y_lo = -std::numeric_limits<double>::infinity();
+  double y_hi = std::numeric_limits<double>::infinity();
+  /// Ids of the edges crossing y_lo (bot.y < y_lo < top.y), any order.
+  std::span<const std::int32_t> seeds;
+  /// The table's minima with y_lo < pt.y < y_hi: a sub-range of the
+  /// (y, x)-sorted minima array.
+  std::size_t min_begin = 0;
+  std::size_t min_end = std::numeric_limits<std::size_t>::max();
+  /// The table's sorted distinct scanbeam ys inside (y_lo, y_hi).
+  std::span<const double> ys;
+};
+
+/// The sweep restricted to one window of a shared bound table (Algorithm
+/// 2 Step 6 over a cut of the prepared bounds; nothing is copied or
+/// re-prepared). At y_lo the seeds become the AET in (x, slope, edge id)
+/// order, their parity flags come from the prefix count (Lemmas 2–3) and
+/// every interior run between them opens a contour along the line; the
+/// normal beam loop then runs over y_lo, w.ys, y_hi, inserting only the
+/// window's minima, and at y_hi the runs still open close along the line.
+/// Output contours are the result clipped to the strip, their seam
+/// vertices the exact cut points x(y_lo) / x(y_hi) of the edges. `bt` is
+/// only read, so any number of windows may sweep one table concurrently,
+/// each on its own scratch. vatti_clip is this sweep with the default
+/// window.
+geom::PolygonSet vatti_sweep_window(const BoundTable& bt,
+                                    const SweepWindow& w, geom::BoolOp op,
+                                    VattiStats* stats, VattiScratch& scratch,
+                                    SweepKernel kernel = SweepKernel::kTuned);
 
 }  // namespace psclip::seq

@@ -14,8 +14,8 @@
 //
 // Canonicalized outputs must agree: every engine's area against the
 // trapezoid-sweep area oracle (which shares no code with any engine), and
-// the parallel engine's canonicalized vertex set must be identical across
-// different pool sizes (scheduling invariance — sweep-line clippers
+// the parallel engine's output must be byte-identical across different
+// pool sizes (scheduling invariance — sweep-line clippers
 // silently diverging on degenerate input is exactly the failure mode
 // Foster & Overfelt document).
 //
@@ -40,7 +40,6 @@
 namespace psclip {
 namespace {
 
-using fuzz::canonical_vertices;
 using fuzz::Degenerate;
 using fuzz::FuzzCase;
 using fuzz::Inputs;
@@ -78,41 +77,34 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
         << "greiner_hormann=" << gh << " oracle=" << want;
   }
 
-  // Algorithm 2 on the thread pool, twice with different pool
-  // sizes but the same decomposition: area against the oracle AND
-  // bit-identical canonical vertex sets across schedules.
+  // Algorithm 2 on the thread pool, on three pool sizes but the same
+  // decomposition: area against the oracle AND the same contours in the
+  // same order with the same bits on every schedule.
   static par::ThreadPool pool4(4);
   static par::ThreadPool pool2(2);
+  static par::ThreadPool pool1(1);
   mt::Alg2Options o;
-  o.slabs = 6;  // fixed => identical slab boundaries on both pools
-  // Self-intersecting inputs need the Vatti rectangle clipper (GH, the
-  // default, requires simple contours — the paper's own caveat).
-  o.rect_method = seq::RectClipMethod::kVatti;
+  o.slabs = 6;  // fixed => identical slab lines on every pool
   const PolygonSet out4 = mt::slab_clip(in.a, in.b, c.op, pool4, o);
-  const PolygonSet out2 = mt::slab_clip(in.a, in.b, c.op, pool2, o);
   const double a2 = geom::signed_area(out4);
   EXPECT_TRUE(test::areas_match(a2, want, 1e-5))
       << "slab_clip=" << a2 << " oracle=" << want;
-  EXPECT_EQ(canonical_vertices(out4), canonical_vertices(out2))
-      << "slab_clip output depends on scheduling";
-
-  // The fused partition (kFused, the default above) must be a pure work
-  // optimization: against the O(p·n) broadcast partition it has to produce
-  // the same contours in the same order with the same bits — not just the
-  // same area.
-  mt::Alg2Options ob = o;
-  ob.partition = mt::Alg2Partition::kBroadcast;
-  const PolygonSet outb = mt::slab_clip(in.a, in.b, c.op, pool4, ob);
-  ASSERT_EQ(out4.num_contours(), outb.num_contours())
-      << "fused vs broadcast contour count";
-  for (std::size_t i = 0; i < out4.contours.size(); ++i) {
-    const auto& ci = out4.contours[i];
-    const auto& cb = outb.contours[i];
-    ASSERT_EQ(ci.pts.size(), cb.pts.size()) << "contour " << i;
-    EXPECT_EQ(ci.hole, cb.hole) << "contour " << i;
-    for (std::size_t j = 0; j < ci.pts.size(); ++j) {
-      EXPECT_EQ(ci.pts[j].x, cb.pts[j].x) << "contour " << i << " vertex " << j;
-      EXPECT_EQ(ci.pts[j].y, cb.pts[j].y) << "contour " << i << " vertex " << j;
+  for (par::ThreadPool* pool : {&pool2, &pool1}) {
+    const PolygonSet other = mt::slab_clip(in.a, in.b, c.op, *pool, o);
+    ASSERT_EQ(out4.num_contours(), other.num_contours())
+        << "slab_clip contour count depends on the pool (" << pool->size()
+        << " threads)";
+    for (std::size_t i = 0; i < out4.contours.size(); ++i) {
+      const auto& ci = out4.contours[i];
+      const auto& cj = other.contours[i];
+      ASSERT_EQ(ci.pts.size(), cj.pts.size()) << "contour " << i;
+      EXPECT_EQ(ci.hole, cj.hole) << "contour " << i;
+      for (std::size_t j = 0; j < ci.pts.size(); ++j) {
+        EXPECT_EQ(ci.pts[j].x, cj.pts[j].x)
+            << "contour " << i << " vertex " << j;
+        EXPECT_EQ(ci.pts[j].y, cj.pts[j].y)
+            << "contour " << i << " vertex " << j;
+      }
     }
   }
 }

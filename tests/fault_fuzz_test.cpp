@@ -5,15 +5,14 @@
 // then arm a single-shot fault plan derived from the case seed
 // (fault::seeded_plan picks site, kind and slab key pseudo-randomly) and
 // run again. A single-shot fault is always recovered on the kRetrySafe
-// rung — broadcast repartition with fresh scratch, which the
-// fused≡broadcast guarantee makes bit-equal to the healthy path — so
-// the faulted run must be BYTE-IDENTICAL to the clean run, not merely
-// area-equal, on every corpus case. Degradation accounting must show
-// nothing deeper than kRetrySafe.
+// rung — the same slab cut swept on a fresh scratch, bit-equal to the
+// healthy path — so the faulted run must be BYTE-IDENTICAL to the clean
+// run, not merely area-equal, on every corpus case. Degradation
+// accounting must show nothing deeper than kRetrySafe.
 //
 // Some seeded plans target a slab/site combination the case never reaches
-// (an out-of-range key, a rect-clip site when a slab has no straddling
-// contours). Those plans simply never fire; the identity requirement
+// (an out-of-range key, or the rect-clip site, which slab_clip no longer
+// calls). Those plans simply never fire; the identity requirement
 // holds either way, and the harness logs how many plans actually fired so
 // a generator regression that silences the whole lane is visible.
 
@@ -57,8 +56,6 @@ TEST_P(FaultFuzz, SingleShotFaultIsInvisible) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  // Self-intersecting corpus shapes need the Vatti rectangle clipper.
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);
@@ -118,7 +115,6 @@ TEST_P(GovernanceFaultFuzz, StallWithoutDeadlineIsInvisible) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);
@@ -153,7 +149,6 @@ TEST_P(GovernanceFaultFuzz, HogUnderBudgetRecoversByteIdentical) {
   static par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = kSlabs;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, o);

@@ -40,49 +40,45 @@ struct A2Case {
   int n1, n2;
   unsigned slabs;
   bool sx;
-  seq::RectClipMethod method;
+  unsigned pool_variant;  ///< index into kPoolThreads
 };
+
+constexpr unsigned kPoolThreads[] = {4, 2, 1};
 
 class Algorithm2Differential : public ::testing::TestWithParam<A2Case> {};
 
 TEST_P(Algorithm2Differential, MatchesOracle) {
-  par::ThreadPool pool(4);
   const A2Case c = GetParam();
+  par::ThreadPool pool(kPoolThreads[c.pool_variant]);
   const PolygonSet a =
       test::random_polygon(c.seed * 2 + 1, c.n1, 0, 0, 10, c.sx);
   const PolygonSet b =
       test::random_polygon(c.seed * 2 + 2, c.n2, 1, -1, 8, false);
   Alg2Options o;
   o.slabs = c.slabs;
-  o.rect_method = c.method;
   for (const BoolOp op : geom::kAllOps) {
     Alg2Stats st;
     const double got = geom::signed_area(slab_clip(a, b, op, pool, o, &st));
     const double want = geom::boolean_area_oracle(a, b, op);
     EXPECT_TRUE(test::areas_match(got, want, 1e-5))
         << geom::to_string(op) << " slabs=" << c.slabs
-        << " method=" << seq::to_string(c.method) << " got=" << got
-        << " want=" << want;
+        << " threads=" << pool.size() << " got=" << got << " want=" << want;
   }
 }
 
 std::vector<A2Case> make_cases() {
   std::vector<A2Case> cases;
   std::uint64_t seed = 3000;
-  const seq::RectClipMethod methods[] = {seq::RectClipMethod::kGreinerHormann,
-                                         seq::RectClipMethod::kVatti,
-                                         seq::RectClipMethod::kSutherlandHodgman};
   for (int rep = 0; rep < 12; ++rep) {
     A2Case c;
     c.seed = seed++;
     c.n1 = 8 + rep * 4;
     c.n2 = 6 + rep * 3;
     c.slabs = 1 + static_cast<unsigned>(rep % 7);
-    // Self-intersecting subjects only with the Vatti rectangle clipper —
-    // GH and SH do not support them (that limitation is the paper's very
-    // motivation for Vatti).
-    c.method = methods[rep % 3];
-    c.sx = rep % 4 == 0 && c.method == seq::RectClipMethod::kVatti;
+    c.pool_variant = static_cast<unsigned>(rep % 3);
+    // One self-intersecting subject in this lane;
+    // Algorithm2.SelfIntersectingSubjectsAllSlabCounts covers the rest.
+    c.sx = rep == 4;
     cases.push_back(c);
   }
   return cases;
@@ -90,6 +86,31 @@ std::vector<A2Case> make_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Random, Algorithm2Differential,
                          ::testing::ValuesIn(make_cases()));
+
+TEST(Algorithm2, SelfIntersectingSubjectsAllSlabCounts) {
+  // Self-intersecting subjects need no special configuration: every slab
+  // sweeps its window of the shared bound table with the Vatti sweep,
+  // which handles self-crossings natively.
+  par::ThreadPool pool(4);
+  for (std::uint64_t seed : {5101u, 5102u, 5103u}) {
+    const PolygonSet a = test::random_polygon(seed, 30, 0, 0, 10, true);
+    const PolygonSet b = test::random_polygon(seed + 50, 24, 1, -1, 8, true);
+    for (unsigned slabs : {1u, 4u, 16u}) {
+      Alg2Options o;
+      o.slabs = slabs;
+      for (const BoolOp op : geom::kAllOps) {
+        Alg2Stats st;
+        const double got =
+            geom::signed_area(slab_clip(a, b, op, pool, o, &st));
+        const double want = geom::signed_area(seq::vatti_clip(a, b, op));
+        EXPECT_TRUE(test::areas_match(got, want, 1e-12))
+            << geom::to_string(op) << " seed=" << seed << " slabs=" << slabs
+            << " got=" << got << " want=" << want;
+        EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
+      }
+    }
+  }
+}
 
 TEST(Algorithm2, OversubscribeSweepMatchesSequentialVatti) {
   // The adaptive over-partitioning factor changes the slab count and the

@@ -1,28 +1,27 @@
 // Fault-injection matrix for the degradation ladder (requires a build with
 // -DPSCLIP_FAULT_INJECTION=ON; the tests are not registered otherwise).
 //
-// Each case arms one deterministic fault plan — a site (rect-clip, Vatti
+// Each case arms one deterministic fault plan — a site (slab cut, Vatti
 // sweep, arena borrow, slab-task wrapper), a kind (throw, bad_alloc,
 // silent output corruption), a slab key, and a fire count — then runs
 // slab_clip / multiset_clip and asserts BOTH halves of the isolation
 // contract:
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
-//      when recovery happens on the kRetrySafe rung (which is broadcast
-//      repartition, guaranteed bit-equal to the healthy fused path by
-//      the cross-engine fuzz harness), area-equal on the deeper rungs
-//      (alternate rectangle clipper / sequential fallbacks legitimately
-//      change the vertex representation);
+//      when recovery happens on the kRetrySafe rung (slab_clip sweeps the
+//      same cut of the shared bound table on a fresh scratch), area-equal
+//      on the whole-input rung (one sequential clip: contours are no
+//      longer split at the slab lines);
 //   2. accounting: Alg2Stats::degradation records exactly the expected
 //      rung, attempt count, and cause taxonomy code for the faulted slab,
 //      and kHealthy everywhere else.
 //
-// Rung determinism: one fault firing aborts exactly one attempt, and every
-// ladder rung of slab_clip enters vatti_clip at least once, so a
-// kVattiSweep plan with fire_count=k lands the slab exactly k rungs down.
-// rect-clip sites are unreachable from the kSlabSequential rung onward,
-// and the arena is only borrowed on the healthy rung, which pins their
-// deepest reachable rungs — the matrix encodes that reachability.
+// Rung determinism: one fault firing aborts exactly one attempt. Both
+// per-slab rungs of slab_clip cut the slab (kSlabCut) and sweep it
+// (kVattiSweep), so a plan at either site with fire_count=k lands the slab
+// exactly k rungs down, and two firings exhaust the per-slab ladder. The
+// arena is only borrowed on the healthy rung, which pins its deepest
+// reachable rung — the matrix encodes that reachability.
 
 #include <gtest/gtest.h>
 
@@ -88,8 +87,8 @@ struct SlabMatrixCase {
   bool byte_identical;  ///< deeper rungs are area-equal, not bit-equal
 };
 
-// The targeted slab. With slabs=4 on the blob pair every slab rect-clips
-// straddling contours, so every rung's fault site is actually reached.
+// The targeted slab. With slabs=4 on the blob pair every slab has seeds
+// and minima, so every rung's fault site is actually reached.
 constexpr std::uint64_t kSlab = 1;
 
 const SlabMatrixCase kSlabMatrix[] = {
@@ -100,47 +99,31 @@ const SlabMatrixCase kSlabMatrix[] = {
      Rung::kRetrySafe, ErrorCode::kResource, true},
     {"vatti-corrupt-1", Site::kVattiSweep, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    {"rect-throw-1", Site::kRectClip, Kind::kThrow, 1, Rung::kRetrySafe,
+    // The slab-cut site (attempt entry; corrupt poisons the cut, caught
+    // before the sweep).
+    {"slabcut-throw-1", Site::kSlabCut, Kind::kThrow, 1, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
-    {"rect-badalloc-1", Site::kRectClip, Kind::kBadAlloc, 1, Rung::kRetrySafe,
-     ErrorCode::kResource, true},
-    {"rect-corrupt-1", Site::kRectClip, Kind::kCorrupt, 1, Rung::kRetrySafe,
+    {"slabcut-badalloc-1", Site::kSlabCut, Kind::kBadAlloc, 1,
+     Rung::kRetrySafe, ErrorCode::kResource, true},
+    {"slabcut-corrupt-1", Site::kSlabCut, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
     {"arena-throw-1", Site::kArena, Kind::kThrow, 1, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
     {"arena-corrupt-1", Site::kArena, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    // The fused bound-construction site (entry of clip_bounds_to_slab;
-    // corrupt poisons the straddling pieces, caught by the finiteness
-    // check before the sweep). Like the arena it is only reachable on the
-    // healthy rung — kRetrySafe is the materializing path — so even an
-    // unbounded plan stops at one rung down.
-    {"fusedbounds-throw-1", Site::kFusedBounds, Kind::kThrow, 1,
-     Rung::kRetrySafe, ErrorCode::kInjected, true},
-    {"fusedbounds-badalloc-1", Site::kFusedBounds, Kind::kBadAlloc, 1,
-     Rung::kRetrySafe, ErrorCode::kResource, true},
-    {"fusedbounds-corrupt-1", Site::kFusedBounds, Kind::kCorrupt, 1,
-     Rung::kRetrySafe, ErrorCode::kNonFinite, true},
-    {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
-     Rung::kRetrySafe, ErrorCode::kInjected, true},
-    // Repeated firings drive the ladder exactly one rung per firing.
-    {"vatti-throw-2", Site::kVattiSweep, Kind::kThrow, 2, Rung::kAltRectMethod,
-     ErrorCode::kInjected, false},
-    {"vatti-throw-3", Site::kVattiSweep, Kind::kThrow, 3,
-     Rung::kSlabSequential, ErrorCode::kInjected, false},
-    {"rect-throw-2", Site::kRectClip, Kind::kThrow, 2, Rung::kAltRectMethod,
-     ErrorCode::kInjected, false},
-    // kSlabSequential never calls rect_clip, so the plan goes quiet there
-    // no matter how many shots remain.
-    {"rect-throw-many", Site::kRectClip, Kind::kThrow, 100,
-     Rung::kSlabSequential, ErrorCode::kInjected, false},
     // The arena is only borrowed on the healthy rung.
     {"arena-throw-many", Site::kArena, Kind::kThrow, 100, Rung::kRetrySafe,
      ErrorCode::kInjected, true},
-    // Every rung enters vatti_clip, so an unbounded keyed plan exhausts the
-    // per-slab ladder and forces the whole-input sequential fallback
-    // (which runs keyless, out of the plan's reach).
+    // Both per-slab rungs cut and sweep, so two firings at either site
+    // exhaust the per-slab ladder and force the whole-input sequential
+    // fallback (which runs keyless, out of the plan's reach).
+    {"vatti-throw-2", Site::kVattiSweep, Kind::kThrow, 2, Rung::kWholeInput,
+     ErrorCode::kInjected, false},
+    {"slabcut-throw-2", Site::kSlabCut, Kind::kThrow, 2, Rung::kWholeInput,
+     ErrorCode::kInjected, false},
     {"vatti-throw-whole-input", Site::kVattiSweep, Kind::kThrow, 100,
+     Rung::kWholeInput, ErrorCode::kInjected, false},
+    {"slabcut-throw-whole-input", Site::kSlabCut, Kind::kThrow, 100,
      Rung::kWholeInput, ErrorCode::kInjected, false},
 };
 
@@ -153,7 +136,6 @@ TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   mt::Alg2Stats base_stats;
@@ -230,7 +212,6 @@ TEST(SlabFaultInjection, SlabTaskFaultRecoversOnCaller) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want =
@@ -267,7 +248,6 @@ TEST(SlabFaultInjection, IsolationOffPropagatesFault) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
   o.isolate_faults = false;
 
   Plan p;
@@ -293,7 +273,6 @@ TEST(SlabFaultInjection, UnboundedAnyKeyFaultPropagates) {
   par::ThreadPool pool(4);
   mt::Alg2Options o;
   o.slabs = 4;
-  o.rect_method = seq::RectClipMethod::kVatti;
 
   Plan p;
   p.site = Site::kVattiSweep;
@@ -332,12 +311,12 @@ const MultisetMatrixCase kMultisetMatrix[] = {
      ErrorCode::kInjected, true},
     {"arena-corrupt-1", Site::kArena, Kind::kCorrupt, 1, Rung::kRetrySafe,
      ErrorCode::kNonFinite, true},
-    // The fused fragment-concatenation site fires at the top of the fused
-    // healthy rung only; kRetrySafe materializes, so the plan goes quiet
-    // there even with shots left.
-    {"fusedbounds-throw-1", Site::kFusedBounds, Kind::kThrow, 1,
-     Rung::kRetrySafe, ErrorCode::kInjected, true},
-    {"fusedbounds-throw-many", Site::kFusedBounds, Kind::kThrow, 100,
+    // The slab-cut site fires at the top of the fused fragment
+    // concatenation, on the healthy rung only; kRetrySafe materializes, so
+    // the plan goes quiet there even with shots left.
+    {"slabcut-throw-1", Site::kSlabCut, Kind::kThrow, 1, Rung::kRetrySafe,
+     ErrorCode::kInjected, true},
+    {"slabcut-throw-many", Site::kSlabCut, Kind::kThrow, 100,
      Rung::kRetrySafe, ErrorCode::kInjected, true},
     // The multiset ladder has two per-slab rungs; an unbounded keyed plan
     // forces the keyless whole-input fallback.

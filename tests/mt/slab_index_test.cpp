@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -9,152 +11,176 @@
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
 #include "mt/arena.hpp"
+#include "seq/bounds.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
 namespace psclip::mt {
 namespace {
 
-using geom::BBox;
 using geom::BoolOp;
 using geom::Contour;
 using geom::PolygonSet;
 
-/// O(n·p) reference: the broadcast classification every slab task used to
-/// run, expressed as index entries. Closed-interval y-overlap, per-slab
-/// containment — exactly what rect_clip decides from geom::bounds when the
-/// slab rectangle is inflated in x beyond every contour.
-std::vector<std::vector<SlabEntry>> brute_force(
-    const std::vector<BBox>& boxes, const std::vector<double>& bounds) {
-  std::vector<std::vector<SlabEntry>> per_slab(bounds.size() - 1);
-  for (std::size_t t = 0; t + 1 < bounds.size(); ++t) {
-    for (std::size_t i = 0; i < boxes.size(); ++i) {
-      const BBox& b = boxes[i];
-      if (b.empty() || !b.overlaps_y(bounds[t], bounds[t + 1])) continue;
-      const bool inside = b.ymin >= bounds[t] && b.ymax <= bounds[t + 1];
-      per_slab[t].push_back({static_cast<std::uint32_t>(i), inside});
-    }
-  }
-  return per_slab;
+/// The shared bound table slab_clip builds (== vatti_clip's) and its
+/// schedule.
+struct Table {
+  seq::BoundTable bt;
+  std::vector<double> ys;
+};
+
+Table make_table(const PolygonSet& subject, const PolygonSet& clip = {}) {
+  Table t;
+  Contour prep;
+  for (const auto& c : subject.contours)
+    if (seq::prepare_contour_points(c, prep))
+      seq::append_bounds(t.bt, prep, /*is_clip=*/false);
+  for (const auto& c : clip.contours)
+    if (seq::prepare_contour_points(c, prep))
+      seq::append_bounds(t.bt, prep, /*is_clip=*/true);
+  seq::sort_minima(t.bt);
+  t.ys = seq::scanbeam_ys(t.bt);
+  return t;
 }
 
-void expect_index_equals(const SlabContourIndex& idx,
-                         const std::vector<std::vector<SlabEntry>>& want) {
-  ASSERT_EQ(idx.num_slabs(), want.size());
-  for (std::size_t t = 0; t < want.size(); ++t) {
-    const auto got = idx.slab(t);
-    ASSERT_EQ(got.size(), want[t].size()) << "slab " << t;
-    for (std::size_t k = 0; k < got.size(); ++k) {
-      EXPECT_EQ(got[k].contour, want[t][k].contour) << "slab " << t;
-      EXPECT_EQ(got[k].inside, want[t][k].inside)
-          << "slab " << t << " contour " << got[k].contour;
-      if (k > 0)
-        EXPECT_LT(got[k - 1].contour, got[k].contour)
-            << "slab list not ascending";
-    }
+/// O(n·p) reference: every edge tested against every line.
+std::vector<std::vector<std::int32_t>> brute_force(
+    const seq::BoundTable& bt, const std::vector<double>& lines) {
+  std::vector<std::vector<std::int32_t>> per_line(lines.size());
+  for (std::size_t j = 0; j < lines.size(); ++j)
+    for (std::size_t e = 0; e < bt.edges.size(); ++e)
+      if (bt.edges[e].bot.y < lines[j] && lines[j] < bt.edges[e].top.y)
+        per_line[j].push_back(static_cast<std::int32_t>(e));
+  return per_line;
+}
+
+/// Structural checks every index must pass, plus equality with the brute
+/// force: lines strictly increasing and strictly between schedule values,
+/// seed lists equal as sets, at least one probe per seed.
+void expect_index_valid(const SlabIndex& idx, const Table& t) {
+  ASSERT_EQ(idx.offsets.size(), idx.lines.size() + 1);
+  ASSERT_EQ(idx.probes.size(), idx.lines.size());
+  for (std::size_t j = 0; j < idx.lines.size(); ++j) {
+    if (j > 0) EXPECT_LT(idx.lines[j - 1], idx.lines[j]);
+    EXPECT_FALSE(std::binary_search(t.ys.begin(), t.ys.end(), idx.lines[j]))
+        << "line " << j << " lies on a vertex ordinate";
+  }
+  const auto want = brute_force(t.bt, idx.lines);
+  for (std::size_t j = 0; j < idx.lines.size(); ++j) {
+    const auto span = idx.line_seeds(j);
+    std::vector<std::int32_t> got(span.begin(), span.end());
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want[j]) << "line " << j;
+    EXPECT_GE(idx.probes[j], static_cast<std::int64_t>(got.size()));
+    // A closed contour crosses a line an even number of times.
+    EXPECT_EQ(got.size() % 2, 0u) << "line " << j;
   }
 }
 
 TEST(SlabIndex, MatchesBruteForceOnRandomField) {
   par::ThreadPool pool(4);
   const PolygonSet field = data::polygon_field(42, 80, 100.0, 10);
-  const std::vector<BBox> boxes = geom::contour_bounds(field);
-  for (const std::size_t nslabs : {1u, 3u, 7u, 16u, 64u}) {
-    std::vector<double> bounds;
-    for (std::size_t t = 0; t <= nslabs; ++t)
-      bounds.push_back(-1.0 + 102.0 * static_cast<double>(t) /
-                                  static_cast<double>(nslabs));
-    const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
-    expect_index_equals(idx, brute_force(boxes, bounds));
-    EXPECT_GE(idx.total_entries(),
-              static_cast<std::int64_t>(field.num_contours()));
+  const PolygonSet other = data::polygon_field(43, 60, 100.0, 9);
+  const Table t = make_table(field, other);
+  for (const unsigned slabs : {1u, 3u, 7u, 16u, 64u}) {
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    EXPECT_EQ(idx.num_slabs(), slabs) << "distinct ordinates are plenty";
+    expect_index_valid(idx, t);
   }
 }
 
 TEST(SlabIndex, ContourTouchingSlabBoundaryIsInBothSlabs) {
+  // A contour crossing a slab line lies in both slabs: the line cuts its
+  // two bounds, whose crossing edges seed the upper slab's sweep.
   par::ThreadPool pool(2);
-  const std::vector<double> bounds = {0.0, 10.0, 20.0};
-  // ymax lands exactly on the interior boundary: closed intervals put the
-  // contour in slab 0 (fully inside) *and* slab 1 (touching its bottom).
-  std::vector<BBox> boxes(1);
-  boxes[0].expand(geom::Point{2.0, 1.0});
-  boxes[0].expand(geom::Point{5.0, 10.0});
-  const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
+  PolygonSet a;
+  a.add(geom::make_rect(0.0, 0.0, 4.0, 10.0));
+  a.add(geom::make_polygon({{6.0, 1.0}, {9.0, 2.0}, {8.0, 9.0}}).contours[0]);
+  const Table t = make_table(a);
+  const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, 2);
   ASSERT_EQ(idx.num_slabs(), 2u);
-  ASSERT_EQ(idx.slab(0).size(), 1u);
-  ASSERT_EQ(idx.slab(1).size(), 1u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
-  EXPECT_FALSE(idx.slab(1)[0].inside);
-  expect_index_equals(idx, brute_force(boxes, bounds));
+  expect_index_valid(idx, t);
+  EXPECT_EQ(idx.line_seeds(0).size(), 4u);  // two per contour
+  for (const std::int32_t e : idx.line_seeds(0)) {
+    const seq::BoundEdge& be = t.bt.edges[static_cast<std::size_t>(e)];
+    EXPECT_LT(be.bot.y, idx.lines[0]);
+    EXPECT_GT(be.top.y, idx.lines[0]);
+  }
 }
 
 TEST(SlabIndex, ZeroHeightContourOnBoundaryIsInsideBothSlabs) {
+  // A zero-height contour prepares to nothing: it adds no bound edges, so
+  // no seeds, even where a line falls next to its ordinate. Lines skip
+  // cuts between adjacent doubles instead of landing on a vertex.
   par::ThreadPool pool(2);
-  const std::vector<double> bounds = {0.0, 10.0, 20.0};
-  // Degenerate horizontal contour sitting exactly on the boundary: its
-  // closed y-interval [10, 10] is contained in both [0, 10] and [10, 20],
-  // so it must be "fully inside" (move-not-clip) in *both* slabs — the
-  // lo==hi shortcut would get this wrong and break broadcast bit-identity.
-  std::vector<BBox> boxes(1);
-  boxes[0].expand(geom::Point{2.0, 10.0});
-  boxes[0].expand(geom::Point{7.0, 10.0});
-  const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
-  ASSERT_EQ(idx.slab(0).size(), 1u);
-  ASSERT_EQ(idx.slab(1).size(), 1u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
-  EXPECT_TRUE(idx.slab(1)[0].inside);
-  expect_index_equals(idx, brute_force(boxes, bounds));
+  PolygonSet a;
+  a.add(geom::make_rect(0.0, 0.0, 4.0, 9.0));
+  a.add({{2.0, 10.0}, {7.0, 10.0}, {5.0, 10.0}});
+  a.add(geom::make_rect(0.0, 11.0, 4.0, 20.0));
+  const Table t = make_table(a);
+  for (const unsigned slabs : {2u, 3u, 8u}) {
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    expect_index_valid(idx, t);
+  }
+  const double y0 = 1.0, y1 = std::nextafter(1.0, 2.0);
+  const std::vector<double> tight = {0.0, y0, y1, 2.0};
+  const std::vector<double> lines = slab_lines(tight, 4);
+  EXPECT_EQ(lines, (std::vector<double>{0.5, 1.5}));
 }
 
 TEST(SlabIndex, DegenerateAndOutOfRangeContours) {
+  // Degenerate contours contribute no bounds; contours wholly inside one
+  // slab contribute no seeds.
   par::ThreadPool pool(2);
-  const std::vector<double> bounds = {0.0, 5.0, 10.0};
-  std::vector<BBox> boxes(4);
-  // boxes[0]: never expanded — empty bbox, must produce no entries.
-  boxes[1].expand(geom::Point{1.0, -3.0});  // entirely below bounds.front()
-  boxes[1].expand(geom::Point{2.0, -1.0});
-  boxes[2].expand(geom::Point{1.0, 12.0});  // entirely above bounds.back()
-  boxes[2].expand(geom::Point{2.0, 14.0});
-  boxes[3].expand(geom::Point{0.0, 2.0});  // ordinary, slab 0 only
-  boxes[3].expand(geom::Point{9.0, 3.0});
-  const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
-  EXPECT_EQ(idx.total_entries(), 1);
-  ASSERT_EQ(idx.slab(0).size(), 1u);
-  EXPECT_EQ(idx.slab(0)[0].contour, 3u);
-  EXPECT_TRUE(idx.slab(0)[0].inside);
-  EXPECT_EQ(idx.slab(1).size(), 0u);
-  expect_index_equals(idx, brute_force(boxes, bounds));
+  PolygonSet a;
+  a.add({{1.0, 1.0}, {2.0, 2.0}});                  // two vertices
+  a.add({{0.0, 5.0}, {3.0, 5.0}, {1.0, 5.0}});      // zero height
+  a.add(geom::make_rect(0.0, 0.0, 1.0, 1.0));       // bottom slab only
+  a.add(geom::make_rect(0.0, 30.0, 1.0, 31.0));     // top slab only
+  a.add(geom::make_rect(5.0, 2.0, 6.0, 29.0));      // crosses every line
+  const Table t = make_table(a);
+  EXPECT_EQ(t.bt.minima.size(), 3u);
+  for (const unsigned slabs : {3u, 6u, 12u}) {
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    expect_index_valid(idx, t);
+    for (std::size_t j = 0; j < idx.lines.size(); ++j) {
+      // Lines through the tall rectangle cut exactly its two sides.
+      const bool tall = idx.lines[j] > 2.0 && idx.lines[j] < 29.0;
+      const bool small = idx.lines[j] < 1.0 || idx.lines[j] > 30.0;
+      if (tall && !small) EXPECT_EQ(idx.line_seeds(j).size(), 2u);
+    }
+  }
 }
 
 TEST(SlabIndex, EmptySlabsGetEmptyLists) {
+  // Contours cluster far apart in y; lines between them cross nothing but
+  // must still be addressable with valid (empty) spans.
   par::ThreadPool pool(2);
-  // All contours cluster in the outermost slabs; the middle ones are empty
-  // but must still be addressable with valid (empty) spans.
-  std::vector<double> bounds;
-  for (int t = 0; t <= 8; ++t) bounds.push_back(static_cast<double>(10 * t));
-  std::vector<BBox> boxes(2);
-  boxes[0].expand(geom::Point{0.0, 1.0});
-  boxes[0].expand(geom::Point{5.0, 4.0});
-  boxes[1].expand(geom::Point{0.0, 76.0});
-  boxes[1].expand(geom::Point{5.0, 79.0});
-  const SlabContourIndex idx = build_slab_index(pool, boxes, bounds);
-  EXPECT_EQ(idx.slab(0).size(), 1u);
-  for (std::size_t t = 1; t < 7; ++t) EXPECT_EQ(idx.slab(t).size(), 0u);
-  EXPECT_EQ(idx.slab(7).size(), 1u);
-  expect_index_equals(idx, brute_force(boxes, bounds));
+  PolygonSet a;
+  for (int i = 0; i < 4; ++i)
+    a.add(geom::make_rect(0.0, 10.0 * i, 5.0, 10.0 * i + 3.0));
+  const Table t = make_table(a);
+  const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, 16);
+  expect_index_valid(idx, t);
+  std::size_t empty = 0;
+  for (std::size_t j = 0; j < idx.lines.size(); ++j)
+    if (idx.line_seeds(j).empty()) ++empty;
+  EXPECT_GT(empty, 0u);
+  EXPECT_EQ(idx.seeds.size(),
+            static_cast<std::size_t>(idx.offsets.back()));
 }
 
 TEST(SlabIndex, NoBoundsOrNoBoxes) {
   par::ThreadPool pool(2);
-  std::vector<BBox> boxes(1);
-  boxes[0].expand(geom::Point{0.0, 0.0});
-  boxes[0].expand(geom::Point{1.0, 1.0});
-  EXPECT_EQ(build_slab_index(pool, boxes, std::vector<double>{}).num_slabs(),
-            0u);
-  const SlabContourIndex idx =
-      build_slab_index(pool, std::vector<BBox>{}, std::vector<double>{0., 1.});
-  EXPECT_EQ(idx.num_slabs(), 1u);
-  EXPECT_EQ(idx.total_entries(), 0);
+  const Table empty;
+  const SlabIndex none = build_slab_index(pool, empty.bt, empty.ys, 8);
+  EXPECT_EQ(none.num_slabs(), 1u);
+  EXPECT_TRUE(none.seeds.empty());
+  const Table t = make_table(geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}));
+  const SlabIndex one = build_slab_index(pool, t.bt, t.ys, 1);
+  EXPECT_EQ(one.num_slabs(), 1u);
+  EXPECT_TRUE(one.lines.empty());
+  EXPECT_EQ(one.offsets, std::vector<std::int64_t>{0});
 }
 
 void expect_identical(const PolygonSet& a, const PolygonSet& b,
@@ -171,9 +197,9 @@ void expect_identical(const PolygonSet& a, const PolygonSet& b,
 }
 
 TEST(Algorithm2Partition, InputEdgesReportPostIndexVattiWork) {
-  // input_edges must be the bound-edge count the slab's Vatti sweep really
-  // processed (post-partition, post-cleaning) — equal to what a direct
-  // vatti_clip on the same slab inputs reports, and 0 for empty slabs.
+  // input_edges must be the bound-edge count the slab's windowed sweep
+  // really took in: its seeds plus the edges its minima and chains brought
+  // in.
   par::ThreadPool pool(2);
   const PolygonSet a = data::polygon_field(303, 20, 40.0, 8);
   const PolygonSet b = data::polygon_field(404, 18, 40.0, 8);
@@ -181,16 +207,18 @@ TEST(Algorithm2Partition, InputEdgesReportPostIndexVattiWork) {
   o.slabs = 6;
   Alg2Stats st;
   slab_clip(a, b, BoolOp::kIntersection, pool, o, &st);
-  std::int64_t swept = 0;
+  std::int64_t swept = 0, seeds = 0;
   for (const auto& s : st.slabs) {
-    EXPECT_GE(s.input_edges, 0);
+    EXPECT_GE(s.input_edges, s.boundary_edges);
     swept += s.input_edges;
+    seeds += s.boundary_edges;
   }
-  // Slab partitioning duplicates straddling contours, so the summed swept
-  // edges are at least the edges one unpartitioned run would sweep.
+  // Every edge enters exactly one slab's sweep from its minimum or chain,
+  // and the edges crossing a line enter the upper slab again as seeds.
   seq::VattiStats whole;
   seq::vatti_clip(a, b, BoolOp::kIntersection, &whole);
-  EXPECT_GE(swept, whole.edges);
+  EXPECT_GT(seeds, 0);
+  EXPECT_EQ(swept, whole.edges + seeds);
 }
 
 TEST(SlabArena, PerThreadReuseAcrossRuns) {

@@ -34,8 +34,8 @@ using fuzz::Inputs;
 using fuzz::make_inputs;
 using geom::PolygonSet;
 
-/// Per-contour, per-vertex exact equality — the same lane the indexed-vs-
-/// broadcast partition identity uses. EXPECT_EQ on doubles is bitwise for
+/// Per-contour, per-vertex exact equality — the same lane the slab-cut
+/// identity tests use. EXPECT_EQ on doubles is bitwise for
 /// these purposes (the corpus produces no NaNs; -0.0 == 0.0 would pass,
 /// which is an acceptable notion of "identical output").
 void expect_identical(const PolygonSet& a, const PolygonSet& b,
@@ -79,12 +79,11 @@ TEST_P(VattiKernelFuzz, TunedMatchesReferenceExactly) {
   EXPECT_EQ(st_tuned.sorted_beams, st_ref.sorted_beams);
 
   // Algorithm 2 with the kernel selected through Alg2Options (fixed slab
-  // count => fixed decomposition; Vatti rect clipper since the corpus has
-  // self-intersecting inputs).
+  // count => fixed decomposition; every slab's windowed sweep runs the
+  // selected kernel).
   static par::ThreadPool pool(4);
   mt::Alg2Options ot;
   ot.slabs = 6;
-  ot.rect_method = seq::RectClipMethod::kVatti;
   ot.sweep_kernel = seq::SweepKernel::kTuned;
   mt::Alg2Options orf = ot;
   orf.sweep_kernel = seq::SweepKernel::kReference;

@@ -124,7 +124,6 @@ TEST_P(GovernanceSoak, EveryOutcomeKeepsTheContract) {
   static par::ThreadPool pool(4);
   mt::Alg2Options base;
   base.slabs = kSlabs;
-  base.rect_method = seq::RectClipMethod::kVatti;
 
   par::fault::disarm();
   const PolygonSet want = mt::slab_clip(in.a, in.b, c.op, pool, base);
