@@ -194,7 +194,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     cpu_timer.reset();
     seq::VattiStats vs;
     so.result =
-        seq::vatti_sweep_window(bt, w, op, &vs, *scratch, opts.sweep_kernel);
+        seq::vatti_sweep_window(bt, w, op, &vs, *scratch);
     if (rung == Rung::kHealthy &&
         par::fault::corrupt(par::fault::Site::kArena)) {
       const double nan = std::numeric_limits<double>::quiet_NaN();

@@ -19,12 +19,6 @@ namespace psclip::mt {
 /// Options both slab engines (slab_clip and multiset_clip) share. The
 /// fault, governance and tracing policy that reads them is common to both.
 struct SlabEngineOptions {
-  /// Per-beam maintenance strategy of the sequential Vatti sweep that runs
-  /// inside every slab (see seq::SweepKernel). Both settings produce
-  /// byte-identical output; kReference reproduces the pre-optimization cost
-  /// profile and exists for the bench_sweep_kernel ablation and the
-  /// kernel-identity tests.
-  seq::SweepKernel sweep_kernel = seq::SweepKernel::kTuned;
   /// Fault isolation (default on): every slab task runs behind a guard that
   /// catches exceptions and rejects non-finite output, then walks the
   /// engine's degradation ladder (see mt::Rung) and, if a slab still cannot

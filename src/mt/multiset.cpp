@@ -412,7 +412,6 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
       so.load.schedule_ns =
           static_cast<std::int64_t>(sched_timer.seconds() * 1e9);
       so.result = seq::vatti_sweep_prepared(op, &vs, scratch,
-                                            opts.sweep_kernel,
                                             /*prebuilt_schedule=*/true);
       if (par::fault::corrupt(par::fault::Site::kArena)) {
         const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -436,15 +435,13 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
       if (rung == Rung::kHealthy) {
         SlabArena& arena = worker_arena();
         ++arena.tasks_served;
-        so.result = seq::vatti_clip(a_t, b_t, op, &vs, &arena.vatti,
-                                    opts.sweep_kernel);
+        so.result = seq::vatti_clip(a_t, b_t, op, &vs, &arena.vatti);
         if (par::fault::corrupt(par::fault::Site::kArena)) {
           const double nan = std::numeric_limits<double>::quiet_NaN();
           so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
         }
       } else {  // kRetrySafe: fresh scratch, no arena — bit-identical rerun.
-        so.result =
-            seq::vatti_clip(a_t, b_t, op, &vs, nullptr, opts.sweep_kernel);
+        so.result = seq::vatti_clip(a_t, b_t, op, &vs);
       }
       so.load.bound_build_ns = vs.bound_build_ns;
       so.load.schedule_ns = vs.schedule_ns;

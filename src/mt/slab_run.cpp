@@ -238,8 +238,7 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
                                  obs::Cat::kRung);
       whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
       par::fault::ScopedKey key(par::fault::kNoKey);
-      geom::PolygonSet whole = seq::vatti_clip(subject, clip, op, nullptr,
-                                               nullptr, opts_.sweep_kernel);
+      geom::PolygonSet whole = seq::vatti_clip(subject, clip, op);
       for (SlabOut& so : outs_) {
         so.result = geom::PolygonSet{};
         so.report.rung = Rung::kWholeInput;

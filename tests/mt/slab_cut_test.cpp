@@ -7,7 +7,8 @@
 // so the contract is tight:
 //
 //   * one slab is seq::vatti_clip: the same contours in the same order
-//     with the same bits, for both sweep kernels;
+//     with the same bits (and the golden digest table pins both, at 1, 6
+//     and 16 slabs — see tests/golden_digests.hpp);
 //   * more slabs sweep exactly Vatti's edges and only add seam vertices at
 //     the exact cut points of edges, so the area stays within 1e-12
 //     (relative) of Vatti's, on the 216-case corpus, on the 24k-edge
@@ -63,11 +64,9 @@ void expect_identical(const PolygonSet& got, const PolygonSet& want,
 }
 
 PolygonSet slab(const PolygonSet& a, const PolygonSet& b, BoolOp op,
-                par::ThreadPool& pool, unsigned slabs,
-                seq::SweepKernel kernel = seq::SweepKernel::kTuned) {
+                par::ThreadPool& pool, unsigned slabs) {
   mt::Alg2Options o;
   o.slabs = slabs;
-  o.sweep_kernel = kernel;
   mt::Alg2Stats st;
   PolygonSet out = mt::slab_clip(a, b, op, pool, o, &st);
   // Every slab must stay on the healthy rung — a fallback to the
@@ -106,15 +105,6 @@ TEST_P(FusedPartitionFuzz, FusedMatchesIndexedBitForBit) {
   for (const BoolOp op : geom::kAllOps)
     check_exact(in.a, in.b, op, pool, {4u, 16u, 64u},
                 std::string("op=") + geom::to_string(op));
-  // The reference kernel sweeps the same windows.
-  expect_identical(
-      slab(in.a, in.b, c.op, pool, 1, seq::SweepKernel::kReference),
-      seq::vatti_clip(in.a, in.b, c.op, nullptr, nullptr,
-                      seq::SweepKernel::kReference),
-      "reference kernel slabs=1");
-  expect_identical(
-      slab(in.a, in.b, c.op, pool, 6, seq::SweepKernel::kReference),
-      slab(in.a, in.b, c.op, pool, 6), "reference vs tuned kernel slabs=6");
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FusedPartitionFuzz,
@@ -169,11 +159,6 @@ TEST(FusedPartitionDegenerate, ContourSpanningAllSlabs) {
   PolygonSet b = data::polygon_field(304, 16, 60.0, 8);
   par::ThreadPool pool(4);
   check_exact(a, b, BoolOp::kXor, pool, {4u, 8u, 16u}, "spanning");
-  for (const unsigned slabs : {4u, 16u})
-    expect_identical(slab(a, b, BoolOp::kXor, pool, slabs,
-                          seq::SweepKernel::kReference),
-                     slab(a, b, BoolOp::kXor, pool, slabs),
-                     "spanning kernels slabs=" + std::to_string(slabs));
 }
 
 // ---------------------------------------------------------------------------
@@ -222,22 +207,17 @@ TEST(FusedMultiset, FusedMatchesMaterializingBitForBit) {
   const PolygonSet b = data::polygon_field(602, 30, 100.0, 8);
   par::ThreadPool pool(4);
   for (const BoolOp op : geom::kAllOps) {
-    for (const seq::SweepKernel kernel :
-         {seq::SweepKernel::kTuned, seq::SweepKernel::kReference}) {
-      mt::MultisetOptions of;
-      of.slabs = 4;
-      of.fused = true;
-      of.sweep_kernel = kernel;
-      mt::MultisetOptions om = of;
-      om.fused = false;
-      mt::Alg2Stats sf;
-      const PolygonSet rf = mt::multiset_clip(a, b, op, pool, of, &sf);
-      const PolygonSet rm = mt::multiset_clip(a, b, op, pool, om);
-      expect_identical(rf, rm,
-                       std::string("multiset op=") + geom::to_string(op));
-      for (const auto& rep : sf.degradation)
-        ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << rep.message;
-    }
+    mt::MultisetOptions of;
+    of.slabs = 4;
+    of.fused = true;
+    mt::MultisetOptions om = of;
+    om.fused = false;
+    mt::Alg2Stats sf;
+    const PolygonSet rf = mt::multiset_clip(a, b, op, pool, of, &sf);
+    const PolygonSet rm = mt::multiset_clip(a, b, op, pool, om);
+    expect_identical(rf, rm, std::string("multiset op=") + geom::to_string(op));
+    for (const auto& rep : sf.degradation)
+      ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << rep.message;
   }
 }
 
