@@ -16,16 +16,26 @@
 // p in {4, 16, 64} slabs the cut reads more than 1.3x the edges a one-slab
 // run reads (every table edge once), or if the area leaves 1e-12
 // (relative) of seq::vatti_clip's.
+//
+// Section 3 — the prologue split: slab_clip's setup steps (prepare,
+// table, sort_minima, schedule, index) at pool sizes 1 / 2 / 4,
+// each step's wall and CPU on every thread read from the spans slab_clip
+// emits. Also mirrored to the JSON report ("prologue" rows);
+// informational, no gate.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/scanbeam.hpp"
 #include "data/synthetic.hpp"
 #include "geom/perturb.hpp"
 #include "mt/algorithm2.hpp"
+#include "obs/recorder.hpp"
 #include "seq/vatti.hpp"
 
 int main(int argc, char** argv) {
@@ -161,6 +171,67 @@ int main(int argc, char** argv) {
       }
     }
   }
+  // Section 3 — the prologue (slab_clip's setup) step by step, from the
+  // spans slab_clip emits: each step's wall time and the CPU it burned on
+  // every thread (its "cpu_ns" arg), median over the reps, at pool sizes
+  // 1 / 2 / 4. sort_minima runs beside schedule (the fragment-schedule
+  // merge) and index, so the steps' walls overlap; "setup" is the whole
+  // prologue (partition wall, and the caller's plus the helpers' CPU).
+  bench::header("Ablation — Alg 2 prologue split: prepare / table / "
+                "schedule / index",
+                "paper Alg 1 Steps 1-2 and Alg 2 Steps 1-3 on the pool");
+  constexpr int kPrologueReps = 15;
+  const char* const steps[] = {"alg2.prepare",  "alg2.table",
+                               "alg2.sort_minima", "alg2.schedule",
+                               "alg2.index",    "alg2.setup"};
+  for (const Workload& w : workloads) {
+    std::printf("\nworkload: %s (median of %d)\n", w.name, kPrologueReps);
+    std::printf("%7s | %-17s %10s %10s\n", "threads", "step", "wall ms",
+                "cpu ms");
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      par::ThreadPool tp(threads);
+      mt::Alg2Options o;
+      o.slabs = 16;
+      std::vector<std::vector<double>> wall(std::size(steps)),
+          cpu(std::size(steps));
+      for (int rep = 0; rep < kPrologueReps; ++rep) {
+        obs::TraceRecorder rec;
+        o.trace_sink = &rec;
+        (void)mt::slab_clip(w.subject, w.clip, geom::BoolOp::kUnion, tp, o);
+        for (const obs::TraceRecorder::Span& sp : rec.spans()) {
+          for (std::size_t k = 0; k < std::size(steps); ++k) {
+            if (std::strcmp(sp.name, steps[k]) != 0) continue;
+            wall[k].push_back(
+                static_cast<double>(sp.t_end_ns - sp.t_start_ns) * 1e-6);
+            cpu[k].push_back(
+                static_cast<double>(
+                    k + 1 < std::size(steps)
+                        ? sp.arg("cpu_ns", 0)
+                        : sp.arg("caller_cpu_ns", 0) +
+                              sp.arg("helper_cpu_ns", 0)) *
+                1e-6);
+          }
+        }
+      }
+      const auto median = [](std::vector<double> v) {
+        if (v.empty()) return 0.0;
+        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+        return v[v.size() / 2];
+      };
+      for (std::size_t k = 0; k < std::size(steps); ++k) {
+        const double wm = median(wall[k]), cm = median(cpu[k]);
+        const char* step = steps[k] + 5;  // drop "alg2."
+        std::printf("%7u | %-17s %10.3f %10.3f\n", threads, step, wm, cm);
+        report.row("prologue");
+        report.cell("workload", std::string(w.name));
+        report.cell("pool_threads", static_cast<long long>(threads));
+        report.cell("step", std::string(step));
+        report.cell("wall_ms", wm);
+        report.cell("cpu_ms", cm);
+      }
+    }
+  }
+
   report.field("gate_ok", static_cast<long long>(gate_ok ? 1 : 0));
 
   if (const char* path = bench::json_path(argc, argv)) {

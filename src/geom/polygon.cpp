@@ -74,18 +74,24 @@ PolygonSet transformed(const PolygonSet& p, double scale, Point offset) {
 
 Contour cleaned_contour(const Contour& c, double eps) {
   Contour nc;
-  nc.hole = c.hole;
-  for (const auto& pt : c.pts) {
-    if (!nc.pts.empty() && nearly_equal(nc.pts.back().x, pt.x, eps) &&
-        nearly_equal(nc.pts.back().y, pt.y, eps))
-      continue;
-    nc.pts.push_back(pt);
-  }
-  while (nc.pts.size() > 1 &&
-         nearly_equal(nc.pts.front().x, nc.pts.back().x, eps) &&
-         nearly_equal(nc.pts.front().y, nc.pts.back().y, eps))
-    nc.pts.pop_back();
+  cleaned_contour_into(c, nc, eps);
   return nc;
+}
+
+void cleaned_contour_into(const Contour& c, Contour& out, double eps) {
+  out.hole = c.hole;
+  out.pts.clear();
+  out.pts.reserve(c.pts.size());
+  for (const auto& pt : c.pts) {
+    if (!out.pts.empty() && nearly_equal(out.pts.back().x, pt.x, eps) &&
+        nearly_equal(out.pts.back().y, pt.y, eps))
+      continue;
+    out.pts.push_back(pt);
+  }
+  while (out.pts.size() > 1 &&
+         nearly_equal(out.pts.front().x, out.pts.back().x, eps) &&
+         nearly_equal(out.pts.front().y, out.pts.back().y, eps))
+    out.pts.pop_back();
 }
 
 PolygonSet cleaned(const PolygonSet& p, double eps) {

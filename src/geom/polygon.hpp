@@ -87,6 +87,10 @@ PolygonSet cleaned(const PolygonSet& p, double eps = 0.0);
 /// themselves to stay bit-identical with the set pipeline.
 Contour cleaned_contour(const Contour& c, double eps = 0.0);
 
+/// As cleaned_contour, into `out` (storage reused: no allocation when its
+/// capacity suffices). `out` must not alias `c`.
+void cleaned_contour_into(const Contour& c, Contour& out, double eps = 0.0);
+
 /// True when every coordinate of every vertex is finite (no NaN/Inf). The
 /// slab guards post-check clipper output with this; the parsers and
 /// geom::sanitize() use it to keep hostile coordinates out of the clippers.

@@ -1,6 +1,7 @@
 #include "mt/algorithm2.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <string>
@@ -51,33 +52,51 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
   par::WallTimer phase_timer;
   par::ThreadCpuTimer phase_cpu_timer;
+  // The setup's CPU on other threads: every setup loop charges the chunks
+  // pool helpers run for it here, nested loops included.
+  par::CpuMeter setup_cpu;
+  std::optional<par::ScopedCpuMeter> setup_meter(std::in_place, setup_cpu);
+  // One setup step: a span under alg2.setup carrying the CPU the step
+  // burned on every thread (its own thread's clock plus its helpers').
+  const obs::SpanId setup_id = setup_span.id();
+  const auto step = [&](const char* name, const auto& fn) {
+    if (!sink) return fn();
+    obs::ScopedSpan span(sink, name, obs::Cat::kPhase, setup_id);
+    par::CpuMeter helpers(&setup_cpu);
+    const par::ThreadCpuTimer own;
+    {
+      par::ScopedCpuMeter scope(helpers);
+      fn();
+    }
+    span.arg("cpu_ns", std::llround((own.seconds() + helpers.seconds()) * 1e9));
+  };
 
   // Steps 1–3: prepare every contour once (clean + coalesce + perturb +
-  // bound decomposition + per-contour schedule run), in parallel.
+  // bound decomposition + per-contour schedule), weighted by vertex count
+  // so a giant contour decomposes in blocks across the pool.
   PreparedInput sub_prep, clip_prep;
-  {
-    obs::ScopedSpan prep_span(sink, "alg2.prepare", obs::Cat::kPhase);
-    sub_prep.prepare(
-        pool, subject.num_contours(),
+  step("alg2.prepare", [&] {
+    prepare_inputs(
+        pool, sub_prep, subject.num_contours(),
         [&](std::size_t i) -> const geom::Contour& {
           return subject.contours[i];
         },
-        /*is_clip=*/false, opts.prepared_cache);
-    clip_prep.prepare(
-        pool, clip.num_contours(),
+        clip_prep, clip.num_contours(),
         [&](std::size_t i) -> const geom::Contour& {
           return clip.contours[i];
         },
-        /*is_clip=*/true, opts.prepared_cache);
-  }
+        opts.prepared_cache);
+  });
 
   // One read-only bound table for every slab: the fragments concatenated
   // in contour order with sorted minima — byte for byte the table
   // vatti_clip builds — and its schedule merged from the fragments' runs.
   seq::BoundTable bt;
   std::vector<double> ys;
+  std::vector<std::size_t> run_end{0};
+  std::vector<std::int32_t> heads;
   bool finite = true;
-  {
+  step("alg2.table", [&] {
     std::size_t nedges = 0, nminima = 0, nys = 0;
     for (const PreparedInput* prep : {&sub_prep, &clip_prep})
       for (const seq::PreparedContour* pc : prep->prep)
@@ -89,7 +108,6 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     bt.edges.reserve(nedges);
     bt.minima.reserve(nminima);
     ys.reserve(nys);
-    std::vector<std::size_t> run_end{0};
     for (const PreparedInput* prep : {&sub_prep, &clip_prep}) {
       for (const seq::PreparedContour* pc : prep->prep) {
         if (!pc) continue;  // degenerate after cleaning: no bounds
@@ -99,19 +117,36 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
         run_end.push_back(ys.size());
       }
     }
-    seq::sort_minima(bt);
-    // A non-finite vertex poisons every ordering below; the slabs then
-    // fail their attempts and the request takes the whole-input rung.
-    if (finite) seq::merge_sorted_runs_unique(ys, run_end);
-  }
+    heads = bound_heads(bt);
+  });
 
-  // Steps 4–5: the slab lines and every line's seed edges.
-  const SlabIndex index = finite ? build_slab_index(pool, bt, ys, p)
-                                 : SlabIndex{{}, {0}, {}, {}};
+  // The minima sort beside Steps 4–5 — the schedule merge, then the slab
+  // lines and every line's seed edges: the index needs the edges and the
+  // heads, not the sorted minima. The merge allocates, so it is index 0,
+  // which this thread usually claims. A non-finite vertex poisons every
+  // ordering; the slabs then fail their attempts and the request takes
+  // the whole-input rung.
+  SlabIndex index{{}, {0}, {}, {}};
+  pool.parallel_for(
+      2,
+      [&](std::size_t task) {
+        if (task == 1)
+          return step("alg2.sort_minima", [&] { seq::sort_minima(bt); });
+        if (!finite) return;
+        step("alg2.schedule",
+             [&] { seq::merge_sorted_runs_unique(ys, run_end); });
+        step("alg2.index",
+             [&] { index = build_slab_index(pool, bt, heads, ys, p); });
+      },
+      /*grain=*/1);
   const std::size_t nslabs = index.num_slabs();
+  setup_meter.reset();
   setup_span.arg("seeds", static_cast<std::int64_t>(index.seeds.size()));
   const double t_setup = phase_timer.seconds();
-  const double t_setup_cpu = phase_cpu_timer.seconds();
+  const double t_setup_caller_cpu = phase_cpu_timer.seconds();
+  const double t_setup_cpu = t_setup_caller_cpu + setup_cpu.seconds();
+  setup_span.arg("caller_cpu_ns", std::llround(t_setup_caller_cpu * 1e9));
+  setup_span.arg("helper_cpu_ns", std::llround(setup_cpu.seconds() * 1e9));
   phase_timer.reset();
   setup_span.end();
   obs::ScopedSpan& req_span = run.request_span();

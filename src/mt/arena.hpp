@@ -14,15 +14,17 @@ namespace psclip::mt {
 /// beam-bottom/beam-top x arrays and flat edge-id position index, output
 /// pool, per-beam intersection buffers, minima staging + merge buffers,
 /// and the bound table multiset_clip assembles per slab) plus the
-/// schedule-run staging of multiset_clip's fused path. Because slab tasks
-/// on one thread run strictly one after another, nothing here needs
-/// synchronization; buffers are cleared (capacity retained) at each use
-/// site rather than reallocated, so a worker that clips many slabs touches
-/// the allocator only while its high-water marks are still growing.
+/// boundaries of the fragment schedules multiset_clip's fused path
+/// merges. Because slab tasks on one thread run strictly one after
+/// another, nothing here needs synchronization; buffers are cleared
+/// (capacity retained) at each use site rather than reallocated, so a
+/// worker that clips many slabs touches the allocator only while its
+/// high-water marks are still growing.
 struct SlabArena {
   seq::VattiScratch vatti;  ///< sweep-structure pools
-  /// Schedule-run boundaries for multiset_clip's merge_sorted_runs_unique
-  /// over the scratch schedule (scratch_schedule(vatti)).
+  /// Run boundaries for multiset_clip's merge_sorted_runs_unique over the
+  /// scratch schedule (scratch_schedule(vatti)): one run per prepared
+  /// fragment, each the fragment's own sort-built schedule.
   std::vector<std::size_t> run_end;
   std::uint64_t tasks_served = 0;  ///< slab tasks run on this arena
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -141,6 +142,10 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   obs::ScopedSpan events_span(sink, "multiset.events", obs::Cat::kPhase);
   par::WallTimer phase_timer;
   par::ThreadCpuTimer phase_cpu_timer;
+  // The setup's CPU on pool helpers (the event sort, the assignment and
+  // prep loops); the caller's own share is phase_cpu_timer's.
+  par::CpuMeter setup_cpu;
+  std::optional<par::ScopedCpuMeter> setup_meter(std::in_place, setup_cpu);
 
   const auto srecs = records(subject);
   const auto crecs = records(clip);
@@ -322,20 +327,20 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
   PreparedInput sub_prep, clip_prep;
   if (opts.fused) {
     obs::ScopedSpan prep_span(sink, "multiset.fused_prep", obs::Cat::kPhase);
-    auto prep_recs = [&](const std::vector<PolyRec>& recs,
-                         PreparedInput& prep, bool is_clip) {
-      prep.prepare(
-          pool, recs.size(),
-          [&](std::size_t i) -> const geom::Contour& {
-            return *recs[i].contour;
-          },
-          is_clip, opts.prepared_cache);
-    };
-    prep_recs(srecs, sub_prep, /*is_clip=*/false);
-    prep_recs(crecs, clip_prep, /*is_clip=*/true);
+    prepare_inputs(
+        pool, sub_prep, srecs.size(),
+        [&](std::size_t i) -> const geom::Contour& {
+          return *srecs[i].contour;
+        },
+        clip_prep, crecs.size(),
+        [&](std::size_t i) -> const geom::Contour& {
+          return *crecs[i].contour;
+        },
+        opts.prepared_cache);
   }
   const double t_assign = phase_timer.seconds();
-  const double t_assign_cpu = phase_cpu_timer.seconds();
+  setup_meter.reset();
+  const double t_assign_cpu = phase_cpu_timer.seconds() + setup_cpu.seconds();
   phase_timer.reset();
   assign_span.arg("slab_tasks", static_cast<std::int64_t>(nwork));
   assign_span.end();
@@ -496,9 +501,10 @@ geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
 
   // Wall and CPU split (see PhaseTimes): the event/assignment/prep passes
   // run as caller-side sections (their CPU is the caller's thread CPU clock
-  // over the same window); the clip phase is the parallel region, so its
-  // cpu time is the per-slab sum of thread-CPU clip times, which can exceed
-  // the region's wall time p-fold.
+  // over the same window plus what pool helpers spent on their loops); the
+  // clip phase is the parallel region, so its cpu time is the per-slab sum
+  // of thread-CPU clip times, which can exceed the region's wall time
+  // p-fold.
   PhaseTimes phases;
   phases.partition = t_events + t_assign;
   phases.clip = t_clip;

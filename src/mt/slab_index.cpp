@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "parallel/scan.hpp"
-#include "parallel/sort.hpp"
 
 namespace psclip::mt {
 
@@ -29,7 +28,18 @@ std::vector<double> slab_lines(std::span<const double> ys, unsigned slabs) {
   return lines;
 }
 
+std::vector<std::int32_t> bound_heads(const seq::BoundTable& bt) {
+  std::vector<std::int32_t> heads;
+  heads.reserve(bt.minima.size() * 2);
+  for (const seq::LocalMin& lm : bt.minima) {
+    heads.push_back(std::min(lm.edge_left, lm.edge_right));
+    heads.push_back(std::max(lm.edge_left, lm.edge_right));
+  }
+  return heads;
+}
+
 SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
+                           std::span<const std::int32_t> heads,
                            std::span<const double> ys, unsigned slabs) {
   SlabIndex idx;
   idx.lines = slab_lines(ys, slabs);
@@ -38,24 +48,17 @@ SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
   idx.probes.assign(nlines, 0);
   if (nlines == 0 || bt.edges.empty()) return idx;
 
-  // Bounds: every minimum heads two chains, and each chain is a contiguous
-  // run of edge ids, so the sorted heads split the edge array into bounds.
-  std::vector<std::int32_t> starts;
-  starts.reserve(bt.minima.size() * 2);
-  for (const seq::LocalMin& lm : bt.minima) {
-    starts.push_back(lm.edge_left);
-    starts.push_back(lm.edge_right);
-  }
-  par::parallel_sort(pool, starts);
-  const std::size_t nbounds = starts.size();
+  // Bounds: the ascending heads split the edge array into bounds.
+  assert(std::is_sorted(heads.begin(), heads.end()));
+  const std::size_t nbounds = heads.size();
   const auto nedges = static_cast<std::int32_t>(bt.edges.size());
   auto bound_end = [&](std::size_t k) {
-    return k + 1 < nbounds ? starts[k + 1] : nedges;
+    return k + 1 < nbounds ? heads[k + 1] : nedges;
   };
   const std::span<const double> lines = idx.lines;
   // Lines strictly inside the bound's y-extent, [first, last).
   auto crossed = [&](std::size_t k) {
-    const auto s = static_cast<std::size_t>(starts[k]);
+    const auto s = static_cast<std::size_t>(heads[k]);
     const auto e = static_cast<std::size_t>(bound_end(k));
     assert(bt.edges[e - 1].next < 0);
     const double lo_y = bt.edges[s].bot.y;
@@ -94,7 +97,7 @@ SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
       [&](std::size_t k) {
         if (counts[k] == 0) return;
         const auto [first, last] = crossed(k);
-        auto lo = static_cast<std::size_t>(starts[k]);
+        auto lo = static_cast<std::size_t>(heads[k]);
         const auto end = static_cast<std::size_t>(bound_end(k));
         auto at = static_cast<std::size_t>(alloc.offsets[k]);
         for (std::size_t j = first; j < last; ++j, ++at) {

@@ -47,9 +47,18 @@ struct SlabIndex {
   }
 };
 
-/// Cut `bt` (minima (y, x)-sorted, every bound a contiguous run of edge
-/// ids — the layout append_bounds / append_prepared emit) at the
-/// slab_lines of its schedule `ys`.
+/// The bound heads of a table whose minima are still in emission order
+/// (append_bounds / append_prepared, before seq::sort_minima): each
+/// minimum's two head edge ids, smaller first. Every minimum emits its
+/// forward chain, then its backward chain, as contiguous edge-id runs, so
+/// the heads ascend and split the edge array into its bounds.
+std::vector<std::int32_t> bound_heads(const seq::BoundTable& bt);
+
+/// Cut `bt` (every bound a contiguous run of edge ids — the layout
+/// append_bounds / append_prepared emit; minima in any order) at the
+/// slab_lines of its schedule `ys`. `heads` are the bound heads in
+/// ascending order (bound_heads, taken before sort_minima), so the index
+/// needs no sort and can be built while the minima sort.
 ///
 /// Parallel over the bounds: each bound finds the lines it crosses by two
 /// binary searches over the lines and its edge at each of them by binary
@@ -58,6 +67,7 @@ struct SlabIndex {
 /// groups the (line, edge) records by line. O(B log p + Σ seeds · log n)
 /// for B bounds — independent of how many edges lie between the lines.
 SlabIndex build_slab_index(par::ThreadPool& pool, const seq::BoundTable& bt,
+                           std::span<const std::int32_t> heads,
                            std::span<const double> ys, unsigned slabs);
 
 }  // namespace psclip::mt

@@ -76,7 +76,10 @@ struct PhaseTimes {
   double partition = 0.0;  ///< wall: prepare + shared table + slab index
   double clip = 0.0;       ///< wall: the whole parallel slab section
   double merge = 0.0;      ///< wall: result concatenation
-  double partition_cpu = 0.0;  ///< cpu: setup + Σ per-slab partition work
+  /// cpu: the setup on every thread — the caller's thread clock plus the
+  /// chunks pool helpers ran for its loops (par::CpuMeter) — plus Σ
+  /// per-slab partition work.
+  double partition_cpu = 0.0;
   double clip_cpu = 0.0;       ///< cpu: Σ per-slab sequential clip time
   double merge_cpu = 0.0;      ///< cpu: merge runs on the caller only
 

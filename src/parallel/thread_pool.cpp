@@ -1,7 +1,9 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -17,8 +19,16 @@ namespace {
 /// comparison keeps multiple pools (tests build many) independent.
 thread_local const void* t_pool = nullptr;
 thread_local unsigned t_worker = 0;
+/// The CPU meter this thread's parallel_for helpers charge (ScopedCpuMeter).
+thread_local CpuMeter* t_meter = nullptr;
 
 }  // namespace
+
+ScopedCpuMeter::ScopedCpuMeter(CpuMeter& meter) : prev_(t_meter) {
+  t_meter = &meter;
+}
+
+ScopedCpuMeter::~ScopedCpuMeter() { t_meter = prev_; }
 
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
@@ -122,6 +132,8 @@ struct ForLoop {
   /// each chunk boundary, so a cancel/deadline/budget trip stops the region
   /// even when `body` itself never checkpoints.
   const gov::CapturedToken tok;
+  /// The submitter's CPU meter: helper threads charge their chunks to it.
+  CpuMeter* const meter = t_meter;
   std::atomic<std::size_t> next{0};
   /// Threads between a claim attempt and the end of its chunk. Raised
   /// before the claim, so once the caller has seen the index run out (or
@@ -138,10 +150,18 @@ struct ForLoop {
 
   void drive() {
     gov::ScopedState gov_state(tok.state());
+    // The submitting thread's own clock covers its chunks; any other thread
+    // charges each chunk to the meter before releasing it, while the
+    // submitter still waits, and passes the meter on to nested loops.
+    const bool charge = meter && t_meter != meter;
+    std::optional<ScopedCpuMeter> pass_on;
+    if (charge) pass_on.emplace(*meter);
     for (;;) {
       inflight.fetch_add(1);
       const std::size_t begin = next.fetch_add(grain);
       if (begin >= n || error.load()) return release();
+      std::optional<ThreadCpuTimer> cpu;
+      if (charge) cpu.emplace();
       try {
         gov::checkpoint();
         const std::size_t end = std::min(n, begin + grain);
@@ -149,6 +169,7 @@ struct ForLoop {
       } catch (...) {
         record_failure();
       }
+      if (cpu) meter->add_ns(std::llround(cpu->seconds() * 1e9));
       release();
     }
   }

@@ -22,6 +22,48 @@ struct StealStats {
   double idle_seconds = 0.0;    ///< time spent parked waiting for work
 };
 
+/// Thread-CPU time that pool helpers spent on parallel_for chunks of a
+/// metered caller (see ScopedCpuMeter). A phase that fans out on the pool
+/// reads its own thread's CPU clock plus this meter, so work run on other
+/// threads — nested loops included — is charged exactly once. A child
+/// meter forwards every charge to its parent, so a step's meter can sit
+/// inside a whole-phase meter.
+class CpuMeter {
+ public:
+  explicit CpuMeter(CpuMeter* parent = nullptr) : parent_(parent) {}
+  CpuMeter(const CpuMeter&) = delete;
+  CpuMeter& operator=(const CpuMeter&) = delete;
+
+  void add_ns(std::int64_t ns) {
+    for (CpuMeter* m = this; m; m = m->parent_)
+      m->ns_.fetch_add(ns, std::memory_order_relaxed);
+  }
+  /// CPU seconds charged so far. Complete once the metered loops returned.
+  [[nodiscard]] double seconds() const {
+    return static_cast<double>(ns_.load(std::memory_order_relaxed)) * 1e-9;
+  }
+
+ private:
+  CpuMeter* const parent_;
+  std::atomic<std::int64_t> ns_{0};
+};
+
+/// Makes `meter` the calling thread's CPU meter for the scope: every
+/// parallel_for this thread calls charges the chunks other threads run for
+/// it to `meter`, and those threads pass the meter on to loops they nest.
+/// The calling thread's own chunks are not charged (its own CPU clock
+/// covers them). Restores the previous meter on exit.
+class ScopedCpuMeter {
+ public:
+  explicit ScopedCpuMeter(CpuMeter& meter);
+  ~ScopedCpuMeter();
+  ScopedCpuMeter(const ScopedCpuMeter&) = delete;
+  ScopedCpuMeter& operator=(const ScopedCpuMeter&) = delete;
+
+ private:
+  CpuMeter* const prev_;
+};
+
 /// Fixed-size worker pool. This is the library's stand-in for the paper's
 /// PRAM processor set: "allocate p processors" maps to "run p-way
 /// parallel_for on the pool". Workers are started once and reused, so

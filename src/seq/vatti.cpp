@@ -856,8 +856,8 @@ PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
   return out;
 }
 
-/// Build the whole-input scanbeam schedule of `bt` into `ys` by merging
-/// the per-bound sorted y-lists.
+/// Build the whole-input scanbeam schedule of `bt` into `ys`: one sort +
+/// unique over the minima ys and the edge tops.
 void build_schedule(const BoundTable& bt, std::vector<double>& ys,
                     VattiStats* stats) {
   const std::int64_t t0 = now_ns();

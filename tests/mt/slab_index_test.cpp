@@ -22,10 +22,11 @@ using geom::BoolOp;
 using geom::Contour;
 using geom::PolygonSet;
 
-/// The shared bound table slab_clip builds (== vatti_clip's) and its
-/// schedule.
+/// The shared bound table slab_clip builds (== vatti_clip's), its bound
+/// heads (taken before the minima sort) and its schedule.
 struct Table {
   seq::BoundTable bt;
+  std::vector<std::int32_t> heads;
   std::vector<double> ys;
 };
 
@@ -38,6 +39,7 @@ Table make_table(const PolygonSet& subject, const PolygonSet& clip = {}) {
   for (const auto& c : clip.contours)
     if (seq::prepare_contour_points(c, prep))
       seq::append_bounds(t.bt, prep, /*is_clip=*/true);
+  t.heads = bound_heads(t.bt);
   seq::sort_minima(t.bt);
   t.ys = seq::scanbeam_ys(t.bt);
   return t;
@@ -83,9 +85,54 @@ TEST(SlabIndex, MatchesBruteForceOnRandomField) {
   const PolygonSet other = data::polygon_field(43, 60, 100.0, 9);
   const Table t = make_table(field, other);
   for (const unsigned slabs : {1u, 3u, 7u, 16u, 64u}) {
-    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.heads, t.ys, slabs);
     EXPECT_EQ(idx.num_slabs(), slabs) << "distinct ordinates are plenty";
     expect_index_valid(idx, t);
+  }
+}
+
+// The index takes the bound heads in emission order instead of sorting
+// them: they must already ascend, split the edge array into its chains,
+// and equal what sorting the sorted minima's heads gives — so the index
+// is the one the sort built.
+TEST(SlabIndex, EmissionOrderHeadsNeedNoSort) {
+  par::ThreadPool pool(4);
+  const auto pair = data::synthetic_pair(7919, 3000);
+  const Table tables[] = {
+      make_table(data::polygon_field(42, 80, 100.0, 10),
+                 data::polygon_field(43, 60, 100.0, 9)),
+      make_table(pair.subject, pair.clip),
+  };
+  for (const Table& t : tables) {
+    ASSERT_EQ(t.heads.size(), 2 * t.bt.minima.size());
+    ASSERT_FALSE(t.heads.empty());
+    EXPECT_EQ(t.heads.front(), 0);
+    for (std::size_t k = 0; k < t.heads.size(); ++k) {
+      const auto end = k + 1 < t.heads.size()
+                           ? t.heads[k + 1]
+                           : static_cast<std::int32_t>(t.bt.edges.size());
+      ASSERT_LT(t.heads[k], end) << "heads ascend strictly";
+      // Each head's chain runs contiguously up to the next head.
+      for (std::int32_t e = t.heads[k]; e + 1 < end; ++e)
+        ASSERT_EQ(t.bt.edges[static_cast<std::size_t>(e)].next, e + 1);
+      ASSERT_EQ(t.bt.edges[static_cast<std::size_t>(end - 1)].next, -1);
+    }
+    std::vector<std::int32_t> sorted;
+    for (const seq::LocalMin& lm : t.bt.minima) {
+      sorted.push_back(lm.edge_left);
+      sorted.push_back(lm.edge_right);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, t.heads);
+    for (const unsigned slabs : {4u, 16u}) {
+      const SlabIndex a = build_slab_index(pool, t.bt, t.heads, t.ys, slabs);
+      const SlabIndex b = build_slab_index(pool, t.bt, sorted, t.ys, slabs);
+      EXPECT_EQ(a.lines, b.lines);
+      EXPECT_EQ(a.offsets, b.offsets);
+      EXPECT_EQ(a.seeds, b.seeds);
+      EXPECT_EQ(a.probes, b.probes);
+      expect_index_valid(a, t);
+    }
   }
 }
 
@@ -97,7 +144,7 @@ TEST(SlabIndex, ContourTouchingSlabBoundaryIsInBothSlabs) {
   a.add(geom::make_rect(0.0, 0.0, 4.0, 10.0));
   a.add(geom::make_polygon({{6.0, 1.0}, {9.0, 2.0}, {8.0, 9.0}}).contours[0]);
   const Table t = make_table(a);
-  const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, 2);
+  const SlabIndex idx = build_slab_index(pool, t.bt, t.heads, t.ys, 2);
   ASSERT_EQ(idx.num_slabs(), 2u);
   expect_index_valid(idx, t);
   EXPECT_EQ(idx.line_seeds(0).size(), 4u);  // two per contour
@@ -119,7 +166,7 @@ TEST(SlabIndex, ZeroHeightContourOnBoundaryIsInsideBothSlabs) {
   a.add(geom::make_rect(0.0, 11.0, 4.0, 20.0));
   const Table t = make_table(a);
   for (const unsigned slabs : {2u, 3u, 8u}) {
-    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.heads, t.ys, slabs);
     expect_index_valid(idx, t);
   }
   const double y0 = 1.0, y1 = std::nextafter(1.0, 2.0);
@@ -141,7 +188,7 @@ TEST(SlabIndex, DegenerateAndOutOfRangeContours) {
   const Table t = make_table(a);
   EXPECT_EQ(t.bt.minima.size(), 3u);
   for (const unsigned slabs : {3u, 6u, 12u}) {
-    const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, slabs);
+    const SlabIndex idx = build_slab_index(pool, t.bt, t.heads, t.ys, slabs);
     expect_index_valid(idx, t);
     for (std::size_t j = 0; j < idx.lines.size(); ++j) {
       // Lines through the tall rectangle cut exactly its two sides.
@@ -160,7 +207,7 @@ TEST(SlabIndex, EmptySlabsGetEmptyLists) {
   for (int i = 0; i < 4; ++i)
     a.add(geom::make_rect(0.0, 10.0 * i, 5.0, 10.0 * i + 3.0));
   const Table t = make_table(a);
-  const SlabIndex idx = build_slab_index(pool, t.bt, t.ys, 16);
+  const SlabIndex idx = build_slab_index(pool, t.bt, t.heads, t.ys, 16);
   expect_index_valid(idx, t);
   std::size_t empty = 0;
   for (std::size_t j = 0; j < idx.lines.size(); ++j)
@@ -173,11 +220,12 @@ TEST(SlabIndex, EmptySlabsGetEmptyLists) {
 TEST(SlabIndex, NoBoundsOrNoBoxes) {
   par::ThreadPool pool(2);
   const Table empty;
-  const SlabIndex none = build_slab_index(pool, empty.bt, empty.ys, 8);
+  const SlabIndex none =
+      build_slab_index(pool, empty.bt, empty.heads, empty.ys, 8);
   EXPECT_EQ(none.num_slabs(), 1u);
   EXPECT_TRUE(none.seeds.empty());
   const Table t = make_table(geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}));
-  const SlabIndex one = build_slab_index(pool, t.bt, t.ys, 1);
+  const SlabIndex one = build_slab_index(pool, t.bt, t.heads, t.ys, 1);
   EXPECT_EQ(one.num_slabs(), 1u);
   EXPECT_TRUE(one.lines.empty());
   EXPECT_EQ(one.offsets, std::vector<std::int64_t>{0});
