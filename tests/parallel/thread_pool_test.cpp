@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "error.hpp"
+#include "parallel/timing.hpp"
 
 namespace psclip::par {
 namespace {
@@ -23,6 +24,13 @@ bool wait_until(Pred ready, std::chrono::milliseconds limit) {
   const auto until = Clock::now() + limit;
   while (!ready() && Clock::now() < until) std::this_thread::yield();
   return ready();
+}
+
+/// Spin until this thread has burned `seconds` of CPU.
+void burn_cpu(double seconds) {
+  const ThreadCpuTimer t;
+  while (t.seconds() < seconds) {
+  }
 }
 
 TEST(ThreadPool, SizeDefaultsToAtLeastOne) {
@@ -273,6 +281,82 @@ TEST(ThreadPool, DefaultPoolIsSingleton) {
   std::atomic<int> n{0};
   a.parallel_for(10, [&](std::size_t) { ++n; });
   EXPECT_EQ(n.load(), 10);
+}
+
+// A metered caller's loop charges the chunks other threads ran for it —
+// here exactly the helper's body — and not the caller's own chunks.
+TEST(CpuMeter, ChargesHelperChunksOnly) {
+  ThreadPool pool(2);
+  CpuMeter meter;
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> arrived{0};
+  std::vector<double> cpu(2, 0.0);
+  std::vector<char> on_caller(2, 0);
+  {
+    ScopedCpuMeter scope(meter);
+    pool.parallel_for(
+        2,
+        [&](std::size_t i) {
+          const ThreadCpuTimer own;
+          // Both bodies wait for each other, so one runs on a helper.
+          arrived.fetch_add(1);
+          wait_until([&] { return arrived.load() == 2; },
+                     std::chrono::seconds(10));
+          burn_cpu(0.02);
+          on_caller[i] = std::this_thread::get_id() == caller;
+          cpu[i] = own.seconds();
+        },
+        /*grain=*/1);
+  }
+  ASSERT_NE(on_caller[0], on_caller[1]);
+  const double helper = on_caller[0] ? cpu[1] : cpu[0];
+  EXPECT_GE(meter.seconds(), 0.02);
+  EXPECT_NEAR(meter.seconds(), helper, 1e-3);
+}
+
+// A loop nested on a helper charges the metered caller's meter once: the
+// helper's chunk covers the nested chunks it runs itself, and a third
+// thread's nested chunk is charged on its own. A child meter forwards
+// every charge to its parent.
+TEST(CpuMeter, NestedLoopOnHelperChargedOnce) {
+  ThreadPool pool(3);
+  CpuMeter phase;
+  CpuMeter step(&phase);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> outer_arrived{0}, inner_arrived{0};
+  std::atomic<std::thread::id> helper{};
+  double helper_cpu = 0.0, third_cpu = 0.0;
+  {
+    ScopedCpuMeter scope(step);
+    pool.parallel_for(
+        2,
+        [&](std::size_t) {
+          const ThreadCpuTimer own;
+          outer_arrived.fetch_add(1);
+          wait_until([&] { return outer_arrived.load() == 2; },
+                     std::chrono::seconds(10));
+          if (std::this_thread::get_id() == caller) return burn_cpu(0.02);
+          helper = std::this_thread::get_id();
+          pool.parallel_for(
+              2,
+              [&](std::size_t) {
+                const ThreadCpuTimer leaf;
+                inner_arrived.fetch_add(1);
+                wait_until([&] { return inner_arrived.load() == 2; },
+                           std::chrono::seconds(10));
+                burn_cpu(0.02);
+                if (std::this_thread::get_id() != helper.load())
+                  third_cpu = leaf.seconds();
+              },
+              /*grain=*/1);
+          helper_cpu = own.seconds();
+        },
+        /*grain=*/1);
+  }
+  ASSERT_EQ(inner_arrived.load(), 2);
+  ASSERT_GE(third_cpu, 0.02);  // the nested loop ran on a third thread
+  EXPECT_NEAR(step.seconds(), helper_cpu + third_cpu, 1e-3);
+  EXPECT_EQ(phase.seconds(), step.seconds());
 }
 
 }  // namespace
