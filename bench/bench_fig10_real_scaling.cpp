@@ -6,7 +6,8 @@
 
 #include "bench_util.hpp"
 #include "data/gis_sim.hpp"
-#include "mt/multiset.hpp"
+#include "mt/algorithm2.hpp"
+#include "paper_replicate.hpp"
 
 int main() {
   using namespace psclip;
@@ -25,19 +26,19 @@ int main() {
     const geom::PolygonSet* a;
     const geom::PolygonSet* b;
     geom::BoolOp op;
-    // Union uses the paper's replicate-and-deduplicate scheme (its exact
-    // alternative, block closure, serializes on interleaved layers).
-    mt::MultisetAssign assign;
+    // The paper's replicate-and-dedup scheme (paper_replicate.hpp) instead
+    // of slab_clip: approximate for union.
+    bool paper_scheme;
   };
   const Job jobs[] = {
-      {"Intersect(1,2)", &d1, &d2, geom::BoolOp::kIntersection,
-       mt::MultisetAssign::kAuto},
-      {"Union(1,2)", &d1, &d2, geom::BoolOp::kUnion,
-       mt::MultisetAssign::kReplicate},
-      {"Intersect(3,4)", &d3, &d4, geom::BoolOp::kIntersection,
-       mt::MultisetAssign::kAuto},
-      {"Union(3,4)", &d3, &d4, geom::BoolOp::kUnion,
-       mt::MultisetAssign::kReplicate},
+      {"Intersect(1,2)", &d1, &d2, geom::BoolOp::kIntersection, false},
+      {"Union(1,2)", &d1, &d2, geom::BoolOp::kUnion, false},
+      {"Union(1,2) paper scheme, approximate for union", &d1, &d2,
+       geom::BoolOp::kUnion, true},
+      {"Intersect(3,4)", &d3, &d4, geom::BoolOp::kIntersection, false},
+      {"Union(3,4)", &d3, &d4, geom::BoolOp::kUnion, false},
+      {"Union(3,4) paper scheme, approximate for union", &d3, &d4,
+       geom::BoolOp::kUnion, true},
   };
 
   for (const auto& job : jobs) {
@@ -49,16 +50,18 @@ int main() {
     double base = 0.0;
     for (unsigned t : bench::thread_ladder()) {
       par::ThreadPool pool(t);
-      mt::MultisetOptions o;
-      o.slabs = t;
-      o.assign = job.assign;
+      mt::Alg2Options o;
+      o.slabs = t;  // the paper's one slab per thread
       mt::Alg2Stats st;
-      geom::PolygonSet r;
-      const double sec = bench::time_median3(
-          [&] { r = mt::multiset_clip(*job.a, *job.b, job.op, pool, o, &st); });
+      const auto run = [&](par::ThreadPool& on) {
+        return job.paper_scheme
+                   ? bench::replicate_clip(*job.a, *job.b, job.op, on, t, &st)
+                   : mt::slab_clip(*job.a, *job.b, job.op, on, o, &st);
+      };
+      const double sec = bench::time_median3([&] { (void)run(pool); });
       // Decomposition metrics from a serialized run (see bench_fig8).
       par::ThreadPool serial(1);
-      mt::multiset_clip(*job.a, *job.b, job.op, serial, o, &st);
+      (void)run(serial);
       if (base == 0.0) base = sec;
       std::printf("%8u %12.3f %9.2fx %11.2fx %12lld %12.2f\n", t, sec * 1e3,
                   base / sec, st.ideal_speedup(),

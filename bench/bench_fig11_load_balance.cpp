@@ -19,7 +19,6 @@
 #include "data/gis_sim.hpp"
 #include "data/synthetic.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 
 namespace {
 
@@ -96,10 +95,10 @@ int main(int argc, char** argv) {
     // Serialized execution (one worker, 8 slabs): per-slab times are then
     // true work measurements rather than oversubscription artifacts.
     par::ThreadPool pool(1);
-    mt::MultisetOptions o;
+    mt::Alg2Options o;
     o.slabs = slabs;
     mt::Alg2Stats st;
-    mt::multiset_clip(d1, d2, geom::BoolOp::kIntersection, pool, o, &st);
+    mt::slab_clip(d1, d2, geom::BoolOp::kIntersection, pool, o, &st);
 
     std::printf("%6s %12s %14s %14s\n", "slab", "time (ms)", "input edges",
                 "out verts");

@@ -1,7 +1,8 @@
 // GIS map overlay — the paper's motivating application (§I): intersect an
 // urban-areas layer with a states/provinces layer using the
-// multi-threaded Algorithm 2 for polygon sets, report per-phase timings
-// and per-slab loads, and render the overlay to SVG.
+// multi-threaded Algorithm 2 (two layers are two multi-contour inputs),
+// report per-phase timings and per-slab loads, and render the overlay to
+// SVG.
 //
 //   $ ./gis_overlay [scale] [threads]
 //
@@ -14,7 +15,7 @@
 #include "data/gis_sim.hpp"
 #include "geom/geojson.hpp"
 #include "geom/svg.hpp"
-#include "mt/multiset.hpp"
+#include "mt/algorithm2.hpp"
 #include "seq/vatti.hpp"
 
 int main(int argc, char** argv) {
@@ -32,19 +33,16 @@ int main(int argc, char** argv) {
   std::printf("  states: %zu polys, %zu edges\n", ss.polys, ss.edges);
 
   par::ThreadPool pool(threads);
-  mt::MultisetOptions opts;
   mt::Alg2Stats stats;
-  const geom::PolygonSet overlay = mt::multiset_clip(
-      urban, states, geom::BoolOp::kIntersection, pool, opts, &stats);
+  const geom::PolygonSet overlay = mt::slab_clip(
+      urban, states, geom::BoolOp::kIntersection, pool, {}, &stats);
 
   std::printf("\nIntersect(urban, states) with %u threads:\n", pool.size());
   std::printf("  partition %.3f ms, clip %.3f ms, merge %.3f ms\n",
               stats.phases.partition * 1e3, stats.phases.clip * 1e3,
               stats.phases.merge * 1e3);
-  std::printf("  %lld output polygons, %lld duplicates removed, "
-              "load imbalance %.2f\n",
+  std::printf("  %lld output polygons, load imbalance %.2f\n",
               static_cast<long long>(stats.output_contours),
-              static_cast<long long>(stats.duplicates_removed),
               stats.load_imbalance());
   for (std::size_t i = 0; i < stats.slabs.size(); ++i)
     std::printf("  slab %zu: %.3f ms over %lld edges\n", i,

@@ -20,17 +20,22 @@ void WeldArena::add_ring(const geom::Contour& ring) {
   const std::size_t n = ring.size();
   if (n < 3) return;
   const auto base = static_cast<std::int32_t>(pt_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    pt_.push_back(ring[i]);
-    next_.push_back(base + static_cast<std::int32_t>((i + 1) % n));
-    cancelled_.push_back(0);
-    twin_.push_back(-1);
-  }
+  pt_.insert(pt_.end(), ring.pts.begin(), ring.pts.end());
+  for (std::int32_t i = 1; i < static_cast<std::int32_t>(n); ++i)
+    next_.push_back(base + i);
+  next_.push_back(base);
+  cancelled_.resize(pt_.size(), 0);
+  twin_.resize(pt_.size(), -1);
+  // A ring's horizontal edges mostly share a few scanlines: look the
+  // line up again only when it changes (map values never move).
+  std::vector<std::int32_t>* line = nullptr;
   for (std::size_t i = 0; i < n; ++i) {
     const geom::Point& a = ring[i];
-    const geom::Point& b = ring[(i + 1) % n];
-    if (a.y == b.y && a.x != b.x)
-      horiz_[a.y].push_back(base + static_cast<std::int32_t>(i));
+    const geom::Point& b = ring[i + 1 < n ? i + 1 : 0];
+    if (a.y != b.y || a.x == b.x) continue;
+    if (!line || pt_[static_cast<std::size_t>(line->back())].y != a.y)
+      line = &horiz_[a.y];
+    line->push_back(base + static_cast<std::int32_t>(i));
   }
 }
 
@@ -82,23 +87,22 @@ void WeldArena::apply_scanline(const ScanPlan& plan) {
   const std::vector<double>& xs = plan.xs;
 
   // For each elementary sub-interval [xs[k], xs[k+1]] remember the slot of
-  // the rightward and of the leftward sub-edge covering it.
-  std::unordered_map<std::size_t, std::int32_t> right_half, left_half;
+  // the rightward and of the leftward sub-edge covering it (-1: none).
+  std::vector<std::int32_t> right_half(xs.size(), -1), left_half(xs.size(), -1);
   std::vector<std::pair<std::int32_t, std::int32_t>> welds;  // (A, C)
 
   auto register_subedge = [&](std::int32_t from, std::size_t key,
                               bool rightward) {
-    auto& mine = rightward ? right_half : left_half;
-    auto& other = rightward ? left_half : right_half;
-    const auto match = other.find(key);
-    if (match == other.end()) {
-      mine[key] = from;
+    std::int32_t& mine = (rightward ? right_half : left_half)[key];
+    std::int32_t& other = (rightward ? left_half : right_half)[key];
+    if (other < 0) {
+      mine = from;
       return;
     }
-    const std::int32_t A = rightward ? from : match->second;  // rightward
-    const std::int32_t C = rightward ? match->second : from;  // leftward
+    const std::int32_t A = rightward ? from : other;  // rightward
+    const std::int32_t C = rightward ? other : from;  // leftward
     welds.emplace_back(A, C);
-    other.erase(match);
+    other = -1;
   };
 
   // Chain slots are written into this scanline's preallocated range; when

@@ -36,9 +36,9 @@ int remove_horizontals(Contour& c, double magnitude) {
   // perturbation is entirely per-contour — the nudge quantum comes from the
   // contour's own bbox and the salt from (pass, vertex index) — so a
   // contour perturbs identically whether it travels alone (the slab
-  // engines prepare contours one by one), in a whole input set, or in a
-  // replicated multiset copy. slab_clip's byte-identity with vatti_clip
-  // rests on exactly this independence.
+  // engine prepares contours one by one, a prepared cache shares them
+  // across requests) or in a whole input set. slab_clip's byte-identity
+  // with vatti_clip rests on exactly this independence.
   for (int pass = 0; pass < 64; ++pass) {
     bool changed = false;
     const BBox cb = bounds(c);
@@ -56,8 +56,7 @@ int remove_horizontals(Contour& c, double magnitude) {
         cur.y = prev.y;
         // Deterministic per (pass, vertex-in-contour) so that the same
         // contour perturbs identically regardless of which polygon set
-        // it travels in (the multiset clipper's duplicate elimination
-        // relies on replicated pairs producing identical output).
+        // it travels in.
         const int salt =
             1 + static_cast<int>((static_cast<std::size_t>(pass) * 7 +
                                   i * 13) %

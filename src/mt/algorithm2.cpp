@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/merge.hpp"
 #include "error.hpp"
 #include "mt/arena.hpp"
 #include "mt/slab_index.hpp"
@@ -22,20 +24,99 @@
 namespace psclip::mt {
 namespace {
 
-constexpr SlabRunNames kNames{
-    .request = "alg2.slab_clip",
-    .clip = "alg2.clip",
-    .slab = "alg2.slab",
-    .requests = "alg2.requests",
-    .slabs = "alg2.slabs",
-    .degraded_slabs = "alg2.degraded_slabs",
-    .partial_requests = "alg2.partial_requests",
-    .missing_slabs = "alg2.missing_slabs",
-    .request_seconds = "alg2.request_seconds",
-};
-
 // slab_clip's per-slab degradation ladder, most to least optimistic.
 constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
+
+/// The slab's pieces end at its lines: it completed on a per-slab rung
+/// (not abandoned for a partial result, not replaced by the whole-input
+/// recompute).
+bool swept(const SlabOut& so) {
+  return so.report.rung == Rung::kHealthy ||
+         so.report.rung == Rung::kRetrySafe;
+}
+
+/// Drop the cut vertices of `ring`: vertices on a line of `lines` (sorted)
+/// whose two neighbours lie strictly on opposite sides of it, on the chord
+/// between them up to the rounding of the cut point. Each is the cut point
+/// of one input edge, so dropping it restores that edge; two edges that
+/// cross exactly on a line make a real corner there, which the chord test
+/// keeps. The decision reads the original neighbours, so an edge cut by
+/// several lines loses all its cut points at once.
+void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines) {
+  std::vector<geom::Point>& v = ring.pts;
+  const std::size_t n = v.size();
+  // Compacts in place: slot i is read before it can be overwritten, and
+  // the original neighbours it overwrites are kept aside.
+  const geom::Point first = v[0];
+  geom::Point prev = v[n - 1];
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Point cur = v[i];
+    const geom::Point& next = i + 1 < n ? v[i + 1] : first;
+    const double y = cur.y;
+    bool cut = (prev.y < y && y < next.y) || (next.y < y && y < prev.y);
+    if (cut) {
+      const geom::Point d = next - prev;
+      const double chord = std::fabs(d.x) + std::fabs(d.y);
+      const double scale = chord + std::fabs(cur.x) + std::fabs(y);
+      cut = std::binary_search(lines.begin(), lines.end(), y) &&
+            std::fabs(geom::cross(cur - prev, d)) <= 1e-12 * chord * scale;
+    }
+    if (!cut) v[kept++] = cur;
+    prev = cur;
+  }
+  v.resize(kept);
+}
+
+/// Step 8: concatenate the slab outputs and weld the pieces along every
+/// line between two swept slabs. Rings touching none of those lines pass
+/// through untouched, in slab order; the welded rings follow.
+geom::PolygonSet merge_slabs(std::vector<SlabOut>& outs,
+                             std::span<const double> lines,
+                             par::ThreadPool& pool) {
+  // Line j lies between slabs j and j + 1.
+  const auto welded = [&](std::size_t j) {
+    return swept(outs[j]) && swept(outs[j + 1]);
+  };
+  std::vector<std::size_t> weld_idx;
+  std::vector<double> weld_ys;  // ascending, as the lines are
+  for (std::size_t j = 0; j < lines.size(); ++j)
+    if (welded(j)) {
+      weld_idx.push_back(j);
+      weld_ys.push_back(lines[j]);
+    }
+  // No vertex compares equal to NaN.
+  constexpr double kNoLine = std::numeric_limits<double>::quiet_NaN();
+  geom::PolygonSet out;
+  core::WeldArena arena;
+  bool any = false;
+  for (std::size_t t = 0; t < outs.size(); ++t) {
+    // Slab t's pieces can only touch its own two lines.
+    const double lo = t > 0 && welded(t - 1) ? lines[t - 1] : kNoLine;
+    const double hi = t < lines.size() && welded(t) ? lines[t] : kNoLine;
+    for (geom::Contour& c : outs[t].result.contours) {
+      const bool touches = std::any_of(
+          c.pts.begin(), c.pts.end(),
+          [&](const geom::Point& q) { return q.y == lo || q.y == hi; });
+      if (touches) {
+        arena.add_ring(c);
+        any = true;
+      } else {
+        out.contours.push_back(std::move(c));
+      }
+    }
+  }
+  if (!any) return out;
+  // The slabs are complete: the weld is a short fixed cost that runs
+  // ungoverned, so a deadline cannot discard finished slabs at the merge.
+  const par::gov::ScopedToken ungoverned{par::CancelToken{}};
+  arena.weld_parallel(pool, weld_idx, lines);
+  for (geom::Contour& ring : arena.extract(/*pack_virtuals=*/false).contours) {
+    drop_cut_vertices(ring, weld_ys);
+    out.contours.push_back(std::move(ring));
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -46,7 +127,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   const unsigned p =
       opts.slabs ? opts.slabs
                  : pool.size() * std::max(1u, opts.oversubscribe);
-  SlabRun run(kNames, pool, opts, stats);
+  SlabRun run(pool, opts, stats);
   if (subject.num_vertices() + clip.num_vertices() == 0) return {};
   obs::TraceSink* const sink = opts.trace_sink;
   obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
@@ -210,15 +291,9 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                                                ys_below(w.y_hi) - ys_lo);
 
     std::optional<seq::VattiScratch> fresh;
-    seq::VattiScratch* scratch = nullptr;
-    if (rung == Rung::kHealthy) {
-      SlabArena& arena = worker_arena();
-      ++arena.tasks_served;
-      scratch = &arena.vatti;
-    } else {
-      scratch = &fresh.emplace();
-    }
-    arena_charge.raise_to(scratch->resident_bytes());
+    seq::VattiScratch& scratch =
+        rung == Rung::kHealthy ? worker_arena() : fresh.emplace();
+    arena_charge.raise_to(scratch.resident_bytes());
     so.partition_seconds = timer.seconds();
     so.partition_cpu = cpu_timer.seconds();
     part_span.arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
@@ -229,7 +304,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     cpu_timer.reset();
     seq::VattiStats vs;
     so.result =
-        seq::vatti_sweep_window(bt, w, op, &vs, *scratch);
+        seq::vatti_sweep_window(bt, w, op, &vs, scratch);
     if (rung == Rung::kHealthy &&
         par::fault::corrupt(par::fault::Site::kArena)) {
       const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -241,7 +316,7 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
     so.load.boundary_edges = vs.boundary_edges;
     so.load.output_vertices = vs.output_vertices;
     so.load.peak_arena_bytes =
-        static_cast<std::int64_t>(scratch->resident_bytes());
+        static_cast<std::int64_t>(scratch.resident_bytes());
     sweep_span.arg("input_edges", vs.edges);
     sweep_span.arg("output_vertices", vs.output_vertices);
     sweep_span.end();
@@ -268,17 +343,21 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   const double t_par = phase_timer.seconds();
   phase_timer.reset();
 
-  // Step 8 (sequential in the paper): concatenate the per-slab outputs.
-  // merge_cpu is measured with the thread CPU clock, not copied from the
-  // wall section: the merge runs on the caller only, but wall time still
-  // charges any time the caller was descheduled while workers wound down.
+  // Step 8: weld the seams. merge_cpu is the caller's thread CPU clock
+  // plus the chunks pool helpers ran for the weld, not the wall section:
+  // wall time also charges any time the caller was descheduled while
+  // workers wound down.
   obs::ScopedSpan merge_span(sink, "alg2.merge", obs::Cat::kPhase);
   par::ThreadCpuTimer merge_cpu_timer;
+  par::CpuMeter merge_helpers;
   geom::PolygonSet out;
-  for (auto& so : run.outs())
-    for (auto& c : so.result.contours) out.contours.push_back(std::move(c));
+  {
+    par::ScopedCpuMeter scope(merge_helpers);
+    out = merge_slabs(run.outs(), index.lines, pool);
+  }
   const double t_merge = phase_timer.seconds();
-  const double t_merge_cpu = merge_cpu_timer.seconds();
+  const double t_merge_cpu =
+      merge_cpu_timer.seconds() + merge_helpers.seconds();
   merge_span.arg("output_contours",
                  static_cast<std::int64_t>(out.num_contours()));
   merge_span.end();

@@ -16,12 +16,26 @@ class PreparedSource;
 
 namespace psclip::mt {
 
-/// Options both slab engines (slab_clip and multiset_clip) share. The
-/// fault, governance and tracing policy that reads them is common to both.
-struct SlabEngineOptions {
+/// Options for the multi-threaded slab clipper (Algorithm 2). The
+/// per-slab ladder is healthy → retry-safe (the same cut swept on a fresh
+/// VattiScratch, byte-identical) → whole-input recompute.
+struct Alg2Options {
+  /// Number of horizontal slabs (the paper uses one per thread). 0 = derive
+  /// from the pool: oversubscribe × pool.size().
+  unsigned slabs = 0;
+  /// Adaptive over-partitioning factor used when `slabs == 0`: the input is
+  /// cut into oversubscribe × p slabs, which the pool's parallel_for hands
+  /// out one at a time, so a worker that finishes early takes the next
+  /// slab. The paper's static one-slab-per-thread decomposition
+  /// (oversubscribe = 1) leaves workers idle while the heaviest slab
+  /// finishes (Fig. 11); a factor of ~4 trades a few more seed edges for
+  /// a much tighter per-worker load distribution. The slab decomposition —
+  /// and therefore the output — depends only on the resulting slab count,
+  /// never on scheduling order.
+  unsigned oversubscribe = 4;
   /// Fault isolation (default on): every slab task runs behind a guard that
   /// catches exceptions and rejects non-finite output, then walks the
-  /// engine's degradation ladder (see mt::Rung) and, if a slab still cannot
+  /// degradation ladder (see mt::Rung) and, if a slab still cannot
   /// complete, falls back to one sequential whole-input clip. A fault
   /// confined to one slab therefore degrades that slab only;
   /// Alg2Stats::degradation records how far each slab fell. Off: the first
@@ -33,14 +47,14 @@ struct SlabEngineOptions {
   /// fault.hpp injection sites. Non-null: the run records a
   /// request → phase → slab → rung span hierarchy (slab spans carry slab
   /// id, executing worker, degradation rung and attempt count) plus
-  /// per-engine counters and latency histograms. The sink must outlive the call and be thread-safe
-  /// (obs::TraceRecorder is).
+  /// counters and latency histograms. The sink must outlive the call and
+  /// be thread-safe (obs::TraceRecorder is).
   obs::TraceSink* trace_sink = nullptr;
   /// Request governance handle (DESIGN.md §11): cancel flag, deadline and
   /// memory budget checked at cooperative checkpoints throughout the run —
   /// phase boundaries, slab-attempt entries, parallel_for chunk boundaries
   /// and every scanbeam of the sweep. A default (null) token governs
-  /// nothing and costs one null check per checkpoint; when an engine is
+  /// nothing and costs one null check per checkpoint; when the engine is
   /// called with a token already installed on the thread (psclip::clip
   /// facade), leaving this null inherits it.
   par::CancelToken cancel;
@@ -64,25 +78,6 @@ struct SlabEngineOptions {
   seq::PreparedSource* prepared_cache = nullptr;
 };
 
-/// Options for the multi-threaded slab clipper (Algorithm 2). The
-/// per-slab ladder is healthy → retry-safe (the same cut swept on a fresh
-/// VattiScratch, byte-identical) → whole-input recompute.
-struct Alg2Options : SlabEngineOptions {
-  /// Number of horizontal slabs (the paper uses one per thread). 0 = derive
-  /// from the pool: oversubscribe × pool.size().
-  unsigned slabs = 0;
-  /// Adaptive over-partitioning factor used when `slabs == 0`: the input is
-  /// cut into oversubscribe × p slabs, which the pool's parallel_for hands
-  /// out one at a time, so a worker that finishes early takes the next
-  /// slab. The paper's static one-slab-per-thread decomposition
-  /// (oversubscribe = 1) leaves workers idle while the heaviest slab
-  /// finishes (Fig. 11); a factor of ~4 trades a few more seed edges for
-  /// a much tighter per-worker load distribution. The slab decomposition —
-  /// and therefore the output — depends only on the resulting slab count,
-  /// never on scheduling order.
-  unsigned oversubscribe = 4;
-};
-
 /// The paper's Algorithm 2 for a pair of arbitrary polygons (also accepts
 /// multi-contour inputs), with Steps 4–5 made output-sensitive:
 ///
@@ -99,17 +94,37 @@ struct Alg2Options : SlabEngineOptions {
 ///        at its bottom line by the crossing edges, labelled by parity
 ///        prefix (Algorithm 1's Lemmas 2–3), closed along its top line
 ///        (seq::vatti_sweep_window),
-///   8    concatenate the per-slab outputs (the paper's sequential merge:
-///        pieces have disjoint interiors, so concatenation is the even-odd
-///        union; contours crossing slab lines remain split at the exact
-///        cut points of their edges, as in the paper).
+///   8    weld the pieces along every slab line (the paper's merge,
+///        Fig. 6): the pieces a slab line cut close along it in opposite
+///        directions over the same exact cut points, so core::WeldArena
+///        cancels the coincident sub-edges, and the cut vertices — a
+///        vertex on a welded line whose neighbours lie strictly on
+///        opposite sides of it — are dropped, restoring the input edge.
+///        Only the lines between two slabs that completed on a per-slab
+///        rung are welded (a partial result keeps its missing slabs'
+///        seams open).
 ///
 /// With one slab the output is byte-identical to seq::vatti_clip; with
-/// more, each slab sweeps exactly Vatti's edges, so the region matches it
-/// to rounding in the seam vertices.
+/// more, each slab sweeps exactly Vatti's edges and the weld removes the
+/// seams, so the output is Vatti's rings (in another order, each starting
+/// at another vertex) up to ties that break general position.
+///
+/// Two sets of polygons (GIS layers, the paper's §IV Pthreads variant)
+/// are two multi-contour inputs: the same call clips them exactly under
+/// every operator.
 geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts = {},
                            Alg2Stats* stats = nullptr);
+
+/// Former name of slab_clip for two sets of polygons, kept for callers
+/// written against it.
+inline geom::PolygonSet multiset_clip(const geom::PolygonSet& subject,
+                                      const geom::PolygonSet& clip,
+                                      geom::BoolOp op, par::ThreadPool& pool,
+                                      const Alg2Options& opts = {},
+                                      Alg2Stats* stats = nullptr) {
+  return slab_clip(subject, clip, op, pool, opts, stats);
+}
 
 }  // namespace psclip::mt

@@ -6,14 +6,14 @@
 namespace psclip::mt {
 namespace {
 
-par::WorkerLocal<SlabArena>& registry() {
-  static par::WorkerLocal<SlabArena> r;
+par::WorkerLocal<seq::VattiScratch>& registry() {
+  static par::WorkerLocal<seq::VattiScratch> r;
   return r;
 }
 
 }  // namespace
 
-SlabArena& worker_arena() {
+seq::VattiScratch& worker_arena() {
   par::fault::inject(par::fault::Site::kArena);
   return registry().local();
 }

@@ -100,9 +100,9 @@ void prepare_inputs(par::ThreadPool& pool, PreparedInput& sub,
       /*grain=*/1);
 }
 
-SlabRun::SlabRun(const SlabRunNames& names, par::ThreadPool& pool,
-                 const SlabEngineOptions& opts, Alg2Stats* stats)
-    : names_(names), pool_(pool), opts_(opts), stats_(stats) {
+SlabRun::SlabRun(par::ThreadPool& pool, const Alg2Options& opts,
+                 Alg2Stats* stats)
+    : pool_(pool), opts_(opts), stats_(stats) {
   // A reused stats object must not carry the previous run's record into a
   // call that returns early (empty input) or throws.
   if (stats_) *stats_ = Alg2Stats{};
@@ -110,7 +110,7 @@ SlabRun::SlabRun(const SlabRunNames& names, par::ThreadPool& pool,
   // checkpoints fire on all workers.
   if (opts_.cancel.valid()) gov_scope_.emplace(opts_.cancel);
   par::gov::checkpoint_now();
-  req_span_ = obs::ScopedSpan(opts_.trace_sink, names_.request,
+  req_span_ = obs::ScopedSpan(opts_.trace_sink, "alg2.slab_clip",
                               obs::Cat::kRequest);
   req_timer_.reset();
 }
@@ -167,14 +167,14 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
     so.exhausted = true;
   };
 
-  obs::ScopedSpan clip_span(sink, names_.clip, obs::Cat::kPhase);
+  obs::ScopedSpan clip_span(sink, "alg2.clip", obs::Cat::kPhase);
   const obs::SpanId clip_id = clip_span.id();
   // The slab span parents to the clip-phase span *explicitly*: the phase
   // span lives on the calling thread while slab tasks run on whichever
   // thread claims them, so implicit (same-thread) nesting cannot link them.
   auto run_slab = [&](std::size_t t, Rung first) {
     SlabOut& so = outs_[t];
-    obs::ScopedSpan slab_span(sink, names_.slab, obs::Cat::kSlab, clip_id);
+    obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab, clip_id);
     slab_span.arg("slab", static_cast<std::int64_t>(t));
     slab_span.arg("worker", so.worker);
     // Deterministic fault key: a plan keyed on slab index t fires for
@@ -290,7 +290,6 @@ void SlabRun::run(std::size_t ntasks, std::span<const Rung> ladder,
         so.report.rung = Rung::kWholeInput;
       }
       outs_[0].result = std::move(whole);
-      whole_input_ = true;
     }
   }
 
@@ -309,16 +308,16 @@ void SlabRun::finish(const geom::PolygonSet& out, PhaseTimes phases) {
     for (const SlabOut& so : outs_)
       if (so.report.rung != Rung::kHealthy) ++degraded;
     req_span_.arg("degraded_slabs", degraded);
-    sink->add_counter(names_.requests, 1);
-    sink->add_counter(names_.slabs, static_cast<std::int64_t>(outs_.size()));
-    sink->add_counter(names_.degraded_slabs, degraded);
-    sink->observe(names_.request_seconds, req_timer_.seconds());
+    sink->add_counter("alg2.requests", 1);
+    sink->add_counter("alg2.slabs", static_cast<std::int64_t>(outs_.size()));
+    sink->add_counter("alg2.degraded_slabs", degraded);
+    sink->observe("alg2.request_seconds", req_timer_.seconds());
     if (partial_.partial) {
       const auto missing = static_cast<std::int64_t>(partial_.missing_slabs());
       req_span_.arg("partial", 1);
       req_span_.arg("missing_slabs", missing);
-      sink->add_counter(names_.partial_requests, 1);
-      sink->add_counter(names_.missing_slabs, missing);
+      sink->add_counter("alg2.partial_requests", 1);
+      sink->add_counter("alg2.missing_slabs", missing);
     }
     if (const par::ResourceBudget* b = opts_.cancel.budget())
       sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));

@@ -1,10 +1,10 @@
 #pragma once
 
-// Failure and governance policy shared by the two Algorithm 2 engines
-// (slab_clip and multiset_clip). Internal to psclip_mt: not part of the
-// public API and not included by psclip.hpp.
+// Failure and governance policy of the Algorithm 2 engine (slab_clip).
+// Internal to psclip_mt: not part of the public API and not included by
+// psclip.hpp.
 //
-// Each engine owns its decomposition and the body of one slab attempt;
+// The engine owns its decomposition and the body of one slab attempt;
 // SlabRun owns everything around it — the request scope (stats reset,
 // governance token, request span), scheduling slab tasks on the pool,
 // the per-slab degradation ladder with its governance gate, recovery of
@@ -44,22 +44,8 @@ struct SlabOut {
   bool exhausted = false;  ///< every per-slab ladder rung failed
 };
 
-/// One engine's span, counter and histogram names. Trace sinks store the
-/// pointers, so every name must be a static string.
-struct SlabRunNames {
-  const char* request;           ///< request span
-  const char* clip;              ///< clip-phase span
-  const char* slab;              ///< per-slab span
-  const char* requests;          ///< counter: completed requests
-  const char* slabs;             ///< counter: slab tasks run
-  const char* degraded_slabs;    ///< counter: slabs off the healthy rung
-  const char* partial_requests;  ///< counter: partial results returned
-  const char* missing_slabs;     ///< counter: slabs missing from them
-  const char* request_seconds;   ///< histogram: request latency
-};
-
-/// Globally prepared contour fragments of one input (the setup of both
-/// engines). Two ownership modes behind one pointer view: without a
+/// Globally prepared contour fragments of one input (the engine's
+/// setup). Two ownership modes behind one pointer view: without a
 /// cache the fragments live in `own`; with a prepared_cache they are shared
 /// immutable fragments held alive for the run by `held`. Slab tasks read
 /// only `prep` (null = degenerate contour), so they cannot tell the modes
@@ -86,7 +72,7 @@ void prepare_inputs(par::ThreadPool& pool, PreparedInput& sub,
                     PreparedInput& clip, std::size_t nclip,
                     const ContourAt& clip_at, seq::PreparedSource* cache);
 
-/// The request scope and slab runner of one engine call.
+/// The request scope and slab runner of one slab_clip call.
 class SlabRun {
  public:
   /// One attempt at slab `t` on `rung`: fills `so.result` and `so.load`,
@@ -98,8 +84,7 @@ class SlabRun {
   /// Opens the request: resets `*stats`, installs `opts.cancel` on this
   /// thread for the call (a null token inherits the caller's), checkpoints
   /// — an already-dead request does no work — and opens the request span.
-  SlabRun(const SlabRunNames& names, par::ThreadPool& pool,
-          const SlabEngineOptions& opts, Alg2Stats* stats);
+  SlabRun(par::ThreadPool& pool, const Alg2Options& opts, Alg2Stats* stats);
 
   SlabRun(const SlabRun&) = delete;
   SlabRun& operator=(const SlabRun&) = delete;
@@ -121,8 +106,6 @@ class SlabRun {
            geom::BoolOp op);
 
   [[nodiscard]] std::vector<SlabOut>& outs() { return outs_; }
-  /// The whole-input rung replaced the slab outputs (outs()[0] holds all).
-  [[nodiscard]] bool whole_input() const { return whole_input_; }
 
   /// Ends the request: request span args, counters and the Alg2Stats fill.
   /// `phases` carries the caller's wall sections and its setup and merge
@@ -130,9 +113,8 @@ class SlabRun {
   void finish(const geom::PolygonSet& out, PhaseTimes phases);
 
  private:
-  const SlabRunNames& names_;
   par::ThreadPool& pool_;
-  const SlabEngineOptions& opts_;
+  const Alg2Options& opts_;
   Alg2Stats* const stats_;
   std::optional<par::gov::ScopedToken> gov_scope_;
   obs::ScopedSpan req_span_;
@@ -140,7 +122,6 @@ class SlabRun {
   std::vector<SlabOut> outs_;
   PartialReport partial_;
   std::vector<double> idle_seconds_;  ///< per-worker pool idle time of run()
-  bool whole_input_ = false;
 };
 
 }  // namespace psclip::mt

@@ -12,19 +12,16 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The engine's fast path on the worker arena succeeded (slab_clip: the
-  /// slab's window of the shared bound table swept on the arena's scratch;
-  /// multiset_clip: fused fragment concatenation).
+  /// The fast path on the worker arena succeeded: the slab's window of the
+  /// shared bound table swept on the arena's scratch.
   kHealthy = 0,
-  /// Retry on safe settings, no arena: slab_clip sweeps the same cut on a
-  /// fresh VattiScratch; multiset_clip re-reads the shared slab inputs and
-  /// runs the ordinary vatti_clip. Bit-identical output to the healthy
-  /// path — the recovery rung for every transient or state-corruption
-  /// fault.
+  /// Retry on safe settings, no arena: the same cut swept on a fresh
+  /// VattiScratch. Bit-identical output to the healthy path — the recovery
+  /// rung for every transient or state-corruption fault.
   kRetrySafe,
   /// Final rung: the entire request recomputed by the sequential Vatti
-  /// clipper, abandoning the slab decomposition (result contours are no
-  /// longer split at slab boundaries).
+  /// clipper, abandoning the slab decomposition (its output is
+  /// vatti_clip's, with nothing to weld).
   kWholeInput,
   /// Terminal governance rung (Alg2Options::allow_partial): the slab was
   /// abandoned because the request's deadline, budget, or cancellation
@@ -75,13 +72,14 @@ struct DegradationReport {
 struct PhaseTimes {
   double partition = 0.0;  ///< wall: prepare + shared table + slab index
   double clip = 0.0;       ///< wall: the whole parallel slab section
-  double merge = 0.0;      ///< wall: result concatenation
+  double merge = 0.0;      ///< wall: the seam weld
   /// cpu: the setup on every thread — the caller's thread clock plus the
   /// chunks pool helpers ran for its loops (par::CpuMeter) — plus Σ
   /// per-slab partition work.
   double partition_cpu = 0.0;
   double clip_cpu = 0.0;       ///< cpu: Σ per-slab sequential clip time
-  double merge_cpu = 0.0;      ///< cpu: merge runs on the caller only
+  /// cpu: the weld on the caller plus the chunks pool helpers ran for it
+  double merge_cpu = 0.0;
 
   /// Wall-clock total (the paper's Fig. 9 stack height).
   [[nodiscard]] double total() const { return partition + clip + merge; }
@@ -110,21 +108,11 @@ struct SlabLoad {
   /// seeds (the edges crossing its bottom line) plus the edges the binary
   /// searches along the chains read to find them — 0 for a one-slab run,
   /// whose sweep reads the table once (input_edges). The paper's per-slab
-  /// rectangle clipping read the whole input per slab. multiset_clip
-  /// counts the bound edges it appends for the slab's polygons.
-  /// Deterministic (no timing noise), which makes it the CI-gateable
-  /// partition metric.
+  /// rectangle clipping read the whole input per slab. Deterministic (no
+  /// timing noise), which makes it the CI-gateable partition metric.
   std::int64_t touched_edges = 0;
-  /// Nanoseconds this slab spent building bounds (multiset_clip: fragment
-  /// copies, or the prepare pass inside vatti_clip on its retry rung).
-  /// slab_clip builds its one table in the setup and reports 0.
-  std::int64_t bound_build_ns = 0;
-  /// Nanoseconds this slab spent on its scanbeam schedule (multiset_clip:
-  /// merging the fragments' runs, or the schedule build inside
-  /// vatti_clip). slab_clip slices one shared schedule and reports 0.
-  std::int64_t schedule_ns = 0;
   /// Seed edges the slab's sweep started from: the edges crossing its
-  /// bottom line (slab_clip only; see seq::SweepWindow).
+  /// bottom line (see seq::SweepWindow).
   std::int64_t boundary_edges = 0;
   /// Approximate peak bytes resident in the scratch that served this
   /// slab's successful attempt (seq::VattiScratch::resident_bytes),
@@ -183,7 +171,10 @@ struct Alg2Stats {
   /// Governance outcome: which slabs (if any) are missing from the result.
   PartialReport partial;
   std::int64_t output_contours = 0;
-  std::int64_t duplicates_removed = 0;  ///< multiset variant only
+  /// Duplicate outputs the paper's replicate-and-dedup scheme dropped; the
+  /// engine never replicates and leaves it 0 (the reproduction benches'
+  /// replicate helper fills it).
+  std::int64_t duplicates_removed = 0;
 
   /// Number of slabs that did not complete on the healthy fast path.
   [[nodiscard]] std::int64_t degraded_slabs() const {

@@ -35,8 +35,7 @@ enum class Site : int {
   kVattiSweep,    ///< seq::vatti_clip / vatti_sweep_* entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
   kSlabTask,      ///< mt::SlabRun slab task wrapper, before the ladder runs
-  kSlabCut,       ///< slab input assembly at attempt entry: slab_clip's
-                  ///< window cut, multiset_clip's fragment concatenation
+  kSlabCut,       ///< slab_clip's window cut at attempt entry
 };
 inline constexpr int kSiteCount = 5;
 

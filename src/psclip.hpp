@@ -11,7 +11,8 @@
 ///   seq::vatti_clip                     sequential scanline clipper
 ///   seq::martinez_clip                  independent x-sweep clipper
 ///   core::scanbeam_clip                 the paper's parallel Algorithm 1
-///   mt::slab_clip / mt::multiset_clip   the paper's Algorithm 2
+///   mt::slab_clip                       the paper's Algorithm 2 (pairs
+///                                       and two sets of polygons)
 
 #include <optional>
 #include <utility>
@@ -30,7 +31,6 @@
 #include "geom/validate.hpp"
 #include "geom/wkt.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"

@@ -51,7 +51,7 @@ void append_bounds(BoundTable& bt, const geom::Contour& c, bool is_clip);
 
 /// Sort `bt.minima` by (y, x) — the final step of build_bounds_into,
 /// exposed so callers that assemble tables from prepared fragments (the
-/// slab engines) finish them identically.
+/// slab engine) finish them identically.
 void sort_minima(BoundTable& bt);
 
 /// Drop interior vertices of exactly-horizontal collinear runs: vertex i
@@ -70,7 +70,7 @@ int coalesce_horizontal_runs(geom::Contour& c);
 /// removal) -> coalesce_horizontal_runs -> per-contour
 /// geom::remove_horizontals, into `out` (storage reused). Returns false
 /// when fewer than 3 vertices survive — such contours contribute no bounds
-/// anywhere. vatti_clip and the slab engines prepare every contour
+/// anywhere. vatti_clip and the slab engine prepare every contour
 /// through this one function; slab_clip's byte-identity with vatti_clip at
 /// one slab rests on the prep being per-contour deterministic.
 bool prepare_contour_points(const geom::Contour& in, geom::Contour& out);
@@ -115,9 +115,9 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t basis);
 
 /// Source of shared immutable prepared fragments — the seam between the
-/// clip engines (mt::slab_clip / mt::multiset_clip, which only consume
-/// prepared contours) and a cross-request cache (svc::PreparedCache, which
-/// owns lifetime and eviction). Returns a fragment equal to what
+/// slab engine (mt::slab_clip, which only consumes prepared contours) and
+/// a cross-request cache (svc::PreparedCache, which owns lifetime and
+/// eviction). Returns a fragment equal to what
 /// prepare_contour(c, is_clip, out) would produce, or null when the contour
 /// degenerates (prepare_contour returns false). Implementations must be
 /// thread-safe: the engines call prepared() from every pool worker, and a
@@ -141,7 +141,7 @@ void append_prepared(BoundTable& bt, const PreparedContour& pc);
 /// ys[run_end[r], run_end[r+1]); run_end.front() must be 0 and
 /// run_end.back() == ys.size()) into one sorted distinct-value vector with
 /// bottom-up pairwise in-place merges. `run_end` is consumed as scratch.
-/// The slab engines use it to merge the prepared fragments' schedule runs
+/// The slab engine uses it to merge the prepared fragments' schedule runs
 /// into one table's schedule.
 void merge_sorted_runs_unique(std::vector<double>& ys,
                               std::vector<std::size_t>& run_end);

@@ -51,7 +51,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -137,12 +136,6 @@ bool has_inversion(const double* __restrict xs, std::size_t n) {
 bool env_validate_enabled() {
   static const bool on = std::getenv("PSCLIP_VALIDATE") != nullptr;
   return on;
-}
-
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -829,10 +822,9 @@ class Sweep {
 
 namespace {
 
-/// The one sweep path behind vatti_clip, vatti_sweep_prepared and
-/// vatti_sweep_window: sc.ys holds the scanlines of the window `w` over
-/// `bt`; run the sweep, feed the trace sink, apply the kVattiSweep
-/// corruption hook.
+/// The one sweep path behind vatti_clip and vatti_sweep_window: sc.ys
+/// holds the scanlines of the window `w` over `bt`; run the sweep, feed
+/// the trace sink, apply the kVattiSweep corruption hook.
 PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
                      VattiStats* stats, const SweepWindow& w) {
   sc.impl->begin_run();
@@ -856,15 +848,6 @@ PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
   return out;
 }
 
-/// Build the whole-input scanbeam schedule of `bt` into `ys`: one sort +
-/// unique over the minima ys and the edge tops.
-void build_schedule(const BoundTable& bt, std::vector<double>& ys,
-                    VattiStats* stats) {
-  const std::int64_t t0 = now_ns();
-  scanbeam_ys_merged_into(bt, ys);
-  if (stats) stats->schedule_ns += now_ns() - t0;
-}
-
 }  // namespace
 
 PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
@@ -873,43 +856,24 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
   VattiScratch local;
   VattiScratch& sc = scratch ? *scratch : local;
   BoundTable& bt = sc.impl->bt;
-  {
-    const std::int64_t t0 = now_ns();
-    bt.edges.clear();
-    bt.minima.clear();
-    // Per-contour preparation (clean -> coalesce -> perturb): every step is
-    // a per-contour function, so preparing contours one at a time here is
-    // bit-identical to whole-set preparation — and to the slab engine
-    // preparing the same contours once globally.
-    geom::Contour prep;
-    for (const auto& c : subject.contours)
-      if (prepare_contour_points(c, prep))
-        append_bounds(bt, prep, /*is_clip=*/false);
-    for (const auto& c : clip.contours)
-      if (prepare_contour_points(c, prep))
-        append_bounds(bt, prep, /*is_clip=*/true);
-    sort_minima(bt);
-    if (stats) stats->bound_build_ns += now_ns() - t0;
-  }
-  build_schedule(bt, sc.impl->ys, stats);
+  bt.edges.clear();
+  bt.minima.clear();
+  // Per-contour preparation (clean -> coalesce -> perturb): every step is
+  // a per-contour function, so preparing contours one at a time here is
+  // bit-identical to whole-set preparation — and to the slab engine
+  // preparing the same contours once globally.
+  geom::Contour prep;
+  for (const auto& c : subject.contours)
+    if (prepare_contour_points(c, prep))
+      append_bounds(bt, prep, /*is_clip=*/false);
+  for (const auto& c : clip.contours)
+    if (prepare_contour_points(c, prep))
+      append_bounds(bt, prep, /*is_clip=*/true);
+  sort_minima(bt);
+  // The whole-input schedule: one sort + unique over the minima ys and the
+  // edge tops.
+  scanbeam_ys_merged_into(bt, sc.impl->ys);
   return run_sweep(bt, sc, op, stats, SweepWindow{});
-}
-
-BoundTable& scratch_bounds(VattiScratch& scratch) {
-  return scratch.impl->bt;
-}
-
-std::vector<double>& scratch_schedule(VattiScratch& scratch) {
-  return scratch.impl->ys;
-}
-
-PolygonSet vatti_sweep_prepared(BoolOp op, VattiStats* stats,
-                                VattiScratch& scratch,
-                                bool prebuilt_schedule) {
-  par::fault::inject(par::fault::Site::kVattiSweep);
-  const BoundTable& bt = scratch.impl->bt;
-  if (!prebuilt_schedule) build_schedule(bt, scratch.impl->ys, stats);
-  return run_sweep(bt, scratch, op, stats, SweepWindow{});
 }
 
 PolygonSet vatti_sweep_window(const BoundTable& bt, const SweepWindow& w,

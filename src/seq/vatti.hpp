@@ -44,15 +44,6 @@ struct VattiStats {
   /// VattiScratch::validate). Always 0 on a correct sweep; tests run the
   /// whole fuzz corpus with validation forced on and assert it stays 0.
   std::int64_t validate_failures = 0;
-  /// Nanoseconds spent preparing contours and building the bound table
-  /// (clean + coalesce + perturb + bound decomposition + minima sort).
-  /// Zero for the sweeps that run over a table the caller built
-  /// (vatti_sweep_prepared, vatti_sweep_window).
-  std::int64_t bound_build_ns = 0;
-  /// Nanoseconds spent building the scanbeam schedule. Zero when the
-  /// caller supplied it (vatti_sweep_prepared with prebuilt_schedule=true,
-  /// vatti_sweep_window).
-  std::int64_t schedule_ns = 0;
   /// Seed edges a windowed sweep started from: the bound edges crossing
   /// the window's bottom line (vatti_sweep_window). 0 for whole-input
   /// sweeps, which start from an empty AET.
@@ -114,25 +105,6 @@ geom::PolygonSet vatti_clip(const geom::PolygonSet& subject,
 
 // Forward declaration (seq/bounds.hpp owns the definition).
 struct BoundTable;
-
-/// The scratch's bound table / scanbeam schedule, exposed so a caller can
-/// assemble them directly from prepared fragments (multiset_clip's fused
-/// slab path) and then run the sweep via vatti_sweep_prepared without
-/// materializing intermediate polygons.
-BoundTable& scratch_bounds(VattiScratch& scratch);
-std::vector<double>& scratch_schedule(VattiScratch& scratch);
-
-/// Run the whole-input sweep over a bound table the caller already
-/// assembled in `scratch` (via scratch_bounds; minima must be (y, x)-sorted
-/// — see sort_minima). With `prebuilt_schedule`, scratch_schedule(scratch)
-/// must hold the sorted distinct endpoint ys of that table and is consumed
-/// as-is; otherwise the schedule is built here exactly as vatti_clip
-/// builds it. Same sweep path, fault site and corruption hook as
-/// vatti_clip, so output is byte-identical to vatti_clip on inputs whose
-/// prepared bounds and schedule match.
-geom::PolygonSet vatti_sweep_prepared(geom::BoolOp op, VattiStats* stats,
-                                      VattiScratch& scratch,
-                                      bool prebuilt_schedule = false);
 
 /// A horizontal strip [y_lo, y_hi] of a shared, read-only bound table —
 /// one Algorithm 2 slab. Neither line may pass through a vertex of the

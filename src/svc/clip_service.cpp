@@ -81,34 +81,17 @@ ClipResult ClipService::execute(const ClipRequest& req,
                            req.clip.num_vertices()));
   par::WallTimer timer;
   ClipResult res;
-  if (req.multiset) {
-    // The facade has no multiset path; install governance and dispatch the
-    // same way it would.
-    std::optional<par::gov::ScopedToken> gov;
-    if (req.cancel.valid()) gov.emplace(req.cancel);
-    par::gov::checkpoint_now();
-    mt::MultisetOptions mo;
-    mo.trace_sink = sink;
-    mo.cancel = req.cancel;
-    mo.allow_partial = req.allow_partial;
-    mo.prepared_cache = prep_src;
-    mt::Alg2Stats stats;
-    res.output =
-        mt::multiset_clip(req.subject, req.clip, req.op, pool_, mo, &stats);
-    res.partial = std::move(stats.partial);
-  } else {
-    // The identity guarantee rests on this being literally the facade:
-    // same engine resolution, same pool, same options.
-    ClipOptions copts;
-    copts.engine = req.engine;
-    copts.cancel = req.cancel;
-    copts.allow_partial = req.allow_partial;
-    copts.partial = &res.partial;
-    copts.pool = &pool_;
-    copts.trace_sink = sink;
-    copts.prepared_cache = prep_src;
-    res.output = psclip::clip(req.subject, req.clip, req.op, copts);
-  }
+  // The identity guarantee rests on this being literally the facade:
+  // same engine resolution, same pool, same options.
+  ClipOptions copts;
+  copts.engine = req.multiset ? Engine::kSlab : req.engine;
+  copts.cancel = req.cancel;
+  copts.allow_partial = req.allow_partial;
+  copts.partial = &res.partial;
+  copts.pool = &pool_;
+  copts.trace_sink = sink;
+  copts.prepared_cache = prep_src;
+  res.output = psclip::clip(req.subject, req.clip, req.op, copts);
   res.run_seconds = timer.seconds();
   if (sink) sink->observe("svc.request_seconds", res.run_seconds);
   return res;

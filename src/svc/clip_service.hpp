@@ -51,8 +51,8 @@ struct ClipRequest {
   /// Engine selection, resolved by psclip::resolve_engine — identical to
   /// what a direct psclip::clip call on the service's pool would pick.
   Engine engine = Engine::kAuto;
-  /// Route through mt::multiset_clip (two GIS layers) instead of the
-  /// single-pair facade.
+  /// Two sets of polygons (GIS layers): run the facade with Engine::kSlab
+  /// whatever `engine` says, so layers of any size clip on the slab engine.
   bool multiset = false;
   /// Per-request governance (deadline / budget / cancellation): checked
   /// while the request waits at admission and propagated to every worker
@@ -77,8 +77,8 @@ struct ClipResult {
 ///
 /// Concurrency model: a request is admitted through a FIFO AdmissionGate
 /// (max_in_flight running, max_queued waiting, reject beyond — kResource),
-/// then executes through the exact psclip::clip / mt::multiset_clip path a
-/// direct caller would run, on the service's pool. Slab tasks of all
+/// then executes through the exact psclip::clip path a direct caller would
+/// run, on the service's pool. Slab tasks of all
 /// admitted requests share the pool's one FIFO, but each request's caller
 /// drives its own slabs through parallel_for and never runs another
 /// request's: a small request finishes on its own thread even while a

@@ -40,8 +40,8 @@ struct PreparedCacheConfig {
 };
 
 /// Content-addressed cross-request cache of prepared contours — the
-/// seq::PreparedSource the clip engines consume (Alg2Options /
-/// MultisetOptions::prepared_cache) and the reuse layer of svc::ClipService.
+/// seq::PreparedSource the slab engine consumes
+/// (Alg2Options::prepared_cache) and the reuse layer of svc::ClipService.
 ///
 /// Keying: FNV-1a digest of the contour's coordinate bit patterns plus the
 /// prepare options (seq::contour_digest). A digest match alone is never

@@ -10,7 +10,6 @@
 #include "data/synthetic.hpp"
 #include "geom/area_oracle.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "seq/martinez.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -85,7 +84,8 @@ TEST(CrossEngine, MultisetAgreesWithSequentialOnLayers) {
   const PolygonSet b = data::polygon_field(502, 36, 80.0, 8);
   for (const BoolOp op : geom::kAllOps) {
     const double seq_area = geom::signed_area(seq::vatti_clip(a, b, op));
-    mt::MultisetOptions o;
+    // multiset_clip, slab_clip's former name for two sets of polygons.
+    mt::Alg2Options o;
     o.slabs = 3;
     const double par_area =
         geom::signed_area(mt::multiset_clip(a, b, op, pool, o));

@@ -55,7 +55,7 @@ TEST(RemoveHorizontals, NearHorizontalNoiseIsRemoved) {
 
 TEST(RemoveHorizontals, DeterministicPerContour) {
   // The same contour must perturb identically regardless of which polygon
-  // set carries it (multiset dedup relies on this).
+  // set carries it (shared prepared fragments rely on this).
   PolygonSet lone = make_polygon({{0, 0}, {5, 0}, {5, 5}, {0, 5}});
   PolygonSet with_others = lone;
   with_others.add({{100, 100}, {101, 100}, {101, 101}});

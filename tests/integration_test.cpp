@@ -11,7 +11,6 @@
 #include "geom/svg.hpp"
 #include "geom/wkt.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -48,11 +47,10 @@ TEST(Integration, GisLayersIntersectConsistently) {
   EXPECT_GT(seq_area, 0.0);
   EXPECT_GT(st.intersections, 0);
 
-  mt::MultisetOptions mo;
+  mt::Alg2Options mo;
   mo.slabs = 4;
-  mt::Alg2Stats mst;
   const double par_area = geom::signed_area(
-      mt::multiset_clip(d3, d4, BoolOp::kIntersection, pool, mo, &mst));
+      mt::slab_clip(d3, d4, BoolOp::kIntersection, pool, mo));
   EXPECT_TRUE(test::areas_match(par_area, seq_area, 1e-5))
       << " par=" << par_area << " seq=" << seq_area;
 }
@@ -63,10 +61,10 @@ TEST(Integration, UnionOfGisLayersConsistent) {
   const PolygonSet d2 = data::make_dataset(2, 0.01);
   const double seq_area =
       geom::signed_area(seq::vatti_clip(d1, d2, BoolOp::kUnion));
-  mt::MultisetOptions mo;
+  mt::Alg2Options mo;
   mo.slabs = 3;
-  const double par_area = geom::signed_area(
-      mt::multiset_clip(d1, d2, BoolOp::kUnion, pool, mo));
+  const double par_area =
+      geom::signed_area(mt::slab_clip(d1, d2, BoolOp::kUnion, pool, mo));
   EXPECT_TRUE(test::areas_match(par_area, seq_area, 1e-5));
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "data/synthetic.hpp"
 #include "geom/area_oracle.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -239,6 +240,7 @@ TEST(Algorithm2, EmptyInputResetsReusedStats) {
   st.partial.partial = true;
   st.partial.missing.push_back({1, 1, 0.0, 1.0});
   st.output_contours = 7;
+  st.duplicates_removed = 2;
   st.phases.clip = 1.0;
   EXPECT_TRUE(slab_clip({}, {}, BoolOp::kUnion, pool, {}, &st).empty());
   EXPECT_TRUE(st.slabs.empty());
@@ -247,8 +249,121 @@ TEST(Algorithm2, EmptyInputResetsReusedStats) {
   EXPECT_FALSE(st.partial.partial);
   EXPECT_TRUE(st.partial.missing.empty());
   EXPECT_EQ(st.output_contours, 0);
+  EXPECT_EQ(st.duplicates_removed, 0);
   EXPECT_EQ(st.phases.clip, 0.0);
   EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
+}
+
+// ---------------------------------------------------------------------------
+// Two sets of polygons (GIS layers: polygons within one input do not
+// overlap), the paper's §IV variant. Pieces of one polygon land in several
+// slabs and are welded back at the merge, so every operator is exact.
+// ---------------------------------------------------------------------------
+
+struct MsCase {
+  std::uint64_t seed;
+  int count;
+  unsigned slabs;
+};
+
+class MultisetDifferential : public ::testing::TestWithParam<MsCase> {};
+
+TEST_P(MultisetDifferential, MatchesOracleAllOps) {
+  par::ThreadPool pool(4);
+  const MsCase c = GetParam();
+  const PolygonSet a =
+      data::polygon_field(c.seed * 2 + 1, c.count, 100.0, 8);
+  const PolygonSet b =
+      data::polygon_field(c.seed * 2 + 2, c.count, 100.0, 7);
+  Alg2Options o;
+  o.slabs = c.slabs;
+  for (const BoolOp op : geom::kAllOps) {
+    const double got = geom::signed_area(slab_clip(a, b, op, pool, o));
+    const double want = geom::boolean_area_oracle(a, b, op);
+    EXPECT_TRUE(test::areas_match(got, want, 1e-5))
+        << geom::to_string(op) << " slabs=" << c.slabs << " got=" << got
+        << " want=" << want;
+  }
+}
+
+std::vector<MsCase> make_ms_cases() {
+  std::vector<MsCase> cases;
+  std::uint64_t seed = 9000;
+  for (int rep = 0; rep < 10; ++rep)
+    cases.push_back({seed++, 20 + rep * 8, 1 + static_cast<unsigned>(rep % 8)});
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, MultisetDifferential,
+                         ::testing::ValuesIn(make_ms_cases()));
+
+TEST(Multiset, UnionOfTouchingClustersIsExact) {
+  par::ThreadPool pool(4);
+  // A chain of pairwise-overlapping polygons crossing every slab line: the
+  // weld must join the pieces of each cluster into Vatti's rings.
+  PolygonSet a, b;
+  for (int i = 0; i < 10; ++i) {
+    // x-extents vary with i so no two rectangles share a collinear edge
+    // (exactly coincident edges are outside the general-position contract).
+    a.contours.push_back(geom::make_rect(0.0 + 0.13 * i, i * 4.0,
+                                         3.0 + 0.07 * i, i * 4.0 + 5.0));
+    b.contours.push_back(geom::make_rect(2.0 - 0.11 * i, i * 4.0 + 2.0,
+                                         5.0 + 0.05 * i, i * 4.0 + 6.0));
+  }
+  Alg2Options o;
+  o.slabs = 5;
+  const PolygonSet got = slab_clip(a, b, BoolOp::kUnion, pool, o);
+  const double want = geom::boolean_area_oracle(a, b, BoolOp::kUnion);
+  EXPECT_TRUE(test::areas_match(geom::signed_area(got), want, 1e-4))
+      << " got=" << geom::signed_area(got) << " want=" << want;
+  const PolygonSet seq = seq::vatti_clip(a, b, BoolOp::kUnion);
+  EXPECT_EQ(got.num_contours(), seq.num_contours());
+  EXPECT_TRUE(test::normalized_rings(got) == test::normalized_rings(seq));
+}
+
+TEST(Multiset, DisjointLayersIntersectEmpty) {
+  par::ThreadPool pool(2);
+  const PolygonSet a = data::polygon_field(1, 16, 50.0, 6);
+  PolygonSet b = data::polygon_field(2, 16, 50.0, 6);
+  b = geom::transformed(b, 1.0, {1000.0, 1000.0});
+  EXPECT_TRUE(slab_clip(a, b, BoolOp::kIntersection, pool).empty());
+  const double uni = geom::signed_area(slab_clip(a, b, BoolOp::kUnion, pool));
+  EXPECT_TRUE(test::areas_match(
+      uni, geom::even_odd_area(a) + geom::even_odd_area(b), 1e-5));
+}
+
+TEST(Multiset, StatsFilled) {
+  par::ThreadPool pool(4);
+  const PolygonSet a = data::polygon_field(11, 30, 60.0, 8);
+  const PolygonSet b = data::polygon_field(12, 30, 60.0, 8);
+  Alg2Options o;
+  o.slabs = 4;
+  Alg2Stats st;
+  slab_clip(a, b, BoolOp::kIntersection, pool, o, &st);
+  EXPECT_GE(st.slabs.size(), 1u);
+  EXPECT_LE(st.slabs.size(), 4u);
+  EXPECT_GE(st.phases.clip, 0.0);
+  EXPECT_GE(st.load_imbalance(), 1.0);
+  EXPECT_EQ(st.duplicates_removed, 0);
+  // Clean run under default fault isolation: every slab healthy.
+  ASSERT_EQ(st.degradation.size(), st.slabs.size());
+  EXPECT_EQ(st.degraded_slabs(), 0);
+  EXPECT_EQ(st.worst_rung(), Rung::kHealthy);
+  // Slab tasks run through parallel_for: one record per pool worker
+  // plus the calling thread, and every slab task counted exactly once.
+  ASSERT_EQ(st.workers.size(), pool.size() + 1);
+  std::uint64_t jobs = 0;
+  for (const auto& w : st.workers) jobs += w.slab_jobs;
+  EXPECT_EQ(jobs, st.slabs.size());
+}
+
+TEST(Multiset, EmptyInputs) {
+  par::ThreadPool pool(2);
+  EXPECT_TRUE(slab_clip({}, {}, BoolOp::kUnion, pool).empty());
+  const PolygonSet a = data::polygon_field(3, 5, 20.0, 6);
+  EXPECT_TRUE(test::areas_match(
+      geom::signed_area(slab_clip(a, {}, BoolOp::kUnion, pool)),
+      geom::even_odd_area(a), 1e-5));
 }
 
 }  // namespace

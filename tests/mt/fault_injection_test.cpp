@@ -4,14 +4,14 @@
 // Each case arms one deterministic fault plan — a site (slab cut, Vatti
 // sweep, arena borrow, slab-task wrapper), a kind (throw, bad_alloc,
 // silent output corruption), a slab key, and a fire count — then runs
-// slab_clip / multiset_clip and asserts BOTH halves of the isolation
-// contract:
+// slab_clip on a polygon pair and on two GIS-style layers and asserts
+// BOTH halves of the isolation contract:
 //
 //   1. recovery: the output matches the unfaulted run — byte-identical
 //      when recovery happens on the kRetrySafe rung (slab_clip sweeps the
 //      same cut of the shared bound table on a fresh scratch), area-equal
-//      on the whole-input rung (one sequential clip: contours are no
-//      longer split at the slab lines);
+//      on the whole-input rung (one sequential clip, in vatti_clip's
+//      contour order instead of the welded slab order);
 //   2. accounting: Alg2Stats::degradation records exactly the expected
 //      rung, attempt count, and cause taxonomy code for the faulted slab,
 //      and kHealthy everywhere else.
@@ -32,7 +32,6 @@
 #include "data/synthetic.hpp"
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "mt/stats.hpp"
 #include "parallel/fault.hpp"
 #include "parallel/thread_pool.hpp"
@@ -91,6 +90,24 @@ struct SlabMatrixCase {
 // and minima, so every rung's fault site is actually reached.
 constexpr std::uint64_t kSlab = 1;
 
+/// The matrix's inputs: a blob pair and two polygon-field layers (two
+/// sets of polygons, the GIS overlay shape).
+struct FaultInput {
+  const char* name;
+  PolygonSet a, b;
+};
+
+const std::vector<FaultInput>& fault_inputs() {
+  static const std::vector<FaultInput> inputs = [] {
+    const auto pair = data::synthetic_pair(7, 48);
+    return std::vector<FaultInput>{
+        {"pair", pair.subject, pair.clip},
+        {"layers", data::polygon_field(501, 24, 100.0, 8),
+         data::polygon_field(502, 24, 100.0, 7)}};
+  }();
+  return inputs;
+}
+
 const SlabMatrixCase kSlabMatrix[] = {
     // One firing at each site -> first retry succeeds, byte-identical.
     {"vatti-throw-1", Site::kVattiSweep, Kind::kThrow, 1, Rung::kRetrySafe,
@@ -127,21 +144,17 @@ const SlabMatrixCase kSlabMatrix[] = {
      Rung::kWholeInput, ErrorCode::kInjected, false},
 };
 
-class SlabFaultMatrix : public ::testing::TestWithParam<SlabMatrixCase> {};
-
-TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
-  const SlabMatrixCase c = GetParam();
-  SCOPED_TRACE(c.name);
-  const auto pair = data::synthetic_pair(7, 48);
-  par::ThreadPool pool(4);
+/// One matrix case on one input.
+void expect_isolated(const SlabMatrixCase& c, const FaultInput& in,
+                     par::ThreadPool& pool) {
+  SCOPED_TRACE(in.name);
   mt::Alg2Options o;
   o.slabs = 4;
 
   par::fault::disarm();
   mt::Alg2Stats base_stats;
   const PolygonSet want =
-      mt::slab_clip(pair.subject, pair.clip, BoolOp::kIntersection, pool, o,
-                    &base_stats);
+      mt::slab_clip(in.a, in.b, BoolOp::kIntersection, pool, o, &base_stats);
   ASSERT_EQ(base_stats.degraded_slabs(), 0);
   const std::size_t nslabs = base_stats.degradation.size();
   ASSERT_GT(nslabs, kSlab);
@@ -155,8 +168,7 @@ TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
 
   mt::Alg2Stats stats;
   const PolygonSet got =
-      mt::slab_clip(pair.subject, pair.clip, BoolOp::kIntersection, pool, o,
-                    &stats);
+      mt::slab_clip(in.a, in.b, BoolOp::kIntersection, pool, o, &stats);
   EXPECT_GT(par::fault::fired(), 0u) << "plan never fired";
 
   // Accounting: the faulted slab reports exactly the expected rung and
@@ -192,6 +204,15 @@ TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
         << "faulted=" << geom::signed_area(got)
         << " unfaulted=" << geom::signed_area(want);
   }
+}
+
+class SlabFaultMatrix : public ::testing::TestWithParam<SlabMatrixCase> {};
+
+TEST_P(SlabFaultMatrix, SingleSlabFaultIsIsolated) {
+  const SlabMatrixCase c = GetParam();
+  SCOPED_TRACE(c.name);
+  par::ThreadPool pool(4);
+  for (const FaultInput& in : fault_inputs()) expect_isolated(c, in, pool);
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, SlabFaultMatrix,
@@ -284,127 +305,6 @@ TEST(SlabFaultInjection, UnboundedAnyKeyFaultPropagates) {
   EXPECT_THROW(
       mt::slab_clip(pair.subject, pair.clip, BoolOp::kIntersection, pool, o),
       Error);
-}
-
-// ---------------------------------------------------------------------------
-// multiset_clip matrix
-// ---------------------------------------------------------------------------
-
-struct MultisetMatrixCase {
-  const char* name;
-  Site site;
-  Kind kind;
-  std::uint64_t fire_count;
-  Rung want_rung;
-  ErrorCode want_cause;
-  bool byte_identical;
-};
-
-const MultisetMatrixCase kMultisetMatrix[] = {
-    {"vatti-throw-1", Site::kVattiSweep, Kind::kThrow, 1, Rung::kRetrySafe,
-     ErrorCode::kInjected, true},
-    {"vatti-badalloc-1", Site::kVattiSweep, Kind::kBadAlloc, 1,
-     Rung::kRetrySafe, ErrorCode::kResource, true},
-    {"vatti-corrupt-1", Site::kVattiSweep, Kind::kCorrupt, 1, Rung::kRetrySafe,
-     ErrorCode::kNonFinite, true},
-    {"arena-throw-1", Site::kArena, Kind::kThrow, 1, Rung::kRetrySafe,
-     ErrorCode::kInjected, true},
-    {"arena-corrupt-1", Site::kArena, Kind::kCorrupt, 1, Rung::kRetrySafe,
-     ErrorCode::kNonFinite, true},
-    // The slab-cut site fires at the top of the fused fragment
-    // concatenation, on the healthy rung only; kRetrySafe materializes, so
-    // the plan goes quiet there even with shots left.
-    {"slabcut-throw-1", Site::kSlabCut, Kind::kThrow, 1, Rung::kRetrySafe,
-     ErrorCode::kInjected, true},
-    {"slabcut-throw-many", Site::kSlabCut, Kind::kThrow, 100,
-     Rung::kRetrySafe, ErrorCode::kInjected, true},
-    // The multiset ladder has two per-slab rungs; an unbounded keyed plan
-    // forces the keyless whole-input fallback.
-    {"vatti-throw-whole-input", Site::kVattiSweep, Kind::kThrow, 100,
-     Rung::kWholeInput, ErrorCode::kInjected, false},
-};
-
-class MultisetFaultMatrix
-    : public ::testing::TestWithParam<MultisetMatrixCase> {};
-
-TEST_P(MultisetFaultMatrix, SingleSlabFaultIsIsolated) {
-  const MultisetMatrixCase c = GetParam();
-  SCOPED_TRACE(c.name);
-  const PolygonSet a = data::polygon_field(501, 24, 100.0, 8);
-  const PolygonSet b = data::polygon_field(502, 24, 100.0, 7);
-  par::ThreadPool pool(4);
-  mt::MultisetOptions o;
-  o.slabs = 4;
-
-  par::fault::disarm();
-  mt::Alg2Stats base_stats;
-  const PolygonSet want = mt::multiset_clip(a, b, BoolOp::kIntersection, pool,
-                                            o, &base_stats);
-  ASSERT_EQ(base_stats.degraded_slabs(), 0);
-  const std::size_t nslabs = base_stats.degradation.size();
-  ASSERT_GT(nslabs, kSlab);
-
-  Plan p;
-  p.site = c.site;
-  p.kind = c.kind;
-  p.key = kSlab;
-  p.fire_count = c.fire_count;
-  ArmedPlan armed(p);
-
-  mt::Alg2Stats stats;
-  const PolygonSet got =
-      mt::multiset_clip(a, b, BoolOp::kIntersection, pool, o, &stats);
-  EXPECT_GT(par::fault::fired(), 0u) << "plan never fired";
-
-  ASSERT_EQ(stats.degradation.size(), nslabs);
-  const mt::DegradationReport& rep = stats.degradation[kSlab];
-  EXPECT_EQ(rep.rung, c.want_rung)
-      << "got rung " << mt::to_string(rep.rung) << ": " << rep.message;
-  EXPECT_EQ(rep.cause, c.want_cause) << rep.message;
-  if (c.want_rung != Rung::kWholeInput) {
-    EXPECT_EQ(rep.attempts, static_cast<std::uint32_t>(c.want_rung) + 1);
-    for (std::size_t t = 0; t < nslabs; ++t) {
-      if (t == kSlab) continue;
-      EXPECT_EQ(stats.degradation[t].rung, Rung::kHealthy)
-          << "fault leaked into slab " << t;
-    }
-  }
-
-  if (c.byte_identical) {
-    expect_identical(got, want, c.name);
-  } else {
-    EXPECT_TRUE(test::areas_match(geom::signed_area(got),
-                                  geom::signed_area(want), 1e-6))
-        << "faulted=" << geom::signed_area(got)
-        << " unfaulted=" << geom::signed_area(want);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Matrix, MultisetFaultMatrix,
-                         ::testing::ValuesIn(kMultisetMatrix),
-                         [](const auto& info) {
-                           std::string n = info.param.name;
-                           for (auto& ch : n)
-                             if (ch == '-') ch = '_';
-                           return n;
-                         });
-
-TEST(MultisetFaultInjection, IsolationOffPropagatesFault) {
-  const PolygonSet a = data::polygon_field(511, 20, 90.0, 8);
-  const PolygonSet b = data::polygon_field(512, 20, 90.0, 7);
-  par::ThreadPool pool(4);
-  mt::MultisetOptions o;
-  o.slabs = 4;
-  o.isolate_faults = false;
-
-  Plan p;
-  p.site = Site::kVattiSweep;
-  p.kind = Kind::kThrow;
-  p.key = kSlab;
-  p.fire_count = 1;
-  ArmedPlan armed(p);
-
-  EXPECT_THROW(mt::multiset_clip(a, b, BoolOp::kIntersection, pool, o), Error);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Request-governance semantics of the slab engines (DESIGN.md §11).
+// Request-governance semantics of the slab engine (DESIGN.md §11), on a
+// polygon pair and on two sets of polygons (GIS layers).
 //
 // Covers the deterministic contracts — the ones that need no timing and no
 // fault injection:
@@ -29,7 +30,6 @@
 #include "error.hpp"
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
@@ -278,12 +278,12 @@ TEST(Governance, GenerousGovernanceIsInvisible) {
   EXPECT_LE(budget->peak(), budget->limit());
 }
 
-// ---- multiset_clip mirrors the same contracts. ----
+// ---- Two sets of polygons (GIS layers) get the same contracts. ----
 
 struct MsFixture {
   par::ThreadPool pool{4};
   geom::PolygonSet a, b;
-  mt::MultisetOptions base;
+  mt::Alg2Options base;
 
   MsFixture() {
     a = data::polygon_field(9001, 60, 100.0, 12);
@@ -299,31 +299,30 @@ MsFixture& ms() {
 
 TEST(GovernanceMultiset, PreCancelledFailsAtEntry) {
   auto& f = ms();
-  mt::MultisetOptions o = f.base;
+  mt::Alg2Options o = f.base;
   o.cancel = par::CancelToken::make();
   o.cancel.cancel();
   o.allow_partial = true;  // setup trips still propagate
   EXPECT_EQ(thrown_code([&] {
-              mt::multiset_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool,
-                                o);
+              mt::slab_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool, o);
             }),
             ErrorCode::kCancelled);
 }
 
 TEST(GovernanceMultiset, TinyBudgetFailsPrecisely) {
   auto& f = ms();
-  mt::MultisetOptions o = f.base;
+  mt::Alg2Options o = f.base;
   o.cancel = par::CancelToken::make();
   o.cancel.set_budget(std::make_shared<par::ResourceBudget>(1));
   EXPECT_EQ(thrown_code([&] {
-              mt::multiset_clip(f.a, f.b, geom::BoolOp::kUnion, f.pool, o);
+              mt::slab_clip(f.a, f.b, geom::BoolOp::kUnion, f.pool, o);
             }),
             ErrorCode::kBudgetExceeded);
 }
 
 TEST(GovernanceMultiset, TinyBudgetWithAllowPartialReturnsPartial) {
   auto& f = ms();
-  mt::MultisetOptions o = f.base;
+  mt::Alg2Options o = f.base;
   o.cancel = par::CancelToken::make();
   auto budget = std::make_shared<par::ResourceBudget>(1);
   o.cancel.set_budget(budget);
@@ -331,8 +330,8 @@ TEST(GovernanceMultiset, TinyBudgetWithAllowPartialReturnsPartial) {
   obs::TraceRecorder rec;
   o.trace_sink = &rec;
   mt::Alg2Stats stats;
-  mt::multiset_clip(f.a, f.b, geom::BoolOp::kUnion, f.pool, o, &stats);
-  check_slab_spans(rec, "multiset.slab", stats);
+  mt::slab_clip(f.a, f.b, geom::BoolOp::kUnion, f.pool, o, &stats);
+  check_slab_spans(rec, "alg2.slab", stats);
   const mt::PartialReport& p = stats.partial;
   EXPECT_TRUE(p.partial);
   EXPECT_EQ(p.cause, ErrorCode::kBudgetExceeded);
@@ -345,16 +344,15 @@ TEST(GovernanceMultiset, TinyBudgetWithAllowPartialReturnsPartial) {
 TEST(GovernanceMultiset, GenerousGovernanceIsInvisible) {
   auto& f = ms();
   const geom::PolygonSet want =
-      mt::multiset_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool, f.base);
-  mt::MultisetOptions o = f.base;
+      mt::slab_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool, f.base);
+  mt::Alg2Options o = f.base;
   o.cancel = par::CancelToken::with_deadline(
       par::Deadline::in_ms(10 * 60 * 1000));
   auto budget = std::make_shared<par::ResourceBudget>(1ull << 30);
   o.cancel.set_budget(budget);
   mt::Alg2Stats stats;
   const geom::PolygonSet got =
-      mt::multiset_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool, o,
-                        &stats);
+      mt::slab_clip(f.a, f.b, geom::BoolOp::kIntersection, f.pool, o, &stats);
   EXPECT_TRUE(bit_identical(got, want));
   EXPECT_FALSE(stats.partial.partial);
   EXPECT_EQ(stats.degraded_slabs(), 0);

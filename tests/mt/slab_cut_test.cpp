@@ -9,15 +9,13 @@
 //   * one slab is seq::vatti_clip: the same contours in the same order
 //     with the same bits (and the golden digest table pins both, at 1, 6
 //     and 16 slabs — see tests/golden_digests.hpp);
-//   * more slabs sweep exactly Vatti's edges and only add seam vertices at
-//     the exact cut points of edges, so the area stays within 1e-12
-//     (relative) of Vatti's, on the 216-case corpus, on the 24k-edge
-//     synthetic pair and on the Table III layers;
+//   * more slabs sweep exactly Vatti's edges and cut them only at the slab
+//     lines, so the area stays within 1e-12 (relative) of Vatti's, on the
+//     216-case corpus, on the 24k-edge synthetic pair and on the Table III
+//     layers; once the merge welds the seams the output is Vatti's ring
+//     set (the SeamFree oracle in golden_digest_test, and the two-set
+//     lane at the bottom of this file);
 //   * the output bytes depend on the slab count only, never on the pool.
-//
-// The multiset clipper's fused fragment concatenation carries its own
-// byte-identity contract against its copy-then-rederive baseline (bottom
-// of this file).
 
 #include <gtest/gtest.h>
 
@@ -32,7 +30,6 @@
 #include "geom/perturb.hpp"
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/multiset.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -199,30 +196,32 @@ TEST(SlabCut, BytesEqualAcrossPools) {
 }
 
 // ---------------------------------------------------------------------------
-// Multiset fused fragment concatenation
+// Two sets of polygons: the fused setup against a materializing clipper
 // ---------------------------------------------------------------------------
 
+// slab_clip's setup is fused: every contour is prepared once and the slabs
+// sweep windows of one table assembled from the prepared fragments.
+// vatti_clip materializes its own table from the contours. At one slab
+// the two are the same bytes; at four slabs the welded output is the same
+// rings. Two polygon-field layers, every operator.
 TEST(FusedMultiset, FusedMatchesMaterializingBitForBit) {
   const PolygonSet a = data::polygon_field(601, 30, 100.0, 9);
   const PolygonSet b = data::polygon_field(602, 30, 100.0, 8);
   par::ThreadPool pool(4);
   for (const BoolOp op : geom::kAllOps) {
-    mt::MultisetOptions of;
-    of.slabs = 4;
-    of.fused = true;
-    mt::MultisetOptions om = of;
-    om.fused = false;
-    mt::Alg2Stats sf;
-    const PolygonSet rf = mt::multiset_clip(a, b, op, pool, of, &sf);
-    const PolygonSet rm = mt::multiset_clip(a, b, op, pool, om);
-    expect_identical(rf, rm, std::string("multiset op=") + geom::to_string(op));
-    for (const auto& rep : sf.degradation)
-      ASSERT_EQ(rep.rung, mt::Rung::kHealthy) << rep.message;
+    const std::string what = std::string("layers op=") + geom::to_string(op);
+    const PolygonSet want = seq::vatti_clip(a, b, op);
+    expect_identical(slab(a, b, op, pool, 1), want, what);
+    const PolygonSet got = slab(a, b, op, pool, 4);
+    EXPECT_EQ(got.num_contours(), want.num_contours()) << what;
+    EXPECT_TRUE(test::normalized_rings(got) == test::normalized_rings(want))
+        << what;
   }
 }
 
-// Corpus lane for the multiset fused path: pair inputs are valid two-set
-// inputs too (each "set" is whatever contours the generator produced).
+// Corpus lane for the same contract: pair inputs are valid two-set inputs
+// too (each "set" is whatever contours the generator produced). Four
+// slabs, welded, against vatti_clip's rings.
 class FusedMultisetFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(FusedMultisetFuzz, FusedMatchesMaterializing) {
@@ -230,18 +229,14 @@ TEST_P(FusedMultisetFuzz, FusedMatchesMaterializing) {
   SCOPED_TRACE("repro: " + c.repro());
   const Inputs in = make_inputs(c);
   static par::ThreadPool pool(4);
-  mt::MultisetOptions of;
-  of.slabs = 4;
-  of.fused = true;
-  mt::MultisetOptions om = of;
-  om.fused = false;
-  const PolygonSet rf = mt::multiset_clip(in.a, in.b, c.op, pool, of);
-  const PolygonSet rm = mt::multiset_clip(in.a, in.b, c.op, pool, om);
-  expect_identical(rf, rm, "multiset corpus");
+  const PolygonSet want = seq::vatti_clip(in.a, in.b, c.op);
+  const PolygonSet got = slab(in.a, in.b, c.op, pool, 4);
+  EXPECT_EQ(got.num_contours(), want.num_contours());
+  EXPECT_TRUE(test::normalized_rings(got) == test::normalized_rings(want));
 }
 
-// A 36-case slice keeps the multiset lane fast; the full 216 cases run
-// through the slab_clip lane above, which covers the shared prep chain.
+// A 36-case slice under each case's own operator; the golden digest test
+// runs the whole corpus under every operator at 6 and 16 slabs.
 INSTANTIATE_TEST_SUITE_P(CorpusSlice, FusedMultisetFuzz,
                          ::testing::ValuesIn([] {
                            auto all = fuzz::make_cases();

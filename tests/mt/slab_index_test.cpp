@@ -270,20 +270,20 @@ TEST(Algorithm2Partition, InputEdgesReportPostIndexVattiWork) {
 }
 
 TEST(SlabArena, PerThreadReuseAcrossRuns) {
-  SlabArena& first = worker_arena();
-  SlabArena& second = worker_arena();
+  seq::VattiScratch& first = worker_arena();
+  seq::VattiScratch& second = worker_arena();
   EXPECT_EQ(&first, &second);  // same thread, same arena
   EXPECT_GE(worker_arena_count(), 1u);
 
-  const std::uint64_t runs_before = first.vatti.runs;
+  const std::uint64_t runs_before = first.runs;
   const PolygonSet a = test::random_polygon(11, 16, 0, 0, 5);
   const PolygonSet b = test::random_polygon(12, 14, 1, 0, 4);
   seq::VattiStats s1, s2;
   const PolygonSet r1 =
-      seq::vatti_clip(a, b, BoolOp::kIntersection, &s1, &first.vatti);
+      seq::vatti_clip(a, b, BoolOp::kIntersection, &s1, &first);
   const PolygonSet r2 =
-      seq::vatti_clip(a, b, BoolOp::kIntersection, &s2, &first.vatti);
-  EXPECT_EQ(first.vatti.runs, runs_before + 2);
+      seq::vatti_clip(a, b, BoolOp::kIntersection, &s2, &first);
+  EXPECT_EQ(first.runs, runs_before + 2);
   expect_identical(r1, r2, "scratch reuse");
   const PolygonSet fresh = seq::vatti_clip(a, b, BoolOp::kIntersection);
   expect_identical(r1, fresh, "scratch vs fresh");

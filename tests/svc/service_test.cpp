@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "fuzz_cases.hpp"
-#include "mt/multiset.hpp"
 #include "parallel/thread_pool.hpp"
 #include "psclip.hpp"
 

@@ -4,8 +4,11 @@
 // construction (mirroring the paper's synthetic workloads) and the area /
 // point-classification referees used by the differential tests.
 
+#include <algorithm>
 #include <cmath>
+#include <compare>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "geom/area_oracle.hpp"
@@ -67,6 +70,30 @@ inline double pip_agreement(const geom::PolygonSet& a,
     if (want == geom::point_in_polygon(p, result)) ++agree;
   }
   return static_cast<double>(agree) / samples;
+}
+
+/// One output ring with its hole flag, rotated to start at its smallest
+/// (x, y) vertex; the orientation is kept.
+struct Ring {
+  bool hole = false;
+  std::vector<std::pair<double, double>> pts;
+  auto operator<=>(const Ring&) const = default;
+};
+
+/// `p` as a sorted list of normalized rings: two outputs holding the same
+/// rings, in any order and each starting at any vertex, compare equal.
+inline std::vector<Ring> normalized_rings(const geom::PolygonSet& p) {
+  std::vector<Ring> rings;
+  rings.reserve(p.contours.size());
+  for (const geom::Contour& c : p.contours) {
+    Ring r{c.hole, {}};
+    for (const geom::Point& q : c.pts) r.pts.emplace_back(q.x, q.y);
+    std::rotate(r.pts.begin(), std::min_element(r.pts.begin(), r.pts.end()),
+                r.pts.end());
+    rings.push_back(std::move(r));
+  }
+  std::sort(rings.begin(), rings.end());
+  return rings;
 }
 
 }  // namespace psclip::test
