@@ -1,8 +1,9 @@
 // Ablation: the two partitioning layers.
 //
 // Section 1 — Algorithm 1 Step 2 edge partitioning: the paper's cover-list
-// segment tree (two-phase count/report, §III-E) versus direct per-edge
-// binning. Both are output-sensitive in k'; the segment tree bounds the
+// segment tree (two-phase count/report, §III-E, core::partition_scanbeams)
+// versus direct per-edge binning (the baseline below, kept in this bench
+// only). Both are output-sensitive in k'; the segment tree bounds the
 // *per-item* work by O(log m) while direct binning pays O(beams spanned).
 //
 // Section 2 — Algorithm 2 Steps 4-5 slab partitioning: the slab cut
@@ -24,19 +25,75 @@
 // informational, no gate.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/scanbeam.hpp"
 #include "data/synthetic.hpp"
-#include "geom/perturb.hpp"
 #include "mt/algorithm2.hpp"
 #include "obs/recorder.hpp"
 #include "seq/vatti.hpp"
+
+namespace {
+
+using namespace psclip;
+
+/// Step 2 by direct binning: each edge walks its beam range, once to count
+/// and once to report, with one atomic counter per beam. Same CSR
+/// contents as core::partition_scanbeams up to per-beam order.
+core::ScanbeamPartition partition_direct(par::ThreadPool& pool,
+                                         const seq::BoundTable& bt,
+                                         std::vector<double> ys) {
+  core::ScanbeamPartition part;
+  part.ys = std::move(ys);
+  const std::size_t m = part.num_beams();
+  part.offsets.assign(m + 1, 0);
+  if (m == 0) return part;
+  const auto beam_of = [&part](double y) {
+    return static_cast<std::size_t>(
+        std::lower_bound(part.ys.begin(), part.ys.end(), y) -
+        part.ys.begin());
+  };
+  std::vector<std::atomic<std::int64_t>> counts(m);
+  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
+  pool.parallel_for(
+      bt.edges.size(),
+      [&](std::size_t i) {
+        for (std::size_t b = beam_of(bt.edges[i].bot.y),
+                         hi = beam_of(bt.edges[i].top.y);
+             b < hi; ++b)
+          counts[b].fetch_add(1, std::memory_order_relaxed);
+      },
+      /*grain=*/256);
+  for (std::size_t b = 0; b < m; ++b) {
+    part.offsets[b + 1] =
+        part.offsets[b] + counts[b].load(std::memory_order_relaxed);
+    counts[b].store(0, std::memory_order_relaxed);
+  }
+  part.edge_ids.resize(static_cast<std::size_t>(part.offsets[m]));
+  pool.parallel_for(
+      bt.edges.size(),
+      [&](std::size_t i) {
+        for (std::size_t b = beam_of(bt.edges[i].bot.y),
+                         hi = beam_of(bt.edges[i].top.y);
+             b < hi; ++b) {
+          const auto slot = counts[b].fetch_add(1, std::memory_order_relaxed);
+          part.edge_ids[static_cast<std::size_t>(part.offsets[b] + slot)] =
+              static_cast<std::int32_t>(i);
+        }
+      },
+      /*grain=*/256);
+  return part;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace psclip;
@@ -47,18 +104,16 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %10s | %14s %14s\n", "edges", "beams", "k'",
               "segtree (ms)", "direct (ms)");
   for (int edges : {1000, 4000, 16000, 64000}) {
-    auto pair = data::synthetic_pair(61, edges);
-    geom::PolygonSet s = geom::cleaned(pair.subject);
-    geom::PolygonSet c = geom::cleaned(pair.clip);
-    geom::remove_horizontals(s);
-    geom::remove_horizontals(c);
-    const seq::BoundTable bt = seq::build_bounds(s, c);
+    const auto pair = data::synthetic_pair(61, edges);
+    seq::BoundTable bt;
+    std::vector<double> ys;
+    seq::build_bounds_into(bt, ys, pair.subject, pair.clip);
 
     core::ScanbeamPartition part;
     const double t_tree = bench::time_median3(
-        [&] { part = core::partition_scanbeams(pool, bt); });
+        [&] { part = core::partition_scanbeams(pool, bt, ys); });
     const double t_direct = bench::time_median3(
-        [&] { auto p = core::partition_scanbeams_direct(pool, bt); (void)p; });
+        [&] { auto p = partition_direct(pool, bt, ys); (void)p; });
     std::printf("%8zu %8zu %10lld | %14.3f %14.3f\n", bt.num_edges(),
                 part.num_beams(),
                 static_cast<long long>(part.k_prime(bt.num_edges())),

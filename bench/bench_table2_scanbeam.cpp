@@ -3,11 +3,12 @@
 // for each scanbeam, the active edges and the labeled output activity.
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/beam_sweep.hpp"
 #include "core/scanbeam.hpp"
-#include "geom/perturb.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/bounds.hpp"
 
@@ -23,13 +24,12 @@ int main() {
   geom::PolygonSet clip = geom::make_polygon(
       {{2.0, 1.0}, {9.0, 1.4}, {9.5, 4.0}, {5.0, 3.1}, {3.0, 5.0}});
 
-  geom::PolygonSet s = geom::cleaned(subject), c = geom::cleaned(clip);
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(c);
-  const seq::BoundTable bt = seq::build_bounds(s, c);
+  seq::BoundTable bt;
+  std::vector<double> ys;
+  seq::build_bounds_into(bt, ys, subject, clip);
 
   par::ThreadPool pool(2);
-  const auto part = core::partition_scanbeams(pool, bt);
+  const auto part = core::partition_scanbeams(pool, bt, std::move(ys));
 
   std::printf("%-6s %-24s %6s %6s %9s %9s\n", "beam", "y-range", "edges",
               "cross", "partials", "area");

@@ -1,10 +1,12 @@
 #include "core/algorithm1.hpp"
 
-#include <mutex>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "core/beam_sweep.hpp"
+#include "core/merge.hpp"
 #include "core/scanbeam.hpp"
-#include "geom/perturb.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/timing.hpp"
@@ -21,17 +23,13 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
   // Phase-boundary governance checkpoints (DESIGN.md §11): inherited from
   // the token the caller installed; free when none is.
   par::gov::checkpoint_now();
-  geom::PolygonSet s = geom::cleaned(subject);
-  geom::PolygonSet c = geom::cleaned(clip);
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(c);
-  const seq::BoundTable bt = seq::build_bounds(s, c);
 
   obs::ScopedSpan part_span(sink, "alg1.partition", obs::Cat::kPhase);
   par::WallTimer timer;
-  const ScanbeamPartition part = opts.use_segment_tree
-                                     ? partition_scanbeams(pool, bt)
-                                     : partition_scanbeams_direct(pool, bt);
+  seq::BoundTable bt;
+  std::vector<double> ys;
+  seq::build_bounds_into(bt, ys, subject, clip);
+  const ScanbeamPartition part = partition_scanbeams(pool, bt, std::move(ys));
   const double t_partition = timer.seconds();
 
   const std::size_t m = part.num_beams();
@@ -69,12 +67,11 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
     partials += static_cast<std::int64_t>(br.rings.size());
     for (const auto& r : br.rings) arena.add_ring(r);
   }
-  int phases = 0;
-  if (opts.merge == MergeStrategy::kTree)
-    phases = arena.weld_tree(pool, part.ys);
-  else
-    arena.weld_flat(pool, part.ys);
+  const int phases = arena.weld_tree(pool, part.ys);
   geom::PolygonSet out = arena.extract();
+  const LineVertices on_lines = vertices_on_lines(bt, part.ys);
+  for (geom::Contour& ring : out.contours)
+    drop_cut_vertices(ring, part.ys, &on_lines);
   const double t_merge = timer.seconds();
   merge_span.arg("partial_polys", partials);
   merge_span.arg("merge_phases", phases);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "core/merge.hpp"
 #include "geom/bool_op.hpp"
 #include "geom/polygon.hpp"
 #include "parallel/thread_pool.hpp"
@@ -29,10 +28,6 @@ struct Alg1Stats {
 
 /// Options for scanbeam_clip.
 struct Alg1Options {
-  MergeStrategy merge = MergeStrategy::kTree;
-  /// Use the segment tree for Step 2 (paper §III-E); false = direct
-  /// binning (ablation).
-  bool use_segment_tree = true;
   /// Trace + metrics sink for this run; null (default) = tracing off at the
   /// cost of one pointer test per site. Same contract as
   /// Alg2Options::trace_sink. Records an alg1 request span with
@@ -43,7 +38,8 @@ struct Alg1Options {
 /// The paper's Algorithm 1: output-sensitive multi-way divide-and-conquer
 /// polygon clipping.
 ///
-///  Step 1  sort the event ordinates (parallel mergesort),
+///  Step 1  build vatti_clip's bound table and sort the event ordinates
+///          into its scanbeam schedule (seq::build_bounds_into),
 ///  Step 2  partition the edges into scanbeams (segment tree, two-phase
 ///          count/report — the processor allocation is output-sensitive in
 ///          k'),
@@ -51,10 +47,12 @@ struct Alg1Options {
 ///          local labeling, prefix-sum contributing test, intersections by
 ///          inversion reporting, partial-polygon assembly),
 ///  Step 4  merge partial polygons across beams (reduction tree, Fig. 6)
-///          and remove virtual vertices by array packing.
+///          and remove the virtual vertices the partition added
+///          (drop_cut_vertices, the rule slab_clip's merge uses).
 ///
-/// Produces the same region as seq::vatti_clip for all four operators,
-/// including self-intersecting inputs.
+/// Returns vatti_clip's rings (in another order, each starting at another
+/// vertex) for all four operators, including self-intersecting inputs, up
+/// to ties that break general position.
 geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
                                const geom::PolygonSet& clip, geom::BoolOp op,
                                par::ThreadPool& pool,

@@ -8,14 +8,6 @@
 
 namespace psclip::core {
 
-const char* to_string(MergeStrategy s) {
-  switch (s) {
-    case MergeStrategy::kTree: return "tree";
-    case MergeStrategy::kFlat: return "flat";
-  }
-  return "?";
-}
-
 void WeldArena::add_ring(const geom::Contour& ring) {
   const std::size_t n = ring.size();
   if (n < 3) return;
@@ -105,18 +97,9 @@ void WeldArena::apply_scanline(const ScanPlan& plan) {
     other = -1;
   };
 
-  // Chain slots are written into this scanline's preallocated range; when
-  // called sequentially (base == npos) they are appended instead.
+  // Chain slots are written into this scanline's preallocated range.
   std::size_t cursor = plan.base;
   auto new_slot = [&](double x) -> std::int32_t {
-    if (plan.base == kAppend) {
-      const auto ns = static_cast<std::int32_t>(pt_.size());
-      pt_.push_back({x, y});
-      next_.push_back(-1);
-      cancelled_.push_back(0);
-      twin_.push_back(-1);
-      return ns;
-    }
     const auto ns = static_cast<std::int32_t>(cursor++);
     pt_[static_cast<std::size_t>(ns)] = {x, y};
     cancelled_[static_cast<std::size_t>(ns)] = 0;
@@ -176,12 +159,6 @@ void WeldArena::apply_scanline(const ScanPlan& plan) {
   }
 }
 
-void WeldArena::weld_scanline(double y) {
-  ScanPlan plan = plan_scanline(y);
-  plan.base = kAppend;
-  apply_scanline(plan);
-}
-
 void WeldArena::weld_parallel(par::ThreadPool& pool,
                               std::span<const std::size_t> boundary_idx,
                               std::span<const double> ys) {
@@ -206,14 +183,6 @@ void WeldArena::weld_parallel(par::ThreadPool& pool,
   pool.parallel_for(
       plans.size(), [&](std::size_t i) { apply_scanline(plans[i]); },
       /*grain=*/4);
-}
-
-void WeldArena::weld_flat(par::ThreadPool& pool, std::span<const double> ys) {
-  if (ys.size() < 3) return;
-  std::vector<std::size_t> boundaries;
-  boundaries.reserve(ys.size() - 2);
-  for (std::size_t i = 1; i + 1 < ys.size(); ++i) boundaries.push_back(i);
-  weld_parallel(pool, boundaries, ys);
 }
 
 int WeldArena::weld_tree(par::ThreadPool& pool, std::span<const double> ys) {
@@ -245,7 +214,7 @@ std::vector<std::tuple<double, double, double>> WeldArena::debug_unwelded()
   return out;
 }
 
-geom::PolygonSet WeldArena::extract(bool pack_virtuals) const {
+geom::PolygonSet WeldArena::extract() const {
   geom::PolygonSet out;
   std::vector<std::uint8_t> visited(pt_.size(), 0);
 
@@ -285,60 +254,79 @@ geom::PolygonSet WeldArena::extract(bool pack_virtuals) const {
       ring.pts.pop_back();
     if (ring.pts.size() < 3) continue;
 
-    if (!pack_virtuals) {
-      ring.hole = geom::signed_area(ring) < 0.0;
-      out.contours.push_back(std::move(ring));
-      continue;
-    }
-    // Drop virtual (collinear) vertices — the paper's "array packing".
-    // Two traps to avoid: (1) crossing/virtual vertices can land within
-    // ~1e-15 of a real corner, and testing each against *raw* neighbours
-    // then drops both representatives, cutting the corner — so collapse
-    // near-duplicates first; (2) collinearity must be evaluated against
-    // the *effective* (already packed) neighbours, or chains of drops can
-    // bridge real turns.
-    auto near_dup = [](const geom::Point& a, const geom::Point& b) {
-      const double tol =
-          1e-12 * (1.0 + std::fabs(a.x) + std::fabs(a.y));
-      return std::fabs(a.x - b.x) <= tol && std::fabs(a.y - b.y) <= tol;
-    };
-    geom::Contour dedup;
-    for (const auto& v : ring.pts) {
-      if (!dedup.pts.empty() && near_dup(dedup.pts.back(), v)) continue;
-      dedup.pts.push_back(v);
-    }
-    while (dedup.pts.size() > 1 &&
-           near_dup(dedup.pts.front(), dedup.pts.back()))
-      dedup.pts.pop_back();
-
-    auto thin = [](const geom::Point& a, const geom::Point& v,
-                   const geom::Point& b) {
-      const double area2 = std::fabs(geom::cross(v - a, b - a));
-      const double scale = std::fabs(b.x - a.x) + std::fabs(b.y - a.y) +
-                           std::fabs(v.x - a.x) + std::fabs(v.y - a.y);
-      return area2 <= 1e-12 * scale * scale;
-    };
-    geom::Contour packed;
-    for (const auto& v : dedup.pts) {
-      while (packed.pts.size() >= 2 &&
-             thin(packed.pts[packed.pts.size() - 2], packed.pts.back(), v))
-        packed.pts.pop_back();
-      packed.pts.push_back(v);
-    }
-    // Wrap-around: the seam vertices also need the effective-neighbour test.
-    while (packed.pts.size() >= 3 &&
-           thin(packed.pts[packed.pts.size() - 2], packed.pts.back(),
-                packed.pts.front()))
-      packed.pts.pop_back();
-    while (packed.pts.size() >= 3 &&
-           thin(packed.pts.back(), packed.pts.front(), packed.pts[1]))
-      packed.pts.erase(packed.pts.begin());
-    if (packed.pts.size() >= 3) {
-      packed.hole = geom::signed_area(packed) < 0.0;
-      out.contours.push_back(std::move(packed));
-    }
+    ring.hole = geom::signed_area(ring) < 0.0;
+    out.contours.push_back(std::move(ring));
   }
   return out;
+}
+
+LineVertices vertices_on_lines(const seq::BoundTable& bt,
+                               std::span<const double> ys) {
+  // Every vertex of the table is a minimum or the top of a bound edge.
+  const auto line = [ys](double y) {
+    return static_cast<std::size_t>(
+        std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
+  };
+  LineVertices on;
+  on.first.assign(ys.size() + 1, 0);
+  for (const seq::LocalMin& lm : bt.minima) ++on.first[line(lm.pt.y) + 1];
+  for (const seq::BoundEdge& e : bt.edges) ++on.first[line(e.top.y) + 1];
+  for (std::size_t j = 0; j < ys.size(); ++j) on.first[j + 1] += on.first[j];
+  on.xs.resize(on.first.back());
+  std::vector<std::size_t> fill(on.first.begin(), on.first.end() - 1);
+  for (const seq::LocalMin& lm : bt.minima)
+    on.xs[fill[line(lm.pt.y)]++] = lm.pt.x;
+  for (const seq::BoundEdge& e : bt.edges)
+    on.xs[fill[line(e.top.y)]++] = e.top.x;
+  for (std::size_t j = 0; j < ys.size(); ++j)
+    std::sort(on.xs.begin() + static_cast<std::ptrdiff_t>(on.first[j]),
+              on.xs.begin() + static_cast<std::ptrdiff_t>(on.first[j + 1]));
+  return on;
+}
+
+void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines,
+                       const LineVertices* on_lines) {
+  std::vector<geom::Point>& v = ring.pts;
+  const std::size_t n = v.size();
+  // Compacts in place: slot i is read before it can be overwritten, and
+  // the original neighbours it overwrites are kept aside.
+  const geom::Point first = v[0];
+  geom::Point prev = v[n - 1];
+  // The index of the line at y, lines.size() if none. Cut vertices come in
+  // runs along a bound, one line apart, so the lines next to the last one
+  // found are tried before searching.
+  std::size_t hint = 0;
+  const auto line_at = [&](double y) {
+    for (const std::size_t j : {hint, hint + 1, hint - 1})
+      if (j < lines.size() && lines[j] == y) return hint = j;
+    const auto it = std::lower_bound(lines.begin(), lines.end(), y);
+    if (it == lines.end() || *it != y) return lines.size();
+    return hint = static_cast<std::size_t>(it - lines.begin());
+  };
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Point cur = v[i];
+    const geom::Point& next = i + 1 < n ? v[i + 1] : first;
+    const double y = cur.y;
+    bool cut = (prev.y < y && y < next.y) || (next.y < y && y < prev.y);
+    if (cut) {
+      const geom::Point d = next - prev;
+      const double chord = std::fabs(d.x) + std::fabs(d.y);
+      const double scale = chord + std::fabs(cur.x) + std::fabs(y);
+      const std::size_t j = line_at(y);
+      cut = j < lines.size() &&
+            std::fabs(geom::cross(cur - prev, d)) <= 1e-12 * chord * scale;
+      if (cut && on_lines) {
+        const auto xs = on_lines->xs.begin();
+        cut = !std::binary_search(
+            xs + static_cast<std::ptrdiff_t>(on_lines->first[j]),
+            xs + static_cast<std::ptrdiff_t>(on_lines->first[j + 1]), cur.x);
+      }
+    }
+    if (!cut) v[kept++] = cur;
+    prev = cur;
+  }
+  v.resize(kept);
 }
 
 }  // namespace psclip::core

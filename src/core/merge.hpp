@@ -8,16 +8,9 @@
 
 #include "geom/polygon.hpp"
 #include "parallel/thread_pool.hpp"
+#include "seq/bounds.hpp"
 
 namespace psclip::core {
-
-/// How the partial polygons of the scanbeams are merged (Step 4, Fig. 6).
-enum class MergeStrategy {
-  kTree,  ///< the paper's reduction tree: log(m) phases, pairwise unions
-  kFlat,  ///< one phase welding every shared scanline (ablation variant)
-};
-
-const char* to_string(MergeStrategy s);
 
 /// Merges per-beam partial polygons into the final result by *welding*
 /// away the shared horizontal boundaries.
@@ -28,17 +21,13 @@ const char* to_string(MergeStrategy s);
 /// edges on a scanline at all endpoints present there, every sub-edge
 /// appears exactly twice in opposite directions. Cancelling such a pair
 /// and re-linking the rings implements the paper's partial-polygon union;
-/// the virtual vertices left behind are removed during extraction (the
-/// paper's "array packing"). Welds of distinct scanlines touch disjoint
-/// slots, so the tree reduction runs its per-phase welds in parallel.
+/// the virtual vertices left behind on the welded lines are removed by
+/// drop_cut_vertices. Welds of distinct scanlines touch disjoint slots, so
+/// the tree reduction runs its per-phase welds in parallel.
 class WeldArena {
  public:
   /// Add one counter-clockwise partial ring (first vertex not repeated).
   void add_ring(const geom::Contour& ring);
-
-  /// Cancel opposite coincident horizontal sub-edges on scanline y
-  /// (sequential entry point).
-  void weld_scanline(double y);
 
   /// Weld several scanlines in parallel using the PRAM count/allocate/
   /// report pattern: read-only planning per scanline, one prefix-sum slot
@@ -48,20 +37,17 @@ class WeldArena {
                      std::span<const std::size_t> boundary_idx,
                      std::span<const double> ys);
 
-  /// Flat strategy: weld the interior scanlines ys[1..m-1] in one parallel
-  /// phase.
-  void weld_flat(par::ThreadPool& pool, std::span<const double> ys);
-
-  /// Tree strategy (Fig. 6): phase h welds the boundaries that are odd
-  /// multiples of 2^h, in parallel within the phase. Returns the number
-  /// of phases executed.
+  /// The paper's reduction tree (Fig. 6) over the interior scanlines
+  /// ys[1..m-1]: phase h welds the boundaries that are odd multiples of
+  /// 2^h, in parallel within the phase. Returns the number of phases
+  /// executed.
   int weld_tree(par::ThreadPool& pool, std::span<const double> ys);
 
-  /// Trace the remaining rings, drop virtual (collinear) vertices
-  /// (disable with pack_virtuals=false for diagnostics), set hole flags
-  /// from orientation (welded exteriors stay counter-clockwise, holes come
-  /// out clockwise).
-  [[nodiscard]] geom::PolygonSet extract(bool pack_virtuals = true) const;
+  /// Trace the remaining rings (exact consecutive duplicates collapsed)
+  /// and set hole flags from orientation (welded exteriors stay
+  /// counter-clockwise, holes come out clockwise). The cut vertices on the
+  /// welded lines are still there: drop_cut_vertices removes them.
+  [[nodiscard]] geom::PolygonSet extract() const;
 
   [[nodiscard]] std::size_t num_slots() const { return pt_.size(); }
 
@@ -72,13 +58,12 @@ class WeldArena {
   debug_unwelded() const;
 
  private:
-  static constexpr std::size_t kAppend = static_cast<std::size_t>(-1);
   struct ScanPlan {
     double y = 0.0;
     std::vector<std::int32_t> slots;  // live horizontal edges on the line
     std::vector<double> xs;           // subdivision ordinates
     std::size_t new_slots = 0;        // chain slots the apply phase creates
-    std::size_t base = kAppend;       // preallocated slot range start
+    std::size_t base = 0;             // preallocated slot range start
   };
   [[nodiscard]] ScanPlan plan_scanline(double y) const;
   void apply_scanline(const ScanPlan& plan);
@@ -90,5 +75,32 @@ class WeldArena {
   /// scanline y -> slots whose outgoing edge is horizontal on that line
   std::unordered_map<double, std::vector<std::int32_t>> horiz_;
 };
+
+/// Input vertices lying on a sorted set of lines, by line: the xs of the
+/// vertices on line j are xs[first[j], first[j + 1]), sorted.
+struct LineVertices {
+  std::vector<std::size_t> first;
+  std::vector<double> xs;
+};
+
+/// The input vertices of `bt` on the lines `ys` (the table's schedule, so
+/// every vertex is on one).
+LineVertices vertices_on_lines(const seq::BoundTable& bt,
+                               std::span<const double> ys);
+
+/// The merge's one vertex rule (both engines): drop the cut vertices of
+/// `ring`, the vertices on a line of `lines` (sorted) whose two neighbours
+/// lie strictly on opposite sides of it, on the chord between them up to
+/// the rounding of the cut point. Each is the cut point of one input edge,
+/// so dropping it restores that edge; two edges that cross exactly on a
+/// line make a real corner there, which the chord test keeps. A vertex of
+/// the input is never a cut vertex: when `on_lines` is given, a candidate
+/// whose x is among its line's input vertices stays. (Perturbation can put
+/// an input vertex within ~1e-14 of the chord through its neighbours,
+/// which the chord test cannot tell from a cut point.) The decision reads
+/// the original neighbours, so an edge cut by several lines loses all its
+/// cut points at once.
+void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines,
+                       const LineVertices* on_lines = nullptr);
 
 }  // namespace psclip::core

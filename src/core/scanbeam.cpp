@@ -1,32 +1,14 @@
 #include "core/scanbeam.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "parallel/sort.hpp"
+#include <utility>
 
 namespace psclip::core {
-namespace {
-
-std::vector<double> sorted_event_ys(par::ThreadPool& pool,
-                                    const seq::BoundTable& bt) {
-  std::vector<double> ys;
-  ys.reserve(bt.edges.size() * 2);
-  for (const auto& e : bt.edges) {
-    ys.push_back(e.bot.y);
-    ys.push_back(e.top.y);
-  }
-  par::parallel_sort(pool, ys);
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
-  return ys;
-}
-
-}  // namespace
 
 ScanbeamPartition partition_scanbeams(par::ThreadPool& pool,
-                                      const seq::BoundTable& bt) {
+                                      const seq::BoundTable& bt,
+                                      std::vector<double> ys) {
   ScanbeamPartition part;
-  part.ys = sorted_event_ys(pool, bt);
+  part.ys = std::move(ys);
   if (part.ys.size() < 2) {
     part.offsets.assign(1, 0);
     return part;
@@ -45,53 +27,6 @@ ScanbeamPartition partition_scanbeams(par::ThreadPool& pool,
   auto stab = tree.stab_all(pool);
   part.offsets = std::move(stab.offsets);
   part.edge_ids = std::move(stab.ids);
-  return part;
-}
-
-ScanbeamPartition partition_scanbeams_direct(par::ThreadPool& pool,
-                                             const seq::BoundTable& bt) {
-  ScanbeamPartition part;
-  part.ys = sorted_event_ys(pool, bt);
-  const std::size_t m = part.num_beams();
-  part.offsets.assign(m + 1, 0);
-  if (m == 0) return part;
-
-  auto beam_of = [&part](double y) {
-    auto it = std::lower_bound(part.ys.begin(), part.ys.end(), y);
-    return static_cast<std::size_t>(it - part.ys.begin());
-  };
-
-  // Count phase.
-  std::vector<std::atomic<std::int64_t>> counts(m);
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  pool.parallel_for(
-      bt.edges.size(),
-      [&](std::size_t i) {
-        const std::size_t lo = beam_of(bt.edges[i].bot.y);
-        const std::size_t hi = beam_of(bt.edges[i].top.y);
-        for (std::size_t b = lo; b < hi; ++b)
-          counts[b].fetch_add(1, std::memory_order_relaxed);
-      },
-      /*grain=*/256);
-  for (std::size_t b = 0; b < m; ++b)
-    part.offsets[b + 1] =
-        part.offsets[b] + counts[b].load(std::memory_order_relaxed);
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-
-  // Report phase.
-  part.edge_ids.resize(static_cast<std::size_t>(part.offsets[m]));
-  pool.parallel_for(
-      bt.edges.size(),
-      [&](std::size_t i) {
-        const std::size_t lo = beam_of(bt.edges[i].bot.y);
-        const std::size_t hi = beam_of(bt.edges[i].top.y);
-        for (std::size_t b = lo; b < hi; ++b) {
-          const auto slot = counts[b].fetch_add(1, std::memory_order_relaxed);
-          part.edge_ids[static_cast<std::size_t>(part.offsets[b] + slot)] =
-              static_cast<std::int32_t>(i);
-        }
-      },
-      /*grain=*/256);
   return part;
 }
 

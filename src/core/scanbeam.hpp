@@ -32,15 +32,11 @@ struct ScanbeamPartition {
   }
 };
 
-/// Step 1 (parallel sort of event ordinates) + Step 2 (partition the edges
-/// into scanbeams with a cover-list segment tree, two-phase count/report).
+/// Step 2: partition the edges of `bt` into the scanbeams of its schedule
+/// `ys` (Step 1's event sort, seq::build_bounds_into) with a cover-list
+/// segment tree, two-phase count/report.
 ScanbeamPartition partition_scanbeams(par::ThreadPool& pool,
-                                      const seq::BoundTable& bt);
-
-/// Reference implementation of Step 2 by direct binning (each edge walks
-/// its beam range) — used by tests and by the partition-strategy ablation
-/// bench; produces the same CSR contents up to per-beam order.
-ScanbeamPartition partition_scanbeams_direct(par::ThreadPool& pool,
-                                             const seq::BoundTable& bt);
+                                      const seq::BoundTable& bt,
+                                      std::vector<double> ys);
 
 }  // namespace psclip::core

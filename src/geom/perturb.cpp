@@ -71,16 +71,6 @@ int remove_horizontals(Contour& c, double magnitude) {
   return moved;
 }
 
-int remove_horizontals(PolygonSet& p, double magnitude) {
-  // A converged contour stays converged (further passes are no-ops), so
-  // iterating each contour to its own fixpoint is equivalent to the old
-  // whole-set pass loop — each contour sees the same pass sequence either
-  // way.
-  int moved = 0;
-  for (auto& c : p.contours) moved += remove_horizontals(c, magnitude);
-  return moved;
-}
-
 void jitter(PolygonSet& p, double magnitude, std::uint64_t seed) {
   std::uint64_t state = seed * 0x2545f4914f6cdd1dULL + 1;
   for (auto& c : p.contours) {

@@ -6,20 +6,18 @@
 
 namespace psclip::geom {
 
-/// Remove horizontal edges by perturbing vertex y-coordinates, implementing
-/// the preprocessing assumption of the paper (§III-C): "if horizontal edges
-/// are present then ... the edges are preprocessed by slightly perturbing
-/// the vertices to make them non-horizontal."
+/// Remove the horizontal edges of one contour by perturbing vertex
+/// y-coordinates, implementing the preprocessing assumption of the paper
+/// (§III-C): "if horizontal edges are present then ... the edges are
+/// preprocessed by slightly perturbing the vertices to make them
+/// non-horizontal." seq::prepare_contour_points is its one caller in the
+/// sweep engines.
 ///
-/// `magnitude` is the per-step nudge relative to the polygon's height
-/// (default a few ULP-scale fractions). The perturbation is deterministic.
-/// Returns the number of vertices moved.
-int remove_horizontals(PolygonSet& p, double magnitude = 1e-9);
-
-/// Per-contour form. The nudge quantum (contour bbox height) and the salt
-/// schedule are both per-contour quantities, so perturbing a contour alone
-/// is bit-identical to perturbing it as part of any set — the slab engines
-/// prepare contours one at a time and rely on this.
+/// `magnitude` is the per-step nudge relative to the contour's height
+/// (default a few ULP-scale fractions). The perturbation is deterministic,
+/// and both the nudge quantum (contour bbox height) and the salt schedule
+/// are per-contour quantities, so a contour perturbs the same alone or in
+/// any set. Returns the number of vertices moved.
 int remove_horizontals(Contour& c, double magnitude = 1e-9);
 
 /// Deterministic pseudo-random jitter of all vertices by up to `magnitude`

@@ -1,7 +1,6 @@
 #include "mt/algorithm2.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
 #include <span>
@@ -33,39 +32,6 @@ constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
 bool swept(const SlabOut& so) {
   return so.report.rung == Rung::kHealthy ||
          so.report.rung == Rung::kRetrySafe;
-}
-
-/// Drop the cut vertices of `ring`: vertices on a line of `lines` (sorted)
-/// whose two neighbours lie strictly on opposite sides of it, on the chord
-/// between them up to the rounding of the cut point. Each is the cut point
-/// of one input edge, so dropping it restores that edge; two edges that
-/// cross exactly on a line make a real corner there, which the chord test
-/// keeps. The decision reads the original neighbours, so an edge cut by
-/// several lines loses all its cut points at once.
-void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines) {
-  std::vector<geom::Point>& v = ring.pts;
-  const std::size_t n = v.size();
-  // Compacts in place: slot i is read before it can be overwritten, and
-  // the original neighbours it overwrites are kept aside.
-  const geom::Point first = v[0];
-  geom::Point prev = v[n - 1];
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const geom::Point cur = v[i];
-    const geom::Point& next = i + 1 < n ? v[i + 1] : first;
-    const double y = cur.y;
-    bool cut = (prev.y < y && y < next.y) || (next.y < y && y < prev.y);
-    if (cut) {
-      const geom::Point d = next - prev;
-      const double chord = std::fabs(d.x) + std::fabs(d.y);
-      const double scale = chord + std::fabs(cur.x) + std::fabs(y);
-      cut = std::binary_search(lines.begin(), lines.end(), y) &&
-            std::fabs(geom::cross(cur - prev, d)) <= 1e-12 * chord * scale;
-    }
-    if (!cut) v[kept++] = cur;
-    prev = cur;
-  }
-  v.resize(kept);
 }
 
 /// Step 8: concatenate the slab outputs and weld the pieces along every
@@ -111,8 +77,8 @@ geom::PolygonSet merge_slabs(std::vector<SlabOut>& outs,
   // ungoverned, so a deadline cannot discard finished slabs at the merge.
   const par::gov::ScopedToken ungoverned{par::CancelToken{}};
   arena.weld_parallel(pool, weld_idx, lines);
-  for (geom::Contour& ring : arena.extract(/*pack_virtuals=*/false).contours) {
-    drop_cut_vertices(ring, weld_ys);
+  for (geom::Contour& ring : arena.extract().contours) {
+    core::drop_cut_vertices(ring, weld_ys);
     out.contours.push_back(std::move(ring));
   }
   return out;

@@ -99,10 +99,10 @@ struct Alg2Options {
 ///        directions over the same exact cut points, so core::WeldArena
 ///        cancels the coincident sub-edges, and the cut vertices — a
 ///        vertex on a welded line whose neighbours lie strictly on
-///        opposite sides of it — are dropped, restoring the input edge.
-///        Only the lines between two slabs that completed on a per-slab
-///        rung are welded (a partial result keeps its missing slabs'
-///        seams open).
+///        opposite sides of it — are dropped by core::drop_cut_vertices,
+///        restoring the input edge. Only the lines between two slabs that
+///        completed on a per-slab rung are welded (a partial result keeps
+///        its missing slabs' seams open).
 ///
 /// With one slab the output is byte-identical to seq::vatti_clip; with
 /// more, each slab sweeps exactly Vatti's edges and the weld removes the

@@ -68,10 +68,6 @@ double first_zero_in_bound_order(const BoundTable& bt) {
 
 }  // namespace
 
-void append_bounds(BoundTable& bt, const geom::PolygonSet& p, bool is_clip) {
-  for (const auto& c : p.contours) append_bounds(bt, c, is_clip);
-}
-
 namespace {
 
 /// Vertex-index view of one contour for the bound decomposition (indices
@@ -140,7 +136,8 @@ void append_bounds(BoundTable& bt, const geom::Contour& c, bool is_clip) {
 BoundTable build_bounds(const geom::PolygonSet& subject,
                         const geom::PolygonSet& clip) {
   BoundTable bt;
-  build_bounds_into(bt, subject, clip);
+  std::vector<double> ys;
+  build_bounds_into(bt, ys, subject, clip);
   return bt;
 }
 
@@ -151,13 +148,20 @@ void sort_minima(BoundTable& bt) {
             });
 }
 
-void build_bounds_into(BoundTable& bt, const geom::PolygonSet& subject,
+void build_bounds_into(BoundTable& bt, std::vector<double>& ys,
+                       const geom::PolygonSet& subject,
                        const geom::PolygonSet& clip) {
   bt.edges.clear();
   bt.minima.clear();
-  append_bounds(bt, subject, /*is_clip=*/false);
-  append_bounds(bt, clip, /*is_clip=*/true);
+  geom::Contour prep;
+  for (const auto& c : subject.contours)
+    if (prepare_contour_points(c, prep))
+      append_bounds(bt, prep, /*is_clip=*/false);
+  for (const auto& c : clip.contours)
+    if (prepare_contour_points(c, prep))
+      append_bounds(bt, prep, /*is_clip=*/true);
   sort_minima(bt);
+  scanbeam_ys_merged_into(bt, ys);
 }
 
 int coalesce_horizontal_runs(geom::Contour& c) {
@@ -257,23 +261,6 @@ void append_prepared(BoundTable& bt, const PreparedContour& pc) {
     lm.edge_right += base;
     bt.minima.push_back(lm);
   }
-}
-
-std::vector<double> scanbeam_ys(const BoundTable& bt) {
-  std::vector<double> ys;
-  scanbeam_ys_into(bt, ys);
-  return ys;
-}
-
-void scanbeam_ys_into(const BoundTable& bt, std::vector<double>& ys) {
-  ys.clear();
-  ys.reserve(bt.edges.size() * 2);
-  for (const auto& e : bt.edges) {
-    ys.push_back(e.bot.y);
-    ys.push_back(e.top.y);
-  }
-  std::sort(ys.begin(), ys.end());
-  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 }
 
 void scanbeam_ys_merged_into(const BoundTable& bt, std::vector<double>& ys) {

@@ -37,16 +37,11 @@ struct BoundTable {
   [[nodiscard]] std::size_t num_edges() const { return edges.size(); }
 };
 
-/// Decompose the contours of `p` into bounds and append them to `bt`.
-/// Precondition: no horizontal edges (run geom::remove_horizontals first)
-/// and every contour has >= 3 vertices. Degenerate contours are skipped.
-void append_bounds(BoundTable& bt, const geom::PolygonSet& p, bool is_clip);
-
-/// Per-contour form: decompose one contour into bounds and append them.
-/// Emits edges and minima in exactly the order the set form would for this
-/// contour, so building a table contour-by-contour is bit-identical to the
-/// set pipeline. Emission order: minima in vertex order, each minimum's
-/// forward chain, then its backward chain, so the bound heads ascend.
+/// Decompose one contour into bounds and append them to `bt`.
+/// Precondition: no horizontal edges (prepare_contour_points removes them);
+/// contours of fewer than 3 vertices are skipped. Emission order: minima in
+/// vertex order, each minimum's forward chain, then its backward chain, so
+/// the bound heads ascend.
 void append_bounds(BoundTable& bt, const geom::Contour& c, bool is_clip);
 
 /// Sort `bt.minima` by (y, x) — the final step of build_bounds_into,
@@ -146,32 +141,32 @@ void append_prepared(BoundTable& bt, const PreparedContour& pc);
 void merge_sorted_runs_unique(std::vector<double>& ys,
                               std::vector<std::size_t>& run_end);
 
-/// Build the full table for a subject/clip pair and sort the minima.
+/// The sweep prologue for a subject/clip pair, shared by vatti_clip and
+/// Algorithm 1 (core::scanbeam_clip): every contour through
+/// prepare_contour_points, its bounds appended (subject contours first),
+/// the minima sorted, and the scanbeam schedule built into `ys` by
+/// scanbeam_ys_merged_into. Both outputs are cleared with capacity
+/// retained, so repeated clips reuse their storage. Preparing contour by
+/// contour is bit-identical to the slab engine's prepared fragments.
+void build_bounds_into(BoundTable& bt, std::vector<double>& ys,
+                       const geom::PolygonSet& subject,
+                       const geom::PolygonSet& clip);
+
+/// As build_bounds_into, returning the table and dropping the schedule.
 BoundTable build_bounds(const geom::PolygonSet& subject,
                         const geom::PolygonSet& clip);
 
-/// As build_bounds, but reusing `bt`'s storage: the table is cleared with
-/// capacity retained, so repeated clips (per-worker slab arenas) do not
-/// reallocate the edge and minima arrays every time.
-void build_bounds_into(BoundTable& bt, const geom::PolygonSet& subject,
-                       const geom::PolygonSet& clip);
-
-/// Collect the sorted distinct y-coordinates of all edge endpoints — the
-/// scanbeam schedule (paper §III-B: "scanbeam table").
-std::vector<double> scanbeam_ys(const BoundTable& bt);
-
-/// As scanbeam_ys, but into a reused buffer (cleared, capacity retained).
-void scanbeam_ys_into(const BoundTable& bt, std::vector<double>& ys);
-
-/// As scanbeam_ys_into, but sorting only the minima ys merged with the
-/// edge tops — |minima| + |edges| values instead of all 2·|edges|
-/// endpoints (every edge's bot is a minimum or the top of the edge below
-/// it) — then unique. Long schedules sort by an O(n) radix sort over the
-/// doubles' bit patterns, short ones by std::sort. Of equal-comparing -0.0
-/// and +0.0 the schedule keeps the zero met first walking the bounds
-/// (minima order, left head first, each from its minimum up), whatever the
-/// sort, so the schedule's bits — and the output and cached-fragment bytes
-/// that golden digests pin — do not depend on the sort algorithm.
+/// Collect the sorted distinct y-coordinates of all edge endpoints into
+/// `ys` (cleared, capacity retained) — the scanbeam schedule (paper
+/// §III-B: "scanbeam table"). Only the minima ys and the edge tops are
+/// sorted, |minima| + |edges| values instead of all 2·|edges| endpoints
+/// (every edge's bot is a minimum or the top of the edge below it). Long
+/// schedules sort by an O(n) radix sort over the doubles' bit patterns,
+/// short ones by std::sort. Of equal-comparing -0.0 and +0.0 the schedule
+/// keeps the zero met first walking the bounds (minima order, left head
+/// first, each from its minimum up), whatever the sort, so the schedule's
+/// bits — and the output and cached-fragment bytes that golden digests
+/// pin — do not depend on the sort algorithm.
 void scanbeam_ys_merged_into(const BoundTable& bt, std::vector<double>& ys);
 
 }  // namespace psclip::seq

@@ -88,14 +88,23 @@ void for_each_interior_run(const BoundTable& bt, std::size_t n, EntryAt&& at,
 /// labelled status: the run's two entries own its two ends, and the
 /// contour starts as the run's stretch of the line (its bottom side; see
 /// OutPolyPool::create_on_line).
+///
+/// A run whose two edges meet on the line in rounding and start at one
+/// vertex below it opens at that vertex instead: the minimum lies closer to
+/// the line than the line's x-resolution, so the sliver between it and the
+/// line has no width, and the minimum is where vatti_clip puts the corner.
+/// close_line_runs mirrors this for a maximum just above the line.
 template <typename EntryAt, typename XAt>
 void open_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
                     EntryAt&& at, XAt&& x_at, double y, geom::BoolOp op) {
   for_each_interior_run(bt, n, at, op, [&](std::size_t l, std::size_t r) {
     SweepEntry& el = at(l);
     SweepEntry& er = at(r);
-    const geom::Point pl{x_at(l), y};
-    const geom::Point pr{x_at(r), y};
+    geom::Point pl{x_at(l), y};
+    geom::Point pr{x_at(r), y};
+    const geom::Point& bot = bt.edges[static_cast<std::size_t>(el.e)].bot;
+    if (pl == pr && bot == bt.edges[static_cast<std::size_t>(er.e)].bot)
+      pl = pr = bot;
     const std::int32_t id = pool.create_on_line(pl, el.e, er.e);
     if (!(pr == pl)) pool.extend(id, er.e, pr);
     el.poly = id;
@@ -105,8 +114,9 @@ void open_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
 
 /// Close every interior run along scanline y: join the partial contours
 /// its two entries extend through the run's stretch of the line (its top
-/// side). Runs whose entries own no contour — only after the degenerate
-/// crossing-tie fallback — are skipped.
+/// side), or at the maximum both edges end at when they meet on the line
+/// in rounding (see open_line_runs). Runs whose entries own no contour —
+/// only after the degenerate crossing-tie fallback — are skipped.
 template <typename EntryAt, typename XAt>
 void close_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
                      EntryAt&& at, XAt&& x_at, double y, geom::BoolOp op) {
@@ -114,8 +124,11 @@ void close_line_runs(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
     const SweepEntry& el = at(l);
     const SweepEntry& er = at(r);
     if (el.poly < 0 || er.poly < 0) return;
-    const geom::Point pl{x_at(l), y};
-    const geom::Point pr{x_at(r), y};
+    geom::Point pl{x_at(l), y};
+    geom::Point pr{x_at(r), y};
+    const geom::Point& top = bt.edges[static_cast<std::size_t>(el.e)].top;
+    if (pl == pr && top == bt.edges[static_cast<std::size_t>(er.e)].top)
+      pl = pr = top;
     if (!(pl == pr)) pool.extend(el.poly, el.e, pl);
     pool.close(el.poly, el.e, er.poly, er.e, pr);
   });

@@ -856,23 +856,7 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
   VattiScratch local;
   VattiScratch& sc = scratch ? *scratch : local;
   BoundTable& bt = sc.impl->bt;
-  bt.edges.clear();
-  bt.minima.clear();
-  // Per-contour preparation (clean -> coalesce -> perturb): every step is
-  // a per-contour function, so preparing contours one at a time here is
-  // bit-identical to whole-set preparation — and to the slab engine
-  // preparing the same contours once globally.
-  geom::Contour prep;
-  for (const auto& c : subject.contours)
-    if (prepare_contour_points(c, prep))
-      append_bounds(bt, prep, /*is_clip=*/false);
-  for (const auto& c : clip.contours)
-    if (prepare_contour_points(c, prep))
-      append_bounds(bt, prep, /*is_clip=*/true);
-  sort_minima(bt);
-  // The whole-input schedule: one sort + unique over the minima ys and the
-  // edge tops.
-  scanbeam_ys_merged_into(bt, sc.impl->ys);
+  build_bounds_into(bt, sc.impl->ys, subject, clip);
   return run_sweep(bt, sc, op, stats, SweepWindow{});
 }
 

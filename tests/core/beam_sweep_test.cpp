@@ -4,7 +4,6 @@
 
 #include "core/scanbeam.hpp"
 #include "geom/area_oracle.hpp"
-#include "geom/perturb.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
 
@@ -18,12 +17,8 @@ using geom::PolygonSet;
 /// area, because beam pieces tile the result region disjointly.
 double tiled_area(const PolygonSet& a, const PolygonSet& b, BoolOp op,
                   std::int64_t* crossings = nullptr) {
-  PolygonSet s = geom::cleaned(a), c = geom::cleaned(b);
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(c);
-  const auto bt = seq::build_bounds(s, c);
   par::ThreadPool pool(2);
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] = test::partition(pool, a, b);
   double area = 0.0;
   std::int64_t k = 0;
   for (std::size_t beam = 0; beam < part.num_beams(); ++beam) {
@@ -77,12 +72,8 @@ TEST(BeamSweep, BeamWithFewerThanTwoEdgesIsEmpty) {
 TEST(BeamSweep, PartialRingsLieInsideTheirBeam) {
   const PolygonSet a = test::random_polygon(21, 16, 0, 0, 10);
   const PolygonSet b = test::random_polygon(22, 12, 1, 1, 8);
-  PolygonSet s = geom::cleaned(a), c = geom::cleaned(b);
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(c);
-  const auto bt = seq::build_bounds(s, c);
   par::ThreadPool pool(2);
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] = test::partition(pool, a, b);
   for (std::size_t beam = 0; beam < part.num_beams(); ++beam) {
     const auto lo = static_cast<std::size_t>(part.offsets[beam]);
     const auto hi = static_cast<std::size_t>(part.offsets[beam + 1]);
@@ -111,11 +102,8 @@ TEST(BeamSweep, IndependenceFromOtherBeams) {
   // Processing a beam must not depend on global state: the same beam
   // processed twice yields identical rings.
   const PolygonSet a = test::random_polygon(41, 12, 0, 0, 10);
-  PolygonSet s = geom::cleaned(a);
-  geom::remove_horizontals(s);
-  const auto bt = seq::build_bounds(s, {});
   par::ThreadPool pool(2);
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] = test::partition(pool, a);
   ASSERT_GT(part.num_beams(), 2u);
   const std::size_t beam = part.num_beams() / 2;
   const auto lo = static_cast<std::size_t>(part.offsets[beam]);

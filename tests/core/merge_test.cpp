@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "geom/point_in_polygon.hpp"
+#include "test_support.hpp"
 
 namespace psclip::core {
 namespace {
@@ -14,16 +17,27 @@ Contour ccw_rect(double x0, double y0, double x1, double y1) {
   return geom::make_rect(x0, y0, x1, y1);
 }
 
+/// Weld `arena` along `lines`, extract, and drop the cut vertices on the
+/// lines.
+geom::PolygonSet welded(WeldArena& arena, std::vector<double> lines) {
+  par::ThreadPool pool(2);
+  std::vector<std::size_t> idx;
+  for (std::size_t i = 0; i < lines.size(); ++i) idx.push_back(i);
+  arena.weld_parallel(pool, idx, lines);
+  geom::PolygonSet out = arena.extract();
+  for (Contour& ring : out.contours) drop_cut_vertices(ring, lines);
+  return out;
+}
+
 TEST(WeldArena, TwoStackedRectsBecomeOne) {
   WeldArena arena;
   arena.add_ring(ccw_rect(0, 0, 4, 2));
   arena.add_ring(ccw_rect(0, 2, 4, 5));
-  arena.weld_scanline(2.0);
-  const auto out = arena.extract();
+  const auto out = welded(arena, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 20.0, 1e-12);
   EXPECT_FALSE(out.contours[0].hole);
-  // Virtual vertices on the weld line are packed away: 4 corners remain.
+  // The cut vertices on the weld line are dropped: 4 corners remain.
   EXPECT_EQ(out.contours[0].size(), 4u);
 }
 
@@ -33,8 +47,7 @@ TEST(WeldArena, PartialOverlapSubdivides) {
   arena.add_ring(ccw_rect(0, 0, 4, 2));
   arena.add_ring(ccw_rect(0, 2, 2, 4));
   arena.add_ring(ccw_rect(2, 2, 4, 4));
-  arena.weld_scanline(2.0);
-  const auto out = arena.extract();
+  const auto out = welded(arena, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 16.0, 1e-12);
 }
@@ -45,8 +58,7 @@ TEST(WeldArena, MismatchedSpansLeaveBoundary) {
   WeldArena arena;
   arena.add_ring(ccw_rect(0, 0, 4, 2));
   arena.add_ring(ccw_rect(1, 2, 3, 4));
-  arena.weld_scanline(2.0);
-  const auto out = arena.extract();
+  const auto out = welded(arena, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 12.0, 1e-12);
   EXPECT_TRUE(geom::point_in_polygon({2, 3}, out));
@@ -64,9 +76,7 @@ TEST(WeldArena, HoleEmergesClockwise) {
   arena.add_ring(Contour{{{4, 2}, {6, 2}, {6, 4}, {4, 4}}, false});
   // Cap beam.
   arena.add_ring(Contour{{{0, 4}, {6, 4}, {6, 6}, {0, 6}}, false});
-  arena.weld_scanline(2.0);
-  arena.weld_scanline(4.0);
-  const auto out = arena.extract();
+  const auto out = welded(arena, {2.0, 4.0});
   ASSERT_EQ(out.num_contours(), 2u);
   double total = geom::signed_area(out);
   EXPECT_NEAR(total, 32.0, 1e-12);  // 36 minus the 2x2 void
@@ -90,6 +100,8 @@ TEST(WeldArena, UnweldedRingsPassThrough) {
   EXPECT_NEAR(geom::signed_area(out), 2.0, 1e-12);
 }
 
+// One parallel phase over every line (flat) and the reduction tree weld
+// the same rings.
 TEST(WeldArena, FlatAndTreeStrategiesAgree) {
   par::ThreadPool pool(2);
   auto build = [] {
@@ -100,16 +112,18 @@ TEST(WeldArena, FlatAndTreeStrategiesAgree) {
   };
   std::vector<double> ys;
   for (int i = 0; i <= 8; ++i) ys.push_back(i);
+  std::vector<std::size_t> interior;
+  for (std::size_t i = 1; i + 1 < ys.size(); ++i) interior.push_back(i);
 
   WeldArena flat = build();
-  flat.weld_flat(pool, ys);
+  flat.weld_parallel(pool, interior, ys);
   WeldArena tree = build();
   const int phases = tree.weld_tree(pool, ys);
   EXPECT_GE(phases, 3);  // log2(8)
   const auto a = flat.extract();
   const auto b = tree.extract();
-  EXPECT_EQ(a.num_contours(), b.num_contours());
-  EXPECT_NEAR(geom::signed_area(a), geom::signed_area(b), 1e-12);
+  EXPECT_EQ(a.num_contours(), 1u);
+  EXPECT_TRUE(test::normalized_rings(a) == test::normalized_rings(b));
 }
 
 TEST(WeldArena, ChainOfWeldsAcrossOneLine) {
@@ -120,8 +134,7 @@ TEST(WeldArena, ChainOfWeldsAcrossOneLine) {
   arena.add_ring(ccw_rect(0, 1, 1.5, 2));
   arena.add_ring(ccw_rect(1.5, 1, 3.5, 2));
   arena.add_ring(ccw_rect(3.5, 1, 5, 2));
-  arena.weld_scanline(1.0);
-  const auto out = arena.extract();
+  const auto out = welded(arena, {1.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 10.0, 1e-12);
 }
@@ -133,9 +146,21 @@ TEST(WeldArena, DegenerateRingsIgnored) {
   EXPECT_TRUE(arena.extract().empty());
 }
 
-TEST(MergeStrategy, Names) {
-  EXPECT_STREQ(to_string(MergeStrategy::kTree), "tree");
-  EXPECT_STREQ(to_string(MergeStrategy::kFlat), "flat");
+// An input vertex on a line whose neighbours happen to be collinear with
+// it is kept when the line's input vertices are given; a cut point on the
+// same line is dropped either way.
+TEST(DropCutVertices, InputVertexOnALineStays) {
+  Contour ring{{{0, 0}, {4, 0}, {4, 1}, {4, 2}, {0, 2}, {0, 1}}, false};
+  const std::vector<double> lines{1.0};
+  LineVertices on;
+  on.first = {0, 1};
+  on.xs = {4.0};
+  Contour kept = ring;
+  drop_cut_vertices(kept, lines, &on);
+  EXPECT_EQ(kept.pts, (std::vector<Point>{{0, 0}, {4, 0}, {4, 1}, {4, 2},
+                                          {0, 2}}));
+  drop_cut_vertices(ring, lines);
+  EXPECT_EQ(ring.pts, (std::vector<Point>{{0, 0}, {4, 0}, {4, 2}, {0, 2}}));
 }
 
 }  // namespace

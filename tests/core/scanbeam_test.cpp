@@ -2,25 +2,35 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
-#include "geom/perturb.hpp"
 #include "test_support.hpp"
 
 namespace psclip::core {
 namespace {
 
-seq::BoundTable table_for(geom::PolygonSet a, geom::PolygonSet b = {}) {
-  geom::remove_horizontals(a);
-  geom::remove_horizontals(b);
-  return seq::build_bounds(a, b);
+/// Every beam holds exactly the edges spanning it (brute force).
+void expect_exact_beams(const test::Partitioned& p) {
+  const auto& [bt, part] = p;
+  for (std::size_t beam = 0; beam < part.num_beams(); ++beam) {
+    const double yb = part.ys[beam], yt = part.ys[beam + 1];
+    std::multiset<std::int32_t> got(
+        part.edge_ids.begin() +
+            static_cast<std::ptrdiff_t>(part.offsets[beam]),
+        part.edge_ids.begin() +
+            static_cast<std::ptrdiff_t>(part.offsets[beam + 1]));
+    std::multiset<std::int32_t> want;
+    for (std::size_t e = 0; e < bt.edges.size(); ++e)
+      if (bt.edges[e].bot.y <= yb && bt.edges[e].top.y >= yt)
+        want.insert(static_cast<std::int32_t>(e));
+    EXPECT_EQ(got, want) << "beam " << beam;
+  }
 }
 
 TEST(ScanbeamPartition, TriangleBasics) {
   par::ThreadPool pool(2);
-  const auto bt = table_for(geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}));
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] =
+      test::partition(pool, geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}));
   EXPECT_EQ(part.ys.size(), 3u);  // three distinct vertex ordinates
   EXPECT_EQ(part.num_beams(), 2u);
   // Beam 0 ([y0,y1]) holds edges spanning it.
@@ -31,47 +41,24 @@ TEST(ScanbeamPartition, TriangleBasics) {
 
 class PartitionRandom : public ::testing::TestWithParam<int> {};
 
+// The segment tree's beams equal direct binning (every edge tested against
+// every beam) on a subject/clip pair, the subject self-intersecting every
+// third case.
 TEST_P(PartitionRandom, SegtreeAndDirectAgree) {
   par::ThreadPool pool(4);
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const auto bt = table_for(
+  expect_exact_beams(test::partition(
+      pool,
       test::random_polygon(seed * 2 + 1, 10 + GetParam() * 3, 0, 0, 10,
                            GetParam() % 3 == 0),
-      test::random_polygon(seed * 2 + 2, 8 + GetParam() * 2, 1, 1, 8));
-  const auto a = partition_scanbeams(pool, bt);
-  const auto b = partition_scanbeams_direct(pool, bt);
-  ASSERT_EQ(a.ys, b.ys);
-  ASSERT_EQ(a.offsets, b.offsets);
-  for (std::size_t beam = 0; beam < a.num_beams(); ++beam) {
-    std::multiset<std::int32_t> sa(
-        a.edge_ids.begin() + static_cast<std::ptrdiff_t>(a.offsets[beam]),
-        a.edge_ids.begin() + static_cast<std::ptrdiff_t>(a.offsets[beam + 1]));
-    std::multiset<std::int32_t> sb(
-        b.edge_ids.begin() + static_cast<std::ptrdiff_t>(b.offsets[beam]),
-        b.edge_ids.begin() + static_cast<std::ptrdiff_t>(b.offsets[beam + 1]));
-    EXPECT_EQ(sa, sb) << "beam " << beam;
-  }
+      test::random_polygon(seed * 2 + 2, 8 + GetParam() * 2, 1, 1, 8)));
 }
 
 TEST_P(PartitionRandom, EveryBeamContentIsExact) {
   par::ThreadPool pool(4);
   const auto seed = static_cast<std::uint64_t>(GetParam()) + 100;
-  const auto bt =
-      table_for(test::random_polygon(seed, 12 + GetParam() * 2, 0, 0, 10));
-  const auto part = partition_scanbeams(pool, bt);
-  for (std::size_t beam = 0; beam < part.num_beams(); ++beam) {
-    const double yb = part.ys[beam], yt = part.ys[beam + 1];
-    std::set<std::int32_t> got(
-        part.edge_ids.begin() +
-            static_cast<std::ptrdiff_t>(part.offsets[beam]),
-        part.edge_ids.begin() +
-            static_cast<std::ptrdiff_t>(part.offsets[beam + 1]));
-    std::set<std::int32_t> want;
-    for (std::size_t e = 0; e < bt.edges.size(); ++e)
-      if (bt.edges[e].bot.y <= yb && bt.edges[e].top.y >= yt)
-        want.insert(static_cast<std::int32_t>(e));
-    EXPECT_EQ(got, want) << "beam " << beam;
-  }
+  expect_exact_beams(test::partition(
+      pool, test::random_polygon(seed, 12 + GetParam() * 2, 0, 0, 10)));
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, PartitionRandom, ::testing::Range(0, 10));
@@ -83,9 +70,7 @@ TEST(ScanbeamPartition, KPrimeGrowsWithSpanningEdges) {
   geom::PolygonSet p = geom::make_polygon({{0, 0}, {1, 0.05}, {0.5, 100}});
   for (int i = 0; i < 8; ++i)
     p.add({{3.0, i * 10 + 1.0}, {4.0, i * 10 + 1.2}, {3.5, i * 10 + 5.0}});
-  geom::remove_horizontals(p);
-  const auto bt = seq::build_bounds(p, {});
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] = test::partition(pool, p);
   EXPECT_GT(part.k_prime(bt.num_edges()), 20);
   EXPECT_EQ(part.total_incidences(),
             part.k_prime(bt.num_edges()) +
@@ -94,8 +79,7 @@ TEST(ScanbeamPartition, KPrimeGrowsWithSpanningEdges) {
 
 TEST(ScanbeamPartition, EmptyInput) {
   par::ThreadPool pool(2);
-  const seq::BoundTable bt;
-  const auto part = partition_scanbeams(pool, bt);
+  const auto [bt, part] = test::partition(pool, {});
   EXPECT_EQ(part.num_beams(), 0u);
   EXPECT_EQ(part.total_incidences(), 0);
 }

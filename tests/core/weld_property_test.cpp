@@ -1,6 +1,7 @@
 // Property test for the merge-phase weld: random beam tilings of random
-// regions, welded by both strategies, must reproduce the tiled area
-// exactly and agree with the sequential clipper.
+// regions, welded in one phase or by the reduction tree, must reproduce
+// the tiled area exactly and, with the cut vertices dropped, the
+// sequential clipper's rings.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,7 @@
 #include "core/merge.hpp"
 #include "core/scanbeam.hpp"
 #include "geom/area_oracle.hpp"
-#include "geom/perturb.hpp"
+#include "seq/vatti.hpp"
 #include "test_support.hpp"
 
 namespace psclip::core {
@@ -36,12 +37,10 @@ TEST_P(WeldProperty, WeldPreservesTiledAreaAndRegion) {
   const PolygonSet b =
       test::random_polygon(c.seed * 2 + 2, c.n2, 1, -1, 8, false);
 
-  PolygonSet s = geom::cleaned(a), cl = geom::cleaned(b);
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(cl);
-  const seq::BoundTable bt = seq::build_bounds(s, cl);
   par::ThreadPool pool(2);
-  const auto part = partition_scanbeams(pool, bt);
+  const test::Partitioned table = test::partition(pool, a, b);
+  const seq::BoundTable& bt = table.bt;
+  const ScanbeamPartition& part = table.part;
 
   WeldArena flat, tree;
   double tiled = 0.0;
@@ -57,19 +56,30 @@ TEST_P(WeldProperty, WeldPreservesTiledAreaAndRegion) {
       tree.add_ring(r);
     }
   }
-  flat.weld_flat(pool, part.ys);
+  // Flat: every interior line in one parallel phase.
+  std::vector<std::size_t> interior;
+  for (std::size_t i = 1; i + 1 < part.ys.size(); ++i) interior.push_back(i);
+  flat.weld_parallel(pool, interior, part.ys);
   tree.weld_tree(pool, part.ys);
 
   const double want = geom::boolean_area_oracle(a, b, op);
   EXPECT_TRUE(test::areas_match(tiled, want)) << "tiling broken";
-  // Raw extraction (virtual vertices kept) must conserve area exactly.
-  EXPECT_TRUE(test::areas_match(
-      geom::signed_area(flat.extract(/*pack_virtuals=*/false)), tiled, 1e-9));
-  // Packed extraction from both strategies.
-  const double fa = geom::signed_area(flat.extract());
-  const double ta = geom::signed_area(tree.extract());
-  EXPECT_TRUE(test::areas_match(fa, want)) << "flat weld fa=" << fa;
-  EXPECT_TRUE(test::areas_match(ta, want)) << "tree weld ta=" << ta;
+  // Extraction (cut vertices kept) must conserve area exactly.
+  const PolygonSet raw = flat.extract();
+  EXPECT_TRUE(test::areas_match(geom::signed_area(raw), tiled, 1e-9));
+  // The cut rule, from both strategies, gives vatti_clip's rings.
+  const LineVertices on_lines = vertices_on_lines(bt, part.ys);
+  const auto dropped = [&](PolygonSet p) {
+    for (geom::Contour& ring : p.contours)
+      drop_cut_vertices(ring, part.ys, &on_lines);
+    return p;
+  };
+  const PolygonSet fp = dropped(raw), tp = dropped(tree.extract());
+  EXPECT_TRUE(test::areas_match(geom::signed_area(fp), want))
+      << "flat weld fa=" << geom::signed_area(fp);
+  const auto vatti = test::normalized_rings(seq::vatti_clip(a, b, op));
+  EXPECT_TRUE(test::normalized_rings(fp) == vatti) << "flat weld";
+  EXPECT_TRUE(test::normalized_rings(tp) == vatti) << "tree weld";
   // Nothing left unwelded.
   EXPECT_TRUE(flat.debug_unwelded().empty());
   EXPECT_TRUE(tree.debug_unwelded().empty());

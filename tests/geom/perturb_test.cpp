@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "geom/area_oracle.hpp"
+#include "seq/bounds.hpp"
 
 namespace psclip::geom {
 namespace {
@@ -12,7 +13,7 @@ namespace {
 TEST(RemoveHorizontals, SquareBecomesHorizontalFree) {
   PolygonSet p = make_polygon({{0, 0}, {10, 0}, {10, 10}, {0, 10}});
   EXPECT_TRUE(has_horizontal_edges(p));
-  const int moved = remove_horizontals(p);
+  const int moved = remove_horizontals(p.contours[0]);
   EXPECT_GT(moved, 0);
   EXPECT_FALSE(has_horizontal_edges(p));
 }
@@ -20,14 +21,14 @@ TEST(RemoveHorizontals, SquareBecomesHorizontalFree) {
 TEST(RemoveHorizontals, AreaChangeIsTiny) {
   PolygonSet p = make_polygon({{0, 0}, {10, 0}, {10, 10}, {0, 10}});
   const double before = even_odd_area(p);
-  remove_horizontals(p);
+  remove_horizontals(p.contours[0]);
   EXPECT_NEAR(even_odd_area(p), before, 1e-5);
 }
 
 TEST(RemoveHorizontals, NoOpWithoutHorizontals) {
   PolygonSet p = make_polygon({{0, 0}, {10, 1}, {9, 10}, {-1, 9}});
   EXPECT_FALSE(has_horizontal_edges(p));
-  EXPECT_EQ(remove_horizontals(p), 0);
+  EXPECT_EQ(remove_horizontals(p.contours[0]), 0);
 }
 
 TEST(RemoveHorizontals, StaircaseConverges) {
@@ -35,7 +36,7 @@ TEST(RemoveHorizontals, StaircaseConverges) {
   // passes must still reach a horizontal-free fixpoint.
   PolygonSet p = make_polygon({{0, 0}, {1, 0}, {1, 1}, {2, 1}, {2, 0},
                                {3, 0}, {3, 3}, {0, 3}});
-  remove_horizontals(p);
+  remove_horizontals(p.contours[0]);
   EXPECT_FALSE(has_horizontal_edges(p));
 }
 
@@ -45,7 +46,7 @@ TEST(RemoveHorizontals, NearHorizontalNoiseIsRemoved) {
   // perturbed away too.
   PolygonSet p = make_polygon(
       {{0, 0}, {10, 1e-15}, {10, 10}, {0, 10.0 + 1e-14}});
-  remove_horizontals(p);
+  remove_horizontals(p.contours[0]);
   const auto& c = p.contours[0];
   for (std::size_t i = 0, j = c.size() - 1; i < c.size(); j = i++) {
     const double dy = std::fabs(c[j].y - c[i].y);
@@ -55,15 +56,18 @@ TEST(RemoveHorizontals, NearHorizontalNoiseIsRemoved) {
 
 TEST(RemoveHorizontals, DeterministicPerContour) {
   // The same contour must perturb identically regardless of which polygon
-  // set carries it (shared prepared fragments rely on this).
+  // set carries it (shared prepared fragments rely on this): the set's
+  // prepared table starts with the lone contour's.
   PolygonSet lone = make_polygon({{0, 0}, {5, 0}, {5, 5}, {0, 5}});
   PolygonSet with_others = lone;
   with_others.add({{100, 100}, {101, 100}, {101, 101}});
-  remove_horizontals(lone);
-  remove_horizontals(with_others);
-  ASSERT_EQ(lone.contours[0].size(), with_others.contours[0].size());
-  for (std::size_t i = 0; i < lone.contours[0].size(); ++i)
-    EXPECT_EQ(lone.contours[0][i], with_others.contours[0][i]);
+  const seq::BoundTable a = seq::build_bounds(lone, {});
+  const seq::BoundTable b = seq::build_bounds(with_others, {});
+  ASSERT_LT(a.edges.size(), b.edges.size());
+  for (std::size_t i = 0; i < a.edges.size(); ++i) {
+    EXPECT_EQ(a.edges[i].bot, b.edges[i].bot);
+    EXPECT_EQ(a.edges[i].top, b.edges[i].top);
+  }
 }
 
 TEST(Jitter, DeterministicInSeed) {
@@ -88,9 +92,9 @@ TEST(Jitter, BoundedMagnitude) {
 }
 
 TEST(RemoveHorizontals, EmptyInput) {
-  PolygonSet p;
-  EXPECT_EQ(remove_horizontals(p), 0);
-  EXPECT_FALSE(has_horizontal_edges(p));
+  Contour c;
+  EXPECT_EQ(remove_horizontals(c), 0);
+  EXPECT_FALSE(has_horizontal_edges(PolygonSet{}));
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
 #pragma once
 
-// Golden output digests: the byte-identity oracle of the Vatti sweep and of
-// the slab engine that sweeps windows of it.
+// Golden output digests: the byte-identity oracle of the Vatti sweep, of
+// the slab engine that sweeps windows of it, and of Algorithm 1, which
+// sweeps its beams.
 //
 // tests/data/golden_digests.txt holds one line per (input, operator,
 // engine): "<input>/<op>/<engine> <16 hex digits>". The engines are
-// seq::vatti_clip ("vatti") and mt::slab_clip at 1, 6 and 16 slabs
-// ("slab1", "slab6", "slab16"); the inputs are the 216-case fuzz corpus
-// (tests/fuzz_cases.hpp, under every operator, not only the case's own),
-// synthetic_pair(7919, 24000), the Table III layers 3 x 4 at scale 0.01,
-// the polygon_field x2 overlay bench_vatti_sweep times, and the beam-top
-// edge cases below. A digest is FNV-1a over the output's contours in
+// seq::vatti_clip ("vatti"), mt::slab_clip at 1, 6 and 16 slabs
+// ("slab1", "slab6", "slab16") and core::scanbeam_clip ("alg1", not on
+// the paper-scale inputs, where it takes seconds per operator); the inputs
+// are the 216-case fuzz corpus (tests/fuzz_cases.hpp, under every
+// operator, not only the case's own), synthetic_pair(7919, 24000), the
+// Table III layers 3 x 4 at scale 0.01, the polygon_field x2 overlay
+// bench_vatti_sweep times, and the beam-top edge cases below. A digest is
+// FNV-1a over the output's contours in
 // order, each folded as its seq::contour_digest plus its hole flag, so it
 // changes with any output bit.
 //
@@ -32,8 +35,10 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/algorithm1.hpp"
 #include "data/gis_sim.hpp"
 #include "data/synthetic.hpp"
 #include "fuzz_cases.hpp"
@@ -74,12 +79,12 @@ inline std::string slab_engine(unsigned slabs) {
   return "slab" + std::to_string(slabs);
 }
 
-/// Call emit(key, digest) for vatti_clip and for slab_clip at every
-/// kSlabCounts, under every operator.
+/// Call emit(key, digest) for vatti_clip, for slab_clip at every
+/// kSlabCounts and, when `alg1`, for scanbeam_clip, under every operator.
 template <typename Emit>
 void engine_digests(const std::string& input, const geom::PolygonSet& a,
                     const geom::PolygonSet& b, par::ThreadPool& pool,
-                    Emit&& emit) {
+                    bool alg1, Emit&& emit) {
   for (const geom::BoolOp op : geom::kAllOps) {
     emit(key(input, op, "vatti"), output_digest(seq::vatti_clip(a, b, op)));
     for (const unsigned slabs : kSlabCounts) {
@@ -88,6 +93,9 @@ void engine_digests(const std::string& input, const geom::PolygonSet& a,
       emit(key(input, op, slab_engine(slabs)),
            output_digest(mt::slab_clip(a, b, op, pool, o)));
     }
+    if (alg1)
+      emit(key(input, op, "alg1"),
+           output_digest(core::scanbeam_clip(a, b, op, pool)));
   }
 }
 
@@ -180,8 +188,9 @@ inline std::vector<NamedInput> top_step_inputs() {
 inline std::pair<geom::PolygonSet, geom::PolygonSet> sweep_two_windows(
     const geom::PolygonSet& a, const geom::PolygonSet& b, geom::BoolOp op,
     double line, seq::VattiScratch& scratch, std::int64_t* validate_failures) {
-  const seq::BoundTable bt = seq::build_bounds(a, b);
-  const std::vector<double> ys = seq::scanbeam_ys(bt);
+  seq::BoundTable bt;
+  std::vector<double> ys;
+  seq::build_bounds_into(bt, ys, a, b);
   std::vector<std::int32_t> seeds;
   for (std::size_t e = 0; e < bt.edges.size(); ++e)
     if (bt.edges[e].bot.y < line && line < bt.edges[e].top.y)
@@ -221,12 +230,12 @@ template <typename Emit>
 void all_digests(par::ThreadPool& pool, Emit&& emit) {
   for (const fuzz::FuzzCase& c : fuzz::make_cases()) {
     const fuzz::Inputs in = fuzz::make_inputs(c);
-    engine_digests(corpus_name(c), in.a, in.b, pool, emit);
+    engine_digests(corpus_name(c), in.a, in.b, pool, /*alg1=*/true, emit);
   }
   for (const NamedInput& in : large_inputs())
-    engine_digests(in.name, in.a, in.b, pool, emit);
+    engine_digests(in.name, in.a, in.b, pool, /*alg1=*/false, emit);
   for (const NamedInput& in : top_step_inputs())
-    engine_digests(in.name, in.a, in.b, pool, emit);
+    engine_digests(in.name, in.a, in.b, pool, /*alg1=*/true, emit);
   const NamedInput in = top_step_inputs().back();
   for (const geom::BoolOp op : geom::kAllOps) {
     seq::VattiScratch scratch;
@@ -253,21 +262,24 @@ inline Table load_table(const char* path = PSCLIP_GOLDEN_DIGESTS) {
 
 /// Every key the table must hold, in the order all_digests emits them.
 inline std::vector<std::string> expected_keys() {
-  std::vector<std::string> names;
+  std::vector<std::pair<std::string, bool>> names;  // (input, alg1 rows)
   for (const fuzz::FuzzCase& c : fuzz::make_cases())
-    names.push_back(corpus_name(c));
-  for (const NamedInput& in : large_inputs()) names.push_back(in.name);
-  for (const NamedInput& in : top_step_inputs()) names.push_back(in.name);
+    names.emplace_back(corpus_name(c), true);
+  for (const NamedInput& in : large_inputs())
+    names.emplace_back(in.name, false);
+  for (const NamedInput& in : top_step_inputs())
+    names.emplace_back(in.name, true);
   std::vector<std::string> keys;
-  for (const std::string& n : names)
+  for (const auto& [n, alg1] : names)
     for (const geom::BoolOp op : geom::kAllOps) {
       keys.push_back(key(n, op, "vatti"));
       for (const unsigned slabs : kSlabCounts)
         keys.push_back(key(n, op, slab_engine(slabs)));
+      if (alg1) keys.push_back(key(n, op, "alg1"));
     }
   for (const geom::BoolOp op : geom::kAllOps) {
-    keys.push_back(key(names.back(), op, "window_below"));
-    keys.push_back(key(names.back(), op, "window_above"));
+    keys.push_back(key(names.back().first, op, "window_below"));
+    keys.push_back(key(names.back().first, op, "window_above"));
   }
   return keys;
 }

@@ -41,7 +41,7 @@ Table make_table(const PolygonSet& subject, const PolygonSet& clip = {}) {
       seq::append_bounds(t.bt, prep, /*is_clip=*/true);
   t.heads = bound_heads(t.bt);
   seq::sort_minima(t.bt);
-  t.ys = seq::scanbeam_ys(t.bt);
+  seq::scanbeam_ys_merged_into(t.bt, t.ys);
   return t;
 }
 

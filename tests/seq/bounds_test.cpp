@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <string>
@@ -20,21 +21,30 @@ namespace {
 using geom::Point;
 using geom::PolygonSet;
 
-BoundTable table_for(PolygonSet s, PolygonSet c = {}) {
-  geom::remove_horizontals(s);
-  geom::remove_horizontals(c);
-  return build_bounds(s, c);
+/// The schedule's oracle: every edge endpoint's y, sorted, duplicates
+/// removed.
+std::vector<double> sorted_ys(const BoundTable& bt) {
+  std::vector<double> ys;
+  for (const auto& e : bt.edges) {
+    ys.push_back(e.bot.y);
+    ys.push_back(e.top.y);
+  }
+  std::sort(ys.begin(), ys.end());
+  ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+  return ys;
 }
 
 TEST(Bounds, TriangleHasOneMinimumTwoBounds) {
-  const BoundTable bt = table_for(geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}));
+  const BoundTable bt =
+      build_bounds(geom::make_polygon({{0, 0}, {4, 1}, {2, 5}}), {});
   ASSERT_EQ(bt.minima.size(), 1u);
   EXPECT_EQ(bt.minima[0].pt, (Point{0, 0}));
   EXPECT_EQ(bt.edges.size(), 3u);  // every edge is in exactly one bound
 }
 
 TEST(Bounds, EdgesAscendAndChainsLink) {
-  const BoundTable bt = table_for(test::random_polygon(5, 24, 0, 0, 10));
+  const BoundTable bt =
+      build_bounds(test::random_polygon(5, 24, 0, 0, 10), {});
   EXPECT_EQ(bt.edges.size(), 24u);
   for (const auto& e : bt.edges) {
     EXPECT_LT(e.bot.y, e.top.y);
@@ -47,8 +57,8 @@ TEST(Bounds, EdgesAscendAndChainsLink) {
 
 TEST(Bounds, MinimaSortedByYThenX) {
   const BoundTable bt =
-      table_for(test::random_polygon(9, 30, 0, 0, 10),
-                test::random_polygon(10, 20, 3, 2, 8));
+      build_bounds(test::random_polygon(9, 30, 0, 0, 10),
+                   test::random_polygon(10, 20, 3, 2, 8));
   for (std::size_t i = 1; i < bt.minima.size(); ++i) {
     const auto& a = bt.minima[i - 1].pt;
     const auto& b = bt.minima[i].pt;
@@ -57,7 +67,8 @@ TEST(Bounds, MinimaSortedByYThenX) {
 }
 
 TEST(Bounds, LeftRightHeadsOrderedBySlope) {
-  const BoundTable bt = table_for(test::random_polygon(11, 40, 0, 0, 10));
+  const BoundTable bt =
+      build_bounds(test::random_polygon(11, 40, 0, 0, 10), {});
   for (const auto& lm : bt.minima) {
     const auto& l = bt.edges[static_cast<std::size_t>(lm.edge_left)];
     const auto& r = bt.edges[static_cast<std::size_t>(lm.edge_right)];
@@ -68,8 +79,8 @@ TEST(Bounds, LeftRightHeadsOrderedBySlope) {
 }
 
 TEST(Bounds, ClipFlagDistinguishesInputs) {
-  const BoundTable bt = table_for(test::random_polygon(2, 10, 0, 0, 5),
-                                  test::random_polygon(3, 12, 1, 1, 5));
+  const BoundTable bt = build_bounds(test::random_polygon(2, 10, 0, 0, 5),
+                                     test::random_polygon(3, 12, 1, 1, 5));
   std::size_t subject = 0, clip = 0;
   for (const auto& e : bt.edges) (e.is_clip ? clip : subject)++;
   EXPECT_EQ(subject, 10u);
@@ -82,12 +93,13 @@ TEST(Bounds, EveryEdgeAppearsExactlyOnce) {
   for (int n : {6, 13, 27, 50}) {
     const auto p = test::random_polygon(static_cast<std::uint64_t>(n), n, 0,
                                         0, 10);
-    EXPECT_EQ(table_for(p).edges.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(build_bounds(p, {}).edges.size(), static_cast<std::size_t>(n));
   }
 }
 
 TEST(Bounds, MaximaTerminateChains) {
-  const BoundTable bt = table_for(test::random_polygon(21, 36, 0, 0, 10));
+  const BoundTable bt =
+      build_bounds(test::random_polygon(21, 36, 0, 0, 10), {});
   // Count chain ends (-1 next): equals count of bounds == 2 * minima.
   std::size_t ends = 0;
   for (const auto& e : bt.edges)
@@ -96,9 +108,9 @@ TEST(Bounds, MaximaTerminateChains) {
 }
 
 TEST(Bounds, ScanbeamYsSortedDistinct) {
-  const BoundTable bt = table_for(test::random_polygon(33, 25, 0, 0, 10),
-                                  test::random_polygon(34, 25, 2, 1, 9));
-  const auto ys = scanbeam_ys(bt);
+  const BoundTable bt = build_bounds(test::random_polygon(33, 25, 0, 0, 10),
+                                     test::random_polygon(34, 25, 2, 1, 9));
+  const auto ys = sorted_ys(bt);
   for (std::size_t i = 1; i < ys.size(); ++i) EXPECT_LT(ys[i - 1], ys[i]);
   // All edge endpoints are scanlines.
   for (const auto& e : bt.edges) {
@@ -130,9 +142,9 @@ TEST(Bounds, MergedScheduleEqualsSortUnique) {
   };
   for (std::size_t i = 0; i < std::size(cases); ++i) {
     SCOPED_TRACE("case " + std::to_string(i));
-    const BoundTable bt = table_for(cases[i].a, cases[i].b);
-    std::vector<double> sorted, merged;
-    scanbeam_ys_into(bt, sorted);
+    const BoundTable bt = build_bounds(cases[i].a, cases[i].b);
+    const std::vector<double> sorted = sorted_ys(bt);
+    std::vector<double> merged;
     scanbeam_ys_merged_into(bt, merged);
     ASSERT_EQ(merged.size(), sorted.size());
     for (std::size_t j = 0; j < sorted.size(); ++j)
@@ -143,9 +155,10 @@ TEST(Bounds, MergedScheduleEqualsSortUnique) {
 // Reused buffers must be indistinguishable from fresh ones.
 TEST(Bounds, MergedScheduleBufferReuse) {
   std::vector<double> ys{1.0, 2.0, 3.0, 4.0, 5.0};
-  const BoundTable bt = table_for(test::random_polygon(21, 36, 0, 0, 10));
+  const BoundTable bt =
+      build_bounds(test::random_polygon(21, 36, 0, 0, 10), {});
   scanbeam_ys_merged_into(bt, ys);
-  EXPECT_EQ(ys, scanbeam_ys(bt));
+  EXPECT_EQ(ys, sorted_ys(bt));
 }
 
 // ---- Ring walk: byte-identical to the modulo-indexed decomposition. ----
@@ -373,9 +386,7 @@ TEST(RingBounds, SignedZeroOrdinatesKeepTheirBits) {
     const auto z = std::lower_bound(pc.ys.begin(), pc.ys.end(), 0.0);
     ASSERT_TRUE(z != pc.ys.end() && *z == 0.0);
     EXPECT_EQ(std::signbit(*z), f.negative);
-    std::vector<double> sorted;
-    scanbeam_ys_into(pc.bt, sorted);
-    EXPECT_EQ(sorted, pc.ys);  // the sorted oracle, up to the zero's sign
+    EXPECT_EQ(sorted_ys(pc.bt), pc.ys);  // the sorted oracle, up to the zero's sign
   }
 
   PolygonSet subject, clip;
@@ -384,14 +395,8 @@ TEST(RingBounds, SignedZeroOrdinatesKeepTheirBits) {
   subject.add(saw);
   clip.add(b);
   BoundTable bt;
-  geom::Contour prep;
-  for (const auto& k : subject.contours)
-    if (prepare_contour_points(k, prep)) append_bounds(bt, prep, false);
-  for (const auto& k : clip.contours)
-    if (prepare_contour_points(k, prep)) append_bounds(bt, prep, true);
-  sort_minima(bt);
   std::vector<double> ys;
-  scanbeam_ys_merged_into(bt, ys);
+  build_bounds_into(bt, ys, subject, clip);
   EXPECT_EQ(ys_digest(ys), 0x8f64dda0f951e664ull);
 
   par::ThreadPool pool(4);
@@ -426,7 +431,7 @@ TEST(Bounds, DegenerateContoursSkipped) {
   PolygonSet p;
   p.add({{0, 0}, {1, 1}});          // too small
   p.add({{0, 0}, {4, 1}, {2, 5}});  // fine
-  const BoundTable bt = table_for(p);
+  const BoundTable bt = build_bounds(p, {});
   EXPECT_EQ(bt.edges.size(), 3u);
 }
 

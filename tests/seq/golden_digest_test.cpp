@@ -6,9 +6,10 @@
 // With PSCLIP_REGEN_DIGESTS=1, TableCoversEveryInput first rewrites
 // tests/data/golden_digests.txt from the current engines.
 //
-// The seam-free oracle (SeamFree.*) checks the slab engine's merge on the
-// same inputs: with its seams welded, slab_clip at 6 and 16 slabs returns
-// exactly vatti_clip's rings.
+// The seam-free oracle (SeamFree.*) checks the merges on the same inputs:
+// with its seams welded, slab_clip at 6 and 16 slabs returns exactly
+// vatti_clip's rings, and so does Algorithm 1 on the corpus and the
+// beam-top inputs.
 
 #include <gtest/gtest.h>
 
@@ -55,10 +56,10 @@ TEST(GoldenDigests, TableCoversEveryInput) {
 void expect_input_matches(const std::string& name) {
   for (const golden::NamedInput& in : golden::large_inputs()) {
     if (in.name != name) continue;
-    golden::engine_digests(
-        in.name, in.a, in.b, pool(), [](const std::string& k, std::uint64_t d) {
-          EXPECT_EQ(d, golden::expected(k)) << k;
-        });
+    golden::engine_digests(in.name, in.a, in.b, pool(), /*alg1=*/false,
+                           [](const std::string& k, std::uint64_t d) {
+                             EXPECT_EQ(d, golden::expected(k)) << k;
+                           });
     return;
   }
   FAIL() << "no large input named " << name;
@@ -78,13 +79,19 @@ TEST(GoldenDigests, PolygonFieldOverlay) {
 
 constexpr unsigned kWeldedSlabCounts[] = {6, 16};
 
-/// Welded slab_clip at 6 and 16 slabs has vatti_clip's contour count and
-/// ring set under every operator.
+/// Welded slab_clip at 6 and 16 slabs and, when `alg1`, Algorithm 1 have
+/// vatti_clip's contour count and ring set under every operator.
 void expect_seam_free(const std::string& name, const geom::PolygonSet& a,
-                      const geom::PolygonSet& b) {
+                      const geom::PolygonSet& b, bool alg1) {
   for (const geom::BoolOp op : geom::kAllOps) {
     const geom::PolygonSet want = seq::vatti_clip(a, b, op);
     const auto want_rings = test::normalized_rings(want);
+    if (alg1) {
+      const geom::PolygonSet got = core::scanbeam_clip(a, b, op, pool());
+      const std::string what = golden::key(name, op, "alg1");
+      EXPECT_EQ(got.num_contours(), want.num_contours()) << what;
+      EXPECT_TRUE(test::normalized_rings(got) == want_rings) << what;
+    }
     for (const unsigned slabs : kWeldedSlabCounts) {
       mt::Alg2Options o;
       o.slabs = slabs;
@@ -102,13 +109,13 @@ void expect_seam_free(const std::string& name, const geom::PolygonSet& a,
 TEST(SeamFree, CorpusMatchesVattiRings) {
   for (const fuzz::FuzzCase& c : fuzz::make_cases()) {
     const fuzz::Inputs in = fuzz::make_inputs(c);
-    expect_seam_free(golden::corpus_name(c), in.a, in.b);
+    expect_seam_free(golden::corpus_name(c), in.a, in.b, /*alg1=*/true);
   }
 }
 
 TEST(SeamFree, PaperScaleInputsMatchVattiRings) {
   for (const golden::NamedInput& in : golden::large_inputs())
-    expect_seam_free(in.name, in.a, in.b);
+    expect_seam_free(in.name, in.a, in.b, /*alg1=*/false);
 }
 
 TEST(SeamFree, BeamTopInputsMatchVattiRings) {
@@ -116,12 +123,12 @@ TEST(SeamFree, BeamTopInputsMatchVattiRings) {
     // top/stray_between_partners and top/shared_scanline_and_apex put
     // vertices exactly on other vertices, outside the general-position
     // contract; Vatti itself misses boolean_area_oracle on them, and the
-    // symbolic tie-break of ROADMAP item 4 is what would make both
-    // engines agree there.
+    // symbolic tie-break ROADMAP.md plans for horizontal edges is what
+    // would make the engines agree there.
     if (in.name == "top/stray_between_partners" ||
         in.name == "top/shared_scanline_and_apex")
       continue;
-    expect_seam_free(in.name, in.a, in.b);
+    expect_seam_free(in.name, in.a, in.b, /*alg1=*/true);
   }
 }
 
@@ -140,6 +147,27 @@ TEST(SeamFree, OutputDoesNotDependOnThePool) {
                   golden::expected(k))
             << k;
       }
+}
+
+// The same for Algorithm 1 on the inputs it has rows for.
+TEST(SeamFree, Alg1OutputDoesNotDependOnThePool) {
+  par::ThreadPool serial(1);
+  const auto expect_golden = [&](const std::string& name,
+                                 const geom::PolygonSet& a,
+                                 const geom::PolygonSet& b) {
+    for (const geom::BoolOp op : geom::kAllOps) {
+      const std::string k = golden::key(name, op, "alg1");
+      EXPECT_EQ(golden::output_digest(core::scanbeam_clip(a, b, op, serial)),
+                golden::expected(k))
+          << k;
+    }
+  };
+  for (const fuzz::FuzzCase& c : fuzz::make_cases()) {
+    const fuzz::Inputs in = fuzz::make_inputs(c);
+    expect_golden(golden::corpus_name(c), in.a, in.b);
+  }
+  for (const golden::NamedInput& in : golden::top_step_inputs())
+    expect_golden(in.name, in.a, in.b);
 }
 
 // Perturbation tilts the squares' horizontal edges, and b's bottom edge
@@ -211,10 +239,10 @@ std::size_t vertices_on(const geom::PolygonSet& p, double line) {
 TEST(SeamFree, PartialResultWeldsOnlyBetweenCompletedSlabs) {
   const auto pair = data::synthetic_pair(7919, 4000);
   constexpr unsigned kSlabs = 6;
-  const std::vector<double> lines =
-      mt::slab_lines(seq::scanbeam_ys(seq::build_bounds(pair.subject,
-                                                        pair.clip)),
-                     kSlabs);
+  seq::BoundTable bt;
+  std::vector<double> ys;
+  seq::build_bounds_into(bt, ys, pair.subject, pair.clip);
+  const std::vector<double> lines = mt::slab_lines(ys, kSlabs);
   ASSERT_EQ(lines.size(), kSlabs - 1);
   par::ThreadPool serial(1);
   mt::Alg2Options o;

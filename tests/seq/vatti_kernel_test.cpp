@@ -2,9 +2,9 @@
 //
 //   * byte identity against the golden digest table (tests/golden_digests.hpp)
 //     across the whole 216-case fuzz corpus under every operator, for
-//     sequential vatti_clip AND for slab_clip at 1, 6 and 16 slabs — every
-//     kernel change is a pure cost optimization, it may not change a single
-//     bit of output;
+//     sequential vatti_clip, for slab_clip at 1, 6 and 16 slabs AND for
+//     Algorithm 1 — every kernel change is a pure cost optimization, it may
+//     not change a single bit of output;
 //   * the AET invariant checker as a programmatic hook (VattiScratch::
 //     validate) run over the full corpus: zero violations on correct
 //     sweeps, env-independent;
@@ -80,7 +80,7 @@ TEST_P(VattiKernelFuzz, TunedMatchesReferenceExactly) {
   SCOPED_TRACE("repro: " + c.repro());
   const Inputs in = make_inputs(c);
   golden::engine_digests(golden::corpus_name(c), in.a, in.b, pool(),
-                         expect_golden);
+                         /*alg1=*/true, expect_golden);
 }
 
 TEST_P(VattiKernelFuzz, ValidateHookSeesNoViolations) {
@@ -117,7 +117,8 @@ const golden::NamedInput& top_input(const std::string& name) {
 /// sees no violation, under every operator.
 void check_top_input(const std::string& name) {
   const golden::NamedInput& in = top_input(name);
-  golden::engine_digests(in.name, in.a, in.b, pool(), expect_golden);
+  golden::engine_digests(in.name, in.a, in.b, pool(), /*alg1=*/true,
+                         expect_golden);
   for (const geom::BoolOp op : geom::kAllOps) {
     seq::VattiScratch scratch;
     scratch.validate = 1;

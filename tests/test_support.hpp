@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/scanbeam.hpp"
 #include "geom/area_oracle.hpp"
 #include "geom/point.hpp"
 #include "geom/point_in_polygon.hpp"
@@ -94,6 +95,22 @@ inline std::vector<Ring> normalized_rings(const geom::PolygonSet& p) {
   }
   std::sort(rings.begin(), rings.end());
   return rings;
+}
+
+/// Algorithm 1 Steps 1–2 on (a, b): vatti_clip's bound table and its
+/// scanbeam partition.
+struct Partitioned {
+  seq::BoundTable bt;
+  core::ScanbeamPartition part;
+};
+
+inline Partitioned partition(par::ThreadPool& pool, const geom::PolygonSet& a,
+                             const geom::PolygonSet& b = {}) {
+  Partitioned p;
+  std::vector<double> ys;
+  seq::build_bounds_into(p.bt, ys, a, b);
+  p.part = core::partition_scanbeams(pool, p.bt, std::move(ys));
+  return p;
 }
 
 }  // namespace psclip::test
