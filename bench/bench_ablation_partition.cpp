@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
   // every thread (its "cpu_ns" arg), median over the reps, at pool sizes
   // 1 / 2 / 4. sort_minima runs beside schedule (the fragment-schedule
   // merge) and index, so the steps' walls overlap; "setup" is the whole
-  // prologue (partition wall, and the caller's plus the helpers' CPU).
+  // prologue.
   bench::header("Ablation — Alg 2 prologue split: prepare / table / "
                 "schedule / index",
                 "paper Alg 1 Steps 1-2 and Alg 2 Steps 1-3 on the pool");
@@ -258,13 +258,8 @@ int main(int argc, char** argv) {
             if (std::strcmp(sp.name, steps[k]) != 0) continue;
             wall[k].push_back(
                 static_cast<double>(sp.t_end_ns - sp.t_start_ns) * 1e-6);
-            cpu[k].push_back(
-                static_cast<double>(
-                    k + 1 < std::size(steps)
-                        ? sp.arg("cpu_ns", 0)
-                        : sp.arg("caller_cpu_ns", 0) +
-                              sp.arg("helper_cpu_ns", 0)) *
-                1e-6);
+            cpu[k].push_back(static_cast<double>(sp.arg("cpu_ns", 0)) *
+                             1e-6);
           }
         }
       }

@@ -5,8 +5,8 @@
 //
 // Part B goes beyond the paper: the same skew is attacked with dynamic slab
 // scheduling. The static one-slab-per-thread decomposition is compared
-// against adaptive over-partitioning (Alg2Options::oversubscribe = 4):
-// parallel_for hands the c × p slabs out one at a time, so a worker that
+// against over-partitioning into 4p slabs (Alg2Options::slabs = 4p, the
+// default): parallel_for hands the slabs out one at a time, so a worker that
 // finishes early takes the next slab and the per-*worker* busy-time
 // imbalance drops even though the per-*slab* skew is unchanged. A
 // bit-identity check confirms scheduling never changes the output: the
@@ -144,23 +144,21 @@ int main(int argc, char** argv) {
   par::ThreadPool pool(p);
   // The polygram is self-intersecting; every slab sweeps it with Vatti,
   // which handles self-crossings natively.
-  const auto run = [&](par::ThreadPool& on, unsigned fixed_slabs,
-                       unsigned oversubscribe, mt::Alg2Stats* st) {
+  const auto run = [&](par::ThreadPool& on, unsigned slabs,
+                       mt::Alg2Stats* st) {
     mt::Alg2Options o;
-    o.slabs = fixed_slabs;
-    o.oversubscribe = oversubscribe;
+    o.slabs = slabs;
     return mt::slab_clip(w.subject, w.clip, geom::BoolOp::kIntersection, on,
                          o, st);
   };
 
   mt::Alg2Stats st_static, st_oversub;
-  run(pool, /*fixed_slabs=*/p, /*oversubscribe=*/1, &st_static);
-  const geom::PolygonSet out =
-      run(pool, /*fixed_slabs=*/0, /*oversubscribe=*/4, &st_oversub);
+  run(pool, /*slabs=*/p, &st_static);
+  const geom::PolygonSet out = run(pool, /*slabs=*/4 * p, &st_oversub);
 
   print_workers("static decomposition: slabs = p = 4 (paper's Algorithm 2)",
                 st_static);
-  print_workers("adaptive over-partitioning: oversubscribe = 4 (16 slabs)",
+  print_workers("over-partitioning: slabs = 4p = 16",
                 st_oversub);
 
   const auto worker_rows = [&report](const char* array,
@@ -182,18 +180,17 @@ int main(int argc, char** argv) {
   report.field("worker_imbalance_oversubscribed",
                st_oversub.worker_imbalance());
 
-  std::printf("\nworker imbalance %0.2f -> %0.2f with oversubscribe=4 "
+  std::printf("\nworker imbalance %0.2f -> %0.2f with 4p slabs "
               "(lower is better; the per-slab skew itself is unchanged,\n"
               "a worker that finishes early takes the next slab instead of "
               "waiting out the heaviest one).\n",
               st_static.worker_imbalance(), st_oversub.worker_imbalance());
 
   // Scheduling must never leak into the output: the same decomposition
-  // (p * 4 = 16 slabs, explicitly) on one worker, with no concurrency,
-  // must match byte for byte — scheduling is the only variable left.
+  // (4p = 16 slabs) on one worker, with no concurrency, must match byte
+  // for byte — scheduling is the only variable left.
   par::ThreadPool serial(1);
-  const geom::PolygonSet ref = run(serial, /*fixed_slabs=*/p * 4,
-                                   /*oversubscribe=*/1, nullptr);
+  const geom::PolygonSet ref = run(serial, /*slabs=*/4 * p, nullptr);
   const bool identical = bit_identical(out, ref);
   std::printf("bit-identical across schedules: %s\n",
               identical ? "yes" : "NO — BUG");

@@ -18,31 +18,26 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
                                par::ThreadPool& pool, Alg1Stats* stats,
                                const Alg1Options& opts) {
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan req_span(sink, "alg1.scanbeam_clip", obs::Cat::kRequest);
-  par::WallTimer req_timer;
+  par::PhaseClock request(sink, "alg1.scanbeam_clip", obs::Cat::kRequest);
   // Phase-boundary governance checkpoints (DESIGN.md §11): inherited from
   // the token the caller installed; free when none is.
   par::gov::checkpoint_now();
 
-  obs::ScopedSpan part_span(sink, "alg1.partition", obs::Cat::kPhase);
-  par::WallTimer timer;
+  par::PhaseClock partition(sink, "alg1.partition");
   seq::BoundTable bt;
   std::vector<double> ys;
   seq::build_bounds_into(bt, ys, subject, clip);
   const ScanbeamPartition part = partition_scanbeams(pool, bt, std::move(ys));
-  const double t_partition = timer.seconds();
-
   const std::size_t m = part.num_beams();
+  partition.span().arg("edges", static_cast<std::int64_t>(bt.num_edges()));
+  partition.span().arg("scanbeams", static_cast<std::int64_t>(m));
+  partition.span().arg("k_prime", part.k_prime(bt.num_edges()));
+  const double t_partition = partition.stop().wall;
   par::gov::checkpoint_now();
-  timer.reset();
-  part_span.arg("edges", static_cast<std::int64_t>(bt.num_edges()));
-  part_span.arg("scanbeams", static_cast<std::int64_t>(m));
-  part_span.arg("k_prime", part.k_prime(bt.num_edges()));
-  part_span.end();
-  obs::ScopedSpan beams_span(sink, "alg1.beams", obs::Cat::kPhase);
 
   // Step 3: all scanbeams in parallel. Results land in per-beam slots, so
   // no cross-beam synchronization is needed beyond the final collection.
+  par::PhaseClock beams_clock(sink, "alg1.beams");
   std::vector<BeamResult> beams(m);
   pool.parallel_for(
       m,
@@ -54,12 +49,10 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
             part.ys[b], part.ys[b + 1], op);
       },
       /*grain=*/1);
-  const double t_beams = timer.seconds();
-  beams_span.end();
+  const double t_beams = beams_clock.stop().wall;
 
-  timer.reset();
   par::gov::checkpoint_now();
-  obs::ScopedSpan merge_span(sink, "alg1.merge", obs::Cat::kPhase);
+  par::PhaseClock merge(sink, "alg1.merge");
   WeldArena arena;
   std::int64_t k = 0, partials = 0;
   for (const auto& br : beams) {
@@ -72,19 +65,18 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
   const LineVertices on_lines = vertices_on_lines(bt, part.ys);
   for (geom::Contour& ring : out.contours)
     drop_cut_vertices(ring, part.ys, &on_lines);
-  const double t_merge = timer.seconds();
-  merge_span.arg("partial_polys", partials);
-  merge_span.arg("merge_phases", phases);
-  merge_span.end();
+  merge.span().arg("partial_polys", partials);
+  merge.span().arg("merge_phases", phases);
+  const double t_merge = merge.stop().wall;
 
   if (sink) {
-    req_span.arg("edges", static_cast<std::int64_t>(bt.num_edges()));
-    req_span.arg("intersections", k);
-    req_span.arg("op", static_cast<std::int64_t>(op));
+    request.span().arg("edges", static_cast<std::int64_t>(bt.num_edges()));
+    request.span().arg("intersections", k);
+    request.span().arg("op", static_cast<std::int64_t>(op));
     sink->add_counter("alg1.requests", 1);
     sink->add_counter("alg1.scanbeams", static_cast<std::int64_t>(m));
     sink->add_counter("alg1.intersections", k);
-    sink->observe("alg1.request_seconds", req_timer.seconds());
+    sink->observe("alg1.request_seconds", request.stop().wall);
   }
 
   if (stats) {

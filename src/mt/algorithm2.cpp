@@ -1,7 +1,10 @@
 #include "mt/algorithm2.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <limits>
+#include <memory>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -12,7 +15,6 @@
 #include "error.hpp"
 #include "mt/arena.hpp"
 #include "mt/slab_index.hpp"
-#include "mt/slab_run.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
@@ -23,8 +25,130 @@
 namespace psclip::mt {
 namespace {
 
-// slab_clip's per-slab degradation ladder, most to least optimistic.
+/// Slabs per pool thread when Alg2Options::slabs is 0. The pool hands the
+/// slabs out one at a time, so a worker that finishes early takes the next
+/// slab instead of idling while the heaviest one finishes (Fig. 11).
+constexpr unsigned kSlabsPerThread = 4;
+
+// The per-slab degradation ladder, most to least optimistic.
 constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
+
+/// Small contours are prepared in pool tasks of about this many vertices.
+constexpr std::size_t kPrepareBatchVertices = 4096;
+
+/// Outcome of one slab task.
+struct SlabOut {
+  geom::PolygonSet result;
+  SlabLoad load;
+  DegradationReport report;
+  par::PhaseClock::Reading cut;  ///< the partition step's clock reading
+  int worker = -1;  ///< pool worker that executed the slab (-1 = caller)
+  bool done = false;       ///< slab task body ran (vs. lost to a task fault)
+  bool exhausted = false;  ///< every per-slab ladder rung failed
+};
+
+/// Globally prepared contour fragments of one input. Two ownership modes
+/// behind one pointer view: without a cache the fragments live in `own`;
+/// with a prepared_cache they are shared immutable fragments held alive for
+/// the run by `held`. The table is built from `prep` only (null =
+/// degenerate contour), so it cannot tell the modes apart — the basis of
+/// the cache's byte-identity.
+struct PreparedInput {
+  std::vector<const seq::PreparedContour*> prep;
+  std::vector<seq::PreparedContour> own;
+  std::vector<std::shared_ptr<const seq::PreparedContour>> held;
+};
+
+/// Record the in-flight exception's taxonomy code and message into a slab's
+/// degradation report. Must be called from inside a catch block.
+void classify_failure(DegradationReport& rep) {
+  try {
+    throw;
+  } catch (const Error& e) {
+    rep.cause = e.code();
+    rep.message = e.what();
+  } catch (const std::bad_alloc&) {
+    rep.cause = ErrorCode::kResource;
+    rep.message = "std::bad_alloc";
+  } catch (const std::exception& e) {
+    rep.cause = ErrorCode::kSlabFailure;
+    rep.message = e.what();
+  } catch (...) {
+    rep.cause = ErrorCode::kSlabFailure;
+    rep.message = "unknown exception";
+  }
+}
+
+/// Prepare every subject contour into `sub` and every clip contour into
+/// `clp` on the pool in one pass, fetching from `cache` when it is
+/// non-null. Tasks are weighted by vertex count: runs of small contours
+/// are batched into tasks of about kPrepareBatchVertices vertices and a
+/// larger contour is a task of its own (its fragment storage reserved on
+/// the calling thread), so a pair of giant contours does not land on one
+/// worker. Each fragment is seq::prepare_contour's for its contour.
+void prepare_inputs(par::ThreadPool& pool, const geom::PolygonSet& subject,
+                    const geom::PolygonSet& clip, PreparedInput& sub,
+                    PreparedInput& clp, seq::PreparedSource* cache) {
+  const std::size_t nsub = subject.num_contours();
+  for (auto [prep, n] : {std::pair{&sub, nsub},
+                         std::pair{&clp, clip.num_contours()}}) {
+    prep->prep.assign(n, nullptr);
+    if (cache)
+      prep->held.resize(n);
+    else
+      prep->own.resize(n);
+  }
+  // Contour g < nsub is subject contour g, the rest are clip contours.
+  const std::size_t total = nsub + clip.num_contours();
+  const auto input_of = [&](std::size_t g) -> PreparedInput& {
+    return g < nsub ? sub : clp;
+  };
+  const auto index_of = [&](std::size_t g) { return g < nsub ? g : g - nsub; };
+  const auto contour_at = [&](std::size_t g) -> const geom::Contour& {
+    return g < nsub ? subject.contours[g] : clip.contours[g - nsub];
+  };
+  const auto prepare_one = [&](std::size_t g) {
+    PreparedInput& in = input_of(g);
+    const std::size_t i = index_of(g);
+    if (cache) {
+      in.held[i] = cache->prepared(contour_at(g), &in == &clp);
+      in.prep[i] = in.held[i].get();
+    } else if (seq::prepare_contour(contour_at(g), &in == &clp, in.own[i])) {
+      in.prep[i] = &in.own[i];
+    }
+  };
+  // Task t prepares contours [task_begin[t], task_begin[t + 1]).
+  std::vector<std::size_t> task_begin{0};
+  std::size_t batch = 0;
+  for (std::size_t g = 0; g < total; ++g) {
+    const std::size_t nv = contour_at(g).size();
+    if (nv >= kPrepareBatchVertices) {
+      if (batch > 0) task_begin.push_back(g);
+      task_begin.push_back(g + 1);
+      batch = 0;
+      // Its fragment's storage is allocated here, so the memory returns to
+      // this thread's allocator arena rather than piling up in a worker's.
+      if (!cache) {
+        seq::PreparedContour& pc = input_of(g).own[index_of(g)];
+        pc.pts.pts.reserve(nv);
+        pc.bt.edges.reserve(nv);
+        pc.bt.minima.reserve(nv / 2);
+        pc.ys.reserve(nv + nv / 2);
+      }
+    } else if ((batch += nv) >= kPrepareBatchVertices) {
+      task_begin.push_back(g + 1);
+      batch = 0;
+    }
+  }
+  if (task_begin.back() != total) task_begin.push_back(total);
+  pool.parallel_for(
+      task_begin.size() - 1,
+      [&](std::size_t t) {
+        for (std::size_t g = task_begin[t]; g < task_begin[t + 1]; ++g)
+          prepare_one(g);
+      },
+      /*grain=*/1);
+}
 
 /// The slab's pieces end at its lines: it completed on a per-slab rung
 /// (not abandoned for a partial result, not replaced by the whole-input
@@ -33,6 +157,353 @@ bool swept(const SlabOut& so) {
   return so.report.rung == Rung::kHealthy ||
          so.report.rung == Rung::kRetrySafe;
 }
+
+/// One slab_clip call: its inputs, the read-only bound table and slab cut
+/// every slab sweeps, and each slab's outcome.
+struct SlabClip {
+  const geom::PolygonSet& subject;
+  const geom::PolygonSet& clip;
+  const geom::BoolOp op;
+  par::ThreadPool& pool;
+  const Alg2Options& opts;
+  obs::TraceSink* const sink = opts.trace_sink;
+
+  seq::BoundTable bt{};
+  std::vector<double> ys{};  ///< the table's sorted distinct event ordinates
+  SlabIndex index{{}, {0}, {}, {}};
+  bool finite = true;
+  std::vector<SlabOut> outs{};  ///< index-aligned with the slabs
+  PartialReport partial{};
+
+  /// Steps 1–5 into `p` slabs, under the alg2.setup span `setup_id`.
+  void setup(unsigned p, obs::SpanId setup_id) {
+    // One setup step, clocked only when traced. A step that runs on a pool
+    // helper is charged to the setup once, by the pool.
+    const auto step = [&](const char* name, const auto& fn) {
+      if (!sink) return fn();
+      par::PhaseClock clock(sink, name, obs::Cat::kPhase, setup_id);
+      fn();
+    };
+
+    // Steps 1–3: prepare every contour once (clean + coalesce + perturb +
+    // bound decomposition + per-contour schedule).
+    PreparedInput sub_prep, clip_prep;
+    step("alg2.prepare", [&] {
+      prepare_inputs(pool, subject, clip, sub_prep, clip_prep,
+                     opts.prepared_cache);
+    });
+
+    // One read-only bound table for every slab: the fragments concatenated
+    // in contour order with sorted minima — byte for byte the table
+    // vatti_clip builds — and its schedule merged from the fragments' runs.
+    std::vector<std::size_t> run_end{0};
+    std::vector<std::int32_t> heads;
+    step("alg2.table", [&] {
+      std::size_t nedges = 0, nminima = 0, nys = 0;
+      for (const PreparedInput* prep : {&sub_prep, &clip_prep})
+        for (const seq::PreparedContour* pc : prep->prep)
+          if (pc) {
+            nedges += pc->bt.edges.size();
+            nminima += pc->bt.minima.size();
+            nys += pc->ys.size();
+          }
+      bt.edges.reserve(nedges);
+      bt.minima.reserve(nminima);
+      ys.reserve(nys);
+      for (const PreparedInput* prep : {&sub_prep, &clip_prep}) {
+        for (const seq::PreparedContour* pc : prep->prep) {
+          if (!pc) continue;  // degenerate after cleaning: no bounds
+          finite = finite && pc->finite;
+          seq::append_prepared(bt, *pc);
+          ys.insert(ys.end(), pc->ys.begin(), pc->ys.end());
+          run_end.push_back(ys.size());
+        }
+      }
+      heads = bound_heads(bt);
+    });
+
+    // The minima sort beside Steps 4–5 — the schedule merge, then the slab
+    // lines and every line's seed edges: the index needs the edges and the
+    // heads, not the sorted minima. The merge allocates, so it is index 0,
+    // which this thread usually claims. A non-finite vertex poisons every
+    // ordering; the slabs then fail their attempts and the request takes
+    // the whole-input rung.
+    pool.parallel_for(
+        2,
+        [&](std::size_t task) {
+          if (task == 1)
+            return step("alg2.sort_minima", [&] { seq::sort_minima(bt); });
+          if (!finite) return;
+          step("alg2.schedule",
+               [&] { seq::merge_sorted_runs_unique(ys, run_end); });
+          step("alg2.index",
+               [&] { index = build_slab_index(pool, bt, heads, ys, p); });
+        },
+        /*grain=*/1);
+  }
+
+  /// Steps 4–6 for slab `t` on one ladder rung: cut the slab's window out
+  /// of the shared table — its seeds, minima range and schedule slice —
+  /// and sweep it. kHealthy sweeps on the worker arena's scratch,
+  /// kRetrySafe on a fresh one; the cut and the sweep are otherwise the
+  /// same, so the two rungs are byte-identical. Throws on any failure —
+  /// injected faults, resource exhaustion, or a non-finite coordinate
+  /// caught by the post-checks — with `so` reset so the next rung starts
+  /// clean.
+  void attempt(std::size_t t, SlabOut& so, Rung rung) const {
+    par::gov::checkpoint_now();
+    so.result = geom::PolygonSet{};
+    so.load = SlabLoad{};
+    so.cut = {};
+    // Memory budget (DESIGN.md §11): the attempt holds a charge for the
+    // scratch it grows, raised to the scratch's capacity watermark before
+    // the sweep and released when the attempt ends (success or unwind).
+    // Concurrent attempts therefore charge the sum of their live scratch —
+    // the process's actual slab-scratch footprint.
+    par::gov::ScopedCharge arena_charge;
+    par::PhaseClock part(sink, "alg2.slab_partition");
+    par::fault::inject(par::fault::Site::kSlabCut);
+    if (!finite || par::fault::corrupt(par::fault::Site::kSlabCut))
+      throw Error(ErrorCode::kNonFinite,
+                  "non-finite vertex in slab " + std::to_string(t) +
+                      " partition output");
+    const std::size_t nslabs = index.num_slabs();
+    seq::SweepWindow w;
+    if (t > 0) {
+      w.y_lo = index.lines[t - 1];
+      w.seeds = index.line_seeds(t - 1);
+      so.load.touched_edges =
+          static_cast<std::int64_t>(w.seeds.size()) + index.probes[t - 1];
+    }
+    if (t + 1 < nslabs) w.y_hi = index.lines[t];
+    // No vertex lies on a line, so "below the line" splits the y-sorted
+    // minima and schedule exactly.
+    const auto minima_below = [&](double y) {
+      return static_cast<std::size_t>(
+          std::partition_point(
+              bt.minima.begin(), bt.minima.end(),
+              [y](const seq::LocalMin& lm) { return lm.pt.y < y; }) -
+          bt.minima.begin());
+    };
+    const auto ys_below = [&](double y) {
+      return static_cast<std::size_t>(
+          std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
+    };
+    w.min_begin = minima_below(w.y_lo);
+    w.min_end = minima_below(w.y_hi);
+    const std::size_t ys_lo = ys_below(w.y_lo);
+    w.ys = std::span<const double>(ys).subspan(ys_lo,
+                                               ys_below(w.y_hi) - ys_lo);
+
+    std::optional<seq::VattiScratch> fresh;
+    seq::VattiScratch& scratch =
+        rung == Rung::kHealthy ? worker_arena() : fresh.emplace();
+    arena_charge.raise_to(scratch.resident_bytes());
+    part.span().arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
+    so.cut = part.stop();
+
+    par::PhaseClock sweep(sink, "alg2.slab_sweep");
+    seq::VattiStats vs;
+    so.result = seq::vatti_sweep_window(bt, w, op, &vs, scratch);
+    if (rung == Rung::kHealthy &&
+        par::fault::corrupt(par::fault::Site::kArena)) {
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
+    }
+    sweep.span().arg("input_edges", vs.edges);
+    sweep.span().arg("output_vertices", vs.output_vertices);
+    const par::PhaseClock::Reading sweep_time = sweep.stop();
+    so.load.seconds = sweep_time.wall;
+    so.load.cpu_seconds = sweep_time.cpu;
+    so.load.input_edges = vs.edges;
+    so.load.boundary_edges = vs.boundary_edges;
+    so.load.output_vertices = vs.output_vertices;
+    so.load.peak_arena_bytes =
+        static_cast<std::int64_t>(scratch.resident_bytes());
+    if (sink) {
+      sink->observe("alg2.slab_clip_seconds", so.load.seconds);
+      sink->observe("alg2.slab_peak_arena_bytes",
+                    static_cast<double>(so.load.peak_arena_bytes));
+    }
+    if (!geom::is_finite(so.result))
+      throw Error(ErrorCode::kNonFinite,
+                  "non-finite vertex in slab " + std::to_string(t) +
+                      " clip output");
+  }
+
+  /// Walk slab `t` down the ladder starting at `first`. Records rung
+  /// reached / attempt count / first cause in so.report; flags the slab
+  /// exhausted when every rung fails. Never throws.
+  void walk_ladder(std::size_t t, SlabOut& so, Rung first) const {
+    so.done = true;
+    bool recorded = !so.report.message.empty();
+    for (const Rung rung : kLadder) {
+      if (rung < first) continue;
+      // Governance gate before burning a rung: a cancelled request, an
+      // expired deadline, or a *sticky* blown budget (memory still
+      // retained over the limit) makes every further attempt hopeless —
+      // time and memory lost in this slab are lost globally, unlike the
+      // slab-local faults the ladder exists for. A transient budget
+      // failure (e.g. an allocation spike released with its attempt)
+      // passes this gate and gets its retry on the next rung, preserving
+      // byte-identical recovery.
+      try {
+        par::gov::checkpoint_now();
+      } catch (...) {
+        if (!recorded) classify_failure(so.report);
+        so.result = geom::PolygonSet{};
+        so.exhausted = true;
+        return;
+      }
+      ++so.report.attempts;
+      // One kRung span per ladder attempt, named after the rung; nests
+      // under the enclosing slab span (same thread, implicit parent).
+      obs::ScopedSpan rung_span(sink, to_string(rung), obs::Cat::kRung);
+      rung_span.arg("rung", static_cast<std::int64_t>(rung));
+      try {
+        attempt(t, so, rung);
+        so.report.rung = rung;
+        return;
+      } catch (...) {
+        rung_span.arg("failed", 1);
+        if (!recorded) {
+          classify_failure(so.report);
+          recorded = true;
+        }
+      }
+    }
+    so.result = geom::PolygonSet{};  // a failed attempt may leave debris
+    so.exhausted = true;
+  }
+
+  /// Slab `t` from rung `first`, under its slab span. The slab span
+  /// parents to the clip-phase span `clip_id` *explicitly*: that span
+  /// lives on the calling thread while slab tasks run on whichever thread
+  /// claims them, so implicit (same-thread) nesting cannot link them.
+  void run_slab(std::size_t t, Rung first, obs::SpanId clip_id) {
+    SlabOut& so = outs[t];
+    obs::ScopedSpan slab_span(sink, "alg2.slab", obs::Cat::kSlab, clip_id);
+    slab_span.arg("slab", static_cast<std::int64_t>(t));
+    slab_span.arg("worker", so.worker);
+    // Deterministic fault key: a plan keyed on slab index t fires for
+    // this slab no matter which worker the scheduler hands it to.
+    par::fault::ScopedKey key(t);
+    if (first == Rung::kHealthy) so.report.attempts = 0;
+    walk_ladder(t, so, first);
+    slab_span.arg("rung", static_cast<std::int64_t>(so.report.rung));
+    slab_span.arg("attempts", static_cast<std::int64_t>(so.report.attempts));
+    if (so.exhausted) slab_span.arg("exhausted", 1);
+  }
+
+  /// Step 6: every slab walks the ladder behind its governance gate; slabs
+  /// a task fault lost are recovered on the calling thread from
+  /// kRetrySafe; exhausted slabs are then settled.
+  void run_slabs(obs::SpanId clip_id) {
+    const std::size_t nslabs = index.num_slabs();
+    outs.assign(nslabs, SlabOut{});
+    // One parallel_for index per slab, grain 1: the shared index hands the
+    // next slab to whichever thread frees up first, and the caller only
+    // ever runs this request's slabs. outs is indexed by slab, so the
+    // result is byte-identical regardless of which thread runs which slab.
+    DegradationReport task_rep;
+    bool task_failed = false;
+    try {
+      pool.parallel_for(
+          nslabs,
+          [&](std::size_t t) {
+            outs[t].worker = pool.current_worker();
+            {
+              par::fault::ScopedKey key(t);
+              par::fault::inject(par::fault::Site::kSlabTask);
+            }
+            run_slab(t, Rung::kHealthy, clip_id);
+          },
+          /*grain=*/1);
+    } catch (...) {
+      // A fault fired in the slab task wrapper itself, or a chunk's
+      // governance checkpoint tripped: parallel_for aggregated it into one
+      // exception and skipped not-yet-started slabs. Recover every lost
+      // slab here on the calling thread, starting one rung down the ladder
+      // (a governance trip then stops each at the gate and routes it
+      // below).
+      task_failed = true;
+      classify_failure(task_rep);
+    }
+    if (task_failed) {
+      for (std::size_t t = 0; t < nslabs; ++t) {
+        SlabOut& so = outs[t];
+        if (so.done) continue;
+        so.report = task_rep;
+        so.report.attempts = 1;  // the task attempt the fault aborted
+        run_slab(t, Rung::kRetrySafe, clip_id);
+      }
+    }
+    settle();
+  }
+
+  /// Exhausted slabs split two ways. Governance-exhausted slabs (the
+  /// ladder gate tripped on cancel/deadline/budget) must NOT reach the
+  /// whole-input fallback — recomputing everything sequentially is the
+  /// most expensive possible response to "stop spending resources". They
+  /// either become a partial result (allow_partial) or fail the request
+  /// with the precise governance code. Only fault-exhausted slabs (every
+  /// rung genuinely failed) take the whole-input rung.
+  void settle() {
+    const SlabOut* first_gov = nullptr;
+    bool fault_exhausted = false;
+    for (const SlabOut& so : outs) {
+      if (!so.exhausted) continue;
+      if (!is_governance(so.report.cause))
+        fault_exhausted = true;
+      else if (!first_gov)
+        first_gov = &so;
+    }
+    if (first_gov && !opts.allow_partial) {
+      // Prefer the live token state (clean message); fall back to the
+      // recorded first governance failure (e.g. a transient budget trip
+      // whose sticky state has since cleared).
+      par::gov::checkpoint_now();
+      throw Error(first_gov->report.cause, first_gov->report.message);
+    }
+    if (first_gov) {
+      partial.partial = true;
+      partial.cause = first_gov->report.cause;
+      partial.message = first_gov->report.message;
+      // A slab's y-extent: its lines, with the schedule's ends standing in
+      // for the unbounded outer sides.
+      for (std::size_t t = 0; t < outs.size(); ++t) {
+        SlabOut& so = outs[t];
+        if (!so.exhausted) continue;
+        so.report.rung = Rung::kPartialResult;
+        const double lo = t > 0 ? index.lines[t - 1]
+                                : (ys.empty() ? 0.0 : ys.front());
+        const double hi = t + 1 < outs.size() ? index.lines[t]
+                                              : (ys.empty() ? 0.0 : ys.back());
+        if (!partial.missing.empty() && partial.missing.back().last + 1 == t) {
+          partial.missing.back().last = t;
+          partial.missing.back().y_hi = hi;
+        } else {
+          partial.missing.push_back({t, t, lo, hi});
+        }
+      }
+    } else if (fault_exhausted) {
+      // Final rung: abandon the slab decomposition and recompute the whole
+      // request sequentially. Runs keyless so slab-keyed fault plans cannot
+      // follow the computation here; a fault that still fires (kAnyKey plan
+      // with shots left) means nothing can produce output, and propagates.
+      obs::ScopedSpan whole_span(sink, to_string(Rung::kWholeInput),
+                                 obs::Cat::kRung);
+      whole_span.arg("rung", static_cast<std::int64_t>(Rung::kWholeInput));
+      par::fault::ScopedKey key(par::fault::kNoKey);
+      geom::PolygonSet whole = seq::vatti_clip(subject, clip, op);
+      for (SlabOut& so : outs) {
+        so.result = geom::PolygonSet{};
+        so.report.rung = Rung::kWholeInput;
+      }
+      outs[0].result = std::move(whole);
+    }
+  }
+};
 
 /// Step 8: concatenate the slab outputs and weld the pieces along every
 /// line between two swept slabs. Rings touching none of those lines pass
@@ -90,255 +561,108 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
                            const geom::PolygonSet& clip, geom::BoolOp op,
                            par::ThreadPool& pool, const Alg2Options& opts,
                            Alg2Stats* stats) {
-  const unsigned p =
-      opts.slabs ? opts.slabs
-                 : pool.size() * std::max(1u, opts.oversubscribe);
-  SlabRun run(pool, opts, stats);
-  if (subject.num_vertices() + clip.num_vertices() == 0) return {};
+  // A reused stats object must not carry the previous run's record into a
+  // call that returns early (empty input) or throws.
+  if (stats) *stats = Alg2Stats{};
+  // parallel_for re-installs the token inside every chunk it runs, so
+  // checkpoints fire on all workers; a null token inherits the caller's.
+  std::optional<par::gov::ScopedToken> gov_scope;
+  if (opts.cancel.valid()) gov_scope.emplace(opts.cancel);
+  par::gov::checkpoint_now();  // an already-dead request does no work
   obs::TraceSink* const sink = opts.trace_sink;
-  obs::ScopedSpan setup_span(sink, "alg2.setup", obs::Cat::kPhase);
-  par::WallTimer phase_timer;
-  par::ThreadCpuTimer phase_cpu_timer;
-  // The setup's CPU on other threads: every setup loop charges the chunks
-  // pool helpers run for it here, nested loops included.
-  par::CpuMeter setup_cpu;
-  std::optional<par::ScopedCpuMeter> setup_meter(std::in_place, setup_cpu);
-  // One setup step: a span under alg2.setup carrying the CPU the step
-  // burned on every thread (its own thread's clock plus its helpers').
-  const obs::SpanId setup_id = setup_span.id();
-  const auto step = [&](const char* name, const auto& fn) {
-    if (!sink) return fn();
-    obs::ScopedSpan span(sink, name, obs::Cat::kPhase, setup_id);
-    par::CpuMeter helpers(&setup_cpu);
-    const par::ThreadCpuTimer own;
-    {
-      par::ScopedCpuMeter scope(helpers);
-      fn();
-    }
-    span.arg("cpu_ns", std::llround((own.seconds() + helpers.seconds()) * 1e9));
-  };
+  par::PhaseClock request(sink, "alg2.slab_clip", obs::Cat::kRequest);
+  if (subject.num_vertices() + clip.num_vertices() == 0) return {};
 
-  // Steps 1–3: prepare every contour once (clean + coalesce + perturb +
-  // bound decomposition + per-contour schedule), weighted by vertex count
-  // so a giant contour decomposes in blocks across the pool.
-  PreparedInput sub_prep, clip_prep;
-  step("alg2.prepare", [&] {
-    prepare_inputs(
-        pool, sub_prep, subject.num_contours(),
-        [&](std::size_t i) -> const geom::Contour& {
-          return subject.contours[i];
-        },
-        clip_prep, clip.num_contours(),
-        [&](std::size_t i) -> const geom::Contour& {
-          return clip.contours[i];
-        },
-        opts.prepared_cache);
-  });
+  // Fig. 9's categories: wall = the calling thread's sections (setup /
+  // parallel region / merge); cpu = the phase's CPU on every thread.
+  PhaseTimes phases;
+  SlabClip run{subject, clip, op, pool, opts};
+  {
+    par::PhaseClock setup(sink, "alg2.setup");
+    run.setup(opts.slabs ? opts.slabs : kSlabsPerThread * pool.size(),
+              setup.span().id());
+    setup.span().arg("seeds",
+                     static_cast<std::int64_t>(run.index.seeds.size()));
+    const par::PhaseClock::Reading r = setup.stop();
+    phases.partition = r.wall;
+    phases.partition_cpu = r.cpu;
+  }
+  request.span().arg("slabs",
+                     static_cast<std::int64_t>(run.index.num_slabs()));
+  request.span().arg("vertices",
+                     static_cast<std::int64_t>(subject.num_vertices() +
+                                               clip.num_vertices()));
+  request.span().arg("op", static_cast<std::int64_t>(op));
 
-  // One read-only bound table for every slab: the fragments concatenated
-  // in contour order with sorted minima — byte for byte the table
-  // vatti_clip builds — and its schedule merged from the fragments' runs.
-  seq::BoundTable bt;
-  std::vector<double> ys;
-  std::vector<std::size_t> run_end{0};
-  std::vector<std::int32_t> heads;
-  bool finite = true;
-  step("alg2.table", [&] {
-    std::size_t nedges = 0, nminima = 0, nys = 0;
-    for (const PreparedInput* prep : {&sub_prep, &clip_prep})
-      for (const seq::PreparedContour* pc : prep->prep)
-        if (pc) {
-          nedges += pc->bt.edges.size();
-          nminima += pc->bt.minima.size();
-          nys += pc->ys.size();
-        }
-    bt.edges.reserve(nedges);
-    bt.minima.reserve(nminima);
-    ys.reserve(nys);
-    for (const PreparedInput* prep : {&sub_prep, &clip_prep}) {
-      for (const seq::PreparedContour* pc : prep->prep) {
-        if (!pc) continue;  // degenerate after cleaning: no bounds
-        finite = finite && pc->finite;
-        seq::append_prepared(bt, *pc);
-        ys.insert(ys.end(), pc->ys.begin(), pc->ys.end());
-        run_end.push_back(ys.size());
-      }
-    }
-    heads = bound_heads(bt);
-  });
+  // Pool idle time over the slab section, from pool-counter deltas.
+  std::vector<par::StealStats> idle_before, idle_after;
+  if (stats) idle_before = pool.steal_stats();
+  {
+    par::PhaseClock clip_clock(sink, "alg2.clip");
+    run.run_slabs(clip_clock.span().id());
+    phases.clip = clip_clock.stop().wall;
+  }
+  if (stats) idle_after = pool.steal_stats();
 
-  // The minima sort beside Steps 4–5 — the schedule merge, then the slab
-  // lines and every line's seed edges: the index needs the edges and the
-  // heads, not the sorted minima. The merge allocates, so it is index 0,
-  // which this thread usually claims. A non-finite vertex poisons every
-  // ordering; the slabs then fail their attempts and the request takes
-  // the whole-input rung.
-  SlabIndex index{{}, {0}, {}, {}};
-  pool.parallel_for(
-      2,
-      [&](std::size_t task) {
-        if (task == 1)
-          return step("alg2.sort_minima", [&] { seq::sort_minima(bt); });
-        if (!finite) return;
-        step("alg2.schedule",
-             [&] { seq::merge_sorted_runs_unique(ys, run_end); });
-        step("alg2.index",
-             [&] { index = build_slab_index(pool, bt, heads, ys, p); });
-      },
-      /*grain=*/1);
-  const std::size_t nslabs = index.num_slabs();
-  setup_meter.reset();
-  setup_span.arg("seeds", static_cast<std::int64_t>(index.seeds.size()));
-  const double t_setup = phase_timer.seconds();
-  const double t_setup_caller_cpu = phase_cpu_timer.seconds();
-  const double t_setup_cpu = t_setup_caller_cpu + setup_cpu.seconds();
-  setup_span.arg("caller_cpu_ns", std::llround(t_setup_caller_cpu * 1e9));
-  setup_span.arg("helper_cpu_ns", std::llround(setup_cpu.seconds() * 1e9));
-  phase_timer.reset();
-  setup_span.end();
-  obs::ScopedSpan& req_span = run.request_span();
-  req_span.arg("slabs", static_cast<std::int64_t>(nslabs));
-  req_span.arg("vertices", static_cast<std::int64_t>(
-                               subject.num_vertices() + clip.num_vertices()));
-  req_span.arg("op", static_cast<std::int64_t>(op));
-
-  // Steps 4–6 for one slab on one ladder rung: cut the slab's window out
-  // of the shared table — its seeds, minima range and schedule slice —
-  // and sweep it. kHealthy sweeps on the worker arena's scratch,
-  // kRetrySafe on a fresh one; the cut and the sweep are otherwise the
-  // same, so the two rungs are byte-identical. Throws on any failure —
-  // injected faults, resource exhaustion, or a non-finite coordinate caught
-  // by the post-checks — with `so` reset so the next rung starts clean.
-  auto attempt_slab = [&](std::size_t t, SlabOut& so, Rung rung) {
-    par::gov::checkpoint_now();
-    so.result = geom::PolygonSet{};
-    so.load = SlabLoad{};
-    so.partition_seconds = 0.0;
-    so.partition_cpu = 0.0;
-    // Memory budget (DESIGN.md §11): the attempt holds a charge for the
-    // scratch it grows, raised to the scratch's capacity watermark before
-    // the sweep and released when the attempt ends (success or unwind).
-    // Concurrent attempts therefore charge the sum of their live scratch —
-    // the process's actual slab-scratch footprint.
-    par::gov::ScopedCharge arena_charge;
-    obs::ScopedSpan part_span(sink, "alg2.slab_partition", obs::Cat::kPhase);
-    par::WallTimer timer;
-    par::ThreadCpuTimer cpu_timer;
-    par::fault::inject(par::fault::Site::kSlabCut);
-    if (!finite || par::fault::corrupt(par::fault::Site::kSlabCut))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in slab " + std::to_string(t) +
-                      " partition output");
-    seq::SweepWindow w;
-    if (t > 0) {
-      w.y_lo = index.lines[t - 1];
-      w.seeds = index.line_seeds(t - 1);
-      so.load.touched_edges =
-          static_cast<std::int64_t>(w.seeds.size()) + index.probes[t - 1];
-    }
-    if (t + 1 < nslabs) w.y_hi = index.lines[t];
-    // No vertex lies on a line, so "below the line" splits the y-sorted
-    // minima and schedule exactly.
-    const auto minima_below = [&](double y) {
-      return static_cast<std::size_t>(
-          std::partition_point(
-              bt.minima.begin(), bt.minima.end(),
-              [y](const seq::LocalMin& lm) { return lm.pt.y < y; }) -
-          bt.minima.begin());
-    };
-    const auto ys_below = [&](double y) {
-      return static_cast<std::size_t>(
-          std::lower_bound(ys.begin(), ys.end(), y) - ys.begin());
-    };
-    w.min_begin = minima_below(w.y_lo);
-    w.min_end = minima_below(w.y_hi);
-    const std::size_t ys_lo = ys_below(w.y_lo);
-    w.ys = std::span<const double>(ys).subspan(ys_lo,
-                                               ys_below(w.y_hi) - ys_lo);
-
-    std::optional<seq::VattiScratch> fresh;
-    seq::VattiScratch& scratch =
-        rung == Rung::kHealthy ? worker_arena() : fresh.emplace();
-    arena_charge.raise_to(scratch.resident_bytes());
-    so.partition_seconds = timer.seconds();
-    so.partition_cpu = cpu_timer.seconds();
-    part_span.arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
-    part_span.end();
-
-    obs::ScopedSpan sweep_span(sink, "alg2.slab_sweep", obs::Cat::kPhase);
-    timer.reset();
-    cpu_timer.reset();
-    seq::VattiStats vs;
-    so.result =
-        seq::vatti_sweep_window(bt, w, op, &vs, scratch);
-    if (rung == Rung::kHealthy &&
-        par::fault::corrupt(par::fault::Site::kArena)) {
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      so.result.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
-    }
-    so.load.seconds = timer.seconds();
-    so.load.cpu_seconds = cpu_timer.seconds();
-    so.load.input_edges = vs.edges;
-    so.load.boundary_edges = vs.boundary_edges;
-    so.load.output_vertices = vs.output_vertices;
-    so.load.peak_arena_bytes =
-        static_cast<std::int64_t>(scratch.resident_bytes());
-    sweep_span.arg("input_edges", vs.edges);
-    sweep_span.arg("output_vertices", vs.output_vertices);
-    sweep_span.end();
-    if (sink) {
-      sink->observe("alg2.slab_clip_seconds", so.load.seconds);
-      sink->observe("alg2.slab_peak_arena_bytes",
-                    static_cast<double>(so.load.peak_arena_bytes));
-    }
-    if (!geom::is_finite(so.result))
-      throw Error(ErrorCode::kNonFinite,
-                  "non-finite vertex in slab " + std::to_string(t) +
-                      " clip output");
-  };
-
-  // A slab's y-extent for partial-result reports: its lines, with the
-  // schedule's ends standing in for the unbounded outer sides.
-  const double y_min = ys.empty() ? 0.0 : ys.front();
-  const double y_max = ys.empty() ? 0.0 : ys.back();
-  const auto extent = [&](std::size_t t) {
-    return std::pair(t > 0 ? index.lines[t - 1] : y_min,
-                     t + 1 < nslabs ? index.lines[t] : y_max);
-  };
-  run.run(nslabs, kLadder, attempt_slab, extent, subject, clip, op);
-  const double t_par = phase_timer.seconds();
-  phase_timer.reset();
-
-  // Step 8: weld the seams. merge_cpu is the caller's thread CPU clock
-  // plus the chunks pool helpers ran for the weld, not the wall section:
-  // wall time also charges any time the caller was descheduled while
-  // workers wound down.
-  obs::ScopedSpan merge_span(sink, "alg2.merge", obs::Cat::kPhase);
-  par::ThreadCpuTimer merge_cpu_timer;
-  par::CpuMeter merge_helpers;
+  // Step 8: weld the seams.
   geom::PolygonSet out;
   {
-    par::ScopedCpuMeter scope(merge_helpers);
-    out = merge_slabs(run.outs(), index.lines, pool);
+    par::PhaseClock merge(sink, "alg2.merge");
+    out = merge_slabs(run.outs, run.index.lines, pool);
+    merge.span().arg("output_contours",
+                     static_cast<std::int64_t>(out.num_contours()));
+    const par::PhaseClock::Reading r = merge.stop();
+    phases.merge = r.wall;
+    phases.merge_cpu = r.cpu;
   }
-  const double t_merge = phase_timer.seconds();
-  const double t_merge_cpu =
-      merge_cpu_timer.seconds() + merge_helpers.seconds();
-  merge_span.arg("output_contours",
-                 static_cast<std::int64_t>(out.num_contours()));
-  merge_span.end();
 
-  // Fig. 9's categories, in two consistent unit systems (see PhaseTimes):
-  // wall = the calling thread's sections (setup / parallel region /
-  // merge); cpu = per-worker time actually spent in the phase, summed
-  // across workers.
-  PhaseTimes phases;
-  phases.partition = t_setup;
-  phases.clip = t_par;
-  phases.merge = t_merge;
-  phases.partition_cpu = t_setup_cpu;
-  phases.merge_cpu = t_merge_cpu;
-  run.finish(out, phases);
+  if (sink) {
+    std::int64_t degraded = 0;
+    for (const SlabOut& so : run.outs)
+      if (so.report.rung != Rung::kHealthy) ++degraded;
+    request.span().arg("degraded_slabs", degraded);
+    sink->add_counter("alg2.requests", 1);
+    sink->add_counter("alg2.slabs", static_cast<std::int64_t>(run.outs.size()));
+    sink->add_counter("alg2.degraded_slabs", degraded);
+    if (run.partial.partial) {
+      const auto missing =
+          static_cast<std::int64_t>(run.partial.missing_slabs());
+      request.span().arg("partial", 1);
+      request.span().arg("missing_slabs", missing);
+      sink->add_counter("alg2.partial_requests", 1);
+      sink->add_counter("alg2.missing_slabs", missing);
+    }
+    if (const par::ResourceBudget* b = opts.cancel.budget())
+      sink->observe("gov.peak_budget_bytes", static_cast<double>(b->peak()));
+    sink->observe("alg2.request_seconds", request.stop().wall);
+  }
+  if (!stats) return out;
+
+  for (const SlabOut& so : run.outs) {
+    stats->slabs.push_back(so.load);
+    stats->degradation.push_back(so.report);
+    phases.partition_cpu += so.cut.cpu;
+    phases.clip_cpu += so.load.cpu_seconds;
+  }
+  // Per-worker scheduling record: slot i < pool.size() is pool worker i,
+  // the last slot is the calling thread (which drives slabs too). Idle
+  // times are pool-counter deltas, attributable to this run only when the
+  // pool is not shared with concurrent work.
+  stats->workers.assign(pool.size() + 1, WorkerLoad{});
+  for (const SlabOut& so : run.outs) {
+    const std::size_t slot = so.worker >= 0
+                                 ? static_cast<std::size_t>(so.worker)
+                                 : pool.size();
+    WorkerLoad& w = stats->workers[slot];
+    ++w.slab_jobs;
+    w.busy_seconds += so.cut.wall + so.load.seconds;
+  }
+  for (unsigned i = 0; i < pool.size(); ++i)
+    stats->workers[i].idle_seconds =
+        idle_after[i].idle_seconds - idle_before[i].idle_seconds;
+  stats->phases = phases;
+  stats->output_contours = static_cast<std::int64_t>(out.num_contours());
+  stats->partial = run.partial;
   return out;
 }
 

@@ -16,31 +16,20 @@ class PreparedSource;
 
 namespace psclip::mt {
 
-/// Options for the multi-threaded slab clipper (Algorithm 2). The
-/// per-slab ladder is healthy → retry-safe (the same cut swept on a fresh
-/// VattiScratch, byte-identical) → whole-input recompute.
+/// Options for the multi-threaded slab clipper (Algorithm 2). Every slab
+/// runs behind a guard that catches exceptions and rejects non-finite
+/// output, then walks the degradation ladder: healthy → retry-safe (the
+/// same cut swept on a fresh VattiScratch, byte-identical) → whole-input
+/// recompute. A fault confined to one slab therefore degrades that slab
+/// only; Alg2Stats::degradation records how far each slab fell.
 struct Alg2Options {
-  /// Number of horizontal slabs (the paper uses one per thread). 0 = derive
-  /// from the pool: oversubscribe × pool.size().
+  /// Number of horizontal slabs (the paper uses one per thread). 0 = four
+  /// per pool thread: the pool's parallel_for hands the slabs out one at a
+  /// time, so a worker that finishes early takes the next slab, which the
+  /// paper's static one-slab-per-thread decomposition cannot (Fig. 11).
+  /// The output depends only on the resulting slab count, never on
+  /// scheduling order.
   unsigned slabs = 0;
-  /// Adaptive over-partitioning factor used when `slabs == 0`: the input is
-  /// cut into oversubscribe × p slabs, which the pool's parallel_for hands
-  /// out one at a time, so a worker that finishes early takes the next
-  /// slab. The paper's static one-slab-per-thread decomposition
-  /// (oversubscribe = 1) leaves workers idle while the heaviest slab
-  /// finishes (Fig. 11); a factor of ~4 trades a few more seed edges for
-  /// a much tighter per-worker load distribution. The slab decomposition —
-  /// and therefore the output — depends only on the resulting slab count,
-  /// never on scheduling order.
-  unsigned oversubscribe = 4;
-  /// Fault isolation (default on): every slab task runs behind a guard that
-  /// catches exceptions and rejects non-finite output, then walks the
-  /// degradation ladder (see mt::Rung) and, if a slab still cannot
-  /// complete, falls back to one sequential whole-input clip. A fault
-  /// confined to one slab therefore degrades that slab only;
-  /// Alg2Stats::degradation records how far each slab fell. Off: the first
-  /// slab failure propagates out of the engine unchanged (fail-fast).
-  bool isolate_faults = true;
   /// Trace + metrics sink for this run (see obs/trace.hpp). Null — the
   /// default — is the null sink: every instrumentation site collapses to
   /// one pointer test, the same "free when off" discipline as the

@@ -62,13 +62,9 @@ struct DegradationReport {
 /// workers at once: `partition`/`clip`/`merge` are *wall-clock* sections of
 /// the calling thread (they sum to roughly the run's elapsed time), while
 /// the `*_cpu` fields sum the per-thread CPU time actually spent in that
-/// phase across all threads (clip_cpu == Σ SlabLoad::cpu_seconds), measured
-/// with par::ThreadCpuTimer. The distinction matters twice over: earlier
-/// schema-1 reports mixed the units in one column (per-phase numbers
-/// exceeded the total at slabs = 1), and schema-2 measured the per-slab
-/// "CPU" with wall timers inside the slab tasks — which double-charges
-/// whenever workers timeshare cores, the artifact behind the committed
-/// clip-CPU "doubling" from 1 to 4 slabs while touched edges grew 4%.
+/// phase across all threads (clip_cpu == Σ SlabLoad::cpu_seconds). Every
+/// field is filled from par::PhaseClock readings, the ones the phase spans
+/// carry as `cpu_ns`.
 struct PhaseTimes {
   double partition = 0.0;  ///< wall: prepare + shared table + slab index
   double clip = 0.0;       ///< wall: the whole parallel slab section
@@ -93,7 +89,7 @@ struct PhaseTimes {
 /// discussion (Fig. 11).
 struct SlabLoad {
   double seconds = 0.0;      ///< clip wall time of this slab
-  /// Clip CPU time of this slab: thread CPU clock (par::ThreadCpuTimer), so
+  /// Clip CPU time of this slab: thread CPU clock (par::PhaseClock), so
   /// time the worker was descheduled — other workers timesharing the core —
   /// is not charged. This, not `seconds`, is what sums into
   /// PhaseTimes::clip_cpu and what the bench_slab_scaling inflation gate
@@ -221,7 +217,7 @@ struct Alg2Stats {
   /// max(worker busy time) / mean(worker busy time) over workers that could
   /// run slab jobs: 1.0 = every worker spent the same time clipping. This is
   /// the quantity dynamic slab scheduling improves — slab times stay
-  /// skewed (Fig. 11), but oversubscription + handing out one slab at a
+  /// skewed (Fig. 11), but over-partitioning + handing out one slab at a
   /// time spreads them evenly across workers.
   [[nodiscard]] double worker_imbalance() const {
     if (workers.empty()) return 1.0;

@@ -27,7 +27,7 @@ namespace psclip::obs {
 /// WorkerLocal::for_each.
 class TraceRecorder final : public TraceSink {
  public:
-  static constexpr std::size_t kMaxArgs = 6;
+  static constexpr std::size_t kMaxArgs = 8;
   /// Per-thread completed-span cap; beyond it new spans are counted in
   /// dropped_spans() instead of recorded, bounding a runaway trace.
   static constexpr std::size_t kMaxSpansPerThread = 1u << 20;

@@ -161,6 +161,25 @@ struct TokenState {
   Deadline deadline;
   std::shared_ptr<ResourceBudget> budget;  // may be null
 };
+
+/// True once any governance condition of `s` holds.
+[[nodiscard]] inline bool tripped(const TokenState& s) {
+  return s.cancelled.load(std::memory_order_relaxed) ||
+         (s.budget && s.budget->blown()) || s.deadline.expired();
+}
+
+/// Throw the precise governance Error for a tripped `s`. The check order
+/// (cancel, budget, deadline) makes the reported code deterministic when
+/// several conditions hold at once.
+[[noreturn]] inline void throw_stopped(const TokenState& s) {
+  if (s.cancelled.load(std::memory_order_relaxed))
+    throw Error(ErrorCode::kCancelled, "request cancelled");
+  if (s.budget && s.budget->blown())
+    throw Error(ErrorCode::kBudgetExceeded,
+                "memory budget exceeded (limit " +
+                    std::to_string(s.budget->limit()) + " bytes)");
+  throw Error(ErrorCode::kDeadlineExceeded, "deadline exceeded");
+}
 }  // namespace detail
 
 /// Copyable cancellation/deadline/budget handle. A default-constructed
@@ -209,25 +228,12 @@ class CancelToken {
 
   /// True once any governance condition has tripped.
   [[nodiscard]] bool stopped() const {
-    if (!state_) return false;
-    if (state_->cancelled.load(std::memory_order_relaxed)) return true;
-    if (state_->budget && state_->budget->blown()) return true;
-    return state_->deadline.expired();
+    return state_ && detail::tripped(*state_);
   }
 
-  /// Throw the precise governance Error if a condition has tripped. The
-  /// check order (cancel, budget, deadline) makes the reported code
-  /// deterministic when several conditions hold at once.
+  /// Throw the precise governance Error if a condition has tripped.
   void rethrow_if_stopped() const {
-    if (!state_) return;
-    if (state_->cancelled.load(std::memory_order_relaxed))
-      throw Error(ErrorCode::kCancelled, "request cancelled");
-    if (state_->budget && state_->budget->blown())
-      throw Error(ErrorCode::kBudgetExceeded,
-                  "memory budget exceeded (limit " +
-                      std::to_string(state_->budget->limit()) + " bytes)");
-    if (state_->deadline.expired())
-      throw Error(ErrorCode::kDeadlineExceeded, "deadline exceeded");
+    if (stopped()) detail::throw_stopped(*state_);
   }
 
   [[nodiscard]] const detail::TokenState* state() const {
@@ -241,7 +247,9 @@ class CancelToken {
 namespace gov {
 
 namespace detail {
+using psclip::par::detail::throw_stopped;
 using psclip::par::detail::TokenState;
+using psclip::par::detail::tripped;
 // The installed token state for the current thread plus the amortization
 // counter for clock reads. Raw pointer: ScopedToken guarantees the owning
 // CancelToken outlives the installation scope, and the parallel layer
@@ -254,16 +262,6 @@ inline thread_local std::uint32_t t_tick = 0;
 /// scanbeam this bounds deadline overshoot to tens of microseconds while
 /// keeping steady_clock::now() off the per-beam path.
 inline constexpr std::uint32_t kStride = 32;
-
-[[noreturn]] inline void throw_stopped(const TokenState* s) {
-  if (s->cancelled.load(std::memory_order_relaxed))
-    throw Error(ErrorCode::kCancelled, "request cancelled");
-  if (s->budget && s->budget->blown())
-    throw Error(ErrorCode::kBudgetExceeded,
-                "memory budget exceeded (limit " +
-                    std::to_string(s->budget->limit()) + " bytes)");
-  throw Error(ErrorCode::kDeadlineExceeded, "deadline exceeded");
-}
 }  // namespace detail
 
 /// Install `t`'s state for the current thread for the current scope.
@@ -324,72 +322,31 @@ inline void checkpoint() {
   const auto* s = detail::t_state;
   if (!s) return;
   if (s->cancelled.load(std::memory_order_relaxed))
-    detail::throw_stopped(s);
-  if (s->budget && s->budget->blown()) detail::throw_stopped(s);
+    detail::throw_stopped(*s);
+  if (s->budget && s->budget->blown()) detail::throw_stopped(*s);
   if (s->deadline.armed() && ++detail::t_tick >= detail::kStride) {
     detail::t_tick = 0;
-    if (s->deadline.expired()) detail::throw_stopped(s);
+    if (s->deadline.expired()) detail::throw_stopped(*s);
   }
+}
+
+/// Throw the precise governance error for an explicitly captured state, if
+/// tripped (parallel-layer aggregation: a governance trip must surface as
+/// its precise error code, not be mangled into the kTaskFailure fold when
+/// several workers tripped concurrently).
+inline void rethrow_if_stopped(const psclip::par::detail::TokenState* s) {
+  if (s && detail::tripped(*s)) detail::throw_stopped(*s);
 }
 
 /// Like checkpoint() but never skips the clock read — for coarse sites
 /// (phase boundaries, slab-attempt entry) where precision beats amortizing.
-inline void checkpoint_now() {
-  const auto* s = detail::t_state;
-  if (!s) return;
-  if (s->cancelled.load(std::memory_order_relaxed))
-    detail::throw_stopped(s);
-  if (s->budget && s->budget->blown()) detail::throw_stopped(s);
-  if (s->deadline.expired()) detail::throw_stopped(s);
-}
-
-/// True when the installed token has tripped (no throw). Cheap enough for
-/// catch-block use: lets failure aggregation convert an arbitrary task
-/// failure into the precise governance error when governance caused it.
-[[nodiscard]] inline bool stopped() {
-  const auto* s = detail::t_state;
-  if (!s) return false;
-  if (s->cancelled.load(std::memory_order_relaxed)) return true;
-  if (s->budget && s->budget->blown()) return true;
-  return s->deadline.expired();
-}
-
-/// Throw the precise governance error for the installed token, if tripped.
-inline void rethrow_if_stopped() {
-  const auto* s = detail::t_state;
-  if (!s) return;
-  if (s->cancelled.load(std::memory_order_relaxed) ||
-      (s->budget && s->budget->blown()) || s->deadline.expired())
-    detail::throw_stopped(s);
-}
-
-/// Same, for an explicitly captured state (parallel-layer aggregation: a
-/// governance trip must surface as its precise error code, not be mangled
-/// into the kTaskFailure fold when several workers tripped concurrently).
-inline void rethrow_if_stopped(const psclip::par::detail::TokenState* s) {
-  if (!s) return;
-  if (s->cancelled.load(std::memory_order_relaxed) ||
-      (s->budget && s->budget->blown()) || s->deadline.expired())
-    detail::throw_stopped(s);
-}
+inline void checkpoint_now() { rethrow_if_stopped(detail::t_state); }
 
 /// The budget installed on this thread, or nullptr. Growth sites (arena
 /// borrow, bound-table append, output-pool growth) charge against it.
 [[nodiscard]] inline ResourceBudget* current_budget() {
   const auto* s = detail::t_state;
   return s ? s->budget.get() : nullptr;
-}
-
-/// Charge `bytes` against the installed budget (no-op without one); throws
-/// Error(kBudgetExceeded) when the charge does not fit. The caller owns the
-/// matching release (see ScopedCharge).
-inline void charge(std::uint64_t bytes) {
-  ResourceBudget* b = current_budget();
-  if (!b || bytes == 0) return;
-  if (!b->try_charge(bytes))
-    throw Error(ErrorCode::kBudgetExceeded,
-                "memory budget exceeded charging " + std::to_string(bytes) +
-                    " bytes (limit " + std::to_string(b->limit()) + ")");
 }
 
 /// RAII charge against the thread's installed budget: charges up front,

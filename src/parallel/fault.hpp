@@ -34,7 +34,7 @@ enum class Site : int {
   kRectClip = 0,  ///< seq::rect_clip straddling path
   kVattiSweep,    ///< seq::vatti_clip / vatti_sweep_* entry / output
   kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
-  kSlabTask,      ///< mt::SlabRun slab task wrapper, before the ladder runs
+  kSlabTask,      ///< mt::slab_clip slab task wrapper, before the ladder runs
   kSlabCut,       ///< slab_clip's window cut at attempt entry
 };
 inline constexpr int kSiteCount = 5;

@@ -24,6 +24,8 @@ thread_local CpuMeter* t_meter = nullptr;
 
 }  // namespace
 
+CpuMeter* current_cpu_meter() { return t_meter; }
+
 ScopedCpuMeter::ScopedCpuMeter(CpuMeter& meter) : prev_(t_meter) {
   t_meter = &meter;
 }

@@ -48,6 +48,9 @@ class CpuMeter {
   std::atomic<std::int64_t> ns_{0};
 };
 
+/// The calling thread's CPU meter (see ScopedCpuMeter), or null.
+[[nodiscard]] CpuMeter* current_cpu_meter();
+
 /// Makes `meter` the calling thread's CPU meter for the scope: every
 /// parallel_for this thread calls charges the chunks other threads run for
 /// it to `meter`, and those threads pass the meter on to loops they nest.

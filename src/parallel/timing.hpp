@@ -1,12 +1,16 @@
 #pragma once
 
 #include <chrono>
+#include <cmath>
 #include <ctime>
+#include <optional>
+
+#include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace psclip::par {
 
-/// Monotonic wall-clock stopwatch used by the benchmark harness and the
-/// per-phase instrumentation in Algorithm 2 (Figs. 9 and 11).
+/// Monotonic wall-clock stopwatch (benchmark harness, PhaseClock).
 class WallTimer {
  public:
   WallTimer() : start_(clock::now()) {}
@@ -26,14 +30,9 @@ class WallTimer {
 };
 
 /// Per-thread CPU-time stopwatch: counts only time the *calling thread*
-/// actually executed, excluding time it was descheduled. This is the clock
-/// the per-phase `*_cpu` fields of Alg2Stats::PhaseTimes are measured with;
-/// wall timers inside slab tasks double-charge whenever workers timeshare
-/// cores (on an oversubscribed or small machine a slab's wall time includes
-/// every other runnable worker's slice, which is how the schema-2 reports
-/// came to show clip "CPU" doubling from 1 to 4 slabs while the work grew
-/// 4%). Falls back to the wall clock where the POSIX per-thread clock is
-/// unavailable.
+/// actually executed, excluding time it was descheduled, so workers that
+/// timeshare cores do not charge each other's slices. Falls back to the
+/// wall clock where the POSIX per-thread clock is unavailable.
 class ThreadCpuTimer {
  public:
   ThreadCpuTimer() : start_(now()) {}
@@ -59,6 +58,52 @@ class ThreadCpuTimer {
   }
 
   double start_;
+};
+
+/// The one clock of a request's phases. Opens the phase's span, makes a
+/// CpuMeter the thread's meter for the phase (chained to the enclosing
+/// clock's, so every enclosing phase is charged too), and on stop() reads
+/// the phase's wall time and its CPU time on every thread: its own
+/// thread's CPU clock plus the parallel_for chunks pool helpers ran for it,
+/// nested loops included, each charged once. The same CPU reading is
+/// stamped on the span as "cpu_ns", so the span and the stats filled from
+/// a Reading cannot disagree. Clocks on one thread nest last-in-first-out.
+class PhaseClock {
+ public:
+  struct Reading {
+    double wall = 0.0;  ///< seconds on the steady clock
+    double cpu = 0.0;   ///< thread-CPU seconds on every thread
+  };
+
+  PhaseClock(obs::TraceSink* sink, const char* name,
+             obs::Cat cat = obs::Cat::kPhase, obs::SpanId parent = {})
+      : span_(sink, name, cat, parent),
+        helpers_(current_cpu_meter()),
+        scope_(std::in_place, helpers_) {}
+  ~PhaseClock() {
+    if (scope_) stop();
+  }
+  PhaseClock(const PhaseClock&) = delete;
+  PhaseClock& operator=(const PhaseClock&) = delete;
+
+  [[nodiscard]] obs::ScopedSpan& span() { return span_; }
+
+  /// Ends the phase (the destructor does, if nothing did before): restores
+  /// the enclosing meter, stamps "cpu_ns" and closes the span.
+  Reading stop() {
+    scope_.reset();
+    const Reading r{wall_.seconds(), own_.seconds() + helpers_.seconds()};
+    span_.arg("cpu_ns", std::llround(r.cpu * 1e9));
+    span_.end();
+    return r;
+  }
+
+ private:
+  obs::ScopedSpan span_;
+  CpuMeter helpers_;
+  std::optional<ScopedCpuMeter> scope_;
+  WallTimer wall_;
+  ThreadCpuTimer own_;
 };
 
 }  // namespace psclip::par

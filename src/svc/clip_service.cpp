@@ -43,7 +43,7 @@ ClipResult ClipService::run_one(const ClipRequest& req,
       req.trace_sink ? req.trace_sink : opts_.trace_sink;
   submitted_.fetch_add(1, std::memory_order_relaxed);
   if (sink) sink->add_counter("svc.requests", 1);
-  par::WallTimer queue_timer;
+  par::PhaseClock queue(sink, "svc.queue");
   try {
     gate_.acquire(req.cancel);
   } catch (const Error& e) {
@@ -53,7 +53,7 @@ ClipResult ClipService::run_one(const ClipRequest& req,
     }
     throw;
   }
-  const double queued = queue_timer.seconds();
+  const double queued = queue.stop().wall;
   if (sink) sink->observe("svc.queue_seconds", queued);
   try {
     ClipResult res = execute(req, cache_override ? cache_override
@@ -75,11 +75,10 @@ ClipResult ClipService::execute(const ClipRequest& req,
                                 seq::PreparedSource* prep_src) {
   obs::TraceSink* const sink =
       req.trace_sink ? req.trace_sink : opts_.trace_sink;
-  obs::ScopedSpan span(sink, "svc.request", obs::Cat::kRequest);
-  span.arg("vertices", static_cast<std::int64_t>(
-                           req.subject.num_vertices() +
-                           req.clip.num_vertices()));
-  par::WallTimer timer;
+  par::PhaseClock run(sink, "svc.request", obs::Cat::kRequest);
+  run.span().arg("vertices", static_cast<std::int64_t>(
+                                 req.subject.num_vertices() +
+                                 req.clip.num_vertices()));
   ClipResult res;
   // The identity guarantee rests on this being literally the facade:
   // same engine resolution, same pool, same options.
@@ -92,7 +91,7 @@ ClipResult ClipService::execute(const ClipRequest& req,
   copts.trace_sink = sink;
   copts.prepared_cache = prep_src;
   res.output = psclip::clip(req.subject, req.clip, req.op, copts);
-  res.run_seconds = timer.seconds();
+  res.run_seconds = run.stop().wall;
   if (sink) sink->observe("svc.request_seconds", res.run_seconds);
   return res;
 }

@@ -4,12 +4,16 @@
 // round-tripping, and a caller-supplied version is not duplicated. Also
 // pins the PhaseTimes wall/cpu unit split the schema-2 reports expose:
 // per-slab phase sums must land in the *_cpu fields and may never exceed
-// them, single-slab runs may not report more cpu clip time than wall, and
-// partition_cpu counts the prologue's pool helpers, not only the caller.
+// them, single-slab runs may not report more cpu clip time than wall,
+// partition_cpu counts the prologue's pool helpers, not only the caller,
+// and every phase span carries the CPU the stats report for its phase.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "bench_util.hpp"
@@ -145,10 +149,60 @@ TEST(BenchJson, PhaseWallCpuInvariants) {
   }
 }
 
+// One clock per phase: every Algorithm 2 phase span carries the CPU its
+// par::PhaseClock read, and the stats are filled from the same readings,
+// so span and stats agree up to the spans' nanosecond rounding.
+TEST(BenchJson, PhaseSpansMatchStats) {
+  const auto pair = data::synthetic_pair(77, 1200);
+  par::ThreadPool pool(4);
+  constexpr std::int64_t kMissing = std::numeric_limits<std::int64_t>::min();
+  for (const unsigned slabs : {1u, 6u}) {
+    SCOPED_TRACE("slabs=" + std::to_string(slabs));
+    obs::TraceRecorder rec;
+    mt::Alg2Options o;
+    o.slabs = slabs;
+    o.trace_sink = &rec;
+    mt::Alg2Stats st;
+    (void)mt::slab_clip(pair.subject, pair.clip, geom::BoolOp::kUnion, pool,
+                        o, &st);
+    std::int64_t setup = 0, partition = 0, sweep = 0, merge = kMissing;
+    std::size_t nsetup = 0, npartition = 0, nsweep = 0;
+    for (const auto& sp : rec.spans()) {
+      const std::string name = sp.name;
+      const std::int64_t cpu = sp.arg("cpu_ns", kMissing);
+      if (name == "alg2.setup") {
+        setup += cpu;
+        ++nsetup;
+      } else if (name == "alg2.slab_partition") {
+        partition += cpu;
+        ++npartition;
+      } else if (name == "alg2.slab_sweep") {
+        sweep += cpu;
+        ++nsweep;
+      } else if (name == "alg2.merge") {
+        merge = cpu;
+      } else {
+        continue;
+      }
+      EXPECT_NE(cpu, kMissing) << name << " has no cpu_ns";
+    }
+    ASSERT_EQ(nsetup, 1u);
+    ASSERT_EQ(npartition, st.slabs.size());
+    ASSERT_EQ(nsweep, st.slabs.size());
+    EXPECT_EQ(merge, std::llround(st.phases.merge_cpu * 1e9));
+    EXPECT_NEAR(static_cast<double>(sweep), st.phases.clip_cpu * 1e9,
+                static_cast<double>(nsweep));
+    EXPECT_NEAR(static_cast<double>(setup + partition),
+                st.phases.partition_cpu * 1e9,
+                static_cast<double>(nsetup + npartition));
+  }
+}
+
 // Partition CPU attribution: once the prologue fans out on the pool, the
-// caller's thread clock alone undercounts it. partition_cpu is the
-// caller's setup CPU plus the CPU pool helpers spent on the setup's loops
-// (both stamped on the alg2.setup span) plus the per-slab cut.
+// caller's thread clock alone undercounts it. The setup's cpu_ns counts
+// the CPU pool helpers spent on its loops, so it covers every setup step's
+// cpu_ns — steps that ran on a helper included — and partition_cpu adds
+// the per-slab cut to it.
 TEST(BenchJson, PartitionCpuCountsPrologueHelpers) {
   const auto pair = data::synthetic_pair(7919, 24000);
   par::ThreadPool pool(4);
@@ -160,22 +214,28 @@ TEST(BenchJson, PartitionCpuCountsPrologueHelpers) {
     mt::Alg2Stats st;
     (void)mt::slab_clip(pair.subject, pair.clip,
                         geom::BoolOp::kIntersection, pool, o, &st);
-    double caller = -1.0, helpers = -1.0;
-    for (const auto& sp : rec.spans())
-      if (std::string(sp.name) == "alg2.setup") {
-        caller = static_cast<double>(sp.arg("caller_cpu_ns")) * 1e-9;
-        helpers = static_cast<double>(sp.arg("helper_cpu_ns")) * 1e-9;
-      }
-    ASSERT_GE(caller, 0.0);
-    ASSERT_GE(helpers, 0.0);
-    // partition_cpu = caller + helpers + the per-slab cut (>= 0), up to
-    // the span args' nanosecond rounding; so at least the caller-only
-    // figure.
-    EXPECT_GE(st.phases.partition_cpu, caller + helpers - 2e-9);
-    EXPECT_GE(st.phases.partition_cpu, caller);
-    helped = helped || helpers > 0.0;
+    const auto spans = rec.spans();
+    const obs::TraceRecorder::Span* setup = nullptr;
+    for (const auto& sp : spans)
+      if (std::string(sp.name) == "alg2.setup") setup = &sp;
+    ASSERT_NE(setup, nullptr);
+    const double setup_cpu = static_cast<double>(setup->arg("cpu_ns")) * 1e-9;
+    ASSERT_GE(setup_cpu, 0.0);
+    double steps_cpu = 0.0;
+    int nsteps = 0;
+    for (const auto& sp : spans) {
+      if (sp.parent != setup->id) continue;
+      steps_cpu += static_cast<double>(sp.arg("cpu_ns")) * 1e-9;
+      ++nsteps;
+      helped = helped || sp.tid != setup->tid;
+    }
+    EXPECT_EQ(nsteps, 5);
+    // Up to the spans' nanosecond rounding.
+    EXPECT_GE(setup_cpu, steps_cpu - (nsteps + 1) * 1e-9);
+    EXPECT_GE(st.phases.partition_cpu, setup_cpu - 1e-9);
   }
-  // The two contours prepare as two pool tasks, so helpers are charged.
+  // The minima sort runs beside the schedule merge, so at least one step
+  // ran on a pool helper.
   EXPECT_TRUE(helped);
 }
 

@@ -114,23 +114,22 @@ TEST(Algorithm2, SelfIntersectingSubjectsAllSlabCounts) {
 }
 
 TEST(Algorithm2, OversubscribeSweepMatchesSequentialVatti) {
-  // The adaptive over-partitioning factor changes the slab count and the
-  // scheduling, never the clipped region: every setting must reproduce the
-  // sequential Vatti reference.
+  // Over-partitioning (c slabs per pool thread) changes the slab count and
+  // the scheduling, never the clipped region: every setting must reproduce
+  // the sequential Vatti reference.
   par::ThreadPool pool(4);
   const PolygonSet a = test::random_polygon(911, 40, 0, 0, 10);
   const PolygonSet b = test::random_polygon(912, 34, 1, -1, 9);
   for (unsigned c : {1u, 2u, 4u, 8u}) {
     Alg2Options o;
-    o.slabs = 0;  // derive: oversubscribe × pool.size()
-    o.oversubscribe = c;
+    o.slabs = c * pool.size();
     for (const BoolOp op : geom::kAllOps) {
       const double want = geom::signed_area(seq::vatti_clip(a, b, op));
       Alg2Stats st;
       const double got =
           geom::signed_area(slab_clip(a, b, op, pool, o, &st));
       EXPECT_TRUE(test::areas_match(got, want, 1e-5))
-          << geom::to_string(op) << " oversubscribe=" << c << " got=" << got
+          << geom::to_string(op) << " slabs=" << c << "p got=" << got
           << " want=" << want;
       EXPECT_LE(st.slabs.size(), static_cast<std::size_t>(c) * pool.size());
       EXPECT_EQ(st.workers.size(), pool.size() + 1u);
@@ -185,7 +184,7 @@ TEST(Algorithm2, StatsPhasesAndLoads) {
   EXPECT_GT(st.phases.total(), 0.0);
   EXPECT_GE(st.load_imbalance(), 1.0);
   EXPECT_GT(st.output_contours, 0);
-  // Fault isolation is on by default; a clean run records one healthy
+  // Fault isolation is always on; a clean run records one healthy
   // degradation report per slab and nothing else.
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   for (const auto& d : st.degradation) {
@@ -345,7 +344,7 @@ TEST(Multiset, StatsFilled) {
   EXPECT_GE(st.phases.clip, 0.0);
   EXPECT_GE(st.load_imbalance(), 1.0);
   EXPECT_EQ(st.duplicates_removed, 0);
-  // Clean run under default fault isolation: every slab healthy.
+  // Clean run under fault isolation: every slab healthy.
   ASSERT_EQ(st.degradation.size(), st.slabs.size());
   EXPECT_EQ(st.degraded_slabs(), 0);
   EXPECT_EQ(st.worst_rung(), Rung::kHealthy);

@@ -262,30 +262,6 @@ TEST(SlabFaultInjection, SlabTaskFaultRecoversOnCaller) {
   expect_identical(got, want, "slab-task fault");
 }
 
-// Fail-fast mode: with isolation off, the injected fault must surface to
-// the caller unchanged instead of degrading.
-TEST(SlabFaultInjection, IsolationOffPropagatesFault) {
-  const auto pair = data::synthetic_pair(13, 40);
-  par::ThreadPool pool(4);
-  mt::Alg2Options o;
-  o.slabs = 4;
-  o.isolate_faults = false;
-
-  Plan p;
-  p.site = Site::kVattiSweep;
-  p.kind = Kind::kThrow;
-  p.key = kSlab;
-  p.fire_count = 1;
-  ArmedPlan armed(p);
-
-  try {
-    mt::slab_clip(pair.subject, pair.clip, BoolOp::kIntersection, pool, o);
-    FAIL() << "fault must propagate when isolation is off";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kInjected);
-  }
-}
-
 // Unkeyed unbounded plan: every slab fails on every rung AND the
 // whole-input fallback itself faults — nothing can produce output, so the
 // error must propagate rather than return garbage.
