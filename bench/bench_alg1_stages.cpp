@@ -50,7 +50,7 @@ int main() {
         same ? "vatti" : "DIFFER");
   }
   std::printf("\nflat us/(n+k+k') = the output-sensitive work bound in "
-              "action (tree merge, segment-tree partition).\n");
+              "action (one-phase weld merge, segment-tree partition).\n");
   if (!rings_ok) {
     std::printf("FAIL: Algorithm 1's rings differ from vatti_clip's\n");
     return 1;

@@ -53,20 +53,16 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
 
   par::gov::checkpoint_now();
   par::PhaseClock merge(sink, "alg1.merge");
-  WeldArena arena;
-  std::int64_t k = 0, partials = 0;
-  for (const auto& br : beams) {
+  std::vector<geom::Contour> rings;
+  std::int64_t k = 0;
+  for (BeamResult& br : beams) {
     k += br.intersections;
-    partials += static_cast<std::int64_t>(br.rings.size());
-    for (const auto& r : br.rings) arena.add_ring(r);
+    for (geom::Contour& r : br.rings) rings.push_back(std::move(r));
   }
-  const int phases = arena.weld_tree(pool, part.ys);
-  geom::PolygonSet out = arena.extract();
+  const auto partials = static_cast<std::int64_t>(rings.size());
   const LineVertices on_lines = vertices_on_lines(bt, part.ys);
-  for (geom::Contour& ring : out.contours)
-    drop_cut_vertices(ring, part.ys, &on_lines);
+  geom::PolygonSet out = weld_seams(pool, rings, part.ys, &on_lines);
   merge.span().arg("partial_polys", partials);
-  merge.span().arg("merge_phases", phases);
   const double t_merge = merge.stop().wall;
 
   if (sink) {
@@ -85,7 +81,6 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
     stats->k_prime = part.k_prime(bt.num_edges());
     stats->intersections = k;
     stats->partial_polys = partials;
-    stats->merge_phases = phases;
     stats->t_sort_partition = t_partition;
     stats->t_beams = t_beams;
     stats->t_merge = t_merge;

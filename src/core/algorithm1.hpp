@@ -20,7 +20,6 @@ struct Alg1Stats {
   std::int64_t k_prime = 0;        ///< extra edge pieces from partitioning
   std::int64_t intersections = 0;  ///< k: crossings over all beams
   std::int64_t partial_polys = 0;  ///< partial rings before merging
-  int merge_phases = 0;            ///< log(m) phases for the tree strategy
   double t_sort_partition = 0.0;   ///< Steps 1–2 seconds
   double t_beams = 0.0;            ///< Step 3 seconds
   double t_merge = 0.0;            ///< Step 4 seconds
@@ -45,10 +44,15 @@ struct Alg1Options {
 ///          k'),
 ///  Step 3  process every scanbeam independently in parallel (Lemmas 1–4:
 ///          local labeling, prefix-sum contributing test, intersections by
-///          inversion reporting, partial-polygon assembly),
-///  Step 4  merge partial polygons across beams (reduction tree, Fig. 6)
-///          and remove the virtual vertices the partition added
-///          (drop_cut_vertices, the rule slab_clip's merge uses).
+///          inversion reporting, partial-polygon assembly; the crossings
+///          go through the crossing step vatti_clip uses,
+///          seq::process_crossings),
+///  Step 4  merge partial polygons across beams (Fig. 6) and remove the
+///          virtual vertices the partition added: core::weld_seams, the
+///          merge slab_clip uses. Fig. 6's log m reduction phases collapse
+///          into one parallel phase over every scanline, because welds of
+///          distinct lines touch disjoint slots (the output bytes are the
+///          tree's).
 ///
 /// Returns vatti_clip's rings (in another order, each starting at another
 /// vertex) for all four operators, including self-intersecting inputs, up

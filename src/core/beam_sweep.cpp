@@ -11,8 +11,6 @@
 namespace psclip::core {
 namespace {
 
-using geom::Point;
-
 struct Entry : seq::SweepEntry {
   double xb = 0.0, xt = 0.0;
 };
@@ -77,67 +75,31 @@ BeamResult process_beam(const seq::BoundTable& bt,
     result.intersections = static_cast<std::int64_t>(pairs.size());
 
     if (!pairs.empty()) {
-      struct Ev {
-        std::int32_t eu, ev;
-        Point p;
-      };
-      std::vector<Ev> events;
-      events.reserve(pairs.size());
+      std::vector<seq::Crossing> pending, deferred;
+      pending.reserve(pairs.size());
       for (const auto& [i, j] : pairs) {
         const auto& eu = edge(ents[static_cast<std::size_t>(i)]);
         const auto& ev = edge(ents[static_cast<std::size_t>(j)]);
-        events.push_back({ents[static_cast<std::size_t>(i)].e,
-                          ents[static_cast<std::size_t>(j)].e,
-                          geom::line_intersection(eu.bot, eu.top, ev.bot,
-                                                  ev.top)});
+        pending.push_back({ents[static_cast<std::size_t>(i)].e,
+                           ents[static_cast<std::size_t>(j)].e,
+                           geom::line_intersection(eu.bot, eu.top, ev.bot,
+                                                   ev.top)});
       }
-      std::stable_sort(events.begin(), events.end(),
-                       [](const Ev& a, const Ev& b) { return a.p.y < b.p.y; });
 
+      // The shared crossing step (seq/sweep_events.hpp) over a per-beam
+      // position map.
       std::unordered_map<std::int32_t, std::size_t> pos;
       pos.reserve(ents.size() * 2);
       for (std::size_t i = 0; i < ents.size(); ++i) pos[ents[i].e] = i;
-
-      std::vector<Ev> pending(std::move(events));
-      std::vector<Ev> deferred;
-      while (!pending.empty()) {
-        bool progress = false;
-        deferred.clear();
-        for (const Ev& ev : pending) {
-          std::size_t iu = pos[ev.eu];
-          std::size_t iv = pos[ev.ev];
-          if (iu > iv) std::swap(iu, iv);
-          if (iu + 1 == iv) {
-            seq::emit_crossing(pool, ents[iu], edge(ents[iu]).is_clip,
-                               ents[iv], edge(ents[iv]).is_clip, ev.p, op);
+      seq::process_crossings(
+          pool, bt, ents.size(), at,
+          [&pos](std::int32_t e) { return pos.at(e); },
+          [&](std::size_t iu, std::size_t iv) {
             std::swap(ents[iu], ents[iv]);
             pos[ents[iu].e] = iu;
             pos[ents[iv].e] = iv;
-            progress = true;
-          } else {
-            deferred.push_back(ev);
-          }
-        }
-        pending.swap(deferred);
-        if (!progress && !pending.empty()) {
-          // Coincident-crossing tie (e.g. three nearly concurrent edges):
-          // force-process each remaining event as if adjacent and rebuild
-          // the parity flags wholesale, so partial contours stay attached
-          // and close.
-          for (const Ev& ev : pending) {
-            std::size_t iu = pos[ev.eu];
-            std::size_t iv = pos[ev.ev];
-            if (iu > iv) std::swap(iu, iv);
-            seq::emit_crossing(pool, ents[iu], edge(ents[iu]).is_clip,
-                               ents[iv], edge(ents[iv]).is_clip, ev.p, op);
-            std::swap(ents[iu], ents[iv]);
-            pos[ents[iu].e] = iu;
-            pos[ents[iv].e] = iv;
-            seq::label_by_parity(bt, ents.size(), at);
-          }
-          break;
-        }
-      }
+          },
+          pending, deferred, op);
     }
   }
 

@@ -32,8 +32,8 @@ struct BeamResult {
 ///     contributing or not (Lemma 2/3's prefix-sum test),
 ///  3. crossing discovery as the inversions between the lower- and
 ///     upper-scanline x orders via the extended-mergesort reporter
-///     (Lemma 4), processed in ascending y with the shared sector-emission
-///     rule,
+///     (Lemma 4), processed in ascending y by the crossing step the
+///     Vatti sweep uses (seq::process_crossings),
 ///  4. partial-polygon assembly with virtual vertices on both scanlines
 ///     (Step 3.4's bound concatenation, realized by the out-poly pool).
 BeamResult process_beam(const seq::BoundTable& bt,

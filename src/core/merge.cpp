@@ -8,6 +8,9 @@
 
 namespace psclip::core {
 
+WeldArena::WeldArena(std::span<const double> lines)
+    : lines_(lines.begin(), lines.end()), horiz_(lines.size()) {}
+
 void WeldArena::add_ring(const geom::Contour& ring) {
   const std::size_t n = ring.size();
   if (n < 3) return;
@@ -18,26 +21,27 @@ void WeldArena::add_ring(const geom::Contour& ring) {
   next_.push_back(base);
   cancelled_.resize(pt_.size(), 0);
   twin_.resize(pt_.size(), -1);
-  // A ring's horizontal edges mostly share a few scanlines: look the
-  // line up again only when it changes (map values never move).
-  std::vector<std::int32_t>* line = nullptr;
+  // A ring's horizontal edges mostly share a few lines: search for the
+  // line again only when it changes.
+  std::size_t j = lines_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const geom::Point& a = ring[i];
     const geom::Point& b = ring[i + 1 < n ? i + 1 : 0];
     if (a.y != b.y || a.x == b.x) continue;
-    if (!line || pt_[static_cast<std::size_t>(line->back())].y != a.y)
-      line = &horiz_[a.y];
-    line->push_back(base + static_cast<std::int32_t>(i));
+    if (j >= lines_.size() || lines_[j] != a.y)
+      j = static_cast<std::size_t>(
+          std::lower_bound(lines_.begin(), lines_.end(), a.y) -
+          lines_.begin());
+    if (j < lines_.size() && lines_[j] == a.y)
+      horiz_[j].push_back(base + static_cast<std::int32_t>(i));
   }
 }
 
-WeldArena::ScanPlan WeldArena::plan_scanline(double y) const {
-  ScanPlan plan;
-  plan.y = y;
-  const auto it = horiz_.find(y);
-  if (it == horiz_.end()) return plan;
-  plan.slots.reserve(it->second.size());
-  for (const std::int32_t a : it->second) {
+WeldArena::LinePlan WeldArena::plan_line(std::size_t j) const {
+  LinePlan plan;
+  plan.y = lines_[j];
+  plan.slots.reserve(horiz_[j].size());
+  for (const std::int32_t a : horiz_[j]) {
     if (cancelled_[static_cast<std::size_t>(a)]) continue;
     plan.slots.push_back(a);
   }
@@ -47,7 +51,7 @@ WeldArena::ScanPlan WeldArena::plan_scanline(double y) const {
   }
   // Subdivide every horizontal edge at all endpoints present on the line,
   // so coincident opposite pieces match exactly (the virtual-vertex
-  // coordinates come from identical formulas on both sides of a scanline
+  // coordinates come from identical formulas on both sides of a line
   // and compare equal as doubles).
   plan.xs.reserve(plan.slots.size() * 2);
   for (const std::int32_t a : plan.slots) {
@@ -73,7 +77,7 @@ WeldArena::ScanPlan WeldArena::plan_scanline(double y) const {
   return plan;
 }
 
-void WeldArena::apply_scanline(const ScanPlan& plan) {
+void WeldArena::apply_line(const LinePlan& plan) {
   if (plan.slots.size() < 2) return;
   const double y = plan.y;
   const std::vector<double>& xs = plan.xs;
@@ -97,7 +101,7 @@ void WeldArena::apply_scanline(const ScanPlan& plan) {
     other = -1;
   };
 
-  // Chain slots are written into this scanline's preallocated range.
+  // Chain slots are written into this line's preallocated range.
   std::size_t cursor = plan.base;
   auto new_slot = [&](double x) -> std::int32_t {
     const auto ns = static_cast<std::int32_t>(cursor++);
@@ -159,17 +163,14 @@ void WeldArena::apply_scanline(const ScanPlan& plan) {
   }
 }
 
-void WeldArena::weld_parallel(par::ThreadPool& pool,
-                              std::span<const std::size_t> boundary_idx,
-                              std::span<const double> ys) {
+void WeldArena::weld_parallel(par::ThreadPool& pool) {
   // Count / allocate / report (the same PRAM pattern as Step 2): plan all
-  // scanlines read-only in parallel, allocate every chain slot with one
-  // prefix sum and a single resize, then apply the welds in parallel —
-  // welds of distinct scanlines touch disjoint slots.
-  std::vector<ScanPlan> plans(boundary_idx.size());
+  // lines read-only in parallel, allocate every chain slot with one prefix
+  // sum and a single resize, then apply the welds in parallel — welds of
+  // distinct lines touch disjoint slots.
+  std::vector<LinePlan> plans(lines_.size());
   pool.parallel_for(
-      boundary_idx.size(),
-      [&](std::size_t i) { plans[i] = plan_scanline(ys[boundary_idx[i]]); },
+      plans.size(), [&](std::size_t j) { plans[j] = plan_line(j); },
       /*grain=*/4);
   std::size_t base = pt_.size();
   for (auto& plan : plans) {
@@ -181,29 +182,16 @@ void WeldArena::weld_parallel(par::ThreadPool& pool,
   cancelled_.resize(base, 0);
   twin_.resize(base, -1);
   pool.parallel_for(
-      plans.size(), [&](std::size_t i) { apply_scanline(plans[i]); },
+      plans.size(), [&](std::size_t j) { apply_line(plans[j]); },
       /*grain=*/4);
-}
-
-int WeldArena::weld_tree(par::ThreadPool& pool, std::span<const double> ys) {
-  if (ys.size() < 3) return 0;
-  const std::size_t m = ys.size() - 1;  // beams; interior boundaries 1..m-1
-  int phases = 0;
-  for (std::size_t width = 1; width < m; width *= 2) {
-    std::vector<std::size_t> boundaries;
-    for (std::size_t b = width; b < m; b += 2 * width) boundaries.push_back(b);
-    if (boundaries.empty()) break;
-    weld_parallel(pool, boundaries, ys);
-    ++phases;
-  }
-  return phases;
 }
 
 std::vector<std::tuple<double, double, double>> WeldArena::debug_unwelded()
     const {
   std::vector<std::tuple<double, double, double>> out;
-  for (const auto& [y, slots] : horiz_) {
-    for (const std::int32_t a : slots) {
+  for (std::size_t j = 0; j < lines_.size(); ++j) {
+    const double y = lines_[j];
+    for (const std::int32_t a : horiz_[j]) {
       if (cancelled_[static_cast<std::size_t>(a)]) continue;
       const geom::Point& pa = pt_[static_cast<std::size_t>(a)];
       const geom::Point& pb = pt_[static_cast<std::size_t>(next_[a])];
@@ -327,6 +315,21 @@ void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines,
     prev = cur;
   }
   v.resize(kept);
+}
+
+geom::PolygonSet weld_seams(par::ThreadPool& pool,
+                            std::span<const geom::Contour> rings,
+                            std::span<const double> lines,
+                            const LineVertices* on_lines) {
+  WeldArena arena(lines);
+  for (const geom::Contour& ring : rings) arena.add_ring(ring);
+  arena.weld_parallel(pool);
+  geom::PolygonSet out = arena.extract();
+  pool.parallel_for(
+      out.contours.size(),
+      [&](std::size_t i) { drop_cut_vertices(out.contours[i], lines, on_lines); },
+      /*grain=*/1);
+  return out;
 }
 
 }  // namespace psclip::core

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <span>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/polygon.hpp"
@@ -12,36 +11,31 @@
 
 namespace psclip::core {
 
-/// Merges per-beam partial polygons into the final result by *welding*
-/// away the shared horizontal boundaries.
+/// Merges partial polygons into the final result by *welding* away the
+/// shared horizontal boundaries on a sorted set of lines (Algorithm 1's
+/// scanlines, Algorithm 2's slab lines).
 ///
-/// Every partial ring is counter-clockwise, so the top side of a beam
-/// piece runs right-to-left and the bottom side of the piece above it runs
+/// Every partial ring is counter-clockwise, so the top side of a piece
+/// runs right-to-left and the bottom side of the piece above it runs
 /// left-to-right over the same interval: after subdividing the horizontal
-/// edges on a scanline at all endpoints present there, every sub-edge
-/// appears exactly twice in opposite directions. Cancelling such a pair
-/// and re-linking the rings implements the paper's partial-polygon union;
-/// the virtual vertices left behind on the welded lines are removed by
-/// drop_cut_vertices. Welds of distinct scanlines touch disjoint slots, so
-/// the tree reduction runs its per-phase welds in parallel.
+/// edges on a line at all endpoints present there, every sub-edge appears
+/// exactly twice in opposite directions. Cancelling such a pair and
+/// re-linking the rings implements the paper's partial-polygon union
+/// (Fig. 6); the virtual vertices left behind on the welded lines are
+/// removed by drop_cut_vertices. Welds of distinct lines touch disjoint
+/// slots, so every line welds in one parallel phase.
 class WeldArena {
  public:
+  /// An arena that welds along `lines` (sorted ascending; copied).
+  explicit WeldArena(std::span<const double> lines);
+
   /// Add one counter-clockwise partial ring (first vertex not repeated).
   void add_ring(const geom::Contour& ring);
 
-  /// Weld several scanlines in parallel using the PRAM count/allocate/
-  /// report pattern: read-only planning per scanline, one prefix-sum slot
-  /// allocation, then parallel application (welds of distinct scanlines
-  /// touch disjoint slots). `boundary_idx` indexes into `ys`.
-  void weld_parallel(par::ThreadPool& pool,
-                     std::span<const std::size_t> boundary_idx,
-                     std::span<const double> ys);
-
-  /// The paper's reduction tree (Fig. 6) over the interior scanlines
-  /// ys[1..m-1]: phase h welds the boundaries that are odd multiples of
-  /// 2^h, in parallel within the phase. Returns the number of phases
-  /// executed.
-  int weld_tree(par::ThreadPool& pool, std::span<const double> ys);
+  /// Weld every line in one phase using the PRAM count/allocate/report
+  /// pattern: read-only planning per line, one prefix-sum slot
+  /// allocation, then parallel application.
+  void weld_parallel(par::ThreadPool& pool);
 
   /// Trace the remaining rings (exact consecutive duplicates collapsed)
   /// and set hole flags from orientation (welded exteriors stay
@@ -51,29 +45,30 @@ class WeldArena {
 
   [[nodiscard]] std::size_t num_slots() const { return pt_.size(); }
 
-  /// Diagnostics: horizontal edges on registered scanlines that remain
-  /// uncancelled after welding (tuples of y, x_from, x_to). A correct
-  /// weld of a beam tiling leaves none.
+  /// Diagnostics: horizontal edges on the lines that remain uncancelled
+  /// after welding (tuples of y, x_from, x_to). A correct weld of a beam
+  /// tiling leaves none.
   [[nodiscard]] std::vector<std::tuple<double, double, double>>
   debug_unwelded() const;
 
  private:
-  struct ScanPlan {
+  struct LinePlan {
     double y = 0.0;
     std::vector<std::int32_t> slots;  // live horizontal edges on the line
     std::vector<double> xs;           // subdivision ordinates
     std::size_t new_slots = 0;        // chain slots the apply phase creates
     std::size_t base = 0;             // preallocated slot range start
   };
-  [[nodiscard]] ScanPlan plan_scanline(double y) const;
-  void apply_scanline(const ScanPlan& plan);
+  [[nodiscard]] LinePlan plan_line(std::size_t j) const;
+  void apply_line(const LinePlan& plan);
 
+  std::vector<double> lines_;
   std::vector<geom::Point> pt_;
   std::vector<std::int32_t> next_;
   std::vector<std::uint8_t> cancelled_;  ///< slot's outgoing edge welded away
   std::vector<std::int32_t> twin_;       ///< continuation vertex if cancelled
-  /// scanline y -> slots whose outgoing edge is horizontal on that line
-  std::unordered_map<double, std::vector<std::int32_t>> horiz_;
+  /// by line index: slots whose outgoing edge is horizontal on that line
+  std::vector<std::vector<std::int32_t>> horiz_;
 };
 
 /// Input vertices lying on a sorted set of lines, by line: the xs of the
@@ -102,5 +97,14 @@ LineVertices vertices_on_lines(const seq::BoundTable& bt,
 /// cut points at once.
 void drop_cut_vertices(geom::Contour& ring, std::span<const double> lines,
                        const LineVertices* on_lines = nullptr);
+
+/// The merge of both engines (Algorithm 1 Step 4, Algorithm 2 Step 8):
+/// weld `rings` along every line of `lines` (sorted) in one parallel phase,
+/// trace the welded rings and drop their cut vertices on `lines`
+/// (drop_cut_vertices with `on_lines`), one ring per pool task.
+geom::PolygonSet weld_seams(par::ThreadPool& pool,
+                            std::span<const geom::Contour> rings,
+                            std::span<const double> lines,
+                            const LineVertices* on_lines = nullptr);
 
 }  // namespace psclip::core

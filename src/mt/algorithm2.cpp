@@ -515,18 +515,13 @@ geom::PolygonSet merge_slabs(std::vector<SlabOut>& outs,
   const auto welded = [&](std::size_t j) {
     return swept(outs[j]) && swept(outs[j + 1]);
   };
-  std::vector<std::size_t> weld_idx;
   std::vector<double> weld_ys;  // ascending, as the lines are
   for (std::size_t j = 0; j < lines.size(); ++j)
-    if (welded(j)) {
-      weld_idx.push_back(j);
-      weld_ys.push_back(lines[j]);
-    }
+    if (welded(j)) weld_ys.push_back(lines[j]);
   // No vertex compares equal to NaN.
   constexpr double kNoLine = std::numeric_limits<double>::quiet_NaN();
   geom::PolygonSet out;
-  core::WeldArena arena;
-  bool any = false;
+  std::vector<geom::Contour> touched;
   for (std::size_t t = 0; t < outs.size(); ++t) {
     // Slab t's pieces can only touch its own two lines.
     const double lo = t > 0 && welded(t - 1) ? lines[t - 1] : kNoLine;
@@ -535,23 +530,15 @@ geom::PolygonSet merge_slabs(std::vector<SlabOut>& outs,
       const bool touches = std::any_of(
           c.pts.begin(), c.pts.end(),
           [&](const geom::Point& q) { return q.y == lo || q.y == hi; });
-      if (touches) {
-        arena.add_ring(c);
-        any = true;
-      } else {
-        out.contours.push_back(std::move(c));
-      }
+      (touches ? touched : out.contours).push_back(std::move(c));
     }
   }
-  if (!any) return out;
+  if (touched.empty()) return out;
   // The slabs are complete: the weld is a short fixed cost that runs
   // ungoverned, so a deadline cannot discard finished slabs at the merge.
   const par::gov::ScopedToken ungoverned{par::CancelToken{}};
-  arena.weld_parallel(pool, weld_idx, lines);
-  for (geom::Contour& ring : arena.extract().contours) {
-    core::drop_cut_vertices(ring, weld_ys);
+  for (geom::Contour& ring : core::weld_seams(pool, touched, weld_ys).contours)
     out.contours.push_back(std::move(ring));
-  }
   return out;
 }
 

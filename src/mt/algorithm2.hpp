@@ -85,8 +85,9 @@ struct Alg2Options {
 ///        (seq::vatti_sweep_window),
 ///   8    weld the pieces along every slab line (the paper's merge,
 ///        Fig. 6): the pieces a slab line cut close along it in opposite
-///        directions over the same exact cut points, so core::WeldArena
-///        cancels the coincident sub-edges, and the cut vertices — a
+///        directions over the same exact cut points, so core::weld_seams
+///        (Algorithm 1's Step 4 merge) cancels the coincident sub-edges in
+///        one parallel phase, and the cut vertices — a
 ///        vertex on a welded line whose neighbours lie strictly on
 ///        opposite sides of it — are dropped by core::drop_cut_vertices,
 ///        restoring the input edge. Only the lines between two slabs that

@@ -31,17 +31,15 @@ namespace psclip::par::fault {
 
 /// Where a fault can be injected.
 enum class Site : int {
-  kRectClip = 0,  ///< seq::rect_clip straddling path
-  kVattiSweep,    ///< seq::vatti_clip / vatti_sweep_* entry / output
-  kArena,         ///< mt::worker_arena() borrow (throw kinds only on entry)
-  kSlabTask,      ///< mt::slab_clip slab task wrapper, before the ladder runs
-  kSlabCut,       ///< slab_clip's window cut at attempt entry
+  kVattiSweep = 0,  ///< seq::vatti_clip / vatti_sweep_* entry / output
+  kArena,           ///< mt::worker_arena() borrow (throw kinds only on entry)
+  kSlabTask,        ///< mt::slab_clip slab task wrapper, before the ladder runs
+  kSlabCut,         ///< slab_clip's window cut at attempt entry
 };
-inline constexpr int kSiteCount = 5;
+inline constexpr int kSiteCount = 4;
 
 inline const char* to_string(Site s) {
   switch (s) {
-    case Site::kRectClip: return "rect-clip";
     case Site::kVattiSweep: return "vatti-sweep";
     case Site::kArena: return "arena";
     case Site::kSlabTask: return "slab-task";

@@ -1,8 +1,5 @@
 #include "seq/rect_clip.hpp"
 
-#include <limits>
-
-#include "parallel/fault.hpp"
 #include "seq/greiner_hormann.hpp"
 #include "seq/sutherland_hodgman.hpp"
 #include "seq/vatti.hpp"
@@ -15,7 +12,6 @@ namespace {
 void clip_straddling(const geom::PolygonSet& straddling,
                      const geom::BBox& rect, RectClipMethod method,
                      geom::PolygonSet& out) {
-  par::fault::inject(par::fault::Site::kRectClip);
   const geom::Contour rring =
       geom::make_rect(rect.xmin, rect.ymin, rect.xmax, rect.ymax);
   geom::PolygonSet clipped;
@@ -35,10 +31,6 @@ void clip_straddling(const geom::PolygonSet& straddling,
       break;
   }
   for (auto& c : clipped.contours) out.contours.push_back(std::move(c));
-  if (par::fault::corrupt(par::fault::Site::kRectClip)) {
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    out.add({{nan, nan}, {0.0, 0.0}, {1.0, 1.0}});
-  }
 }
 
 }  // namespace

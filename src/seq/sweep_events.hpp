@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "geom/bool_op.hpp"
 #include "geom/point.hpp"
@@ -80,6 +83,73 @@ void for_each_interior_run(const BoundTable& bt, std::size_t n, EntryAt&& at,
     } else if (open < n) {
       run(open, i);
       open = n;
+    }
+  }
+}
+
+/// One beam-internal crossing found by a sweep's inversion enumeration
+/// (Lemma 4): bound edge eu is left of ev below the crossing point p.
+struct Crossing {
+  std::int32_t eu, ev;
+  geom::Point p;
+};
+
+/// Lemma 4's crossing step, shared by the Vatti sweep and Algorithm 1's
+/// per-beam processing; each engine enumerates the beam's crossings its own
+/// way into `pending`. The crossings are handled in ascending y of their
+/// point: at its own event time every crossing pair is adjacent in the
+/// status (all lower crossings have already swapped), which is what makes
+/// the sector emission sound. Handling them in enumeration order instead
+/// connects boundaries wrongly when three edges cross pairwise in one beam.
+///
+/// `pos_of(e)` is edge e's current status index and `swap(i, j)` exchanges
+/// entries i and j (with whatever position index the caller keeps).
+/// `deferred` is scratch; both buffers keep their capacity.
+template <typename EntryAt, typename PosOf, typename Swap>
+void process_crossings(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
+                       EntryAt&& at, PosOf&& pos_of, Swap&& swap,
+                       std::vector<Crossing>& pending,
+                       std::vector<Crossing>& deferred, geom::BoolOp op) {
+  std::stable_sort(
+      pending.begin(), pending.end(),
+      [](const Crossing& a, const Crossing& b) { return a.p.y < b.p.y; });
+  // Emit at the pair's current slots (roles flip with the current order)
+  // and swap them; false, doing nothing, if they are not adjacent.
+  auto cross = [&](const Crossing& ev, bool forced) {
+    std::size_t iu = pos_of(ev.eu);
+    std::size_t iv = pos_of(ev.ev);
+    if (iu > iv) std::swap(iu, iv);
+    if (!forced && iu + 1 != iv) return false;
+    SweepEntry& u = at(iu);
+    SweepEntry& v = at(iv);
+    emit_crossing(pool, u, bt.edges[static_cast<std::size_t>(u.e)].is_clip,
+                  v, bt.edges[static_cast<std::size_t>(v.e)].is_clip, ev.p,
+                  op);
+    swap(iu, iv);
+    return true;
+  };
+  while (!pending.empty()) {
+    bool progress = false;
+    deferred.clear();
+    for (const Crossing& ev : pending) {
+      if (cross(ev, false))
+        progress = true;
+      else
+        deferred.push_back(ev);
+    }
+    pending.swap(deferred);
+    if (!progress && !pending.empty()) {
+      // Degenerate ties interlocked (nearly coincident crossing points,
+      // e.g. three edges through one point). Force-process the remaining
+      // events in order: emit on the pair as if adjacent, swap, and
+      // rebuild every parity flag from the status order — best-effort
+      // emission at a degenerate point, but contours stay attached and
+      // close (dropping emissions here loses whole output rings).
+      for (const Crossing& ev : pending) {
+        cross(ev, true);
+        label_by_parity(bt, n, at);
+      }
+      pending.clear();
     }
   }
 }

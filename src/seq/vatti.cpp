@@ -73,12 +73,6 @@ using geom::BoolOp;
 using geom::Point;
 using geom::PolygonSet;
 
-/// One beam-internal crossing: eu is left of ev below the crossing point.
-struct CrossEv {
-  std::int32_t eu, ev;  // bound-edge ids
-  Point p;
-};
-
 /// One not-yet-merged AET insertion staged by the batched minima pass:
 /// the pair's entries go immediately before old-AET index `base`.
 struct StagedEntry {
@@ -161,9 +155,9 @@ struct VattiScratch::Impl {
   std::vector<std::int32_t> ends;
   OutPolyPool pool;
   // process_intersections working set (cleared every beam):
-  std::vector<CrossEv> events;
+  std::vector<Crossing> events;
   std::vector<std::pair<double, std::int32_t>> keys;  ///< (xt, edge id)
-  std::vector<CrossEv> pending, deferred;
+  std::vector<Crossing> deferred;
   std::vector<StagedEntry> staged;  ///< insert_minima batch staging
 
   void begin_run() {
@@ -188,8 +182,8 @@ std::size_t VattiScratch::resident_bytes() const {
   };
   return vec(s.bt.edges) + vec(s.bt.minima) + vec(s.ys) + vec(s.aet) +
          vec(s.xb) + vec(s.xt) + vec(s.geo) + vec(s.ty) + vec(s.pos) +
-         vec(s.ends) + vec(s.events) + vec(s.keys) + vec(s.pending) +
-         vec(s.deferred) + vec(s.staged) + s.pool.resident_bytes();
+         vec(s.ends) + vec(s.events) + vec(s.keys) + vec(s.deferred) +
+         vec(s.staged) + s.pool.resident_bytes();
 }
 
 namespace {
@@ -609,7 +603,7 @@ class Sweep {
     // VattiScratch (cleared here, capacity retained): this loop runs once
     // per scanbeam, and per-beam reallocation is exactly the churn the
     // per-worker slab arenas exist to remove.
-    std::vector<CrossEv>& events = sc_.events;
+    std::vector<Crossing>& events = sc_.events;
     events.clear();
     {
       auto& ks = sc_.keys;  // (xt, edge id)
@@ -649,77 +643,22 @@ class Sweep {
     }
     if (events.empty()) return;
 
-    // Phase 2 — process in ascending y of the crossing point. At its own
-    // event time every crossing pair is adjacent in the AET (all lower
-    // crossings have already swapped), which is what makes the sector
-    // emission sound. Processing in enumeration order instead connects
-    // boundaries wrongly when three edges cross pairwise in one beam.
-    std::stable_sort(
-        events.begin(), events.end(),
-        [](const CrossEv& a, const CrossEv& b) { return a.p.y < b.p.y; });
-
-    // The flat position index is valid here: it is maintained across beams.
-    auto pos_of = [&](std::int32_t e) -> std::size_t {
-      return static_cast<std::size_t>(pos_[static_cast<std::size_t>(e)]);
-    };
-    auto swap_entries = [&](std::size_t iu, std::size_t iv) {
-      for_each_slot_array(xt_, [&](auto& v) { std::swap(v[iu], v[iv]); });
-      pos_[static_cast<std::size_t>(aet_[iu].e)] =
-          static_cast<std::int32_t>(iu);
-      pos_[static_cast<std::size_t>(aet_[iv].e)] =
-          static_cast<std::int32_t>(iv);
-    };
-
-    std::vector<CrossEv>& pending = sc_.pending;
-    pending.swap(events);  // hand over the enumerated crossings, no copy
-    std::vector<CrossEv>& deferred = sc_.deferred;
-    while (!pending.empty()) {
-      bool progress = false;
-      deferred.clear();
-      for (const CrossEv& ev : pending) {
-        std::size_t iu = pos_of(ev.eu);
-        std::size_t iv = pos_of(ev.ev);
-        if (iu > iv) std::swap(iu, iv);  // roles flip with current order
-        if (iu + 1 == iv) {
-          crossing_event(iu, iv, ev.p);
-          swap_entries(iu, iv);
-          progress = true;
-        } else {
-          deferred.push_back(ev);
-        }
-      }
-      pending.swap(deferred);
-      if (!progress && !pending.empty()) {
-        // Degenerate ties interlocked (nearly coincident crossing points,
-        // e.g. three edges through one point). Force-process the remaining
-        // events in order: emit on the pair as if adjacent, swap, and
-        // rebuild every parity flag from the array order — best-effort
-        // emission at a degenerate point, but contours stay attached and
-        // close (dropping emissions here loses whole output rings).
-        for (const CrossEv& ev : pending) {
-          std::size_t iu = pos_of(ev.eu);
-          std::size_t iv = pos_of(ev.ev);
-          if (iu > iv) std::swap(iu, iv);
-          crossing_event(iu, iv, ev.p);
-          swap_entries(iu, iv);
-          label_by_parity(
-              bt_, aet_.size(),
-              [this](std::size_t i) -> SweepEntry& { return aet_[i]; });
-        }
-        break;
-      }
-    }
-  }
-
-  /// Handle the crossing of aet_[ui] (left) and aet_[vi] = aet_[ui+1] at
-  /// point p; emission and flag updates are shared with Algorithm 1's
-  /// per-scanbeam processing (seq/sweep_events.hpp). Does NOT swap the
-  /// entries (caller does).
-  void crossing_event(std::size_t ui, std::size_t vi, const Point& p) {
-    SweepEntry& u = aet_[ui];
-    SweepEntry& v = aet_[vi];
-    ++intersections_;
-    emit_crossing(pool_, u, edge(u).is_clip, v, edge(v).is_clip, p, op_);
+    // Phase 2 — the shared crossing step (seq/sweep_events.hpp) over the
+    // flat position index, which is maintained across beams.
+    intersections_ += static_cast<std::int64_t>(events.size());
+    process_crossings(
+        pool_, bt_, n, [this](std::size_t i) -> SweepEntry& { return aet_[i]; },
+        [this](std::int32_t e) {
+          return static_cast<std::size_t>(pos_[static_cast<std::size_t>(e)]);
+        },
+        [this](std::size_t iu, std::size_t iv) {
+          for_each_slot_array(xt_, [&](auto& v) { std::swap(v[iu], v[iv]); });
+          pos_[static_cast<std::size_t>(aet_[iu].e)] =
+              static_cast<std::int32_t>(iu);
+          pos_[static_cast<std::size_t>(aet_[iv].e)] =
+              static_cast<std::int32_t>(iv);
+        },
+        events, sc_.deferred, op_);
   }
 
   /// The beam-top step over the edges ending at the beam top only

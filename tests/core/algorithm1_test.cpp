@@ -39,7 +39,6 @@ TEST(Algorithm1, SquaresAllOps) {
   EXPECT_EQ(st.edges, 8);
   EXPECT_GT(st.scanbeams, 0);
   EXPECT_GT(st.partial_polys, 0);
-  EXPECT_GT(st.merge_phases, 0);
 }
 
 TEST(Algorithm1, HoleStructureMatchesSequential) {

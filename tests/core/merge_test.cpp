@@ -17,23 +17,19 @@ Contour ccw_rect(double x0, double y0, double x1, double y1) {
   return geom::make_rect(x0, y0, x1, y1);
 }
 
-/// Weld `arena` along `lines`, extract, and drop the cut vertices on the
+/// Weld `rings` along `lines`, extract, and drop the cut vertices on the
 /// lines.
-geom::PolygonSet welded(WeldArena& arena, std::vector<double> lines) {
+geom::PolygonSet welded(const std::vector<Contour>& rings,
+                        const std::vector<double>& lines) {
   par::ThreadPool pool(2);
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < lines.size(); ++i) idx.push_back(i);
-  arena.weld_parallel(pool, idx, lines);
-  geom::PolygonSet out = arena.extract();
-  for (Contour& ring : out.contours) drop_cut_vertices(ring, lines);
-  return out;
+  return weld_seams(pool, rings, lines);
 }
 
 TEST(WeldArena, TwoStackedRectsBecomeOne) {
-  WeldArena arena;
-  arena.add_ring(ccw_rect(0, 0, 4, 2));
-  arena.add_ring(ccw_rect(0, 2, 4, 5));
-  const auto out = welded(arena, {2.0});
+  std::vector<Contour> rings;
+  rings.push_back(ccw_rect(0, 0, 4, 2));
+  rings.push_back(ccw_rect(0, 2, 4, 5));
+  const auto out = welded(rings, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 20.0, 1e-12);
   EXPECT_FALSE(out.contours[0].hole);
@@ -43,11 +39,11 @@ TEST(WeldArena, TwoStackedRectsBecomeOne) {
 
 TEST(WeldArena, PartialOverlapSubdivides) {
   // Top side [0,4] welds against two bottoms [0,2] and [2,4].
-  WeldArena arena;
-  arena.add_ring(ccw_rect(0, 0, 4, 2));
-  arena.add_ring(ccw_rect(0, 2, 2, 4));
-  arena.add_ring(ccw_rect(2, 2, 4, 4));
-  const auto out = welded(arena, {2.0});
+  std::vector<Contour> rings;
+  rings.push_back(ccw_rect(0, 0, 4, 2));
+  rings.push_back(ccw_rect(0, 2, 2, 4));
+  rings.push_back(ccw_rect(2, 2, 4, 4));
+  const auto out = welded(rings, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 16.0, 1e-12);
 }
@@ -55,10 +51,10 @@ TEST(WeldArena, PartialOverlapSubdivides) {
 TEST(WeldArena, MismatchedSpansLeaveBoundary) {
   // Bottom rect is wider: only the shared [1,3] stretch welds; the rest
   // of the top side remains result boundary (an L-profile).
-  WeldArena arena;
-  arena.add_ring(ccw_rect(0, 0, 4, 2));
-  arena.add_ring(ccw_rect(1, 2, 3, 4));
-  const auto out = welded(arena, {2.0});
+  std::vector<Contour> rings;
+  rings.push_back(ccw_rect(0, 0, 4, 2));
+  rings.push_back(ccw_rect(1, 2, 3, 4));
+  const auto out = welded(rings, {2.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 12.0, 1e-12);
   EXPECT_TRUE(geom::point_in_polygon({2, 3}, out));
@@ -68,15 +64,15 @@ TEST(WeldArena, MismatchedSpansLeaveBoundary) {
 TEST(WeldArena, HoleEmergesClockwise) {
   // A ring of four trapezoid-ish pieces around a central void, stacked as
   // two beams: welding must produce an exterior ring plus a CW hole.
-  WeldArena arena;
+  std::vector<Contour> rings;
   // Lower beam: U-shape bottom piece.
-  arena.add_ring(Contour{{{0, 0}, {6, 0}, {6, 2}, {0, 2}}, false});
+  rings.push_back(Contour{{{0, 0}, {6, 0}, {6, 2}, {0, 2}}, false});
   // Upper beam: left wall, right wall (the void sits between them).
-  arena.add_ring(Contour{{{0, 2}, {2, 2}, {2, 4}, {0, 4}}, false});
-  arena.add_ring(Contour{{{4, 2}, {6, 2}, {6, 4}, {4, 4}}, false});
+  rings.push_back(Contour{{{0, 2}, {2, 2}, {2, 4}, {0, 4}}, false});
+  rings.push_back(Contour{{{4, 2}, {6, 2}, {6, 4}, {4, 4}}, false});
   // Cap beam.
-  arena.add_ring(Contour{{{0, 4}, {6, 4}, {6, 6}, {0, 6}}, false});
-  const auto out = welded(arena, {2.0, 4.0});
+  rings.push_back(Contour{{{0, 4}, {6, 4}, {6, 6}, {0, 6}}, false});
+  const auto out = welded(rings, {2.0, 4.0});
   ASSERT_EQ(out.num_contours(), 2u);
   double total = geom::signed_area(out);
   EXPECT_NEAR(total, 32.0, 1e-12);  // 36 minus the 2x2 void
@@ -92,55 +88,44 @@ TEST(WeldArena, HoleEmergesClockwise) {
 }
 
 TEST(WeldArena, UnweldedRingsPassThrough) {
-  WeldArena arena;
-  arena.add_ring(ccw_rect(0, 0, 1, 1));
-  arena.add_ring(ccw_rect(5, 5, 6, 6));
-  const auto out = arena.extract();
+  // The line between the two squares touches neither.
+  const auto out = welded({ccw_rect(0, 0, 1, 1), ccw_rect(5, 5, 6, 6)}, {3.0});
   EXPECT_EQ(out.num_contours(), 2u);
   EXPECT_NEAR(geom::signed_area(out), 2.0, 1e-12);
 }
 
-// One parallel phase over every line (flat) and the reduction tree weld
-// the same rings.
-TEST(WeldArena, FlatAndTreeStrategiesAgree) {
+// One phase welds every line of a stack of beams into one ring.
+TEST(WeldArena, OnePhaseWeldsAStackOfBeams) {
   par::ThreadPool pool(2);
-  auto build = [] {
-    WeldArena a;
-    for (int i = 0; i < 8; ++i)
-      a.add_ring(ccw_rect(0, i, 3 + (i % 2), i + 1));
-    return a;
-  };
   std::vector<double> ys;
-  for (int i = 0; i <= 8; ++i) ys.push_back(i);
-  std::vector<std::size_t> interior;
-  for (std::size_t i = 1; i + 1 < ys.size(); ++i) interior.push_back(i);
-
-  WeldArena flat = build();
-  flat.weld_parallel(pool, interior, ys);
-  WeldArena tree = build();
-  const int phases = tree.weld_tree(pool, ys);
-  EXPECT_GE(phases, 3);  // log2(8)
-  const auto a = flat.extract();
-  const auto b = tree.extract();
-  EXPECT_EQ(a.num_contours(), 1u);
-  EXPECT_TRUE(test::normalized_rings(a) == test::normalized_rings(b));
+  for (int i = 1; i < 8; ++i) ys.push_back(i);
+  WeldArena arena(ys);
+  double area = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    arena.add_ring(ccw_rect(0, i, 3 + (i % 2), i + 1));
+    area += 3 + (i % 2);
+  }
+  arena.weld_parallel(pool);
+  const auto out = arena.extract();
+  ASSERT_EQ(out.num_contours(), 1u);
+  EXPECT_NEAR(geom::signed_area(out), area, 1e-12);
 }
 
 TEST(WeldArena, ChainOfWeldsAcrossOneLine) {
   // Three pieces over two pieces with interleaved subdivision points.
-  WeldArena arena;
-  arena.add_ring(ccw_rect(0, 0, 2.5, 1));
-  arena.add_ring(ccw_rect(2.5, 0, 5, 1));
-  arena.add_ring(ccw_rect(0, 1, 1.5, 2));
-  arena.add_ring(ccw_rect(1.5, 1, 3.5, 2));
-  arena.add_ring(ccw_rect(3.5, 1, 5, 2));
-  const auto out = welded(arena, {1.0});
+  std::vector<Contour> rings;
+  rings.push_back(ccw_rect(0, 0, 2.5, 1));
+  rings.push_back(ccw_rect(2.5, 0, 5, 1));
+  rings.push_back(ccw_rect(0, 1, 1.5, 2));
+  rings.push_back(ccw_rect(1.5, 1, 3.5, 2));
+  rings.push_back(ccw_rect(3.5, 1, 5, 2));
+  const auto out = welded(rings, {1.0});
   ASSERT_EQ(out.num_contours(), 1u);
   EXPECT_NEAR(geom::signed_area(out), 10.0, 1e-12);
 }
 
 TEST(WeldArena, DegenerateRingsIgnored) {
-  WeldArena arena;
+  WeldArena arena(std::vector<double>{1.0});
   arena.add_ring(Contour{{{0, 0}, {1, 1}}, false});  // < 3 vertices
   EXPECT_EQ(arena.num_slots(), 0u);
   EXPECT_TRUE(arena.extract().empty());

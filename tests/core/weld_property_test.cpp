@@ -1,7 +1,7 @@
 // Property test for the merge-phase weld: random beam tilings of random
-// regions, welded in one phase or by the reduction tree, must reproduce
-// the tiled area exactly and, with the cut vertices dropped, the
-// sequential clipper's rings.
+// regions, welded along every scanline in one phase, must reproduce the
+// tiled area exactly and, with the cut vertices dropped, the sequential
+// clipper's rings.
 
 #include <gtest/gtest.h>
 
@@ -42,7 +42,8 @@ TEST_P(WeldProperty, WeldPreservesTiledAreaAndRegion) {
   const seq::BoundTable& bt = table.bt;
   const ScanbeamPartition& part = table.part;
 
-  WeldArena flat, tree;
+  WeldArena arena(part.ys);
+  std::vector<geom::Contour> rings;
   double tiled = 0.0;
   for (std::size_t beam = 0; beam < part.num_beams(); ++beam) {
     const auto lo = static_cast<std::size_t>(part.offsets[beam]);
@@ -52,37 +53,26 @@ TEST_P(WeldProperty, WeldPreservesTiledAreaAndRegion) {
         part.ys[beam], part.ys[beam + 1], op);
     for (const auto& r : br.rings) {
       tiled += geom::signed_area(r);
-      flat.add_ring(r);
-      tree.add_ring(r);
+      arena.add_ring(r);
+      rings.push_back(r);
     }
   }
-  // Flat: every interior line in one parallel phase.
-  std::vector<std::size_t> interior;
-  for (std::size_t i = 1; i + 1 < part.ys.size(); ++i) interior.push_back(i);
-  flat.weld_parallel(pool, interior, part.ys);
-  tree.weld_tree(pool, part.ys);
+  arena.weld_parallel(pool);
 
   const double want = geom::boolean_area_oracle(a, b, op);
   EXPECT_TRUE(test::areas_match(tiled, want)) << "tiling broken";
   // Extraction (cut vertices kept) must conserve area exactly.
-  const PolygonSet raw = flat.extract();
-  EXPECT_TRUE(test::areas_match(geom::signed_area(raw), tiled, 1e-9));
-  // The cut rule, from both strategies, gives vatti_clip's rings.
-  const LineVertices on_lines = vertices_on_lines(bt, part.ys);
-  const auto dropped = [&](PolygonSet p) {
-    for (geom::Contour& ring : p.contours)
-      drop_cut_vertices(ring, part.ys, &on_lines);
-    return p;
-  };
-  const PolygonSet fp = dropped(raw), tp = dropped(tree.extract());
-  EXPECT_TRUE(test::areas_match(geom::signed_area(fp), want))
-      << "flat weld fa=" << geom::signed_area(fp);
-  const auto vatti = test::normalized_rings(seq::vatti_clip(a, b, op));
-  EXPECT_TRUE(test::normalized_rings(fp) == vatti) << "flat weld";
-  EXPECT_TRUE(test::normalized_rings(tp) == vatti) << "tree weld";
+  EXPECT_TRUE(
+      test::areas_match(geom::signed_area(arena.extract()), tiled, 1e-9));
   // Nothing left unwelded.
-  EXPECT_TRUE(flat.debug_unwelded().empty());
-  EXPECT_TRUE(tree.debug_unwelded().empty());
+  EXPECT_TRUE(arena.debug_unwelded().empty());
+  // The merge entry, with the cut rule, gives vatti_clip's rings.
+  const LineVertices on_lines = vertices_on_lines(bt, part.ys);
+  const PolygonSet welded = weld_seams(pool, rings, part.ys, &on_lines);
+  EXPECT_TRUE(test::areas_match(geom::signed_area(welded), want))
+      << "weld area=" << geom::signed_area(welded);
+  EXPECT_TRUE(test::normalized_rings(welded) ==
+              test::normalized_rings(seq::vatti_clip(a, b, op)));
 }
 
 std::vector<WCase> make_cases() {

@@ -11,10 +11,10 @@
 // accounting must show nothing deeper than kRetrySafe.
 //
 // Some seeded plans target a slab/site combination the case never reaches
-// (an out-of-range key, or the rect-clip site, which slab_clip no longer
-// calls). Those plans simply never fire; the identity requirement
-// holds either way, and the harness logs how many plans actually fired so
-// a generator regression that silences the whole lane is visible.
+// (an out-of-range key). Those plans simply never fire; the identity
+// requirement holds either way, and the harness logs how many plans
+// actually fired so a generator regression that silences the whole lane is
+// visible.
 
 #include <gtest/gtest.h>
 
