@@ -16,24 +16,28 @@
 // through the point — below+below closes a contour, above+above starts one,
 // below+above continues one.
 //
-// Data layout (DESIGN.md §9): the AET is SoA, indexed by slot — the cold
-// sweep-status fields (SweepEntry), the beam-local x positions (xb = x at
-// the beam bottom, xt = x at the beam top), the slot edge's geometry in
-// geom::x_at_y's operand form (bot.x, bot.y, top.x − bot.x, top.y − bot.y)
-// and its top y. The per-beam passes therefore stream contiguous arrays
-// and never gather bound edges by id: the top-x fill evaluates x_at_y's
-// exact operations on the slot geometry (bit-identical, vectorized), a
-// blocked scan of the top ys records the few edges ending at the beam top
-// (whose xt is then their top vertex's x), and an adjacent-inversion scan
-// detects the crossing-free common case, which skips the intersection
-// machinery entirely. The slot arrays are written when an edge enters a
-// slot (seed line, minima merge, bound continuation) and move inside the
-// existing edit passes (minima merge, maxima erase, crossing swap); the
-// beam rollover is one vector swap. A flat edge-id -> AET-index array is
-// maintained incrementally across beams (O(1) per crossing swap, one
-// suffix refresh per structural edit batch).
+// Data layout and per-beam work (DESIGN.md §9): the AET is three arrays
+// indexed by slot — the sweep-status entries (SweepEntry), the slot edge's
+// widened x-extent and each slot's
+// order certificate: the first scanline at which the computed x's of the
+// slot's edge and of its right neighbour must be compared again. Below it
+// they cannot invert. A certificate comes from the edges' x-extents, from
+// a shared bottom or top vertex, or from the gap between their lines at a
+// scanline where both x's are known; each carries a rigorous bound on the
+// rounding of the computed x's and a small relative margin. A pair that is
+// out of order, non-finite or closer than the bound is not certified and
+// is compared every beam. No x is kept across beams. One event queue (a
+// binary heap, O(|AET|) entries) holds every active edge's end and every
+// certificate that expires before both of its edges end, so a beam pops
+// only its ends and its expired certificates. The beam's insertion sort to
+// the top scanline's x-order is replayed from the pairs that need a
+// comparison, evaluating x only where the sort reads it, so its swap list
+// — the beam's crossings — is a full sort's byte for byte. The pairs a
+// beam compared, reordered or changed are certified again at its top. A
+// flat edge-id -> AET-index array is maintained incrementally across beams
+// (O(1) per crossing swap, one suffix refresh per structural edit batch).
 //
-// The beam top is event-driven: it visits only the ends the fill recorded,
+// The beam top is event-driven: it visits only the ends the queue popped,
 // not the whole AET. It keeps the results of a walk over the AET byte for
 // byte: ends are handled in ascending AET position, a local maximum pairs
 // with the next unconsumed end at the same point, the strays between
@@ -50,6 +54,7 @@
 #include "seq/vatti.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -73,6 +78,8 @@ using geom::BoolOp;
 using geom::Point;
 using geom::PolygonSet;
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// One not-yet-merged AET insertion staged by the batched minima pass:
 /// the pair's entries go immediately before old-AET index `base`.
 struct StagedEntry {
@@ -81,49 +88,186 @@ struct StagedEntry {
   double x;  ///< beam-bottom x (the minimum's x)
 };
 
-/// An AET slot's edge geometry: what the top-x fill reads, in the operand
-/// form of geom::x_at_y (bot, top − bot).
-struct SlotEdge {
-  double bx, by;  ///< bot.x, bot.y
-  double dx, dy;  ///< top.x − bot.x, top.y − bot.y
+/// One entry of the sweep's event queue, due at the first scanline y >= at:
+/// the end of active edge `e` (at = its top y), or the expiry of the order
+/// certificate of `e` and its right neighbour (stale once that certificate
+/// was replaced).
+struct QueueEntry {
+  double at;
+  std::int32_t e;
+  bool end;
 };
 
-/// xt[i] = x at y of slot i's edge: geom::x_at_y's operations in its order,
-/// so the values are bit-identical to evaluating it on the bound edge (no
-/// FMA: the build disables contraction). No gathers and no branches, so
-/// -O3 vectorizes it at baseline x86-64.
-void fill_top_x(double* __restrict xt, const SlotEdge* __restrict g,
-                std::size_t n, double y) {
-  for (std::size_t i = 0; i < n; ++i)
-    xt[i] = g[i].bx + g[i].dx * ((y - g[i].by) / g[i].dy);
-}
+// The queue is a binary min-heap on `at` (no NaN keys enter it).
 
-/// Append to `out` the slots i with ty[i] == y, in ascending order. Ends
-/// are rare (a few slots per beam), so each block of slots is first tested
-/// with a vectorizable any-of and only blocks with a hit are scanned one by
-/// one.
-void find_ends(const double* __restrict ty, std::size_t n, double y,
-               std::vector<std::int32_t>& out) {
-  constexpr std::size_t kBlock = 32;
-  std::size_t i = 0;
-  for (; i + kBlock <= n; i += kBlock) {
-    double hit = 0.0;
-    for (std::size_t k = 0; k < kBlock; ++k) hit = ty[i + k] == y ? 1.0 : hit;
-    if (hit == 0.0) continue;
-    for (std::size_t k = i; k < i + kBlock; ++k)
-      if (ty[k] == y) out.push_back(static_cast<std::int32_t>(k));
+void heap_push(std::vector<QueueEntry>& h, const QueueEntry& q) {
+  std::size_t i = h.size();
+  h.push_back(q);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!(q.at < h[parent].at)) break;
+    h[i] = h[parent];
+    i = parent;
   }
-  for (; i < n; ++i)
-    if (ty[i] == y) out.push_back(static_cast<std::int32_t>(i));
+  h[i] = q;
 }
 
-/// True when some adjacent pair of xs is out of order (xs[i] < xs[i-1]).
-/// `seen` is a select rather than a bool OR so that -O3 vectorizes it at
-/// baseline x86-64.
-bool has_inversion(const double* __restrict xs, std::size_t n) {
-  double seen = 0.0;
-  for (std::size_t i = 1; i < n; ++i) seen = xs[i] < xs[i - 1] ? 1.0 : seen;
-  return seen != 0.0;
+/// Replace the front with q and restore the heap.
+void heap_replace_front(std::vector<QueueEntry>& h, const QueueEntry& q) {
+  const std::size_t n = h.size();
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t c = 2 * i + 1;
+    if (c >= n) break;
+    if (c + 1 < n && h[c + 1].at < h[c].at) ++c;
+    if (!(h[c].at < q.at)) break;
+    h[i] = h[c];
+    i = c;
+  }
+  h[i] = q;
+}
+
+void heap_pop(std::vector<QueueEntry>& h) {
+  const QueueEntry last = h.back();
+  h.pop_back();
+  if (!h.empty()) heap_replace_front(h, last);
+}
+
+/// A position of the beam's (virtual) insertion sort: key x, edge e. Valid
+/// for the current beam only when `stamp` equals the beam's stamp;
+/// otherwise the position still holds its slot's edge, not yet evaluated.
+struct SortSlot {
+  double x;
+  std::int32_t e;
+  std::uint32_t stamp;
+};
+
+/// x of edge `be` on scanline y, exactly as the sweep reads it: its top
+/// vertex's x at its top, its bottom vertex's x at its bottom, and
+/// geom::x_at_y in between (no FMA: the build disables contraction).
+double x_on(const BoundEdge& be, double y) {
+  if (y == be.top.y) return be.top.x;
+  if (y == be.bot.y) return be.bot.x;
+  return geom::x_at_y(be.bot, be.top, y);
+}
+
+/// Bound on |x_on(be, y) − L(y)| over y in [bot.y, top.y], where L is the
+/// exact line through bot with the rounded direction (top.x − bot.x,
+/// top.y − bot.y) that x_at_y evaluates: twice the forward error
+/// u·|bot.x| + 4u·|dx| of its four rounded operations (u = 2^-53; the top
+/// vertex's own x lies within 2u·|dx| of L), plus a floor for the
+/// subnormal range, where the product and the quotient err by up to
+/// 2^-1075 absolutely, so x by up to (|dx| + 1)·2^-1075. The floor is
+/// taken as (|dx| + 2)·2^-1022, far above that: it stays a normal number,
+/// and arithmetic on subnormals costs a microcode assist per operation.
+double x_error(const BoundEdge& be) {
+  const double dx = std::fabs(be.top.x - be.bot.x);
+  return 0x1p-52 * (std::fabs(be.bot.x) + 4.0 * dx) + (dx + 2.0) * 0x1p-1022;
+}
+
+/// The next double below v (v finite; not NaN).
+double next_down(double v) {
+  if (v == 0.0) return -0x1p-1074;
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  return std::bit_cast<double>(v > 0.0 ? bits - 1 : bits + 1);
+}
+
+// Order certificates. A certificate is the first scanline value at which
+// a pair of adjacent edges, a left of b, must be compared again: for every
+// scanline y below it (and within both edges' y-ranges) the computed x's
+// keep x_on(b, y) < x_on(a, y) false. +inf certifies the pair for good,
+// -inf not at all. Pairs whose Extents are apart get +inf; the others get
+// one of the certificates below.
+
+/// Bounds on every x an edge's x_on can compute: its x-extent widened by
+/// 2^-46·M + 2^-1019, M = max(|bot.x|, |top.x|). The computed x stays
+/// within 1.5·x_error of the extent, at most 13.5·2^-52·M +
+/// (3·M + 3)·2^-1022, so the margin covers it and the rounding of the
+/// bounds. Kept per AET slot: two edges whose Extents are apart never
+/// invert (the extent certificate, +inf), and a minimum left or right of
+/// an entry's Extent needs no x in the bisection.
+struct Extent {
+  double lo, hi;
+};
+
+Extent extent_of(const BoundEdge& be) {
+  const double m = std::max(std::fabs(be.bot.x), std::fabs(be.top.x));
+  const double margin = 0x1p-46 * m + 0x1p-1019;
+  return {std::min(be.bot.x, be.top.x) - margin,
+          std::max(be.bot.x, be.top.x) + margin};
+}
+
+/// The certificate of two edges a (left) and b that start at one point at
+/// y0 — a local minimum's pair — for the scanlines from y1 > y0 on. Their
+/// lines meet at that point, so the gap at y is at least −rate·(y − y0)
+/// (rate as in gap_certificate) and the computed x's stay within
+/// E = x_error(a) + x_error(b) of it: once −rate·(y1 − y0) > E the pair is
+/// ordered for good.
+double minimum_certificate(const BoundEdge& a, const BoundEdge& b, double y0,
+                           double y1) {
+  const double rate = (a.dxdy - b.dxdy) +
+                      0x1p-51 * (std::fabs(a.dxdy) + std::fabs(b.dxdy)) +
+                      0x1p-1022;
+  const double spread = -rate * ((y1 - y0) * (1.0 - 0x1p-51));
+  const double err = (x_error(a) + x_error(b)) * (1.0 + 0x1p-50);
+  return spread > err ? kInf : -kInf;
+}
+
+/// The certificate of two edges a (left) and b that end at one point at
+/// y = T — a local maximum's pair — from their geometry alone. Their lines
+/// pass within 2u·|dx| of that point, so for y <= T the gap is at least
+/// c·(T − y) − E, with c = dxdy_a − dxdy_b − 4u(|dxdy_a| + |dxdy_b|) a
+/// lower bound on the rate at which they converge, and the computed x's
+/// stay within E = x_error(a) + x_error(b) of it: the order holds up to
+/// T − 2E/c. -inf when c is not positive.
+double apex_certificate(const BoundEdge& a, const BoundEdge& b) {
+  const double c = (a.dxdy - b.dxdy) -
+                   0x1p-51 * (std::fabs(a.dxdy) + std::fabs(b.dxdy)) -
+                   0x1p-1022;
+  if (!(c > 0.0)) return -kInf;
+  const double h =
+      2.0 * (x_error(a) + x_error(b)) * (1.0 + 0x1p-50) / c * (1.0 + 0x1p-50);
+  const double key = next_down(a.top.y - h);
+  return key < kInf ? key : -kInf;
+}
+
+/// The gap certificate, from the pair's computed x's xa, xb on scanline y0.
+/// With E = ea + eb (the x_error bounds), the lines' gap at y0 is at least
+/// xb − xa − E and shrinks at most at rate dxdy_a − dxdy_b +
+/// 4u(|dxdy_a| + |dxdy_b|) (the slopes' and their difference's rounding;
+/// the floor keeps it a normal number), and the computed x's stay within E
+/// of the lines, so the order holds while
+/// (xb − xa − 2E) − rate·(y − y0) >= 0. The relative margins cover the
+/// rounding of this computation itself, and a scanline below
+/// fl(y0 + h) is at most y0 + h. -inf when the pair is out of order,
+/// non-finite or closer than 2E.
+double gap_certificate(const BoundEdge& a, double xa, double ea,
+                       const BoundEdge& b, double xb, double eb, double y0) {
+  const double err = 2.0 * (ea + eb);
+  const double slack = (xb - xa) * (1.0 - 0x1p-51) - err * (1.0 + 0x1p-51);
+  if (!(slack > 0.0 && slack < kInf)) return -kInf;
+  const double rate = (a.dxdy - b.dxdy) +
+                      0x1p-51 * (std::fabs(a.dxdy) + std::fabs(b.dxdy)) +
+                      0x1p-1022;
+  if (!(rate > 0.0)) return rate <= 0.0 ? kInf : -kInf;
+  return y0 + slack / rate * (1.0 - 0x1p-50);
+}
+
+/// Sort and deduplicate a short list (a beam's checks, marks or ends:
+/// rarely more than a handful) without std::sort's call overhead.
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  if (v.size() > 16) {
+    std::sort(v.begin(), v.end());
+  } else {
+    for (std::size_t i = 1; i < v.size(); ++i) {
+      const T x = v[i];
+      std::size_t j = i;
+      for (; j > 0 && x < v[j - 1]; --j) v[j] = v[j - 1];
+      v[j] = x;
+    }
+  }
+  v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 /// PSCLIP_VALIDATE presence, read once per process (not per sweep).
@@ -141,31 +285,43 @@ bool env_validate_enabled() {
 struct VattiScratch::Impl {
   BoundTable bt;
   std::vector<double> ys;          ///< scanbeam schedule
-  // SoA active edge table: cold sweep-status entries, hot x arrays and the
-  // slot's edge geometry, all indexed by AET slot.
+  // The active edge table, indexed by slot: the sweep-status entries and
+  // the order certificate of each slot and its right neighbour.
   std::vector<SweepEntry> aet;
-  std::vector<double> xb;          ///< x on the current beam's bottom scanline
-  std::vector<double> xt;          ///< x on the current beam's top scanline
-  std::vector<SlotEdge> geo;       ///< the slot's edge geometry
-  std::vector<double> ty;          ///< the slot edge's top.y
+  std::vector<double> cert;
+  std::vector<Extent> ext;         ///< the slot edge's Extent
   std::vector<std::int32_t> pos;   ///< edge id -> AET index
+  std::vector<QueueEntry> queue;   ///< ends and certificate expiries (heap)
+  /// The beam's insertion sort positions (see SortSlot); sized to the AET,
+  /// reset per beam by bumping `stamp`, not by clearing.
+  std::vector<SortSlot> sort;
+  std::uint32_t stamp = 0;
+  /// Left edges of the pairs the next beam must compare: new pairs and
+  /// pairs without a certificate.
+  std::vector<std::int32_t> dirty;
+  std::vector<std::size_t> checks;  ///< the beam's pairs, by right slot
+  std::vector<std::size_t> marks;   ///< left slots of pairs to certify
   /// The current beam's ends: ids of the edges ending at its top
-  /// scanline, recorded by the fill and turned into AET slots by the top
+  /// scanline, popped from the queue and turned into AET slots by the top
   /// step.
   std::vector<std::int32_t> ends;
   OutPolyPool pool;
-  // process_intersections working set (cleared every beam):
+  // The beam's crossings and process_crossings' scratch:
   std::vector<Crossing> events;
-  std::vector<std::pair<double, std::int32_t>> keys;  ///< (xt, edge id)
   std::vector<Crossing> deferred;
+  std::vector<std::pair<double, std::int32_t>> keys;  ///< seed line sort
   std::vector<StagedEntry> staged;  ///< insert_minima batch staging
+  // Validation only: every slot's x at the beam top and a full sort's
+  // swap list.
+  std::vector<std::pair<double, std::int32_t>> eager;
+  std::vector<std::pair<std::int32_t, std::int32_t>> eager_swaps;
 
   void begin_run() {
     aet.clear();
-    xb.clear();
-    xt.clear();
-    geo.clear();
-    ty.clear();
+    cert.clear();
+    queue.clear();
+    dirty.clear();
+    marks.clear();
     pool.reset();
   }
 };
@@ -181,9 +337,10 @@ std::size_t VattiScratch::resident_bytes() const {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
   return vec(s.bt.edges) + vec(s.bt.minima) + vec(s.ys) + vec(s.aet) +
-         vec(s.xb) + vec(s.xt) + vec(s.geo) + vec(s.ty) + vec(s.pos) +
-         vec(s.ends) + vec(s.events) + vec(s.keys) + vec(s.deferred) +
-         vec(s.staged) + s.pool.resident_bytes();
+         vec(s.cert) + vec(s.ext) + vec(s.pos) + vec(s.queue) + vec(s.sort) +
+         vec(s.dirty) + vec(s.checks) + vec(s.marks) + vec(s.ends) +
+         vec(s.events) + vec(s.deferred) + vec(s.keys) + vec(s.staged) +
+         vec(s.eager) + vec(s.eager_swaps) + s.pool.resident_bytes();
 }
 
 namespace {
@@ -196,11 +353,12 @@ class Sweep {
         op_(op),
         sc_(sc),
         aet_(sc.aet),
-        xb_(sc.xb),
-        xt_(sc.xt),
-        geo_(sc.geo),
-        ty_(sc.ty),
+        cert_(sc.cert),
+        ext_(sc.ext),
         pos_(sc.pos),
+        queue_(sc.queue),
+        sort_(sc.sort),
+        dirty_(sc.dirty),
         pool_(sc.pool),
         win_(w),
         min_end_(std::min(w.min_end, bt.minima.size())),
@@ -221,25 +379,30 @@ class Sweep {
     if (!win_.seeds.empty()) seed_line(win_.y_lo);
     // Request governance (DESIGN.md §11): the scanbeam loop is the one
     // place whose trip count is output-sensitive, so it hosts the
-    // cooperative cancellation checkpoint (amortized clock reads keep it
-    // under the bench_governance_overhead 1% gate) and the preemptive
-    // charge for output growth — the only structure a hostile input can
-    // blow up beyond any input-proportional bound. The charge is a
-    // watermark over the pool's O(1) vertex counter and releases with this
-    // scope if the sweep unwinds.
+    // cooperative cancellation checkpoint and the preemptive charge for
+    // output growth — the only structure a hostile input can blow up
+    // beyond any input-proportional bound. The charge is a watermark over
+    // the pool's O(1) vertex counter and releases with this scope if the
+    // sweep unwinds. Both run every kGovernedBeams beams (and the
+    // checkpoint reads the clock on every 32nd call): a beam that only
+    // pops an end costs a few hundred cycles, and the bench_governance_
+    // overhead gate holds their share under 1%.
+    constexpr std::size_t kGovernedBeams = 8;
     par::gov::ScopedCharge out_charge;
     for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
-      par::gov::checkpoint();
-      out_charge.raise_to(pool_.total_vertices() * OutPolyPool::kVertexBytes);
+      if (i % kGovernedBeams == 0) {
+        par::gov::checkpoint();
+        out_charge.raise_to(pool_.total_vertices() *
+                            OutPolyPool::kVertexBytes);
+      }
       const double yb = ys[i];
       const double yt = ys[i + 1];
-      insert_minima(yb, next_min);
+      insert_minima(yb, yt, next_min);
       if (validate_) validate_flags(yb, "after-minima");
+      aet_visits_ += static_cast<std::int64_t>(aet_.size());
+      pop_events(yt);
       process_intersections(yb, yt);
-      process_top();
-      // Beam rollover: every entry's bottom x for the next beam is its top
-      // x here — a buffer swap.
-      xb_.swap(xt_);
+      process_top(yt);
       if (validate_) validate_flags(yt, "after-beam");
       if (stats) {
         ++stats->scanbeams;
@@ -249,11 +412,12 @@ class Sweep {
     }
     // A window's top line: the edges still active cross it, and every
     // interior run between them closes along the line.
-    if (win_.y_hi < std::numeric_limits<double>::infinity())
+    if (win_.y_hi < kInf)
       close_line_runs(
           pool_, bt_, aet_.size(),
           [this](std::size_t i) -> SweepEntry& { return aet_[i]; },
-          [this](std::size_t i) { return xb_[i]; }, win_.y_hi, op_);
+          [this](std::size_t i) { return x_at(aet_[i].e, win_.y_hi); },
+          win_.y_hi, op_);
     if (stats) {
       stats->edges = edges_;
       stats->boundary_edges = static_cast<std::int64_t>(win_.seeds.size());
@@ -261,6 +425,7 @@ class Sweep {
       stats->sorted_beams = sorted_beams_;
       stats->pos_rebuilds = pos_rebuilds_;
       stats->aet_visits = aet_visits_;
+      stats->x_evals = x_evals_;
       stats->top_visits = top_visits_;
       stats->validate_failures = validate_failures_;
     }
@@ -276,11 +441,12 @@ class Sweep {
   BoolOp op_;
   VattiScratch::Impl& sc_;
   std::vector<SweepEntry>& aet_;
-  std::vector<double>& xb_;
-  std::vector<double>& xt_;
-  std::vector<SlotEdge>& geo_;
-  std::vector<double>& ty_;
+  std::vector<double>& cert_;
+  std::vector<Extent>& ext_;
   std::vector<std::int32_t>& pos_;
+  std::vector<QueueEntry>& queue_;
+  std::vector<SortSlot>& sort_;
+  std::vector<std::int32_t>& dirty_;
   OutPolyPool& pool_;
   const SweepWindow& win_;
   std::size_t min_end_;        ///< end of the window's minima range
@@ -289,41 +455,57 @@ class Sweep {
   std::int64_t sorted_beams_ = 0;
   std::int64_t pos_rebuilds_ = 0;
   std::int64_t aet_visits_ = 0;
+  std::int64_t x_evals_ = 0;
   std::int64_t top_visits_ = 0;
   std::int64_t validate_failures_ = 0;
   bool validate_ = false;
 
-  /// Apply `f` to every per-slot array the edit passes move: the entries,
-  /// the live x array `x` (xb before the fill, xt after it), the edge
-  /// geometry and the top ys.
+  /// Apply `f` to every per-slot array the edit passes move.
   template <typename F>
-  void for_each_slot_array(std::vector<double>& x, F&& f) {
+  void for_each_slot_array(F&& f) {
     f(aet_);
-    f(x);
-    f(geo_);
-    f(ty_);
+    f(cert_);
+    f(ext_);
   }
 
-  /// Write edge e's geometry into slot i: e has just entered the AET there.
+  /// Edge e has just entered the AET at slot i: note its Extent and queue
+  /// its end.
   void enter(std::size_t i, std::int32_t e) {
-    const BoundEdge& be = bt_.edges[static_cast<std::size_t>(e)];
-    geo_[i] = {be.bot.x, be.bot.y, be.top.x - be.bot.x, be.top.y - be.bot.y};
-    ty_[i] = be.top.y;
+    ext_[i] = extent_of(bt_.edges[static_cast<std::size_t>(e)]);
+    const double top = bt_.edges[static_cast<std::size_t>(e)].top.y;
+    // A NaN key would break the heap order; such an edge never ends (no
+    // scanline equals NaN), so it takes no entry.
+    if (!std::isnan(top)) heap_push(queue_, {top, e, true});
     ++edges_;
+  }
+
+  /// x of edge e on scanline y, counted.
+  double x_at(std::int32_t e, double y) {
+    ++x_evals_;
+    return x_on(bt_.edges[static_cast<std::size_t>(e)], y);
+  }
+
+  /// The AET slot of edge e, or aet_.size() when e is not active.
+  [[nodiscard]] std::size_t slot_of(std::int32_t e) const {
+    const auto p = static_cast<std::size_t>(pos_[static_cast<std::size_t>(e)]);
+    return p < aet_.size() && aet_[p].e == e ? p : aet_.size();
+  }
+
+  /// Slot i's pair with its right neighbour needs a check next beam.
+  void uncertify(std::size_t i) {
+    cert_[i] = -kInf;
+    dirty_.push_back(aet_[i].e);
   }
 
   /// Start a window at its bottom line y: the edges crossing it become the
   /// AET in (x on the line, slope, edge id) order — the order the AET of a
   /// whole-input sweep holds just above y — their parity flags come from
   /// the prefix count (Lemmas 2–3), and every interior run between them
-  /// opens a partial contour along the line.
+  /// opens a partial contour along the line. No pair is certified yet.
   void seed_line(double y) {
     auto& keys = sc_.keys;  // (x on the line, edge id)
     keys.clear();
-    for (const std::int32_t e : win_.seeds) {
-      const BoundEdge& be = bt_.edges[static_cast<std::size_t>(e)];
-      keys.emplace_back(geom::x_at_y(be.bot, be.top, y), e);
-    }
+    for (const std::int32_t e : win_.seeds) keys.emplace_back(x_at(e, y), e);
     std::sort(keys.begin(), keys.end(), [this](const auto& a, const auto& b) {
       if (a.first != b.first) return a.first < b.first;
       const double sa = bt_.edges[static_cast<std::size_t>(a.second)].dxdy;
@@ -332,17 +514,17 @@ class Sweep {
       return a.second < b.second;
     });
     const std::size_t n = keys.size();
-    for_each_slot_array(xb_, [n](auto& v) { v.resize(n); });
+    for_each_slot_array([n](auto& v) { v.resize(n); });
     for (std::size_t i = 0; i < n; ++i) {
       aet_[i].e = keys[i].second;
-      xb_[i] = keys[i].first;
       enter(i, keys[i].second);
+      uncertify(i);
     }
     auto at = [this](std::size_t i) -> SweepEntry& { return aet_[i]; };
     label_by_parity(bt_, aet_.size(), at);
     open_line_runs(
-        pool_, bt_, aet_.size(), at, [this](std::size_t i) { return xb_[i]; },
-        y, op_);
+        pool_, bt_, aet_.size(), at,
+        [&keys](std::size_t i) { return keys[i].first; }, y, op_);
     sync_pos(0);
   }
 
@@ -381,29 +563,60 @@ class Sweep {
     }
   }
 
-  /// Debug self-check of the slot geometry: every slot must hold its
-  /// edge's, so the fill computes geom::x_at_y and records exactly the
-  /// edges ending at yt.
-  void validate_slots(double yt) {
-    std::size_t ending = 0;
-    for (std::size_t i = 0; i < aet_.size(); ++i) {
-      const BoundEdge& be = edge(aet_[i]);
-      const SlotEdge& g = geo_[i];
-      if (g.bx != be.bot.x || g.by != be.bot.y ||
-          g.dx != be.top.x - be.bot.x || g.dy != be.top.y - be.bot.y ||
-          ty_[i] != be.top.y) {
+  /// Certificate oracle, before the beam's sort: evaluate every slot at yt
+  /// the way a full sort would, check that no certified pair is inverted
+  /// there, and record the full insertion sort's swap list for
+  /// validate_swaps.
+  void validate_certificates(double yt) {
+    auto& xs = sc_.eager;
+    xs.clear();
+    for (const SweepEntry& a : aet_) xs.emplace_back(x_on(edge(a), yt), a.e);
+    for (std::size_t i = 0; i + 1 < xs.size(); ++i) {
+      if (yt < cert_[i] && xs[i + 1].first < xs[i].first) {
         ++validate_failures_;
         std::fprintf(stderr,
-                     "[psclip] slot geometry mismatch y=%.17g idx=%zu\n", yt,
-                     i);
+                     "[psclip] certified pair inverted y=%.17g idx=%zu "
+                     "cert=%.17g x=%.17g > %.17g\n",
+                     yt, i, cert_[i], xs[i].first, xs[i + 1].first);
       }
-      if (be.top.y == yt) ++ending;
     }
-    if (ending != sc_.ends.size()) {
+    auto& swaps = sc_.eager_swaps;
+    swaps.clear();
+    for (std::size_t i = 1; i < xs.size(); ++i)
+      for (std::size_t j = i; j > 0 && xs[j].first < xs[j - 1].first; --j) {
+        swaps.emplace_back(xs[j - 1].second, xs[j].second);
+        std::swap(xs[j - 1], xs[j]);
+      }
+  }
+
+  /// The beam's crossings must be the full sort's swaps, in order.
+  void validate_swaps(double yt) {
+    const auto& swaps = sc_.eager_swaps;
+    const auto& events = sc_.events;
+    bool same = swaps.size() == events.size();
+    for (std::size_t k = 0; same && k < swaps.size(); ++k)
+      same = swaps[k].first == events[k].eu && swaps[k].second == events[k].ev;
+    if (!same) {
       ++validate_failures_;
       std::fprintf(stderr,
-                   "[psclip] end mismatch y=%.17g recorded=%zu ending=%zu\n",
-                   yt, sc_.ends.size(), ending);
+                   "[psclip] swap list mismatch y=%.17g lazy=%zu eager=%zu\n",
+                   yt, events.size(), swaps.size());
+    }
+  }
+
+  /// The popped ends must be exactly the AET edges whose top is yt.
+  void validate_ends(double yt) {
+    std::vector<std::int32_t> want;
+    for (const SweepEntry& a : aet_)
+      if (edge(a).top.y == yt) want.push_back(a.e);
+    std::vector<std::int32_t> got = sc_.ends;
+    std::sort(want.begin(), want.end());
+    std::sort(got.begin(), got.end());
+    if (want != got) {
+      ++validate_failures_;
+      std::fprintf(stderr,
+                   "[psclip] end mismatch y=%.17g popped=%zu ending=%zu\n",
+                   yt, got.size(), want.size());
     }
   }
 
@@ -430,17 +643,13 @@ class Sweep {
   }
 
   /// Bisection identical to std::upper_bound (same midpoint sequence) over
-  /// an index range, with the minima comparator: key (x, slope) against an
-  /// element's (xb, dxdy).
-  template <typename XbAt, typename DxdyAt>
-  std::size_t upper_bound_key(double x, double slope, std::size_t n,
-                              XbAt xb_at, DxdyAt dxdy_at) const {
+  /// an index range, by a "key sorts before element i" predicate.
+  template <typename KeyLess>
+  static std::size_t upper_bound_by(std::size_t n, KeyLess key_less) {
     std::size_t lo = 0, hi = n;
     while (lo < hi) {
       const std::size_t mid = lo + (hi - lo) / 2;
-      const double ex = xb_at(mid);
-      const bool key_less = x != ex ? x < ex : slope < dxdy_at(mid);
-      if (key_less)
+      if (key_less(mid))
         hi = mid;
       else
         lo = mid + 1;
@@ -486,8 +695,10 @@ class Sweep {
   /// memmove each. Each minimum bisects the conceptual sequence (old
   /// entries + minima staged so far) that one-at-a-time insertion would
   /// search, so positions, neighbour flags and pool-creation order are
-  /// those of inserting the minima one by one in (y, x) order.
-  void insert_minima(double yb, std::size_t& next_min) {
+  /// those of inserting the minima one by one in (y, x) order. The old
+  /// entries' x on yb is evaluated only where a bisection probes and
+  /// cannot decide from the edge's x-extent.
+  void insert_minima(double yb, double yt, std::size_t& next_min) {
     if (next_min >= min_end_ || bt_.minima[next_min].pt.y != yb) return;
     std::vector<StagedEntry>& nb = sc_.staged;
     nb.clear();
@@ -515,17 +726,21 @@ class Sweep {
       const double slope_l =
           bt_.edges[static_cast<std::size_t>(lm.edge_left)].dxdy;
 
-      // Bisect the merged view (old AET + staged pairs).
-      const std::size_t p = upper_bound_key(
-          lm.pt.x, slope_l, old_n + nb.size(),
-          [&](std::size_t i) {
-            const auto [st, k] = resolve(i);
-            return st ? nb[k].x : xb_[k];
-          },
-          [&](std::size_t i) {
-            const auto [st, k] = resolve(i);
-            return st ? edge(nb[k].ent).dxdy : edge(aet_[k]).dxdy;
-          });
+      // Bisect the merged view (old AET + staged pairs) with the minima
+      // comparator: key (x, slope) against an element's (x on yb, dxdy).
+      // An old entry's x is evaluated only when x is inside its extent.
+      const double x = lm.pt.x;
+      const std::size_t p = upper_bound_by(old_n + nb.size(), [&](std::size_t i) {
+        const auto [st, k] = resolve(i);
+        if (st) {
+          const double ex = nb[k].x;
+          return x != ex ? x < ex : slope_l < edge(nb[k].ent).dxdy;
+        }
+        if (x < ext_[k].lo) return true;
+        if (x > ext_[k].hi) return false;
+        const double ex = x_at(aet_[k].e, yb);
+        return x != ex ? x < ex : slope_l < edge(aet_[k]).dxdy;
+      });
 
       bool ls = false, lc = false;
       if (p > 0) {
@@ -550,12 +765,12 @@ class Sweep {
     // each run of old slots right past the staged entries that land below
     // it. Slots left of the first staged base never move.
     const std::size_t n = old_n + nb.size();
-    for_each_slot_array(xb_, [n](auto& v) { v.resize(n); });
+    for_each_slot_array([n](auto& v) { v.resize(n); });
     std::size_t src = old_n;  // old slots [0, src) are still in place
     std::size_t dst = n;      // slots [dst, n) are final
     for (std::size_t t = nb.size(); t-- > 0;) {
       const std::size_t base = nb[t].base;
-      for_each_slot_array(xb_, [&](auto& v) {
+      for_each_slot_array([&](auto& v) {
         std::copy_backward(v.begin() + static_cast<std::ptrdiff_t>(base),
                            v.begin() + static_cast<std::ptrdiff_t>(src),
                            v.begin() + static_cast<std::ptrdiff_t>(dst));
@@ -563,88 +778,185 @@ class Sweep {
       dst -= src - base + 1;
       src = base;
       aet_[dst] = nb[t].ent;
-      xb_[dst] = nb[t].x;
       enter(dst, nb[t].ent.e);
+    }
+    // Every pair a new entry belongs to is new: the beam compares it,
+    // unless the two edges' x-extents are apart or they diverge from one
+    // point fast enough to be apart at yt already.
+    std::size_t next_pair = 0;  // pairs below it are done
+    for (std::size_t t = 0; t < nb.size(); ++t) {
+      const std::size_t d = nb[t].base + t;
+      for (std::size_t p = std::max(d > 0 ? d - 1 : 0, next_pair); p <= d;
+           ++p) {
+        next_pair = p + 1;
+        if (p + 1 == n) {
+          cert_[p] = kInf;  // no right neighbour
+          continue;
+        }
+        if (ext_[p].hi < ext_[p + 1].lo) {
+          cert_[p] = kInf;
+          continue;
+        }
+        const BoundEdge& a = edge(aet_[p]);
+        const BoundEdge& b = edge(aet_[p + 1]);
+        double c = -kInf;
+        if (a.bot == b.bot) c = minimum_certificate(a, b, yb, yt);
+        if (c == -kInf)
+          c = gap_certificate(a, x_at(aet_[p].e, yb), x_error(a), b,
+                              x_at(aet_[p + 1].e, yb), x_error(b), yb);
+        if (c <= yt) {
+          uncertify(p);  // compared this beam
+          continue;
+        }
+        cert_[p] = c;
+        if (c <= std::min(a.top.y, b.top.y))
+          heap_push(queue_, {c, aet_[p].e, false});
+      }
     }
     sync_pos(nb.front().base);
   }
 
-  void process_intersections(double yb, double yt) {
-    const std::size_t n = aet_.size();
-    aet_visits_ += static_cast<std::int64_t>(n);
-    xt_.resize(n);
-    fill_top_x(xt_.data(), geo_.data(), n, yt);
-    // Record the edges ending at yt for the top step, and place them
-    // exactly at their top vertex.
+  /// Pop the beam's events: the ends at yt into sc_.ends, and the
+  /// certificates expiring at or below yt into the pairs to check. The end
+  /// of an edge whose bound continues is replaced in place by the next
+  /// edge's (process_top puts that edge into the slot).
+  void pop_events(double yt) {
     auto& ends = sc_.ends;
     ends.clear();
-    find_ends(ty_.data(), n, yt, ends);
-    for (std::int32_t& end : ends) {
-      const auto i = static_cast<std::size_t>(end);
-      end = aet_[i].e;
-      xt_[i] = bt_.edges[static_cast<std::size_t>(end)].top.x;
+    while (!queue_.empty()) {
+      const QueueEntry q = queue_.front();
+      if (!(q.at <= yt)) break;
+      if (q.end) {
+        ends.push_back(q.e);
+        const std::int32_t next = bt_.edges[static_cast<std::size_t>(q.e)].next;
+        const double top =
+            next >= 0 ? bt_.edges[static_cast<std::size_t>(next)].top.y : 0.0;
+        if (next >= 0 && !std::isnan(top))
+          heap_replace_front(queue_, {top, next, true});
+        else
+          heap_pop(queue_);
+        continue;
+      }
+      heap_pop(queue_);
+      const std::size_t i = slot_of(q.e);
+      if (i >= aet_.size() || cert_[i] != q.at) continue;  // stale
+      // The two edges of a maximum ending here have equal x (the apex's):
+      // no inversion to look for.
+      const BoundEdge& a = edge(aet_[i]);
+      if (i + 1 < aet_.size() && a.top.y == yt && a.top == edge(aet_[i + 1]).top)
+        continue;
+      dirty_.push_back(q.e);
     }
-    if (validate_) validate_slots(yt);
-    // Detect the crossing-free common case: the AET left the previous beam
-    // sorted by that beam's top x, so between beams it is *nearly* sorted —
-    // most beams have no adjacent inversion at all. The adjacent strict-<
-    // checks are exactly the insertion sort's swap condition, so "no
-    // inversion here" is precisely "the sort would perform zero swaps"
-    // (NaN included: both comparisons are false, neither path swaps).
-    if (!has_inversion(xt_.data(), n)) {
+    if (validate_) validate_ends(yt);
+  }
+
+  /// The crossing point of eu (left below) and ev in the beam (yb, yt).
+  [[nodiscard]] Point crossing_point(std::int32_t eu_id, std::int32_t ev_id,
+                                     double yb, double yt) const {
+    const BoundEdge& eu = bt_.edges[static_cast<std::size_t>(eu_id)];
+    const BoundEdge& ev = bt_.edges[static_cast<std::size_t>(ev_id)];
+    Point p = geom::line_intersection(eu.bot, eu.top, ev.bot, ev.top);
+    // A genuine crossing lies inside the beam up to rounding; allow
+    // one beam height of slack before distrusting the division.
+    const double slack = yt - yb;
+    if (!(p.y >= yb - slack && p.y <= yt + slack) || !std::isfinite(p.x)) {
+      // Nearly parallel edges (e.g. near-horizontals cut at a slab
+      // boundary) can invert in rounded x-order while their analytic
+      // intersection is far away or at infinity (cross(r,s)
+      // underflows). The swap is still required to restore the top
+      // x-order; emit at mid-beam, where the two edges sit within
+      // rounding of each other.
+      const double ym = 0.5 * (yb + yt);
+      const double xu = geom::x_at_y(eu.bot, eu.top, ym);
+      const double xv = geom::x_at_y(ev.bot, ev.top, ym);
+      p = {0.5 * (xu + xv), ym};
+    }
+    return p;
+  }
+
+  /// Sort position i of the beam's insertion sort, evaluated on first use.
+  SortSlot& sort_slot(std::size_t i, double yt) {
+    SortSlot& s = sort_[i];
+    if (s.stamp != sc_.stamp) s = {x_at(aet_[i].e, yt), aet_[i].e, sc_.stamp};
+    return s;
+  }
+
+  /// Slot i's x on the beam top, reusing the sort's value when position i
+  /// still holds slot i's edge.
+  double top_x(std::size_t i, double yt) {
+    SortSlot& s = sort_[i];
+    if (s.stamp != sc_.stamp || s.e != aet_[i].e)
+      s = {x_at(aet_[i].e, yt), aet_[i].e, sc_.stamp};
+    return s.x;
+  }
+
+  /// Find the beam's crossings: replay the insertion sort of the AET by x
+  /// at yt on the pairs that need a check. Every other adjacent pair holds
+  /// a certificate reaching yt, so it does not invert and its step of the
+  /// full sort swaps nothing. A pair that inverts starts a run of the full
+  /// sort's steps, which goes on until an element does not move; the
+  /// run's positions are evaluated as the sort reads them. The swap list —
+  /// every adjacent transposition, in order — is a full sort's, NaN
+  /// comparisons included (they are never certified).
+  void process_intersections(double yb, double yt) {
+    const std::size_t n = aet_.size();
+    if (sort_.size() < n) sort_.resize(n, SortSlot{0.0, -1, 0});
+    if (++sc_.stamp == 0) {  // the stamp wrapped: forget every position
+      for (SortSlot& s : sort_) s.stamp = 0;
+      sc_.stamp = 1;
+    }
+    if (validate_) validate_certificates(yt);
+    std::vector<Crossing>& events = sc_.events;
+    events.clear();
+    if (dirty_.empty()) {
+      // Every pair is certified: the sort swaps nothing.
+      if (validate_) validate_swaps(yt);
+      ++sorted_beams_;
+      return;
+    }
+    auto& checks = sc_.checks;
+    auto& marks = sc_.marks;
+    checks.clear();
+    for (const std::int32_t e : dirty_) {
+      const std::size_t i = slot_of(e);
+      if (i + 1 < n) checks.push_back(i + 1);
+    }
+    dirty_.clear();
+    if (checks.size() > 1) sort_unique(checks);
+
+    std::size_t resume = 0;  // the full sort's steps below are replayed
+    for (const std::size_t j : checks) {
+      if (j < resume) continue;
+      std::size_t lo = j;
+      std::size_t i = j;
+      for (; i < n; ++i) {
+        const SortSlot cur = sort_slot(i, yt);
+        std::size_t k = i;
+        for (; k > 0; --k) {
+          const SortSlot& prev = sort_slot(k - 1, yt);
+          if (!(cur.x < prev.x)) break;
+          events.push_back({prev.e, cur.e, crossing_point(prev.e, cur.e, yb, yt)});
+          sort_[k] = prev;
+        }
+        if (k == i) break;
+        sort_[k] = cur;
+        lo = std::min(lo, k);
+      }
+      // Pairs (lo - 1, lo) .. (i - 1, i) changed or were compared.
+      const std::size_t last = std::min(i, n - 1);
+      for (std::size_t p = lo > 0 ? lo - 1 : 0; p < last; ++p)
+        marks.push_back(p);
+      resume = i + 1;
+    }
+    if (validate_) validate_swaps(yt);
+    if (events.empty()) {
       // Zero swaps => zero crossings => nothing to emit.
       ++sorted_beams_;
       return;
     }
-
-    // Phase 1 — enumerate the beam's crossings as the inversions between
-    // the bottom and top x-orders (Lemma 4), on a scratch copy so that no
-    // sweep state changes yet. The event and key buffers live in the
-    // VattiScratch (cleared here, capacity retained): this loop runs once
-    // per scanbeam, and per-beam reallocation is exactly the churn the
-    // per-worker slab arenas exist to remove.
-    std::vector<Crossing>& events = sc_.events;
-    events.clear();
-    {
-      auto& ks = sc_.keys;  // (xt, edge id)
-      ks.clear();
-      ks.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) ks.emplace_back(xt_[i], aet_[i].e);
-      for (std::size_t i = 1; i < ks.size(); ++i) {
-        std::size_t j = i;
-        while (j > 0 && ks[j].first < ks[j - 1].first) {
-          const BoundEdge& eu =
-              bt_.edges[static_cast<std::size_t>(ks[j - 1].second)];
-          const BoundEdge& ev =
-              bt_.edges[static_cast<std::size_t>(ks[j].second)];
-          Point p =
-              geom::line_intersection(eu.bot, eu.top, ev.bot, ev.top);
-          // A genuine crossing lies inside the beam up to rounding; allow
-          // one beam height of slack before distrusting the division.
-          const double slack = yt - yb;
-          if (!(p.y >= yb - slack && p.y <= yt + slack) ||
-              !std::isfinite(p.x)) {
-            // Nearly parallel edges (e.g. near-horizontals cut at a slab
-            // boundary) can invert in rounded x-order while their analytic
-            // intersection is far away or at infinity (cross(r,s)
-            // underflows). The swap is still required to restore the top
-            // x-order; emit at mid-beam, where the two edges sit within
-            // rounding of each other.
-            const double ym = 0.5 * (yb + yt);
-            const double xu = geom::x_at_y(eu.bot, eu.top, ym);
-            const double xv = geom::x_at_y(ev.bot, ev.top, ym);
-            p = {0.5 * (xu + xv), ym};
-          }
-          events.push_back({ks[j - 1].second, ks[j].second, p});
-          std::swap(ks[j - 1], ks[j]);
-          --j;
-        }
-      }
-    }
-    if (events.empty()) return;
-
-    // Phase 2 — the shared crossing step (seq/sweep_events.hpp) over the
-    // flat position index, which is maintained across beams.
+    // The shared crossing step (seq/sweep_events.hpp) over the flat
+    // position index, which is maintained across beams. Its swaps stay
+    // inside the runs, whose pairs are certified again at the top.
     intersections_ += static_cast<std::int64_t>(events.size());
     process_crossings(
         pool_, bt_, n, [this](std::size_t i) -> SweepEntry& { return aet_[i]; },
@@ -652,7 +964,7 @@ class Sweep {
           return static_cast<std::size_t>(pos_[static_cast<std::size_t>(e)]);
         },
         [this](std::size_t iu, std::size_t iv) {
-          for_each_slot_array(xt_, [&](auto& v) { std::swap(v[iu], v[iv]); });
+          for_each_slot_array([&](auto& v) { std::swap(v[iu], v[iv]); });
           pos_[static_cast<std::size_t>(aet_[iu].e)] =
               static_cast<std::int32_t>(iu);
           pos_[static_cast<std::size_t>(aet_[iv].e)] =
@@ -661,21 +973,55 @@ class Sweep {
         events, sc_.deferred, op_);
   }
 
+  /// Certify slot p's pair with the next surviving slot to its right
+  /// (removed slots carry e = -1) at yt, and queue the certificate if it
+  /// expires before both edges end. A pair that cannot be certified is
+  /// compared again next beam.
+  void certify(std::size_t p, double yt) {
+    const std::size_t n = aet_.size();
+    std::size_t q = p + 1;
+    while (q < n && aet_[q].e < 0) ++q;
+    if (q == n) {
+      cert_[p] = kInf;  // no right neighbour: nothing can invert
+      return;
+    }
+    if (ext_[p].hi < ext_[q].lo) {
+      cert_[p] = kInf;
+      return;
+    }
+    const BoundEdge& a = edge(aet_[p]);
+    const BoundEdge& b = edge(aet_[q]);
+    double c = -kInf;
+    if (a.top == b.top) c = apex_certificate(a, b);
+    if (c == -kInf)
+      c = gap_certificate(a, top_x(p, yt), x_error(a), b, top_x(q, yt),
+                          x_error(b), yt);
+    if (c == -kInf) {
+      uncertify(p);
+      return;
+    }
+    cert_[p] = c;
+    if (c <= std::min(a.top.y, b.top.y))
+      heap_push(queue_, {c, aet_[p].e, false});
+  }
+
+  /// The surviving slot nearest left of slot i, or none.
+  [[nodiscard]] std::size_t surviving_left(std::size_t i, std::size_t none) const {
+    while (i > 0 && aet_[i - 1].e < 0) --i;
+    return i > 0 ? i - 1 : none;
+  }
+
   /// The beam-top step over the edges ending at the beam top only
-  /// (sc_.ends, recorded by the fill). Ends are handled in ascending AET
+  /// (sc_.ends, popped from the queue). Ends are handled in ascending AET
   /// position — the order a walk over the whole AET meets them — with
   /// removals deferred to one compaction pass: a removed slot is marked by
-  /// e = -1 until then.
-  void process_top() {
+  /// e = -1 until then. Before it, the pairs the beam checked, reordered
+  /// or changed here are certified.
+  void process_top(double yt) {
     auto& ends = sc_.ends;
-    if (ends.empty()) return;
-    // Slots in ascending order; there are rarely more than two.
-    for (std::size_t k = 0; k < ends.size(); ++k) {
-      const std::int32_t slot = pos_[static_cast<std::size_t>(ends[k])];
-      std::size_t t = k;
-      for (; t > 0 && ends[t - 1] > slot; --t) ends[t] = ends[t - 1];
-      ends[t] = slot;
-    }
+    auto& marks = sc_.marks;
+    for (std::int32_t& end : ends) end = pos_[static_cast<std::size_t>(end)];
+    if (ends.size() > 1) sort_unique(ends);
     const std::size_t none = aet_.size();
     std::size_t first_removed = none;
     for (std::size_t k = 0; k < ends.size(); ++k) {
@@ -691,8 +1037,13 @@ class Sweep {
         if (outside != inside && a.poly >= 0)
           pool_.extend_reassign(a.poly, a.e, e.top, e.next);
         a.e = e.next;
-        enter(i, e.next);
+        ext_[i] = extent_of(bt_.edges[static_cast<std::size_t>(e.next)]);
+        ++edges_;  // its end is queued already (pop_events)
         pos_[static_cast<std::size_t>(e.next)] = static_cast<std::int32_t>(i);
+        // Both of the slot's pairs have a new edge.
+        if (const std::size_t l = surviving_left(i, none); l != none)
+          certify(l, yt);
+        certify(i, yt);
         continue;
       }
       // Local maximum: the partner is the next unconsumed end, in AET
@@ -713,7 +1064,7 @@ class Sweep {
         continue;
       }
       const auto j = static_cast<std::size_t>(ends[kj]);
-      // In general position the partner is adjacent. If ties in xt left
+      // In general position the partner is adjacent. If ties in x left
       // strays between them, repair their parity for the removal of `a`
       // (removing the partner on their right does not affect them).
       const bool fs = flip_s(a), fc = flip_c(a);
@@ -731,14 +1082,35 @@ class Sweep {
       a.e = -1;
       b.e = -1;
     }
-    if (first_removed == none) return;
-    // Compact: close the removed slots' gaps with one block move per
-    // surviving run, then refresh the shifted positions.
+    // The pairs the beam's sort checked or reordered, and the pairs a
+    // removal made adjacent (continuations certified theirs above).
+    if (first_removed != none)
+      for (const std::int32_t p : ends)
+        if (aet_[static_cast<std::size_t>(p)].e < 0)
+          if (const std::size_t l =
+                  surviving_left(static_cast<std::size_t>(p), none);
+              l != none)
+            marks.push_back(l);
+    if (!marks.empty()) {
+      sort_unique(marks);
+      for (const std::size_t p : marks)
+        if (aet_[p].e >= 0) certify(p, yt);
+      marks.clear();
+    }
+    if (first_removed != none) compact(first_removed);
+    prune_queue();
+  }
+
+  /// Close the gaps of the removed slots (e = -1) from `first_removed` on
+  /// with one block move per surviving run, then refresh the shifted
+  /// positions.
+  void compact(std::size_t first_removed) {
+    const auto& ends = sc_.ends;
     std::size_t w = first_removed;  // next free slot
     std::size_t r = first_removed;  // start of the next surviving run
     auto move_run = [&](std::size_t end) {
       if (r < end)
-        for_each_slot_array(xt_, [&](auto& v) {
+        for_each_slot_array([&](auto& v) {
           std::copy(v.begin() + static_cast<std::ptrdiff_t>(r),
                     v.begin() + static_cast<std::ptrdiff_t>(end),
                     v.begin() + static_cast<std::ptrdiff_t>(w));
@@ -752,8 +1124,23 @@ class Sweep {
       r = slot + 1;
     }
     move_run(aet_.size());
-    for_each_slot_array(xt_, [w](auto& v) { v.resize(w); });
+    for_each_slot_array([w](auto& v) { v.resize(w); });
     sync_pos(first_removed);
+  }
+
+  /// Drop stale certificate entries once they outnumber the live ones, so
+  /// the queue stays O(|AET|).
+  void prune_queue() {
+    if (queue_.size() <= 3 * aet_.size() + 64) return;
+    std::erase_if(queue_, [this](const QueueEntry& q) {
+      if (q.end) return false;
+      const std::size_t i = slot_of(q.e);
+      return !(i < aet_.size() && cert_[i] == q.at);
+    });
+    std::make_heap(queue_.begin(), queue_.end(),
+                   [](const QueueEntry& a, const QueueEntry& b) {
+                     return a.at > b.at;
+                   });
   }
 };
 
@@ -776,6 +1163,7 @@ PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
   if (sink && st) {
     sink->add_counter("vatti.scanbeams", st->scanbeams);
     sink->add_counter("vatti.aet_visits", st->aet_visits);
+    sink->add_counter("vatti.x_evals", st->x_evals);
     sink->add_counter("vatti.top_visits", st->top_visits);
     sink->add_counter("vatti.sorted_beams", st->sorted_beams);
     sink->add_counter("vatti.pos_rebuilds", st->pos_rebuilds);
@@ -803,7 +1191,6 @@ PolygonSet vatti_sweep_window(const BoundTable& bt, const SweepWindow& w,
                               BoolOp op, VattiStats* stats,
                               VattiScratch& scratch) {
   par::fault::inject(par::fault::Site::kVattiSweep);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double>& ys = scratch.impl->ys;
   ys.clear();
   ys.reserve(w.ys.size() + 2);

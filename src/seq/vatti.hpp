@@ -24,17 +24,24 @@ struct VattiStats {
   std::int64_t intersections = 0;   ///< k: pairwise edge crossings handled
   std::int64_t output_vertices = 0; ///< vertices in the result contours
   std::int64_t max_aet = 0;         ///< peak active edge table size
-  /// Beams whose AET was already in top-scanline x-order (no crossings):
-  /// the kernel detects this in one O(|AET|) scan and skips the whole
-  /// intersection machinery.
+  /// Beams whose sort to the top scanline's x-order makes zero swaps (no
+  /// crossings). The sweep finds them without looking at the whole AET:
+  /// only the pairs whose order certificate expired, or that are new, are
+  /// compared.
   std::int64_t sorted_beams = 0;
   /// Suffix refreshes of the flat edge-id -> AET-index position array: one
   /// per structural AET edit batch, i.e. per minima merge, per beam whose
   /// top removes edges, and per window seeding.
   std::int64_t pos_rebuilds = 0;
-  /// Σ|AET| over the beams: the edge-beam slots the per-beam top-x fill
-  /// and inversion scan visit.
+  /// Σ|AET| over the beams: the edge-beam slots a sweep that evaluated
+  /// every active edge on every scanline would visit. The sweep no longer
+  /// does; the counter stays as the slab cost model's width measure.
   std::int64_t aet_visits = 0;
+  /// x positions the sweep evaluated: the minima bisections, the pairs
+  /// whose order certificate expired or that are new, the runs of the beam
+  /// sort that move, the seeds and the window's top line. Output-sensitive
+  /// — it grows with edges + crossings, not with aet_visits.
+  std::int64_t x_evals = 0;
   /// AET entries the beam-top step examined: the edges ending at the beam
   /// top, the slots its local-maximum partner scans looked at and the
   /// strays between partners. About `edges` in general position — the
@@ -69,8 +76,13 @@ struct VattiScratch {
   std::uint64_t runs = 0;  ///< vatti_clip calls that reused this scratch
 
   /// AET invariant checker (parity flags must equal the accumulated flips
-  /// to the left; the AET must be x-ordered at every scanline). Violations
-  /// print to stderr and count into VattiStats::validate_failures.
+  /// to the left; the AET must be x-ordered at every scanline) and oracle
+  /// of the order certificates: every beam it also evaluates every slot's
+  /// x at the beam top, and checks that no certified pair is inverted
+  /// there, that the sweep's swap list equals a full insertion sort's and
+  /// that the popped ends are exactly the slots ending at the beam top.
+  /// Violations print to stderr and count into
+  /// VattiStats::validate_failures.
   ///   -1  inherit the PSCLIP_VALIDATE environment variable (read once per
   ///       process, not per sweep) — the default,
   ///    0  force off,  1  force on (deterministic hook for tests).

@@ -12,13 +12,17 @@
 //
 // Some seeded plans target a slab/site combination the case never reaches
 // (an out-of-range key). Those plans simply never fire; the identity
-// requirement holds either way, and the harness logs how many plans
-// actually fired so a generator regression that silences the whole lane is
-// visible.
+// requirement holds either way. FaultFuzzTally runs every case's plan in
+// one process, prints how many fired per site and fails when the count
+// falls below a floor, so a generator regression that silences the lane
+// cannot pass unseen (ctest runs each SingleShotFaultIsInvisible case in a
+// process of its own, so no per-case counter could see the total).
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 
 #include "fuzz_cases.hpp"
@@ -88,6 +92,42 @@ TEST_P(FaultFuzz, SingleShotFaultIsInvisible) {
 
 INSTANTIATE_TEST_SUITE_P(Seeded, FaultFuzz,
                          ::testing::ValuesIn(fuzz::make_cases()));
+
+/// Seeded plans of the 216-case corpus that fire, measured when this test
+/// was written: every one (vatti-sweep 49/49, arena 55/55, slab-task
+/// 49/49, slab-cut 63/63). The floor is half of that.
+constexpr std::uint64_t kMinFiredPlans = 108;
+
+TEST(FaultFuzzTally, SeededPlansFire) {
+  static par::ThreadPool pool(4);
+  mt::Alg2Options o;
+  o.slabs = kSlabs;
+  std::array<std::uint64_t, par::fault::kSiteCount> fired{}, total{};
+  for (const FuzzCase& c : fuzz::make_cases()) {
+    const par::fault::Plan plan = par::fault::seeded_plan(c.seed, kSlabs);
+    const Inputs in = make_inputs(c);
+    par::fault::arm(plan);
+    try {
+      (void)mt::slab_clip(in.a, in.b, c.op, pool, o);
+    } catch (...) {
+      par::fault::disarm();
+      throw;
+    }
+    const auto site = static_cast<std::size_t>(plan.site);
+    ++total[site];
+    fired[site] += par::fault::fired() > 0 ? 1 : 0;
+    par::fault::disarm();
+  }
+  std::uint64_t all = 0;
+  for (int s = 0; s < par::fault::kSiteCount; ++s) {
+    std::printf("fault-fuzz %-12s fired %llu of %llu plans\n",
+                par::fault::to_string(static_cast<par::fault::Site>(s)),
+                static_cast<unsigned long long>(fired[s]),
+                static_cast<unsigned long long>(total[s]));
+    all += fired[s];
+  }
+  EXPECT_GE(all, kMinFiredPlans) << "seeded fault plans stopped firing";
+}
 
 // ---- Governance-kind lanes (kStall / kHog). ----
 //

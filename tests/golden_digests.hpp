@@ -12,7 +12,8 @@
 // are the 216-case fuzz corpus (tests/fuzz_cases.hpp, under every
 // operator, not only the case's own), synthetic_pair(7919, 24000), the
 // Table III layers 3 x 4 at scale 0.01, the polygon_field x2 overlay
-// bench_vatti_sweep times, and the beam-top edge cases below. A digest is
+// bench_vatti_sweep times, the beam-top edge cases and the order
+// certificate attacks below. A digest is
 // FNV-1a over the output's contours in
 // order, each folded as its seq::contour_digest plus its hole flag, so it
 // changes with any output bit.
@@ -181,6 +182,122 @@ inline std::vector<NamedInput> top_step_inputs() {
   return v;
 }
 
+/// A comb: a contour whose right side zigzags up through `n` vertices at
+/// distinct heights between y0 and y1 (amplitude `amp`, width `w` from the
+/// straight left side at x0). Placed beside the edges under test, it gives
+/// the sweep `n` scanlines without touching them.
+inline geom::Contour comb(double x0, double w, double amp, double y0,
+                          double y1, int n) {
+  geom::Contour c;
+  for (int i = 0; i < n; ++i)
+    c.pts.push_back({x0 + w + amp * (i % 2), y0 + (y1 - y0) * (i + 0.5) / n});
+  c.pts.push_back({x0, y1});
+  c.pts.push_back({x0, y0});
+  return c;
+}
+
+/// Inputs that attack the sweep's neighbour order certificates: pairs whose
+/// computed x-order is decided by rounding, magnitudes at both ends of the
+/// double range, scanlines a subnormal apart, many edges through one point,
+/// and a pair that stays adjacent over a thousand beams. Each carries a
+/// comb (or another contour) that cuts the pair's life into many beams.
+inline std::vector<NamedInput> certificate_inputs() {
+  std::vector<NamedInput> v;
+  {
+    // The subject's edge (-1, 0)-(0, 1) has slope 1; the clip's edge from
+    // (-1 + 2^-53, 0) has computed slope 1 - 2^-53, one ulp less, and
+    // crosses it at y ~ 0.945, 97% of the way up to its top.
+    NamedInput in{"cert/ulp_slopes", {}, {}};
+    in.a.add({{-1.0, 0.0}, {0.0, 1.0}, {-2.0, 0.5}});
+    in.a.add(comb(5.0, 1.0, 0.3, 0.001, 0.999, 300));
+    in.b.add({{-0x1.fffffffffffffp-1, 0.0},
+              {2.0, 0.4},
+              {-0x1.9af9a31e46221p-6, 0x1.f32832e70dcefp-1}});
+    v.push_back(std::move(in));
+  }
+  {
+    // At x ~ 2^52 one ulp is 1: the two edges start 3 ulps apart and cross
+    // at y = 250, where every computed x is rounded to an integer.
+    constexpr double k = 0x1p52;
+    NamedInput in{"cert/x_near_2p52", {}, {}};
+    in.a.add({{k, 0.0}, {k + 8.0, 1000.0}, {k - 20.0, 500.0}});
+    in.a.add(comb(k + 100.0, 16.0, 4.0, 1.0, 999.0, 200));
+    in.b.add({{k + 3.0, 0.0}, {k + 30.0, 600.0}, {k - 1.0, 1000.0}});
+    v.push_back(std::move(in));
+  }
+  {
+    // x near 1e-300: the edges' dx times a small beam fraction underflows
+    // into the subnormals; a contour with a vertex 2e-9 above the clip's
+    // bottom makes that fraction ~2e-9.
+    constexpr double s = 1e-300;
+    NamedInput in{"cert/x_near_1e-300", {}, {}};
+    in.a.add({{0.0, 0.0}, {3 * s, 1.0}, {-2 * s, 0.6}});
+    in.a.add(comb(10 * s, 4 * s, s, 0.01, 0.99, 200));
+    in.b.add({{2 * s, 0.05}, {5 * s, 0.5}, {-s, 0.9}});
+    in.b.add({{30 * s, 0.05 + 2e-9}, {32 * s, 0.3}, {31 * s, 0.6}});
+    v.push_back(std::move(in));
+  }
+  {
+    // Both coordinates near 1e300: crossing determinants overflow.
+    constexpr double s = 1e300;
+    NamedInput in{"cert/near_1e300", {}, {}};
+    in.a.add({{0.0, 0.0}, {3 * s, 1 * s}, {-2 * s, 0.6 * s}});
+    in.a.add(comb(10 * s, 4 * s, s, 0.01 * s, 0.99 * s, 200));
+    in.b.add({{2 * s, 0.05 * s}, {5 * s, 0.5 * s}, {-s, 0.9 * s}});
+    v.push_back(std::move(in));
+  }
+  {
+    // Two edges crossing at the origin, and scanlines at y = 0 and
+    // y = 8 * 2^-1074: a beam of subnormal height right at the crossing.
+    NamedInput in{"cert/subnormal_beam", {}, {}};
+    in.a.add({{-1.0, -1.0}, {1.0, 1.0}, {-1.5, 0.7}});
+    in.a.add({{10.0, 0.0}, {11.0, 0.5}, {10.5, -0.5}});
+    in.b.add({{1.0, -1.0}, {1.6, 0.5}, {-1.0, 1.0}});
+    in.b.add({{20.0, 0x1p-1071}, {21.0, 0.5}, {20.5, -0.5}});
+    v.push_back(std::move(in));
+  }
+  {
+    // Eight edges through the origin, two per self-crossing contour (each
+    // runs from -P to P, so x(0) is exactly 0), plus a scanline at y = 0.
+    NamedInput in{"cert/fan_of_eight", {}, {}};
+    for (int s = 1; s <= 4; ++s) {
+      const double a = s + 0.3;
+      const double d = s;
+      std::vector<geom::Point> bowtie{{-d, -1.0}, {-a, -1.25}, {a, 1.25},
+                                      {d, 1.0}};
+      (s % 2 ? in.a : in.b).add(std::move(bowtie));
+    }
+    in.a.add({{10.0, 0.0}, {11.0, 0.5}, {10.5, -0.5}});
+    v.push_back(std::move(in));
+  }
+  {
+    // Two nearly horizontal edges (dx = 2e6 over dy = 1) crossing at
+    // y = 0.5, where their computed x's are multiples of 2^-33 ~ 1.2e-10,
+    // and 51 scanlines 4e-12 apart around the crossing: the computed order
+    // there is decided by rounding, so only a certificate that carries the
+    // rounding bound stops short of it (with the bound set to 0, the
+    // validation hook sees a certified pair inverted here).
+    NamedInput in{"cert/shallow_crossing", {}, {}};
+    in.a.add({{-1e6, 0.0}, {1e6, 1.0}, {-2e6, 0.6}});
+    in.b.add({{-1e6 + 0.5, 0.0}, {2e6, 0.3}, {1e6 - 0.5, 1.0}});
+    in.a.add(comb(10.0, 1.0, 0.3, 0.01, 0.45, 40));
+    for (int k = -25; k <= 25; ++k) {
+      const double x = 100.0 + 2.0 * k;
+      in.b.add({{x, 0.5 + k * 4e-12}, {x + 1.0, 0.8}, {x + 0.5, 0.9}});
+    }
+    v.push_back(std::move(in));
+  }
+  {
+    // The two edges of the subject's apex (0, 1000) are adjacent from
+    // y = 0.001 to the apex, over the 1100 beams of the clip's comb.
+    NamedInput in{"cert/maximum_pair_1000_beams", {}, {}};
+    in.a.add({{-1.0, 0.0}, {1.0, 0.001}, {0.0, 1000.0}});
+    in.b.add(comb(5.0, 1.0, 0.3, 1.0, 999.0, 1100));
+    v.push_back(std::move(in));
+  }
+  return v;
+}
+
 /// Sweep (a, b) as two windows of its bound table split at `line` — the
 /// cut Algorithm 2 makes, with the seeds found by brute force — each on
 /// `scratch`. Returns {below, above}; `validate_failures`, when given,
@@ -236,6 +353,8 @@ void all_digests(par::ThreadPool& pool, Emit&& emit) {
     engine_digests(in.name, in.a, in.b, pool, /*alg1=*/false, emit);
   for (const NamedInput& in : top_step_inputs())
     engine_digests(in.name, in.a, in.b, pool, /*alg1=*/true, emit);
+  for (const NamedInput& in : certificate_inputs())
+    engine_digests(in.name, in.a, in.b, pool, /*alg1=*/true, emit);
   const NamedInput in = top_step_inputs().back();
   for (const geom::BoolOp op : geom::kAllOps) {
     seq::VattiScratch scratch;
@@ -269,6 +388,8 @@ inline std::vector<std::string> expected_keys() {
     names.emplace_back(in.name, false);
   for (const NamedInput& in : top_step_inputs())
     names.emplace_back(in.name, true);
+  for (const NamedInput& in : certificate_inputs())
+    names.emplace_back(in.name, true);
   std::vector<std::string> keys;
   for (const auto& [n, alg1] : names)
     for (const geom::BoolOp op : geom::kAllOps) {
@@ -277,9 +398,10 @@ inline std::vector<std::string> expected_keys() {
         keys.push_back(key(n, op, slab_engine(slabs)));
       if (alg1) keys.push_back(key(n, op, "alg1"));
     }
+  const std::string windowed = top_step_inputs().back().name;
   for (const geom::BoolOp op : geom::kAllOps) {
-    keys.push_back(key(names.back().first, op, "window_below"));
-    keys.push_back(key(names.back().first, op, "window_above"));
+    keys.push_back(key(windowed, op, "window_below"));
+    keys.push_back(key(windowed, op, "window_above"));
   }
   return keys;
 }

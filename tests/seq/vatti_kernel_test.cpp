@@ -11,9 +11,13 @@
 //   * the event-driven beam top on the inputs that reach its rare paths
 //     (strays between partners, shared apexes, continuations beside a
 //     maximum, a window line just above a maximum), and its visit counts;
-//   * nearly-sorted beam detection: beams without crossings must hit the
-//     fast path (sorted_beams counter), beams with crossings must not, and
-//     the same split must reach the obs counter sink.
+//   * the neighbour order certificates on inputs built to break them
+//     (slopes one ulp apart, x near 2^52, 1e-300 and 1e300, a subnormal
+//     beam, eight edges through one point, a maximum's pair adjacent over
+//     a thousand beams), under the validation hook's certificate oracle;
+//   * sorted-beam counting: beams without crossings must count as sorted
+//     (sorted_beams counter), beams with crossings must not, and the same
+//     split must reach the obs counter sink.
 
 #include <gtest/gtest.h>
 
@@ -169,6 +173,81 @@ TEST(VattiEventTop, WindowTopJustAboveMaximum) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Neighbour order certificates
+// ---------------------------------------------------------------------------
+
+/// A certificate attack: its digests match the table (vatti_clip, slab_clip
+/// at 1, 6 and 16 slabs, Algorithm 1), and under validation vatti_clip and
+/// two windows split between the middle scanlines see no violation — no
+/// certified pair inverted, the lazy swap list equal to the eager one, the
+/// popped ends equal to the slots ending at the beam top.
+void check_certificate_input(const std::string& name) {
+  static const std::vector<golden::NamedInput> inputs =
+      golden::certificate_inputs();
+  const golden::NamedInput* found = nullptr;
+  for (const golden::NamedInput& in : inputs)
+    if (in.name == name) found = &in;
+  ASSERT_NE(found, nullptr) << name;
+  const golden::NamedInput& in = *found;
+  golden::engine_digests(in.name, in.a, in.b, pool(), /*alg1=*/true,
+                         expect_golden);
+  const std::vector<double> ys =
+      [&] {
+        seq::BoundTable bt;
+        std::vector<double> v;
+        seq::build_bounds_into(bt, v, in.a, in.b);
+        return v;
+      }();
+  ASSERT_GE(ys.size(), 4u) << name;
+  const std::size_t mid = ys.size() / 2;
+  const double line = ys[mid - 1] + (ys[mid] - ys[mid - 1]) / 2;
+  for (const geom::BoolOp op : geom::kAllOps) {
+    const std::string what = name + " " + geom::to_string(op);
+    seq::VattiScratch scratch;
+    scratch.validate = 1;
+    seq::VattiStats st;
+    (void)seq::vatti_clip(in.a, in.b, op, &st, &scratch);
+    EXPECT_EQ(st.validate_failures, 0) << what;
+    std::int64_t failures = 0;
+    (void)golden::sweep_two_windows(in.a, in.b, op, line, scratch,
+                                    &failures);
+    EXPECT_EQ(failures, 0) << what << " windows at " << line;
+  }
+}
+
+TEST(VattiCertificates, SlopesOneUlpApart) {
+  check_certificate_input("cert/ulp_slopes");
+}
+
+TEST(VattiCertificates, CrossingNear2To52) {
+  check_certificate_input("cert/x_near_2p52");
+}
+
+TEST(VattiCertificates, XNear1em300) {
+  check_certificate_input("cert/x_near_1e-300");
+}
+
+TEST(VattiCertificates, CoordinatesNear1e300) {
+  check_certificate_input("cert/near_1e300");
+}
+
+TEST(VattiCertificates, SubnormalBeam) {
+  check_certificate_input("cert/subnormal_beam");
+}
+
+TEST(VattiCertificates, FanOfEightThroughOnePoint) {
+  check_certificate_input("cert/fan_of_eight");
+}
+
+TEST(VattiCertificates, ShallowCrossingUnderRoundingNoise) {
+  check_certificate_input("cert/shallow_crossing");
+}
+
+TEST(VattiCertificates, MaximumPairOverAThousandBeams) {
+  check_certificate_input("cert/maximum_pair_1000_beams");
+}
+
 // The top step visits the edges that end, not the AET: on a whole-input
 // sweep every edge ends exactly once, so it examines each end once plus
 // the rare non-partner slots of its partner scans.
@@ -186,11 +265,14 @@ TEST(VattiEventTop, TopVisitsFollowEdgesNotAet) {
 }
 
 // resident_bytes() is what the memory budget charges for a scratch
-// (DESIGN.md §11), so it must count every per-slot buffer: the entries,
-// both x arrays, the four geometry doubles and the top y. Two inputs with
-// the same edges, minima, scanlines and output — triangles side by side,
-// nearly all active at once, and the same triangles stacked, two at a
-// time — differ in resident bytes by their slot buffers only.
+// (DESIGN.md §11), so it must count every per-slot and per-event buffer:
+// the entries, each slot's order certificate (a double) and x-extent (two
+// doubles), its position in the beam's sort (x, edge id and stamp: two
+// doubles' worth) and its edge's end in the event queue (y, edge id and
+// kind: two doubles' worth). Two
+// inputs with the same edges, minima, scanlines and output — triangles
+// side by side, nearly all active at once, and the same triangles stacked,
+// two at a time — differ in resident bytes by those buffers only.
 TEST(VattiEventTop, ResidentBytesCountEveryPerSlotBuffer) {
   PolygonSet wide, stacked;
   for (int i = 0; i < 400; ++i) {
