@@ -1,13 +1,12 @@
 // Supporting micro-benchmarks: the parallel primitives the PRAM algorithm
-// is assembled from (prefix sum, parallel mergesort, segment tree
-// build/query) — the building blocks named in the paper's contribution 1.
+// is assembled from (prefix sum, segment tree build/query) — the building
+// blocks named in the paper's contribution 1.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "parallel/scan.hpp"
-#include "parallel/sort.hpp"
 #include "segtree/segment_tree.hpp"
 
 namespace {
@@ -29,21 +28,6 @@ void BM_InclusiveScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_InclusiveScan)->Range(1 << 12, 1 << 20);
-
-void BM_ParallelSort(benchmark::State& state) {
-  std::mt19937_64 rng(5);
-  std::vector<double> base(static_cast<std::size_t>(state.range(0)));
-  for (auto& x : base) x = static_cast<double>(rng());
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto v = base;
-    state.ResumeTiming();
-    psclip::par::parallel_sort(pool(), v);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ParallelSort)->Range(1 << 12, 1 << 19);
 
 void BM_SegmentTreeBuild(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -37,11 +37,7 @@
 #include "parallel/cancel.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/bounds.hpp"
-#include "seq/greiner_hormann.hpp"
-#include "seq/liang_barsky.hpp"
 #include "seq/martinez.hpp"
-#include "seq/rect_clip.hpp"
-#include "seq/sutherland_hodgman.hpp"
 #include "seq/vatti.hpp"
 
 namespace psclip {

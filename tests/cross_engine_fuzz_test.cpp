@@ -8,8 +8,6 @@
 //
 //   * seq::vatti            — the GPC-equivalent scanline substrate,
 //   * seq::martinez         — an independent x-directed sweep,
-//   * seq::greiner_hormann  — where its preconditions hold (simple,
-//                             single-contour, general-position inputs),
 //   * mt::slab_clip         — Algorithm 2 on the thread pool.
 //
 // Canonicalized outputs must agree: every engine's area against the
@@ -32,7 +30,6 @@
 #include "fuzz_cases.hpp"
 #include "geom/area_oracle.hpp"
 #include "mt/algorithm2.hpp"
-#include "seq/greiner_hormann.hpp"
 #include "seq/martinez.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -40,7 +37,6 @@
 namespace psclip {
 namespace {
 
-using fuzz::Degenerate;
 using fuzz::FuzzCase;
 using fuzz::Inputs;
 using fuzz::make_inputs;
@@ -62,20 +58,6 @@ TEST_P(CrossEngineFuzz, EnginesAgree) {
   const double mar = geom::signed_area(seq::martinez_clip(in.a, in.b, c.op));
   EXPECT_TRUE(test::areas_match(mar, want, 1e-5))
       << "martinez=" << mar << " oracle=" << want;
-
-  // Greiner–Hormann where its preconditions hold: simple single-contour
-  // inputs in general position. Grid snapping can make a simple ring
-  // self-intersect, which GH does not support (the paper's motivation for
-  // Vatti), so the snapped mode is excluded.
-  if (in.gh_eligible && c.degen != Degenerate::kSnapJitter &&
-      in.a.num_contours() == 1 && in.b.num_contours() == 1) {
-    // even_odd_area, not signed_area: GH does not orient holes the way the
-    // sweep engines do, so its area is defined by the even-odd rule.
-    const double gh = geom::even_odd_area(
-        seq::greiner_hormann(in.a.contours[0], in.b.contours[0], c.op));
-    EXPECT_TRUE(test::areas_match(gh, want, 1e-5))
-        << "greiner_hormann=" << gh << " oracle=" << want;
-  }
 
   // Algorithm 2 on the thread pool, on three pool sizes but the same
   // decomposition: area against the oracle AND the same contours in the

@@ -31,10 +31,9 @@ enum class Shape {
   kBlobPair,      // synthetic_pair: two large overlapping blobs
   kSimplePair,    // jagged concave stars
   kConvexVsBlob,  // convex ring against a blob
-  kSelfIntersecting,  // self-intersecting subject (GH ineligible)
-  kPolygram,      // star polygram subject (GH ineligible)
-  kFieldVsBlob,   // multi-contour subject layer (GH ineligible: union/xor
-                  // of an independent per-contour clip is not the set op)
+  kSelfIntersecting,  // self-intersecting subject
+  kPolygram,      // star polygram subject
+  kFieldVsBlob,   // multi-contour subject layer
 };
 
 enum class Degenerate {
@@ -72,7 +71,6 @@ inline void snap_to_grid(geom::PolygonSet& p, double cell) {
 
 struct Inputs {
   geom::PolygonSet a, b;
-  bool gh_eligible = false;  // simple single-contour subject AND clip
 };
 
 inline Inputs make_inputs(const FuzzCase& c) {
@@ -84,7 +82,6 @@ inline Inputs make_inputs(const FuzzCase& c) {
           data::synthetic_pair(s, 24 + static_cast<int>(s % 5) * 12);
       in.a = pair.subject;
       in.b = pair.clip;
-      in.gh_eligible = true;
       break;
     }
     case Shape::kSimplePair:
@@ -92,14 +89,12 @@ inline Inputs make_inputs(const FuzzCase& c) {
                                  0, 0, 10);
       in.b = data::random_simple(s * 2 + 2, 8 + static_cast<int>(s % 5) * 4,
                                  2, -1, 8);
-      in.gh_eligible = true;
       break;
     case Shape::kConvexVsBlob:
       in.a = data::random_convex(s * 2 + 1, 8 + static_cast<int>(s % 9) * 3,
                                  1, 1, 9);
       in.b = data::random_blob(s * 2 + 2, 24 + static_cast<int>(s % 4) * 10,
                                0, 0, 8);
-      in.gh_eligible = true;
       break;
     case Shape::kSelfIntersecting:
       in.a = data::random_self_intersecting(
