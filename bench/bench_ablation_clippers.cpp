@@ -10,8 +10,10 @@
 //    Martinez–Rueda (independent x-sweep) and Greiner–Hormann (simple
 //    contours only).
 //
-// The process exits 1 if Greiner–Hormann's even-odd area leaves
-// boolean_area_oracle by more than 1e-9 relative on any input it times.
+// The process exits 1 if, on any input it times, Greiner–Hormann's even-odd
+// area leaves boolean_area_oracle by more than 1e-9 relative, or a ring of
+// its output crosses itself or another ring (ring_crossings: the area
+// cannot see how crossings were linked into rings).
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +35,8 @@ constexpr geom::BoolOp kInt = geom::BoolOp::kIntersection;
 constexpr double kAreaTol = 1e-9;
 
 /// Median-of-3 ms of the GH intersection of `s` and `c`. Clears `ok`, and
-/// says so on stderr, if its even-odd area leaves the oracle's.
+/// says so on stderr, if its even-odd area leaves the oracle's or its
+/// rings cross.
 double time_gh(const geom::Contour& s, const geom::Contour& c, bool& ok) {
   geom::PolygonSet out;
   const double t = bench::time_median3(
@@ -47,6 +50,13 @@ double time_gh(const geom::Contour& s, const geom::Contour& c, bool& ok) {
     std::fprintf(stderr,
                  "FAIL: GH area %.17g vs oracle %.17g (%zu + %zu vertices)\n",
                  got, want, s.size(), c.size());
+    ok = false;
+  }
+  if (const std::size_t n = bench::ring_crossings(out); n > 0) {
+    std::fprintf(stderr,
+                 "FAIL: GH output has %zu ring crossings (%zu + %zu "
+                 "vertices)\n",
+                 n, s.size(), c.size());
     ok = false;
   }
   return t * 1e3;

@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
     const auto pair = data::synthetic_pair(61, edges);
     seq::BoundTable bt;
     std::vector<double> ys;
-    seq::build_bounds_into(bt, ys, pair.subject, pair.clip);
+    geom::Contour prep;
+    seq::build_bounds_into(bt, ys, pair.subject, pair.clip, prep);
 
     core::ScanbeamPartition part;
     const double t_tree = bench::time_median3(

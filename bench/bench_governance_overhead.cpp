@@ -133,8 +133,9 @@ int main(int argc, char** argv) {
   double worst_overhead = 0.0;
   for (const geom::BoolOp op :
        {geom::BoolOp::kUnion, geom::BoolOp::kIntersection}) {
-    // Scratch reused across runs, as a worker arena would be; the token is
-    // created once and installed/removed around each governed run.
+    // Scratch reused across runs, as a thread's sweep scratch is; the
+    // token is created once and installed/removed around each governed
+    // run.
     seq::VattiScratch scratch;
     const par::CancelToken tok = governed_token();
     geom::PolygonSet out_base, out_gov;

@@ -26,7 +26,8 @@ int main() {
 
   seq::BoundTable bt;
   std::vector<double> ys;
-  seq::build_bounds_into(bt, ys, subject, clip);
+  geom::Contour prep;
+  seq::build_bounds_into(bt, ys, subject, clip, prep);
 
   par::ThreadPool pool(2);
   const auto part = core::partition_scanbeams(pool, bt, std::move(ys));

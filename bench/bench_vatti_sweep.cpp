@@ -3,8 +3,8 @@
 // Runs the sequential sweep on two sweep-dominated workloads — the
 // polygon_field x2 overlay (union and intersection) and Fig. 9's 24k-edge
 // synthetic pair (intersection) — and on service_mix's small mix (64
-// pairs of 100-1000 edges under all four operators, no reused scratch,
-// the way psclip::clip runs them).
+// pairs of 100-1000 edges under all four operators, each clip on the
+// thread's reused scratch, the way psclip::clip runs them).
 //
 // Gates (process exits nonzero on violation — CI runs this binary):
 //   * byte identity: every measured output's digest equals its entry in
@@ -16,8 +16,13 @@
 //     sweep evaluated, <= kMaxEvalsPerEvent x (edges + intersections) on
 //     both large workloads. A sweep that evaluated every active edge on
 //     every scanline would make aet_visits evaluations (18.01M on
-//     field4000, 14.08M on pair24k, against 102k and 60k events).
-// All three are deterministic, so runner timing noise cannot flip them.
+//     field4000, 14.08M on pair24k, against 102k and 60k events);
+//   * allocation-free small clips: over one warmed pass of the small mix,
+//     the heap allocations (operator new calls, counted by this binary's
+//     replacement operator new) per clip <= the result's contours per
+//     clip + kMaxExtraAllocsPerOp. A warmed sweep allocates only its
+//     result: the contour array and one vertex array per contour.
+// All four are deterministic, so runner timing noise cannot flip them.
 // The timings — ms per sweep, ns per edge-beam visit (aet_visits) and us
 // per small op — are informational.
 //
@@ -25,7 +30,11 @@
 // schema_version-stamped report.
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -34,6 +43,26 @@
 #include "geom/polygon.hpp"
 #include "golden_digests.hpp"
 #include "seq/vatti.hpp"
+
+namespace {
+
+/// operator new calls made by this process so far.
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -47,6 +76,11 @@ constexpr double kMaxTopVisitsPerEdge = 1.1;
 /// field4000 (both operators) and 2.90 on pair24k; the gate allows twice
 /// the larger.
 constexpr double kMaxEvalsPerEvent = 5.8;
+
+/// Heap allocations per small clip beyond its result's contours: the
+/// result's contour array, plus headroom for a thread's first-time
+/// capacity growth that a longer clip in the mix triggers late.
+constexpr double kMaxExtraAllocsPerOp = 8.0;
 
 struct Workload {
   const char* name;  ///< golden table input name
@@ -160,18 +194,43 @@ int main(int argc, char** argv) {
   }
 
   // service_mix's small class: pairs of 50-500 edges per side, every
-  // operator, a fresh scratch per clip.
+  // operator, each clip on the thread's reused scratch.
   std::vector<data::SyntheticPair> small;
   for (int i = 0; i < 64; ++i)
     small.push_back(data::synthetic_pair(1000 + i, 50 + 450 * i / 63));
+  const double ops = static_cast<double>(small.size() * 4);
   const double t_small = bench::time_median3([&] {
     for (const auto& p : small)
       for (const geom::BoolOp op : geom::kAllOps)
         (void)seq::vatti_clip(p.subject, p.clip, op);
   });
-  const double us_per_op = t_small * 1e6 / (small.size() * 4);
-  std::printf("\nsmall mix (64 pairs x 4 ops): %.1f us/op\n", us_per_op);
+  const double us_per_op = t_small * 1e6 / ops;
+  // One more pass, warmed by the timed ones, counting allocations.
+  std::size_t contours = 0;
+  const std::uint64_t allocs_before = g_allocs.load();
+  for (const auto& p : small)
+    for (const geom::BoolOp op : geom::kAllOps)
+      contours += seq::vatti_clip(p.subject, p.clip, op).num_contours();
+  const double allocs_per_op =
+      static_cast<double>(g_allocs.load() - allocs_before) / ops;
+  const double contours_per_op = static_cast<double>(contours) / ops;
+  const bool allocs_ok =
+      allocs_per_op <= contours_per_op + kMaxExtraAllocsPerOp;
+  std::printf(
+      "\nsmall mix (64 pairs x 4 ops): %.1f us/op, %.1f allocations/op for "
+      "%.1f result contours/op\n",
+      us_per_op, allocs_per_op, contours_per_op);
+  report.field("gate_max_extra_allocs_per_op", kMaxExtraAllocsPerOp);
   report.field("small_mix_us_per_op", us_per_op);
+  report.field("small_mix_allocs_per_op", allocs_per_op);
+  report.field("small_mix_result_contours_per_op", contours_per_op);
+  if (!allocs_ok) {
+    std::fprintf(stderr,
+                 "FAIL: small mix makes %.1f allocations per clip > %.1f "
+                 "result contours + %.0f\n",
+                 allocs_per_op, contours_per_op, kMaxExtraAllocsPerOp);
+    gate_ok = false;
+  }
   report.field("gate_ok", static_cast<long long>(gate_ok ? 1 : 0));
 
   if (const char* path = bench::json_path(argc, argv)) {

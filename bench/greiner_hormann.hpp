@@ -17,6 +17,7 @@
 // Vatti's algorithm for the general case.
 
 #include <cmath>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "geom/intersect.hpp"
 #include "geom/point_in_polygon.hpp"
 #include "geom/polygon.hpp"
+#include "geom/validate.hpp"
 
 namespace psclip::bench {
 namespace gh_detail {
@@ -64,6 +66,23 @@ inline void insert_sorted(std::vector<Node>& nodes, int from, int idx) {
   nodes[idx].next = nxt;
   nodes[cur].next = idx;
   nodes[nxt].prev = idx;
+}
+
+/// segment_intersection of two edges with the operands in a fixed order
+/// (the lexicographically smaller edge first), so an edge pair yields the
+/// same crossing point bit for bit whichever ring is the subject. XOR
+/// concatenates A \ B and B \ A, whose rings meet at exactly these points:
+/// computed in argument order, the two halves placed a crossing an ulp
+/// apart and their rings crossed there.
+inline geom::SegmentIntersection crossing(const geom::Point& a1,
+                                          const geom::Point& a2,
+                                          const geom::Point& b1,
+                                          const geom::Point& b2) {
+  const auto key = [](const geom::Point& p, const geom::Point& q) {
+    return std::tuple(p.x, p.y, q.x, q.y);
+  };
+  return key(b1, b2) < key(a1, a2) ? geom::segment_intersection(b1, b2, a1, a2)
+                                   : geom::segment_intersection(a1, a2, b1, b2);
 }
 
 inline double param_along(const geom::Point& a, const geom::Point& b,
@@ -157,7 +176,7 @@ inline geom::PolygonSet greiner_hormann(const geom::Contour& subject,
     for (int j = 0; j < cn; ++j) {
       const geom::Point& b1 = clip[static_cast<std::size_t>(j)];
       const geom::Point& b2 = clip[static_cast<std::size_t>((j + 1) % cn)];
-      const auto x = geom::segment_intersection(a1, a2, b1, b2);
+      const auto x = gh_detail::crossing(a1, a2, b1, b2);
       if (x.relation != geom::SegmentRelation::kProper) continue;
       any = true;
       Node si;
@@ -219,6 +238,21 @@ inline geom::PolygonSet greiner_hormann(const geom::Contour& subject,
     if (ring.pts.size() >= 3) out.contours.push_back(std::move(ring));
   }
   return out;
+}
+
+/// Crossings linked into the wrong rings: the geom::validate issues of
+/// GH's output that are a ring crossing itself or another ring. Even-odd
+/// area cannot see them — it depends only on the boundary mod 2, which is
+/// the same for any pairing of the crossings along one edge — so every
+/// check of GH output pairs its area with this count.
+inline std::size_t ring_crossings(const geom::PolygonSet& out) {
+  using Kind = geom::ValidationIssue::Kind;
+  std::size_t n = 0;
+  for (const geom::ValidationIssue& issue : geom::validate(out))
+    if (issue.kind == Kind::kSelfIntersection ||
+        issue.kind == Kind::kCrossContourCrossing)
+      ++n;
+  return n;
 }
 
 }  // namespace psclip::bench

@@ -26,7 +26,8 @@ geom::PolygonSet scanbeam_clip(const geom::PolygonSet& subject,
   par::PhaseClock partition(sink, "alg1.partition");
   seq::BoundTable bt;
   std::vector<double> ys;
-  seq::build_bounds_into(bt, ys, subject, clip);
+  geom::Contour prep;
+  seq::build_bounds_into(bt, ys, subject, clip, prep);
   const ScanbeamPartition part = partition_scanbeams(pool, bt, std::move(ys));
   const std::size_t m = part.num_beams();
   partition.span().arg("edges", static_cast<std::int64_t>(bt.num_edges()));

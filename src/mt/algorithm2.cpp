@@ -13,7 +13,6 @@
 
 #include "core/merge.hpp"
 #include "error.hpp"
-#include "mt/arena.hpp"
 #include "mt/slab_index.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
@@ -244,12 +243,12 @@ struct SlabClip {
 
   /// Steps 4–6 for slab `t` on one ladder rung: cut the slab's window out
   /// of the shared table — its seeds, minima range and schedule slice —
-  /// and sweep it. kHealthy sweeps on the worker arena's scratch,
-  /// kRetrySafe on a fresh one; the cut and the sweep are otherwise the
-  /// same, so the two rungs are byte-identical. Throws on any failure —
-  /// injected faults, resource exhaustion, or a non-finite coordinate
-  /// caught by the post-checks — with `so` reset so the next rung starts
-  /// clean.
+  /// and sweep it. kHealthy sweeps on the thread's reused scratch
+  /// (seq::thread_scratch), kRetrySafe on a fresh one; the cut and the
+  /// sweep are otherwise the same, so the two rungs are byte-identical.
+  /// Throws on any failure — injected faults, resource exhaustion, or a
+  /// non-finite coordinate caught by the post-checks — with `so` reset so
+  /// the next rung starts clean.
   void attempt(std::size_t t, SlabOut& so, Rung rung) const {
     par::gov::checkpoint_now();
     so.result = geom::PolygonSet{};
@@ -296,8 +295,9 @@ struct SlabClip {
                                                ys_below(w.y_hi) - ys_lo);
 
     std::optional<seq::VattiScratch> fresh;
+    if (rung == Rung::kHealthy) par::fault::inject(par::fault::Site::kArena);
     seq::VattiScratch& scratch =
-        rung == Rung::kHealthy ? worker_arena() : fresh.emplace();
+        rung == Rung::kHealthy ? seq::thread_scratch() : fresh.emplace();
     arena_charge.raise_to(scratch.resident_bytes());
     part.span().arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
     so.cut = part.stop();

@@ -12,10 +12,10 @@ namespace psclip::mt {
 /// in declaration order; each is strictly more conservative (and slower)
 /// than the one before it.
 enum class Rung : std::uint8_t {
-  /// The fast path on the worker arena succeeded: the slab's window of the
-  /// shared bound table swept on the arena's scratch.
+  /// The fast path succeeded: the slab's window of the shared bound table
+  /// swept on the thread's reused scratch (seq::thread_scratch).
   kHealthy = 0,
-  /// Retry on safe settings, no arena: the same cut swept on a fresh
+  /// Retry on safe settings, no reused scratch: the same cut swept on a fresh
   /// VattiScratch. Bit-identical output to the healthy path — the recovery
   /// rung for every transient or state-corruption fault.
   kRetrySafe,
@@ -113,8 +113,8 @@ struct SlabLoad {
   /// Approximate peak bytes resident in the scratch that served this
   /// slab's successful attempt (seq::VattiScratch::resident_bytes),
   /// sampled right after the attempt. Capacity-based:
-  /// pooled worker arenas keep capacity across slabs, so one worker's
-  /// arena reports the high-water mark of everything it served so far —
+  /// a thread's reused scratch keeps capacity across slabs and clips, so
+  /// it reports the high-water mark of everything that thread swept —
   /// exactly the number the memory-budget model charges (DESIGN.md §11).
   std::int64_t peak_arena_bytes = 0;
 };

@@ -32,7 +32,7 @@ namespace psclip::par::fault {
 /// Where a fault can be injected.
 enum class Site : int {
   kVattiSweep = 0,  ///< seq::vatti_clip / vatti_sweep_* entry / output
-  kArena,           ///< mt::worker_arena() borrow (throw kinds only on entry)
+  kArena,           ///< the healthy slab rung's scratch borrow (throw on entry)
   kSlabTask,        ///< mt::slab_clip slab task wrapper, before the ladder runs
   kSlabCut,         ///< slab_clip's window cut at attempt entry
 };

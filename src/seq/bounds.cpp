@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <utility>
 
 #include "geom/perturb.hpp"
@@ -16,40 +18,67 @@ double slope(const geom::Point& bot, const geom::Point& top) {
 }
 
 /// Schedules at least this long sort by radix; shorter ones by std::sort.
-/// The two cross at ~300 values (Release, 4-vCPU x86 VM, synthetic_pair
-/// schedules): std::sort is 1.1-12x faster up to ~220 values (a polygon
-/// field fragment's 13: 0.13 vs 1.6 us), radix 1.1-2x faster from ~350
-/// (a 24k contour's 15k: 0.5 vs 0.9 ms).
-constexpr std::size_t kRadixSortMin = 320;
+/// The two cross at ~150 values (Release, 4-vCPU x86 VM, one pinned core,
+/// 64 distinct synthetic_pair schedules per size, each sorted once per
+/// repetition, radix in a vector with room for its buffer): std::sort is
+/// faster up to ~125 values (a 60-edge pair's: 2.4-2.7 vs 2.9-3.4 us),
+/// radix from ~170 (an 80-edge pair's: 3.6-4.1 vs 4.0-4.5 us; a 300-edge
+/// pair's 680: 14-15 vs 22-24 us; a 1000-edge pair's 2.4k: 51-71 vs
+/// 90-98 us). Re-sorting one input over and over instead lets the branch
+/// predictor learn std::sort's comparisons and puts the crossover near 3k
+/// values, which schedules, each sorted once, never see.
+constexpr std::size_t kRadixSortMin = 160;
 
 /// Sorts NaN-free doubles ascending by an LSD radix sort over their bit
 /// patterns, mapped so unsigned order is numeric order (-0.0 just before
 /// +0.0): eight byte-wide counting passes, each skipped when every key
-/// shares its byte. O(n) — about 3x faster than std::sort on a giant
-/// contour's schedule.
+/// shares its byte. O(n) — about 2x faster than std::sort on a giant
+/// contour's schedule. The keys stay in v's slots; the passes alternate
+/// with a buffer of n, v's own tail when its capacity holds 2n (a reused
+/// schedule vector, so the sort allocates nothing), else a new vector.
 void radix_sort(std::vector<double>& v) {
   const std::size_t n = v.size();
-  std::vector<std::uint64_t> keys(n), tmp(n);
+  if (n == 0) return;
+  const auto get = [](const double& d) {
+    std::uint64_t k;
+    std::memcpy(&k, &d, sizeof k);
+    return k;
+  };
+  const auto put = [](double& d, std::uint64_t k) {
+    std::memcpy(&d, &k, sizeof k);
+  };
+  std::vector<double> own;
+  if (v.capacity() >= 2 * n)
+    v.resize(2 * n);
+  else
+    own.resize(n);
+  double* keys = v.data();
+  double* tmp = own.empty() ? keys + n : own.data();
   std::array<std::array<std::uint32_t, 256>, 8> count{};
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t k = std::bit_cast<std::uint64_t>(v[i]);
+    std::uint64_t k = get(keys[i]);
     k ^= (k >> 63) != 0 ? ~std::uint64_t{0} : std::uint64_t{1} << 63;
-    keys[i] = k;
+    put(keys[i], k);
     for (int d = 0; d < 8; ++d) ++count[d][(k >> (8 * d)) & 0xff];
   }
   for (int d = 0; d < 8; ++d) {
     auto& c = count[d];
-    if (c[(keys[0] >> (8 * d)) & 0xff] == n) continue;  // one bucket
+    if (c[(get(keys[0]) >> (8 * d)) & 0xff] == n) continue;  // one bucket
     std::uint32_t sum = 0;
     for (std::uint32_t& x : c) sum += std::exchange(x, sum);
-    for (const std::uint64_t k : keys) tmp[c[(k >> (8 * d)) & 0xff]++] = k;
-    keys.swap(tmp);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = get(keys[i]);
+      put(tmp[c[(k >> (8 * d)) & 0xff]++], k);
+    }
+    std::swap(keys, tmp);
   }
+  double* const out = v.data();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = keys[i];
-    v[i] = std::bit_cast<double>(
+    const std::uint64_t k = get(keys[i]);
+    out[i] = std::bit_cast<double>(
         k ^ ((k >> 63) != 0 ? std::uint64_t{1} << 63 : ~std::uint64_t{0}));
   }
+  v.resize(n);
 }
 
 /// The first zero ordinate met walking each bound from its minimum up,
@@ -137,7 +166,8 @@ BoundTable build_bounds(const geom::PolygonSet& subject,
                         const geom::PolygonSet& clip) {
   BoundTable bt;
   std::vector<double> ys;
-  build_bounds_into(bt, ys, subject, clip);
+  geom::Contour prep;
+  build_bounds_into(bt, ys, subject, clip, prep);
   return bt;
 }
 
@@ -150,10 +180,9 @@ void sort_minima(BoundTable& bt) {
 
 void build_bounds_into(BoundTable& bt, std::vector<double>& ys,
                        const geom::PolygonSet& subject,
-                       const geom::PolygonSet& clip) {
+                       const geom::PolygonSet& clip, geom::Contour& prep) {
   bt.edges.clear();
   bt.minima.clear();
-  geom::Contour prep;
   for (const auto& c : subject.contours)
     if (prepare_contour_points(c, prep))
       append_bounds(bt, prep, /*is_clip=*/false);
@@ -161,6 +190,11 @@ void build_bounds_into(BoundTable& bt, std::vector<double>& ys,
     if (prepare_contour_points(c, prep))
       append_bounds(bt, prep, /*is_clip=*/true);
   sort_minima(bt);
+  // A schedule long enough to radix-sort gets room for the sort's buffer
+  // in ys's own tail: a reused ys then builds it without allocating.
+  if (const std::size_t n = bt.edges.size() + bt.minima.size();
+      n >= kRadixSortMin)
+    ys.reserve(2 * n);
   scanbeam_ys_merged_into(bt, ys);
 }
 

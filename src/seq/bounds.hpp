@@ -146,11 +146,14 @@ void merge_sorted_runs_unique(std::vector<double>& ys,
 /// prepare_contour_points, its bounds appended (subject contours first),
 /// the minima sorted, and the scanbeam schedule built into `ys` by
 /// scanbeam_ys_merged_into. Both outputs are cleared with capacity
-/// retained, so repeated clips reuse their storage. Preparing contour by
-/// contour is bit-identical to the slab engine's prepared fragments.
+/// retained, so repeated clips reuse their storage. Each contour is
+/// prepared in `prep` (overwritten, capacity retained; vatti_clip passes
+/// its scratch's, so a warmed scratch builds its bounds without
+/// allocating). Preparing contour by contour is bit-identical to the slab
+/// engine's prepared fragments.
 void build_bounds_into(BoundTable& bt, std::vector<double>& ys,
                        const geom::PolygonSet& subject,
-                       const geom::PolygonSet& clip);
+                       const geom::PolygonSet& clip, geom::Contour& prep);
 
 /// As build_bounds_into, returning the table and dropping the schedule.
 BoundTable build_bounds(const geom::PolygonSet& subject,

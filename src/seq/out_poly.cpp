@@ -11,13 +11,12 @@ std::int32_t OutPolyPool::create(const geom::Point& p, bool hole,
                                  std::int32_t front_edge,
                                  std::int32_t back_edge) {
   Poly poly;
-  poly.pts.push_back(p);
-  ++total_vertices_;
+  push_back(poly, p);
   poly.hole = hole;
   poly.min_y = p.y;
   poly.front_owner = front_edge;
   poly.back_owner = back_edge;
-  polys_.push_back(std::move(poly));
+  polys_.push_back(poly);
   return static_cast<std::int32_t>(polys_.size() - 1);
 }
 
@@ -35,6 +34,38 @@ std::int32_t OutPolyPool::resolve(std::int32_t id) const {
   return id;
 }
 
+void OutPolyPool::push_front(Poly& pl, const geom::Point& p) {
+  const auto id = static_cast<std::int32_t>(nodes_.size());
+  nodes_.push_back({p, -1, pl.head});
+  if (pl.head >= 0)
+    nodes_[static_cast<std::size_t>(pl.head)].prev = id;
+  else
+    pl.tail = id;
+  pl.head = id;
+  ++pl.count;
+}
+
+void OutPolyPool::push_back(Poly& pl, const geom::Point& p) {
+  const auto id = static_cast<std::int32_t>(nodes_.size());
+  nodes_.push_back({p, pl.tail, -1});
+  if (pl.tail >= 0)
+    nodes_[static_cast<std::size_t>(pl.tail)].next = id;
+  else
+    pl.head = id;
+  pl.tail = id;
+  ++pl.count;
+}
+
+void OutPolyPool::reverse(Poly& pl) {
+  for (std::int32_t i = pl.head; i >= 0;) {
+    Node& n = nodes_[static_cast<std::size_t>(i)];
+    std::swap(n.prev, n.next);
+    i = n.prev;  // the old next
+  }
+  std::swap(pl.head, pl.tail);
+  std::swap(pl.front_owner, pl.back_owner);
+}
+
 bool OutPolyPool::owns_front(const Poly& p, std::int32_t edge) {
   assert(p.front_owner == edge || p.back_owner == edge);
   return p.front_owner == edge;
@@ -43,23 +74,21 @@ bool OutPolyPool::owns_front(const Poly& p, std::int32_t edge) {
 void OutPolyPool::extend(std::int32_t poly, std::int32_t edge,
                          const geom::Point& p) {
   Poly& pl = at(resolve(poly));
-  ++total_vertices_;
   if (owns_front(pl, edge))
-    pl.pts.push_front(p);
+    push_front(pl, p);
   else
-    pl.pts.push_back(p);
+    push_back(pl, p);
 }
 
 void OutPolyPool::extend_reassign(std::int32_t poly, std::int32_t edge,
                                   const geom::Point& p,
                                   std::int32_t new_edge) {
   Poly& pl = at(resolve(poly));
-  ++total_vertices_;
   if (owns_front(pl, edge)) {
-    pl.pts.push_front(p);
+    push_front(pl, p);
     pl.front_owner = new_edge;
   } else {
-    pl.pts.push_back(p);
+    push_back(pl, p);
     pl.back_owner = new_edge;
   }
 }
@@ -83,12 +112,11 @@ OutPolyPool::EndRef OutPolyPool::locate_end(std::int32_t poly,
 void OutPolyPool::extend_reassign_end(EndRef ref, const geom::Point& p,
                                       std::int32_t new_edge) {
   Poly& pl = at(ref.poly);
-  ++total_vertices_;
   if (ref.front) {
-    pl.pts.push_front(p);
+    push_front(pl, p);
     pl.front_owner = new_edge;
   } else {
-    pl.pts.push_back(p);
+    push_back(pl, p);
     pl.back_owner = new_edge;
   }
 }
@@ -102,8 +130,7 @@ void OutPolyPool::close(std::int32_t poly_a, std::int32_t edge_a,
   if (ida == idb) {
     Poly& pl = at(ida);
     // Both ends of the same partial contour meet: the ring is complete.
-    pl.pts.push_back(p);
-    ++total_vertices_;
+    push_back(pl, p);
     pl.closed = true;
     pl.front_owner = pl.back_owner = -1;
     return;
@@ -115,28 +142,25 @@ void OutPolyPool::close(std::int32_t poly_a, std::int32_t edge_a,
   const bool b_front = owns_front(b, edge_b);
 
   // Normalize to the back(a) -- p -- front(b) case, reversing the shorter
-  // list when the meeting ends have the same polarity (which legitimately
+  // chain when the meeting ends have the same polarity (which legitimately
   // happens when contours have been grown from minima of either parity).
-  auto reverse_poly = [](Poly& pl) {
-    pl.pts.reverse();
-    std::swap(pl.front_owner, pl.back_owner);
-  };
-
-  if (a_front && b_front) {
-    if (a.pts.size() < b.pts.size()) reverse_poly(a); else reverse_poly(b);
-  } else if (!a_front && !b_front) {
-    if (a.pts.size() < b.pts.size()) reverse_poly(a); else reverse_poly(b);
+  if (a_front == b_front) {
+    if (a.count < b.count) reverse(a); else reverse(b);
   }
 
   // After normalization exactly one of the meeting ends is a front.
   Poly& tail = owns_front(a, edge_a) ? b : a;   // contributes its back
   Poly& head = owns_front(a, edge_a) ? a : b;   // contributes its front
   const std::int32_t tail_id = (&tail == &a) ? ida : idb;
-  const std::int32_t head_id = (&tail == &a) ? idb : ida;
 
-  tail.pts.push_back(p);
-  ++total_vertices_;
-  tail.pts.splice(tail.pts.end(), head.pts);
+  push_back(tail, p);
+  // Splice head's chain after tail's: relink the two meeting nodes.
+  nodes_[static_cast<std::size_t>(tail.tail)].next = head.head;
+  nodes_[static_cast<std::size_t>(head.head)].prev = tail.tail;
+  tail.tail = head.tail;
+  tail.count += head.count;
+  head.head = head.tail = -1;
+  head.count = 0;
   tail.back_owner = head.back_owner;
   // The ring's hole-ness is decided at its *global* minimum: a partial
   // started at a concave notch inside the interior carries hole=true even
@@ -148,17 +172,25 @@ void OutPolyPool::close(std::int32_t poly_a, std::int32_t edge_a,
   }
   head.redirect = tail_id;
   head.front_owner = head.back_owner = -1;
-  (void)head_id;
 }
 
 geom::PolygonSet OutPolyPool::harvest(double min_area) const {
+  const auto harvested = [](const Poly& pl) {
+    return pl.redirect < 0 && pl.closed && pl.count >= 3;
+  };
   geom::PolygonSet out;
+  out.contours.reserve(static_cast<std::size_t>(
+      std::count_if(polys_.begin(), polys_.end(), harvested)));
   for (const auto& pl : polys_) {
-    if (pl.redirect >= 0 || !pl.closed) continue;
-    if (pl.pts.size() < 3) continue;
+    if (!harvested(pl)) continue;
     geom::Contour c;
     c.hole = pl.hole;
-    c.pts.assign(pl.pts.begin(), pl.pts.end());
+    c.pts.reserve(pl.count);
+    for (std::int32_t i = pl.head; i >= 0;) {
+      const Node& n = nodes_[static_cast<std::size_t>(i)];
+      c.pts.push_back(n.p);
+      i = n.next;
+    }
     // Collapse consecutive duplicates (events at shared points can emit
     // the same vertex twice).
     auto last = std::unique(c.pts.begin(), c.pts.end());

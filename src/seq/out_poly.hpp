@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
 #include <vector>
 
 #include "geom/polygon.hpp"
@@ -18,6 +18,12 @@ namespace psclip::seq {
 /// polygons" at the sequential level), and tracks, per list end, which
 /// sweep edge currently owns it so that the event machinery never needs
 /// left/right bookkeeping of its own.
+///
+/// The vertices of every partial contour live in one pool-wide arena: a
+/// flat vector of nodes {point, prev, next} linked by index, so growing an
+/// end is an append, joining two contours relinks two nodes, and reset()
+/// keeps the arena's capacity — a reused pool allocates nothing once its
+/// high-water mark is reached.
 ///
 /// Edges are identified by caller-chosen int32 ids (the clippers use the
 /// BoundTable edge index).
@@ -78,26 +84,29 @@ class OutPolyPool {
   [[nodiscard]] std::size_t size() const { return polys_.size(); }
 
   /// Total vertices appended since the last reset() (splices conserve the
-  /// count; reversals don't touch it). O(1) — the per-scanbeam budget
-  /// checkpoint reads this to charge output growth preemptively, the only
-  /// structure whose size is output-sensitive rather than input-bounded.
-  [[nodiscard]] std::size_t total_vertices() const { return total_vertices_; }
+  /// count; reversals don't touch it): the arena's node count.
+  [[nodiscard]] std::size_t total_vertices() const { return nodes_.size(); }
 
-  /// Approximate resident bytes: record array capacity plus list nodes
-  /// (vertex + two links + allocator header per node).
+  /// Resident bytes: the capacities of the record array and of the
+  /// vertex arena, including what earlier runs on a reused pool left.
   [[nodiscard]] std::size_t resident_bytes() const {
-    return polys_.capacity() * sizeof(Poly) + total_vertices_ * kVertexBytes;
+    return polys_.capacity() * sizeof(Poly) + nodes_.capacity() * sizeof(Node);
   }
 
-  /// Estimated heap cost of one list-node vertex.
-  static constexpr std::size_t kVertexBytes =
-      sizeof(geom::Point) + 3 * sizeof(void*);
+  /// Bytes this run's records and vertices occupy. The sweep charges this
+  /// against the request's memory budget as the output grows: unlike the
+  /// capacities, it follows from the run alone, not from what the pool
+  /// held before.
+  [[nodiscard]] std::size_t used_bytes() const {
+    return polys_.size() * sizeof(Poly) + nodes_.size() * sizeof(Node);
+  }
 
-  /// Drop all poly records, retaining the record array's capacity — lets a
-  /// pooled sweep scratch reuse the same OutPolyPool across runs.
+  /// Drop all poly records and vertices, retaining the capacity of both
+  /// arrays — lets a pooled sweep scratch reuse the same OutPolyPool across
+  /// runs.
   void reset() {
     polys_.clear();
-    total_vertices_ = 0;
+    nodes_.clear();
   }
 
   /// Pre-size the record array (the sweep reserves one slot per local
@@ -110,8 +119,19 @@ class OutPolyPool {
   [[nodiscard]] geom::PolygonSet harvest(double min_area = 0.0) const;
 
  private:
+  /// One vertex of a partial contour, linked to its neighbours by arena
+  /// index (-1 past either end).
+  struct Node {
+    geom::Point p;
+    std::int32_t prev = -1;
+    std::int32_t next = -1;
+  };
+  /// A partial contour: the chain head (front end) .. tail (back end) in
+  /// the arena, plus its ownership and ring bookkeeping.
   struct Poly {
-    std::list<geom::Point> pts;
+    std::int32_t head = -1;
+    std::int32_t tail = -1;
+    std::size_t count = 0;  ///< vertices in the chain
     bool hole = false;
     double min_y = 0.0;  ///< y of the minimum this partial started at
     bool closed = false;
@@ -120,8 +140,13 @@ class OutPolyPool {
     std::int32_t back_owner = -1;
   };
   std::vector<Poly> polys_;
-  std::size_t total_vertices_ = 0;
+  std::vector<Node> nodes_;
 
+  void push_front(Poly& pl, const geom::Point& p);
+  void push_back(Poly& pl, const geom::Point& p);
+  /// Reverse pl's chain in place (swap every node's links, then the ends)
+  /// and swap its end owners.
+  void reverse(Poly& pl);
   Poly& at(std::int32_t id) { return polys_[static_cast<std::size_t>(id)]; }
   /// True if `edge` owns the front end of `p` (asserts it owns some end).
   static bool owns_front(const Poly& p, std::int32_t edge);

@@ -110,9 +110,16 @@ void process_crossings(OutPolyPool& pool, const BoundTable& bt, std::size_t n,
                        EntryAt&& at, PosOf&& pos_of, Swap&& swap,
                        std::vector<Crossing>& pending,
                        std::vector<Crossing>& deferred, geom::BoolOp op) {
-  std::stable_sort(
-      pending.begin(), pending.end(),
-      [](const Crossing& a, const Crossing& b) { return a.p.y < b.p.y; });
+  // Stable by crossing y. A beam's list is a handful of crossings: an
+  // insertion sort orders it in place, where std::stable_sort would
+  // allocate a buffer every beam.
+  for (std::size_t i = 1; i < pending.size(); ++i) {
+    const Crossing c = pending[i];
+    std::size_t j = i;
+    for (; j > 0 && c.p.y < pending[j - 1].p.y; --j)
+      pending[j] = pending[j - 1];
+    pending[j] = c;
+  }
   // Emit at the pair's current slots (roles flip with the current order)
   // and swap them; false, doing nothing, if they are not adjacent.
   auto cross = [&](const Crossing& ev, bool forced) {

@@ -279,12 +279,13 @@ bool env_validate_enabled() {
 }  // namespace
 
 /// All buffers the sweep works in. Owned by VattiScratch so that a
-/// per-worker arena clears them (capacity retained) instead of paying a
+/// reused scratch clears them (capacity retained) instead of paying a
 /// fresh round of allocations per call — and, for the per-beam event
 /// buffers, per scanbeam.
 struct VattiScratch::Impl {
   BoundTable bt;
   std::vector<double> ys;          ///< scanbeam schedule
+  geom::Contour prep;              ///< build_bounds_into's prepared contour
   // The active edge table, indexed by slot: the sweep-status entries and
   // the order certificate of each slot and its right neighbour.
   std::vector<SweepEntry> aet;
@@ -336,7 +337,8 @@ std::size_t VattiScratch::resident_bytes() const {
   auto vec = [](const auto& v) {
     return v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type);
   };
-  return vec(s.bt.edges) + vec(s.bt.minima) + vec(s.ys) + vec(s.aet) +
+  return vec(s.bt.edges) + vec(s.bt.minima) + vec(s.ys) + vec(s.prep.pts) +
+         vec(s.aet) +
          vec(s.cert) + vec(s.ext) + vec(s.pos) + vec(s.queue) + vec(s.sort) +
          vec(s.dirty) + vec(s.checks) + vec(s.marks) + vec(s.ends) +
          vec(s.events) + vec(s.deferred) + vec(s.keys) + vec(s.staged) +
@@ -382,18 +384,20 @@ class Sweep {
     // cooperative cancellation checkpoint and the preemptive charge for
     // output growth — the only structure a hostile input can blow up
     // beyond any input-proportional bound. The charge is a watermark over
-    // the pool's O(1) vertex counter and releases with this scope if the
-    // sweep unwinds. Both run every kGovernedBeams beams (and the
-    // checkpoint reads the clock on every 32nd call): a beam that only
-    // pops an end costs a few hundred cycles, and the bench_governance_
-    // overhead gate holds their share under 1%.
+    // the bytes this run's output occupies in the pool (its vertices and
+    // records; not the capacity a reused pool kept from earlier runs, so
+    // the outcome follows from the request alone) and releases with this
+    // scope if the sweep unwinds. Both run every
+    // kGovernedBeams beams (and the checkpoint reads the clock on every
+    // 32nd call): a beam that only pops an end costs a few hundred
+    // cycles, and the bench_governance_overhead gate holds their share
+    // under 1%.
     constexpr std::size_t kGovernedBeams = 8;
     par::gov::ScopedCharge out_charge;
     for (std::size_t i = 0; i + 1 < ys.size(); ++i) {
       if (i % kGovernedBeams == 0) {
         par::gov::checkpoint();
-        out_charge.raise_to(pool_.total_vertices() *
-                            OutPolyPool::kVertexBytes);
+        out_charge.raise_to(pool_.used_bytes());
       }
       const double yb = ys[i];
       const double yt = ys[i + 1];
@@ -1177,14 +1181,18 @@ PolygonSet run_sweep(const BoundTable& bt, VattiScratch& sc, BoolOp op,
 
 }  // namespace
 
+VattiScratch& thread_scratch() {
+  thread_local VattiScratch scratch;
+  return scratch;
+}
+
 PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
                       BoolOp op, VattiStats* stats, VattiScratch* scratch) {
   par::fault::inject(par::fault::Site::kVattiSweep);
-  VattiScratch local;
-  VattiScratch& sc = scratch ? *scratch : local;
-  BoundTable& bt = sc.impl->bt;
-  build_bounds_into(bt, sc.impl->ys, subject, clip);
-  return run_sweep(bt, sc, op, stats, SweepWindow{});
+  VattiScratch& sc = scratch ? *scratch : thread_scratch();
+  VattiScratch::Impl& s = *sc.impl;
+  build_bounds_into(s.bt, s.ys, subject, clip, s.prep);
+  return run_sweep(s.bt, sc, op, stats, SweepWindow{});
 }
 
 PolygonSet vatti_sweep_window(const BoundTable& bt, const SweepWindow& w,

@@ -57,16 +57,18 @@ struct VattiStats {
   std::int64_t boundary_edges = 0;
 };
 
-/// Reusable scratch for vatti_clip: the active edge table, the per-scanbeam
-/// intersection-event buffers, the bound table and the scanbeam schedule
-/// all live here and are cleared — capacity retained — instead of being
-/// reallocated on every call (and, for the per-beam buffers, on every
-/// scanbeam). A slab-arena worker keeps one VattiScratch alive across all
-/// the slab tasks it executes; without it the per-slab allocation churn
-/// dominates many-slab/oversubscribed Algorithm 2 runs.
+/// Reusable scratch for the sweep: the bound table, the scanbeam schedule,
+/// the prepared-contour buffer, the active edge table, the per-scanbeam
+/// event buffers and the output pool's vertex arena all live here and are
+/// cleared — capacity retained — instead of being reallocated on every
+/// call (and, for the per-beam buffers, on every scanbeam). Each thread
+/// has one (thread_scratch()): vatti_clip without a scratch argument and
+/// the slab engine's healthy rung both sweep on it, so a warmed thread's
+/// clip allocates only its result.
 ///
 /// Owned by exactly one thread at a time; reuse never changes results
-/// (cleared buffers are indistinguishable from fresh ones).
+/// (cleared buffers are indistinguishable from fresh ones), also after a
+/// sweep that unwound part way.
 struct VattiScratch {
   VattiScratch();
   ~VattiScratch();
@@ -91,7 +93,8 @@ struct VattiScratch {
   /// Approximate bytes resident in this scratch's buffers (capacities, not
   /// sizes — pooled buffers keep capacity across runs, and capacity is what
   /// the process actually holds). Powers SlabLoad::peak_arena_bytes and the
-  /// memory-budget accounting of DESIGN.md §11.
+  /// slab attempt's memory-budget charge (DESIGN.md §11); the sweep's own
+  /// output charge counts only the run's output, not this capacity.
   [[nodiscard]] std::size_t resident_bytes() const;
 
   struct Impl;  // buffer bundle, private to vatti.cpp
@@ -107,13 +110,21 @@ struct VattiScratch {
 /// internally by the paper's perturbation preprocessing (§III-C). Output
 /// contours are oriented exterior-CCW / hole-CW and never self-intersect.
 ///
-/// `scratch`, when given, supplies the sweep's working buffers and is
-/// reset internally — pass a per-worker instance to amortize allocations
-/// across calls; results are identical either way.
+/// `scratch` supplies the sweep's working buffers and is reset internally;
+/// without one the sweep runs on the calling thread's thread_scratch().
+/// Results are identical either way, and so is the memory-budget charge
+/// under a governed request.
 geom::PolygonSet vatti_clip(const geom::PolygonSet& subject,
                             const geom::PolygonSet& clip, geom::BoolOp op,
                             VattiStats* stats = nullptr,
                             VattiScratch* scratch = nullptr);
+
+/// The calling thread's sweep scratch, created on first use and freed
+/// when the thread exits. The caller must not hold it across another
+/// sweep on the same thread that uses it too (vatti_clip without a
+/// scratch argument): sweeps do not nest, so borrowing it for one sweep
+/// call at a time is enough.
+VattiScratch& thread_scratch();
 
 // Forward declaration (seq/bounds.hpp owns the definition).
 struct BoundTable;

@@ -307,7 +307,8 @@ inline std::pair<geom::PolygonSet, geom::PolygonSet> sweep_two_windows(
     double line, seq::VattiScratch& scratch, std::int64_t* validate_failures) {
   seq::BoundTable bt;
   std::vector<double> ys;
-  seq::build_bounds_into(bt, ys, a, b);
+  geom::Contour prep;
+  seq::build_bounds_into(bt, ys, a, b, prep);
   std::vector<std::int32_t> seeds;
   for (std::size_t e = 0; e < bt.edges.size(); ++e)
     if (bt.edges[e].bot.y < line && line < bt.edges[e].top.y)

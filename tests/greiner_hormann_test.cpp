@@ -1,11 +1,15 @@
 // Greiner–Hormann, the bench-local clipper behind bench_ablation_clippers'
-// §IV comparison (bench/greiner_hormann.hpp), against the area oracle.
+// §IV comparison (bench/greiner_hormann.hpp), against the area oracle, and
+// its rings against geom::validate: no ring may cross itself or another
+// (ring_crossings), which the area alone cannot see.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 
 #include "geom/area_oracle.hpp"
+#include "geom/validate.hpp"
 #include "greiner_hormann.hpp"
 #include "test_support.hpp"
 
@@ -29,6 +33,8 @@ TEST_P(GhOps, MatchesOracleOnRandomSimplePolygons) {
     const double want = geom::boolean_area_oracle(a, b, op);
     EXPECT_TRUE(test::areas_match(got, want))
         << geom::to_string(op) << " got=" << got << " want=" << want;
+    EXPECT_EQ(ring_crossings(g), 0u)
+        << geom::to_string(op) << "\n" << geom::validation_report(g);
   }
 }
 
@@ -55,6 +61,11 @@ TEST(GreinerHormann, NoIntersectionCases) {
   EXPECT_NEAR(
       geom::even_odd_area(greiner_hormann(outer, far, BoolOp::kUnion)),
       104.0, 1e-9);
+  for (const BoolOp op : geom::kAllOps)
+    for (const auto& [s, c] : {std::pair{inner, outer}, std::pair{outer, inner},
+                               std::pair{outer, far}})
+      EXPECT_EQ(ring_crossings(greiner_hormann(s, c, op)), 0u)
+          << geom::to_string(op);
 }
 
 TEST(GreinerHormann, MultipleResultRings) {
@@ -67,6 +78,9 @@ TEST(GreinerHormann, MultipleResultRings) {
   EXPECT_NEAR(geom::even_odd_area(
                   greiner_hormann(tall, wide, BoolOp::kXor)),
               32.0, 1e-9);
+  for (const BoolOp op : geom::kAllOps)
+    EXPECT_EQ(ring_crossings(greiner_hormann(tall, wide, op)), 0u)
+        << geom::to_string(op);
 }
 
 }  // namespace

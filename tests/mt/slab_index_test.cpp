@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "data/synthetic.hpp"
 #include "geom/polygon.hpp"
 #include "mt/algorithm2.hpp"
-#include "mt/arena.hpp"
 #include "seq/bounds.hpp"
 #include "seq/vatti.hpp"
 #include "test_support.hpp"
@@ -270,22 +270,30 @@ TEST(Algorithm2Partition, InputEdgesReportPostIndexVattiWork) {
 }
 
 TEST(SlabArena, PerThreadReuseAcrossRuns) {
-  seq::VattiScratch& first = worker_arena();
-  seq::VattiScratch& second = worker_arena();
-  EXPECT_EQ(&first, &second);  // same thread, same arena
-  EXPECT_GE(worker_arena_count(), 1u);
+  // One scratch per thread: the same object on every call from this
+  // thread, another one on another thread.
+  seq::VattiScratch& first = seq::thread_scratch();
+  seq::VattiScratch& second = seq::thread_scratch();
+  EXPECT_EQ(&first, &second);
+  const seq::VattiScratch* other = nullptr;
+  std::thread([&other] { other = &seq::thread_scratch(); }).join();
+  EXPECT_NE(other, &first);
 
+  // vatti_clip without a scratch sweeps on the thread's; passing it
+  // explicitly is the same scratch.
   const std::uint64_t runs_before = first.runs;
   const PolygonSet a = test::random_polygon(11, 16, 0, 0, 5);
   const PolygonSet b = test::random_polygon(12, 14, 1, 0, 4);
   seq::VattiStats s1, s2;
-  const PolygonSet r1 =
-      seq::vatti_clip(a, b, BoolOp::kIntersection, &s1, &first);
+  const PolygonSet r1 = seq::vatti_clip(a, b, BoolOp::kIntersection, &s1);
   const PolygonSet r2 =
       seq::vatti_clip(a, b, BoolOp::kIntersection, &s2, &first);
   EXPECT_EQ(first.runs, runs_before + 2);
   expect_identical(r1, r2, "scratch reuse");
-  const PolygonSet fresh = seq::vatti_clip(a, b, BoolOp::kIntersection);
+  seq::VattiScratch fresh_scratch;
+  const PolygonSet fresh =
+      seq::vatti_clip(a, b, BoolOp::kIntersection, nullptr, &fresh_scratch);
+  EXPECT_EQ(fresh_scratch.runs, 1u);
   expect_identical(r1, fresh, "scratch vs fresh");
 }
 

@@ -120,7 +120,7 @@ TEST(Bounds, ScanbeamYsSortedDistinct) {
 }
 
 // The sweep's schedule sorts only the minima ys and the edge tops (by
-// radix sort from 320 values); the sorted oracle sorts all endpoints. The
+// radix sort from 160 values); the sorted oracle sorts all endpoints. The
 // two builders must produce the *identical* vector (same length, same
 // values).
 TEST(Bounds, MergedScheduleEqualsSortUnique) {
@@ -396,7 +396,8 @@ TEST(RingBounds, SignedZeroOrdinatesKeepTheirBits) {
   clip.add(b);
   BoundTable bt;
   std::vector<double> ys;
-  build_bounds_into(bt, ys, subject, clip);
+  geom::Contour prep;
+  build_bounds_into(bt, ys, subject, clip, prep);
   EXPECT_EQ(ys_digest(ys), 0x8f64dda0f951e664ull);
 
   par::ThreadPool pool(4);
@@ -423,6 +424,43 @@ TEST(RingBounds, SignedZeroOrdinatesKeepTheirBits) {
       EXPECT_EQ(golden::output_digest(
                     mt::slab_clip(subject, clip, o.op, pool, opts)),
                 slabs == 1 ? o.vatti : o.slab3);
+    }
+  }
+}
+
+// The zero a schedule keeps is the one met first walking the bounds, on
+// both sides of the radix threshold: a sawtooth whose two zero minima come
+// first in minima order (x = 0 before x = 2), with either sign first, as a
+// short schedule (std::sort) and as one of more than 160 values (radix),
+// sorted in a fresh vector and in one with room for the radix buffer.
+TEST(RingBounds, SignedZeroOnBothSortPaths) {
+  for (const bool negative_first : {false, true}) {
+    for (const int teeth : {60, 600}) {
+      geom::Contour saw;
+      for (int i = 0; i < teeth; ++i) {
+        const double low = i == 0   ? (negative_first ? -0.0 : 0.0)
+                           : i == 2 ? (negative_first ? 0.0 : -0.0)
+                                    : 1e-3 * i;
+        saw.pts.push_back(
+            {static_cast<double>(i), i % 2 == 0 ? low : 10.0 + 0.1 * (i % 7)});
+      }
+      saw.pts.push_back({static_cast<double>(teeth), 20.0});
+      saw.pts.push_back({-1.0, 20.5});
+      PreparedContour pc;
+      ASSERT_TRUE(prepare_contour(saw, false, pc));
+      SCOPED_TRACE(std::to_string(pc.bt.minima.size() + pc.bt.edges.size()) +
+                   " schedule values");
+      const std::size_t n = pc.bt.minima.size() + pc.bt.edges.size();
+      EXPECT_EQ(teeth > 100, n >= 160);
+      std::vector<double> roomy;
+      roomy.reserve(2 * n);
+      scanbeam_ys_merged_into(pc.bt, roomy);
+      for (const std::vector<double>* ys : {&pc.ys, &roomy}) {
+        EXPECT_EQ(sorted_ys(pc.bt), *ys);  // up to the zero's sign
+        const auto z = std::lower_bound(ys->begin(), ys->end(), 0.0);
+        ASSERT_TRUE(z != ys->end() && *z == 0.0);
+        EXPECT_EQ(std::signbit(*z), negative_first);
+      }
     }
   }
 }

@@ -241,7 +241,8 @@ TEST(SeamFree, PartialResultWeldsOnlyBetweenCompletedSlabs) {
   constexpr unsigned kSlabs = 6;
   seq::BoundTable bt;
   std::vector<double> ys;
-  seq::build_bounds_into(bt, ys, pair.subject, pair.clip);
+  geom::Contour prep;
+  seq::build_bounds_into(bt, ys, pair.subject, pair.clip, prep);
   const std::vector<double> lines = mt::slab_lines(ys, kSlabs);
   ASSERT_EQ(lines.size(), kSlabs - 1);
   par::ThreadPool serial(1);

@@ -18,20 +18,31 @@
 //   * sorted-beam counting: beams without crossings must count as sorted
 //     (sorted_beams counter), beams with crossings must not, and the same
 //     split must reach the obs counter sink.
+//   * the per-thread scratch (seq::thread_scratch) behind vatti_clip without
+//     a scratch argument: a clip after a sweep that unwound part way on it
+//     returns the golden bytes, and threads clipping at once each match a
+//     fresh scratch.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "data/synthetic.hpp"
+#include "error.hpp"
 #include "fuzz_cases.hpp"
 #include "geom/polygon.hpp"
 #include "golden_digests.hpp"
 #include "obs/trace.hpp"
+#include "parallel/cancel.hpp"
+#include "parallel/fault.hpp"
 #include "parallel/thread_pool.hpp"
 #include "seq/sweep_events.hpp"
 #include "seq/vatti.hpp"
@@ -196,7 +207,8 @@ void check_certificate_input(const std::string& name) {
       [&] {
         seq::BoundTable bt;
         std::vector<double> v;
-        seq::build_bounds_into(bt, v, in.a, in.b);
+        geom::Contour prep;
+        seq::build_bounds_into(bt, v, in.a, in.b, prep);
         return v;
       }();
   ASSERT_GE(ys.size(), 4u) << name;
@@ -403,6 +415,156 @@ TEST(VattiValidateHook, ForcedOffIgnoresScratchDefault) {
   EXPECT_EQ(st_off.validate_failures, 0);
   EXPECT_EQ(st_on.validate_failures, 0);
   expect_identical(r_off, r_on, "validate on/off");
+}
+
+// ---------------------------------------------------------------------------
+// The per-thread scratch
+// ---------------------------------------------------------------------------
+
+/// vatti_clip's digest of every top/* input under every operator against
+/// the golden table, on the calling thread's scratch.
+void expect_top_inputs_golden() {
+  for (const golden::NamedInput& in : golden::top_step_inputs())
+    for (const geom::BoolOp op : geom::kAllOps)
+      expect_golden(golden::key(in.name, op, "vatti"),
+                    golden::output_digest(seq::vatti_clip(in.a, in.b, op)));
+}
+
+// A sweep that unwinds part way leaves its thread's scratch holding half a
+// run: an AET, queued ends, partial contours in the vertex arena. The next
+// clip on that scratch must not see any of it.
+TEST(VattiThreadScratch, CleanClipAfterMidSweepThrowIsGolden) {
+  // Two convex 8000-gons: two minima, so the pool's first charge fits in
+  // one budget granule, and an output of thousands of vertices, whose
+  // arena outgrows it part way up the sweep.
+  const PolygonSet a = data::random_convex(41, 8000, 0.0, 0.0, 10.0);
+  const PolygonSet b = data::random_convex(42, 8000, 3.0, 1.0, 10.0);
+  constexpr geom::BoolOp kInt = geom::BoolOp::kIntersection;
+  seq::VattiScratch fresh;
+  const PolygonSet want = seq::vatti_clip(a, b, kInt, nullptr, &fresh);
+  constexpr std::uint64_t kGranule = par::gov::ScopedCharge::kGranule;
+  ASSERT_GT(want.num_vertices() * sizeof(geom::Point), kGranule);
+
+  // On a new thread, whose scratch starts empty.
+  std::thread([&] {
+    auto budget = std::make_shared<par::ResourceBudget>(kGranule);
+    par::CancelToken token = par::CancelToken::make();
+    token.set_budget(budget);
+    {
+      par::gov::ScopedToken scope(token);
+      try {
+        (void)seq::vatti_clip(a, b, kInt);
+        ADD_FAILURE() << "the sweep did not outgrow its budget";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+      }
+    }
+    // The sweep had charged its first granule and was growing output when
+    // the next charge failed.
+    EXPECT_EQ(budget->peak(), kGranule);
+    EXPECT_EQ(budget->used(), 0u);
+    expect_identical(seq::vatti_clip(a, b, kInt), want, "after the throw");
+    expect_top_inputs_golden();
+
+    // A fault injected at the sweep (injection builds only): a throw at
+    // entry, and a poisoned output after a whole run on the scratch.
+    if constexpr (par::fault::kEnabled) {
+      for (const par::fault::Kind kind :
+           {par::fault::Kind::kThrow, par::fault::Kind::kCorrupt}) {
+        par::fault::Plan plan;
+        plan.site = par::fault::Site::kVattiSweep;
+        plan.kind = kind;
+        par::fault::arm(plan);
+        try {
+          (void)seq::vatti_clip(a, b, kInt);
+        } catch (const Error&) {
+        }
+        par::fault::disarm();
+        EXPECT_EQ(par::fault::fired(), 1u) << par::fault::to_string(kind);
+        expect_identical(seq::vatti_clip(a, b, kInt), want, "after a fault");
+        expect_top_inputs_golden();
+      }
+    }
+  }).join();
+}
+
+// A governed clip's budget outcome follows from its own request: the sweep
+// charges the output it builds, not the capacity that a larger clip left
+// in the thread's scratch. A small union is clipped under one budget that
+// it fits and one that it does not, on a new thread and on a thread that
+// has just clipped a 24k-edge pair; both the outcome and the budget's peak
+// must agree.
+TEST(VattiThreadScratch, GovernedOutcomeIgnoresThreadHistory) {
+  const data::SyntheticPair small = data::synthetic_pair(5, 300);
+  const data::SyntheticPair large = data::synthetic_pair(6, 24000);
+  constexpr geom::BoolOp kUnion = geom::BoolOp::kUnion;
+  struct Outcome {
+    bool ok = false;
+    std::uint64_t peak = 0;
+  };
+  const auto governed = [&](std::uint64_t limit) {
+    auto budget = std::make_shared<par::ResourceBudget>(limit);
+    par::CancelToken token = par::CancelToken::make();
+    token.set_budget(budget);
+    par::gov::ScopedToken scope(token);
+    Outcome out;
+    try {
+      (void)seq::vatti_clip(small.subject, small.clip, kUnion);
+      out.ok = true;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+    }
+    out.peak = budget->peak();
+    return out;
+  };
+  constexpr std::uint64_t kGranule = par::gov::ScopedCharge::kGranule;
+  for (const std::uint64_t limit : {kGranule / 2, 2 * kGranule}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    Outcome fresh;
+    Outcome warmed;
+    std::thread([&] { fresh = governed(limit); }).join();
+    std::thread([&] {
+      (void)seq::vatti_clip(large.subject, large.clip, kUnion);
+      warmed = governed(limit);
+    }).join();
+    EXPECT_EQ(fresh.ok, limit > kGranule);
+    EXPECT_EQ(warmed.ok, fresh.ok);
+    EXPECT_EQ(warmed.peak, fresh.peak);
+  }
+}
+
+// Threads clipping at once, each on its own scratch, reused across the
+// clips it makes: every output equals a fresh scratch's byte for byte.
+TEST(VattiThreadScratch, ConcurrentThreadsMatchFreshScratch) {
+  std::vector<FuzzCase> cases = fuzz::make_cases();
+  cases.resize(std::min<std::size_t>(cases.size(), 48));
+  std::vector<Inputs> inputs;
+  std::vector<std::uint64_t> want;
+  for (const FuzzCase& c : cases) {
+    inputs.push_back(make_inputs(c));
+    seq::VattiScratch fresh;
+    want.push_back(golden::output_digest(seq::vatti_clip(
+        inputs.back().a, inputs.back().b, c.op, nullptr, &fresh)));
+  }
+  constexpr std::size_t kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      // Each thread walks the cases from its own offset, so the threads
+      // sweep different inputs at the same time.
+      for (int round = 0; round < kRounds; ++round)
+        for (std::size_t k = 0; k < cases.size(); ++k) {
+          const std::size_t i = (k + t * cases.size() / kThreads) %
+                                cases.size();
+          const std::uint64_t got = golden::output_digest(
+              seq::vatti_clip(inputs[i].a, inputs[i].b, cases[i].op));
+          if (got != want[i]) mismatches.fetch_add(1);
+        }
+    });
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 }  // namespace

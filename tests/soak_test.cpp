@@ -21,8 +21,8 @@
 //   * the budget meter balances: used() returns to zero however the run
 //     ended, and peak() never exceeds the limit;
 //   * after a trip, an ungoverned re-run is byte-identical to the
-//     reference — aborted attempts must not poison pooled worker arenas
-//     or any other cross-request state.
+//     reference — aborted attempts must not poison the threads' reused
+//     sweep scratch or any other cross-request state.
 
 #include <gtest/gtest.h>
 

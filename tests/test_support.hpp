@@ -108,7 +108,8 @@ inline Partitioned partition(par::ThreadPool& pool, const geom::PolygonSet& a,
                              const geom::PolygonSet& b = {}) {
   Partitioned p;
   std::vector<double> ys;
-  seq::build_bounds_into(p.bt, ys, a, b);
+  geom::Contour prep;
+  seq::build_bounds_into(p.bt, ys, a, b, prep);
   p.part = core::partition_scanbeams(pool, p.bt, std::move(ys));
   return p;
 }
