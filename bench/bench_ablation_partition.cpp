@@ -21,8 +21,15 @@
 // Section 3 — the prologue split: slab_clip's setup steps (prepare,
 // table, sort_minima, schedule, index) at pool sizes 1 / 2 / 4,
 // each step's wall and CPU on every thread read from the spans slab_clip
-// emits. Also mirrored to the JSON report ("prologue" rows);
-// informational, no gate.
+// emits. Also mirrored to the JSON report ("prologue" rows). Beside it,
+// the minor page faults of warmed slab_clip calls of the 24k-edge pair
+// (measured first, in a fresh process): the prologue's (the alg2.setup
+// span's "minor_faults" arg) and the whole call's, and the heap bytes the
+// call allocates. The process also exits nonzero when the prologue's mean
+// faults per call exceed kGateSetupMinfltPerOp or the call's mean heap
+// bytes kGateHeapMbPerOp.
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -30,20 +37,65 @@
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
+#include <cstdlib>
 #include <iterator>
+#include <new>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/scanbeam.hpp"
 #include "data/synthetic.hpp"
+#include "geom/wkt.hpp"
 #include "mt/algorithm2.hpp"
 #include "obs/recorder.hpp"
 #include "seq/vatti.hpp"
 
 namespace {
 
+/// Bytes operator new has handed out in this process so far.
+std::atomic<std::uint64_t> g_alloc_bytes{0};
+
+void* counted_alloc(std::size_t n) {
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
 using namespace psclip;
+
+/// Most minor page faults a warmed slab_clip of Fig. 9's pair may take in
+/// its prologue (Steps 1–5), as a mean per call. Before the retained setup
+/// slot every call faulted ~1,230 pages into fresh fragment, table and
+/// index buffers. With the slot the prologue's mean is 16-20 per call on a
+/// 4-vCPU host: most calls fault 0-5 pages, and one in five or six ~100,
+/// when the slab index's per-call buffers (~35-50 pages) and
+/// prepare_contour's temporaries (~58) land on fresh pages. The bound
+/// leaves 3x headroom over that mean, and is half of a tenth of the old
+/// figure.
+constexpr double kGateSetupMinfltPerOp = 60;
+
+/// Most heap bytes (operator new, this binary's counter) the same warmed
+/// call may allocate, in MB. Whether freed buffers fault again depends on
+/// glibc's state (its mmap threshold moves with what the process freed),
+/// so a per-call prologue can fault only a few pages in some processes;
+/// the bytes it allocates do not depend on that. On a 4-thread pool a call
+/// allocates 5.5 MB (the slab index, the slab outputs, the weld and the
+/// result); with its prologue in fresh buffers it allocated 13.2 MB.
+constexpr double kGateHeapMbPerOp = 8;
 
 /// Step 2 by direct binning: each edge walks its beam range, once to count
 /// and once to report, with one atomic counter per beam. Same CSR
@@ -93,12 +145,83 @@ core::ScanbeamPartition partition_direct(par::ThreadPool& pool,
   return part;
 }
 
+/// Minor page faults and heap bytes per warmed slab_clip call of `pair` on
+/// `pool` at its default slab count, over `reps` calls after kWarmups calls that let
+/// every pool thread's sweep scratch and the setup slot grow to size.
+struct CallFaults {
+  std::vector<double> setup;  ///< the alg2.setup span's "minor_faults" arg
+  std::vector<double> call;   ///< getrusage ru_minflt delta over the call
+  std::vector<double> heap_mb;  ///< operator new bytes over the call, in MB
+};
+
+/// Each call first parses its inputs from WKT, as e2ebench's pair_24k op
+/// does, so the allocator runs in a serving process's state (the parse's
+/// freed buffers set glibc's mmap threshold); the parse's own faults are
+/// not counted. The counts are the whole process's: nothing else runs.
+CallFaults faults_per_call(par::ThreadPool& pool,
+                           const data::SyntheticPair& pair, int reps) {
+  const auto minflt = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+  };
+  const std::string wkt_a = geom::to_wkt(pair.subject);
+  const std::string wkt_b = geom::to_wkt(pair.clip);
+  constexpr int kWarmups = 3;
+  CallFaults faults;
+  for (int rep = -kWarmups; rep < reps; ++rep) {
+    const std::optional<geom::PolygonSet> a = geom::from_wkt(wkt_a);
+    const std::optional<geom::PolygonSet> b = geom::from_wkt(wkt_b);
+    obs::TraceRecorder rec;
+    mt::Alg2Options o;
+    o.trace_sink = &rec;
+    const std::uint64_t bytes_before = g_alloc_bytes.load();
+    const long before = minflt();
+    (void)mt::slab_clip(*a, *b, geom::BoolOp::kIntersection, pool, o);
+    const long after = minflt();
+    const std::uint64_t bytes = g_alloc_bytes.load() - bytes_before;
+    if (rep < 0) continue;
+    faults.call.push_back(static_cast<double>(after - before));
+    faults.heap_mb.push_back(static_cast<double>(bytes) * 1e-6);
+    for (const obs::TraceRecorder::Span& sp : rec.spans())
+      if (std::strcmp(sp.name, "alg2.setup") == 0)
+        faults.setup.push_back(
+            static_cast<double>(sp.arg("minor_faults", 0)));
+  }
+  return faults;
+}
+
+double mean(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace psclip;
   bench::header("Ablation — Step 2 partitioning: segment tree vs direct binning",
                 "paper §III-E Step 2");
+
+  // Page faults first, before the larger runs below have grown the heap
+  // and raised glibc's thresholds past what a serving process sees. A
+  // warmed call builds its prologue in the retained setup slot and sweeps
+  // on the threads' reused scratch. Reported in section 3. The pool has 4
+  // threads whatever the host, so the slab count, and with it the bytes a
+  // call allocates, is the same everywhere.
+  constexpr int kFaultReps = 15;
+  const auto pair = data::synthetic_pair(7919, 24000);
+  const CallFaults faults = [&] {
+    par::ThreadPool fault_pool(4);
+    return faults_per_call(fault_pool, pair, kFaultReps);
+  }();
 
   par::ThreadPool pool;
   std::printf("%8s %8s %10s | %14s %14s\n", "edges", "beams", "k'",
@@ -133,7 +256,6 @@ int main(int argc, char** argv) {
     const char* name;
     geom::PolygonSet subject, clip;
   };
-  const auto pair = data::synthetic_pair(7919, 24000);
   const Workload workloads[] = {
       {"polygon_field x2", data::polygon_field(9001, 4000, 100.0, 12),
        data::polygon_field(9002, 4000, 100.0, 10)},
@@ -264,11 +386,6 @@ int main(int argc, char** argv) {
           }
         }
       }
-      const auto median = [](std::vector<double> v) {
-        if (v.empty()) return 0.0;
-        std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-        return v[v.size() / 2];
-      };
       for (std::size_t k = 0; k < std::size(steps); ++k) {
         const double wm = median(wall[k]), cm = median(cpu[k]);
         const char* step = steps[k] + 5;  // drop "alg2."
@@ -281,6 +398,48 @@ int main(int argc, char** argv) {
         report.cell("cpu_ms", cm);
       }
     }
+  }
+
+  // The gate reads the prologue's faults, the part the setup slot owns;
+  // the whole call's are reported beside them (the slab outputs and the
+  // weld still allocate per call).
+  const double setup_mean = mean(faults.setup);
+  std::printf("\nwarmed slab_clip of synthetic_pair(7919, 24000), %d calls: "
+              "minor page faults per call: prologue mean %.1f, median %.0f, "
+              "max %.0f (gate: mean <= %.0f); whole call mean %.1f, median "
+              "%.0f\n",
+              kFaultReps, setup_mean, median(faults.setup),
+              faults.setup.empty() ? 0.0
+                                   : *std::max_element(faults.setup.begin(),
+                                                       faults.setup.end()),
+              kGateSetupMinfltPerOp, mean(faults.call), median(faults.call));
+  report.field("pair24k_setup_minflt_mean", setup_mean);
+  report.field("pair24k_setup_minflt_median", median(faults.setup));
+  report.field("pair24k_call_minflt_mean", mean(faults.call));
+  report.field("pair24k_call_minflt_median", median(faults.call));
+  report.field("gate_setup_minflt_mean", kGateSetupMinfltPerOp);
+  const double heap_mb = mean(faults.heap_mb);
+  std::printf("heap allocated per call: mean %.2f MB (gate: <= %.1f MB)\n",
+              heap_mb, kGateHeapMbPerOp);
+  report.field("pair24k_call_heap_mb_mean", heap_mb);
+  report.field("gate_call_heap_mb_mean", kGateHeapMbPerOp);
+  if (heap_mb > kGateHeapMbPerOp) {
+    std::fprintf(stderr,
+                 "FAIL: a warmed slab_clip of synthetic_pair(7919, 24000) "
+                 "allocated a mean %.2f MB per call (gate %.1f MB)\n",
+                 heap_mb, kGateHeapMbPerOp);
+    gate_ok = false;
+  }
+  if (faults.setup.size() != static_cast<std::size_t>(kFaultReps) ||
+      setup_mean > kGateSetupMinfltPerOp) {
+    std::fprintf(stderr,
+                 "FAIL: the prologue of a warmed slab_clip of "
+                 "synthetic_pair(7919, 24000) took a mean %.1f minor page "
+                 "faults per call over %zu traced calls (gate %.0f over "
+                 "%d)\n",
+                 setup_mean, faults.setup.size(), kGateSetupMinfltPerOp,
+                 kFaultReps);
+    gate_ok = false;
   }
 
   report.field("gate_ok", static_cast<long long>(gate_ok ? 1 : 0));

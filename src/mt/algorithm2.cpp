@@ -1,6 +1,9 @@
 #include "mt/algorithm2.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -32,7 +35,8 @@ constexpr unsigned kSlabsPerThread = 4;
 // The per-slab degradation ladder, most to least optimistic.
 constexpr Rung kLadder[] = {Rung::kHealthy, Rung::kRetrySafe};
 
-/// Small contours are prepared in pool tasks of about this many vertices.
+/// Small contours are prepared, and the table is copied, in pool tasks of
+/// about this many vertices (edges).
 constexpr std::size_t kPrepareBatchVertices = 4096;
 
 /// Outcome of one slab task.
@@ -46,17 +50,115 @@ struct SlabOut {
   bool exhausted = false;  ///< every per-slab ladder rung failed
 };
 
-/// Globally prepared contour fragments of one input. Two ownership modes
-/// behind one pointer view: without a cache the fragments live in `own`;
-/// with a prepared_cache they are shared immutable fragments held alive for
-/// the run by `held`. The table is built from `prep` only (null =
-/// degenerate contour), so it cannot tell the modes apart — the basis of
-/// the cache's byte-identity.
-struct PreparedInput {
+/// Bytes a vector's storage holds.
+template <class T>
+std::size_t capacity_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// Free `v`'s storage when it could hold more than twice `n` elements, so
+/// a retained buffer keeps at most twice what the current call needs of
+/// it. The caller then sizes `v` as before.
+template <class T>
+void release_if_over(std::vector<T>& v, std::size_t n) {
+  if (v.capacity() > 2 * n) std::vector<T>().swap(v);
+}
+
+/// Bytes of a prepared fragment's storage: its vectors' capacities, or,
+/// with `used`, their sizes.
+std::size_t fragment_bytes(const seq::PreparedContour& pc, bool used) {
+  const auto bytes = [used](const auto& v) {
+    return (used ? v.size() : v.capacity()) * sizeof(v[0]);
+  };
+  return bytes(pc.pts.pts) + bytes(pc.bt.edges) + bytes(pc.bt.minima) +
+         bytes(pc.ys);
+}
+
+/// The prologue's storage (Steps 1–5): the contours' prepared fragments
+/// (without a prepared cache), the shared bound table, its schedule and
+/// bound heads, and the per-fragment offsets the table is assembled at.
+/// SetupLease keeps one instance for the whole process, so a call no
+/// larger than the one before builds its prologue in storage that is
+/// already allocated and paged in. Every vector is rewritten before it is
+/// read, so what an earlier call left in it never shows. Each call leaves
+/// every buffer, and every fragment, holding at most twice what that call
+/// used of it (release_if_over, trim_fragments): a larger earlier request
+/// is not kept.
+struct SetupScratch {
+  /// Per contour, subject contours first: its fragment, null when it
+  /// degenerates. Points into `own` or at the call's cached fragments.
   std::vector<const seq::PreparedContour*> prep;
+  /// The fragments a call without a prepared cache prepares, by contour.
   std::vector<seq::PreparedContour> own;
-  std::vector<std::shared_ptr<const seq::PreparedContour>> held;
+  std::vector<std::size_t> task_begin;  ///< each prepare task's first contour
+  /// The table's fragments in contour order, degenerate ones dropped, and
+  /// the prefix sums of their edge, minima and schedule counts: fragment f
+  /// starts at edge_at[f], min_at[f] and ys_at[f] of the table. ys_at
+  /// doubles as the schedule merge's run ends, which it consumes.
+  std::vector<const seq::PreparedContour*> frags;
+  std::vector<std::size_t> edge_at, min_at, ys_at;
+  seq::BoundTable bt;
+  std::vector<double> ys;  ///< the table's sorted distinct event ordinates
+  std::vector<double> merge_buf;    ///< merge_sorted_runs_unique's buffer
+  std::vector<std::int32_t> heads;  ///< bound heads (mt::bound_heads)
+
+  /// Bytes the storage holds (capacities), fragments included.
+  [[nodiscard]] std::size_t resident_bytes() const {
+    std::size_t b = capacity_bytes(prep) + capacity_bytes(own) +
+                    capacity_bytes(task_begin) + capacity_bytes(frags) +
+                    capacity_bytes(edge_at) + capacity_bytes(min_at) +
+                    capacity_bytes(ys_at) + capacity_bytes(bt.edges) +
+                    capacity_bytes(bt.minima) + capacity_bytes(ys) +
+                    capacity_bytes(merge_buf) + capacity_bytes(heads);
+    for (const seq::PreparedContour& pc : own)
+      b += fragment_bytes(pc, /*used=*/false);
+    return b;
+  }
 };
+
+/// One call's claim on the process-wide SetupScratch. A call that finds it
+/// taken — a concurrent request, or a slab_clip run inside a prepared
+/// source's prepared() — builds its prologue in storage of its own,
+/// allocated for the call and freed after it. One slot rather than one
+/// per thread: each client thread of a service would otherwise keep its
+/// largest prologue for good.
+class SetupLease {
+ public:
+  SetupLease()
+      : claimed_(!claimed().exchange(true, std::memory_order_acquire)),
+        own_(claimed_ ? nullptr : std::make_unique<SetupScratch>()) {}
+  ~SetupLease() {
+    if (claimed_) claimed().store(false, std::memory_order_release);
+  }
+  SetupLease(const SetupLease&) = delete;
+  SetupLease& operator=(const SetupLease&) = delete;
+
+  /// The call holds the retained slot (else its own storage).
+  [[nodiscard]] bool retained() const { return claimed_; }
+  [[nodiscard]] SetupScratch& scratch() const {
+    return claimed_ ? slot() : *own_;
+  }
+
+ private:
+  static std::atomic<bool>& claimed() {
+    static std::atomic<bool> flag{false};
+    return flag;
+  }
+  static SetupScratch& slot() {
+    static SetupScratch retained;
+    return retained;
+  }
+
+  const bool claimed_;
+  const std::unique_ptr<SetupScratch> own_;
+};
+
+/// Minor page faults the whole process has taken so far.
+std::int64_t process_minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
 
 /// Record the in-flight exception's taxonomy code and message into a slab's
 /// degradation report. Must be called from inside a catch block.
@@ -78,46 +180,46 @@ void classify_failure(DegradationReport& rep) {
   }
 }
 
-/// Prepare every subject contour into `sub` and every clip contour into
-/// `clp` on the pool in one pass, fetching from `cache` when it is
-/// non-null. Tasks are weighted by vertex count: runs of small contours
-/// are batched into tasks of about kPrepareBatchVertices vertices and a
-/// larger contour is a task of its own (its fragment storage reserved on
-/// the calling thread), so a pair of giant contours does not land on one
-/// worker. Each fragment is seq::prepare_contour's for its contour.
-void prepare_inputs(par::ThreadPool& pool, const geom::PolygonSet& subject,
-                    const geom::PolygonSet& clip, PreparedInput& sub,
-                    PreparedInput& clp, seq::PreparedSource* cache) {
-  const std::size_t nsub = subject.num_contours();
-  for (auto [prep, n] : {std::pair{&sub, nsub},
-                         std::pair{&clp, clip.num_contours()}}) {
-    prep->prep.assign(n, nullptr);
-    if (cache)
-      prep->held.resize(n);
-    else
-      prep->own.resize(n);
-  }
+/// Prepare every subject and clip contour into `s.prep` (subject contours
+/// first) on the pool in one pass: fetched from `cache` and held alive in
+/// `held` when it is non-null, else prepared into `s.own`. Tasks are
+/// weighted by vertex count: runs of small contours are batched into
+/// tasks of about kPrepareBatchVertices vertices and a larger contour is a
+/// task of its own (its fragment storage reserved on the calling thread),
+/// so a pair of giant contours does not land on one worker. Each fragment
+/// is seq::prepare_contour's for its contour.
+void prepare_inputs(
+    par::ThreadPool& pool, const geom::PolygonSet& subject,
+    const geom::PolygonSet& clip, SetupScratch& s,
+    std::vector<std::shared_ptr<const seq::PreparedContour>>& held,
+    seq::PreparedSource* cache) {
   // Contour g < nsub is subject contour g, the rest are clip contours.
+  const std::size_t nsub = subject.num_contours();
   const std::size_t total = nsub + clip.num_contours();
-  const auto input_of = [&](std::size_t g) -> PreparedInput& {
-    return g < nsub ? sub : clp;
-  };
-  const auto index_of = [&](std::size_t g) { return g < nsub ? g : g - nsub; };
+  release_if_over(s.prep, total);
+  s.prep.assign(total, nullptr);
+  // Fragments past this call's contours are freed; those it prepares are
+  // trimmed after the table copy (trim_fragments).
+  const std::size_t nown = cache ? 0 : total;
+  release_if_over(s.own, nown);
+  s.own.resize(nown);
+  if (cache) held.resize(total);
   const auto contour_at = [&](std::size_t g) -> const geom::Contour& {
     return g < nsub ? subject.contours[g] : clip.contours[g - nsub];
   };
   const auto prepare_one = [&](std::size_t g) {
-    PreparedInput& in = input_of(g);
-    const std::size_t i = index_of(g);
+    const bool is_clip = g >= nsub;
     if (cache) {
-      in.held[i] = cache->prepared(contour_at(g), &in == &clp);
-      in.prep[i] = in.held[i].get();
-    } else if (seq::prepare_contour(contour_at(g), &in == &clp, in.own[i])) {
-      in.prep[i] = &in.own[i];
+      held[g] = cache->prepared(contour_at(g), is_clip);
+      s.prep[g] = held[g].get();
+    } else if (seq::prepare_contour(contour_at(g), is_clip, s.own[g])) {
+      s.prep[g] = &s.own[g];
     }
   };
   // Task t prepares contours [task_begin[t], task_begin[t + 1]).
-  std::vector<std::size_t> task_begin{0};
+  std::vector<std::size_t>& task_begin = s.task_begin;
+  release_if_over(task_begin, total + 1);
+  task_begin.assign(1, 0);
   std::size_t batch = 0;
   for (std::size_t g = 0; g < total; ++g) {
     const std::size_t nv = contour_at(g).size();
@@ -128,7 +230,7 @@ void prepare_inputs(par::ThreadPool& pool, const geom::PolygonSet& subject,
       // Its fragment's storage is allocated here, so the memory returns to
       // this thread's allocator arena rather than piling up in a worker's.
       if (!cache) {
-        seq::PreparedContour& pc = input_of(g).own[index_of(g)];
+        seq::PreparedContour& pc = s.own[g];
         pc.pts.pts.reserve(nv);
         pc.bt.edges.reserve(nv);
         pc.bt.minima.reserve(nv / 2);
@@ -149,6 +251,102 @@ void prepare_inputs(par::ThreadPool& pool, const geom::PolygonSet& subject,
       /*grain=*/1);
 }
 
+/// Step 3's shared table from the fragments in `s.prep`, in contour order:
+/// byte for byte the table vatti_clip builds before its minima sort, the
+/// fragments' schedule runs back to back in `s.ys` (run ends in
+/// `s.ys_at`) and the bound heads in `s.heads`. A serial pass prefix-sums
+/// the fragments' edge, minima and schedule counts into their offsets in
+/// the table (the count/allocate step of Lemma 3); the copy then runs on
+/// the pool in tasks of kPrepareBatchVertices edges, so runs of small
+/// fragments share a task and a giant one is split. A task copies its
+/// edges with their `next` links rebased, and of each fragment it
+/// touches the same share of the minima (edge ids rebased, heads written)
+/// and of the schedule run, so the pieces of a split fragment tile it.
+/// The vectors are resized, not cleared: a table the size of the last one
+/// is written once. Returns whether every fragment is finite.
+bool assemble_table(par::ThreadPool& pool, SetupScratch& s) {
+  const std::size_t nfrags =
+      s.prep.size() - static_cast<std::size_t>(
+                          std::count(s.prep.begin(), s.prep.end(), nullptr));
+  release_if_over(s.frags, nfrags);
+  s.frags.clear();
+  for (std::vector<std::size_t>* at : {&s.edge_at, &s.min_at, &s.ys_at}) {
+    release_if_over(*at, nfrags + 1);
+    at->assign(1, 0);
+  }
+  bool finite = true;
+  for (const seq::PreparedContour* pc : s.prep) {
+    if (!pc) continue;  // degenerate after cleaning: no bounds
+    finite = finite && pc->finite;
+    s.frags.push_back(pc);
+    s.edge_at.push_back(s.edge_at.back() + pc->bt.edges.size());
+    s.min_at.push_back(s.min_at.back() + pc->bt.minima.size());
+    s.ys_at.push_back(s.ys_at.back() + pc->ys.size());
+  }
+  const std::size_t nedges = s.edge_at.back();
+  const auto size_to = [](auto& v, std::size_t n) {
+    release_if_over(v, n);
+    v.resize(n);
+  };
+  size_to(s.bt.edges, nedges);
+  size_to(s.bt.minima, s.min_at.back());
+  size_to(s.heads, 2 * s.min_at.back());
+  size_to(s.ys, s.ys_at.back());
+
+  // Fragment f's edges [a, b): its minima [a·m/n, b·m/n) and schedule
+  // values [a·v/n, b·v/n) of m and v go with them.
+  const auto copy_piece = [&s](std::size_t f, std::size_t a, std::size_t b) {
+    const seq::PreparedContour& pc = *s.frags[f];
+    const std::size_t n = pc.bt.edges.size();
+    if (n == 0) return;  // no bounds: no minima, no schedule values either
+    const auto base = static_cast<std::int32_t>(s.edge_at[f]);
+    seq::BoundEdge* const edges = s.bt.edges.data() + s.edge_at[f];
+    for (std::size_t i = a; i < b; ++i) {
+      seq::BoundEdge e = pc.bt.edges[i];
+      if (e.next >= 0) e.next += base;
+      edges[i] = e;
+    }
+    const std::size_t m = pc.bt.minima.size();
+    for (std::size_t i = a * m / n, end = b * m / n; i < end; ++i) {
+      seq::LocalMin lm = pc.bt.minima[i];
+      lm.edge_left += base;
+      lm.edge_right += base;
+      const std::size_t k = s.min_at[f] + i;
+      s.bt.minima[k] = lm;
+      s.heads[2 * k] = std::min(lm.edge_left, lm.edge_right);
+      s.heads[2 * k + 1] = std::max(lm.edge_left, lm.edge_right);
+    }
+    const std::size_t v = pc.ys.size();
+    std::copy(pc.ys.data() + a * v / n, pc.ys.data() + b * v / n,
+              s.ys.data() + s.ys_at[f] + a * v / n);
+  };
+  pool.parallel_for(
+      (nedges + kPrepareBatchVertices - 1) / kPrepareBatchVertices,
+      [&](std::size_t t) {
+        const std::size_t lo = t * kPrepareBatchVertices;
+        const std::size_t hi = std::min(nedges, lo + kPrepareBatchVertices);
+        // The last fragment starting at or before lo holds edge lo.
+        auto f = static_cast<std::size_t>(
+            std::upper_bound(s.edge_at.begin(), s.edge_at.end(), lo) -
+            s.edge_at.begin() - 1);
+        for (; f < s.frags.size() && s.edge_at[f] < hi; ++f)
+          copy_piece(f, std::max(lo, s.edge_at[f]) - s.edge_at[f],
+                     std::min(hi, s.edge_at[f + 1]) - s.edge_at[f]);
+      },
+      /*grain=*/1);
+  return finite;
+}
+
+/// After the table copy, free every no-cache fragment whose storage holds
+/// more than twice what this call used of it: a fragment left by an
+/// earlier, larger contour at the same index is not kept.
+void trim_fragments(SetupScratch& s) {
+  for (seq::PreparedContour& pc : s.own)
+    if (fragment_bytes(pc, /*used=*/false) >
+        2 * fragment_bytes(pc, /*used=*/true))
+      pc = seq::PreparedContour{};
+}
+
 /// The slab's pieces end at its lines: it completed on a per-slab rung
 /// (not abandoned for a partial result, not replaced by the whole-input
 /// recompute).
@@ -167,8 +365,11 @@ struct SlabClip {
   const Alg2Options& opts;
   obs::TraceSink* const sink = opts.trace_sink;
 
-  seq::BoundTable bt{};
-  std::vector<double> ys{};  ///< the table's sorted distinct event ordinates
+  /// The prologue's storage: the retained slot when no other call holds it.
+  const SetupLease lease{};
+  SetupScratch& store = lease.scratch();
+  seq::BoundTable& bt = store.bt;
+  std::vector<double>& ys = store.ys;  ///< sorted distinct event ordinates
   SlabIndex index{{}, {0}, {}, {}};
   bool finite = true;
   std::vector<SlabOut> outs{};  ///< index-aligned with the slabs
@@ -186,44 +387,21 @@ struct SlabClip {
 
     // Steps 1–3: prepare every contour once (clean + coalesce + perturb +
     // bound decomposition + per-contour schedule).
-    PreparedInput sub_prep, clip_prep;
+    std::vector<std::shared_ptr<const seq::PreparedContour>> held;
     step("alg2.prepare", [&] {
-      prepare_inputs(pool, subject, clip, sub_prep, clip_prep,
-                     opts.prepared_cache);
+      prepare_inputs(pool, subject, clip, store, held, opts.prepared_cache);
     });
 
-    // One read-only bound table for every slab: the fragments concatenated
-    // in contour order with sorted minima — byte for byte the table
+    // One read-only bound table for every slab — byte for byte the table
     // vatti_clip builds — and its schedule merged from the fragments' runs.
-    std::vector<std::size_t> run_end{0};
-    std::vector<std::int32_t> heads;
     step("alg2.table", [&] {
-      std::size_t nedges = 0, nminima = 0, nys = 0;
-      for (const PreparedInput* prep : {&sub_prep, &clip_prep})
-        for (const seq::PreparedContour* pc : prep->prep)
-          if (pc) {
-            nedges += pc->bt.edges.size();
-            nminima += pc->bt.minima.size();
-            nys += pc->ys.size();
-          }
-      bt.edges.reserve(nedges);
-      bt.minima.reserve(nminima);
-      ys.reserve(nys);
-      for (const PreparedInput* prep : {&sub_prep, &clip_prep}) {
-        for (const seq::PreparedContour* pc : prep->prep) {
-          if (!pc) continue;  // degenerate after cleaning: no bounds
-          finite = finite && pc->finite;
-          seq::append_prepared(bt, *pc);
-          ys.insert(ys.end(), pc->ys.begin(), pc->ys.end());
-          run_end.push_back(ys.size());
-        }
-      }
-      heads = bound_heads(bt);
+      finite = assemble_table(pool, store);
+      trim_fragments(store);
     });
 
     // The minima sort beside Steps 4–5 — the schedule merge, then the slab
     // lines and every line's seed edges: the index needs the edges and the
-    // heads, not the sorted minima. The merge allocates, so it is index 0,
+    // heads, not the sorted minima. The index allocates, so it is index 0,
     // which this thread usually claims. A non-finite vertex poisons every
     // ordering; the slabs then fail their attempts and the request takes
     // the whole-input rung.
@@ -233,10 +411,13 @@ struct SlabClip {
           if (task == 1)
             return step("alg2.sort_minima", [&] { seq::sort_minima(bt); });
           if (!finite) return;
-          step("alg2.schedule",
-               [&] { seq::merge_sorted_runs_unique(ys, run_end); });
-          step("alg2.index",
-               [&] { index = build_slab_index(pool, bt, heads, ys, p); });
+          step("alg2.schedule", [&] {
+            release_if_over(store.merge_buf, ys.size());
+            seq::merge_sorted_runs_unique(ys, store.ys_at, store.merge_buf);
+          });
+          step("alg2.index", [&] {
+            index = build_slab_index(pool, bt, store.heads, ys, p);
+          });
         },
         /*grain=*/1);
   }
@@ -254,11 +435,13 @@ struct SlabClip {
     so.result = geom::PolygonSet{};
     so.load = SlabLoad{};
     so.cut = {};
-    // Memory budget (DESIGN.md §11): the attempt holds a charge for the
-    // scratch it grows, raised to the scratch's capacity watermark before
-    // the sweep and released when the attempt ends (success or unwind).
-    // Concurrent attempts therefore charge the sum of their live scratch —
-    // the process's actual slab-scratch footprint.
+    // Memory budget (DESIGN.md §11): the attempt holds a charge for its
+    // window's working set by size (seq::window_bytes), raised before the
+    // sweep and released when the attempt ends (success or unwind). It is
+    // a function of the window alone, not of the capacity the thread's
+    // scratch kept from earlier sweeps, so the outcome does not depend on
+    // the thread's history; concurrent attempts charge the sum of theirs.
+    // The sweep charges its output on top.
     par::gov::ScopedCharge arena_charge;
     par::PhaseClock part(sink, "alg2.slab_partition");
     par::fault::inject(par::fault::Site::kSlabCut);
@@ -298,7 +481,7 @@ struct SlabClip {
     if (rung == Rung::kHealthy) par::fault::inject(par::fault::Site::kArena);
     seq::VattiScratch& scratch =
         rung == Rung::kHealthy ? seq::thread_scratch() : fresh.emplace();
-    arena_charge.raise_to(scratch.resident_bytes());
+    arena_charge.raise_to(seq::window_bytes(bt, w));
     part.span().arg("seeds", static_cast<std::int64_t>(w.seeds.size()));
     so.cut = part.stop();
 
@@ -566,10 +749,22 @@ geom::PolygonSet slab_clip(const geom::PolygonSet& subject,
   SlabClip run{subject, clip, op, pool, opts};
   {
     par::PhaseClock setup(sink, "alg2.setup");
+    const std::int64_t faults_before = sink ? process_minor_faults() : 0;
     run.setup(opts.slabs ? opts.slabs : kSlabsPerThread * pool.size(),
               setup.span().id());
     setup.span().arg("seeds",
                      static_cast<std::int64_t>(run.index.seeds.size()));
+    setup.span().arg("retained_slot",
+                     static_cast<std::int64_t>(run.lease.retained()));
+    if (sink) {
+      // The process's minor page faults across Steps 1–5 (work running
+      // beside this call on other threads counts too) and the bytes its
+      // prologue storage holds after them.
+      setup.span().arg("minor_faults",
+                       process_minor_faults() - faults_before);
+      setup.span().arg("slot_bytes", static_cast<std::int64_t>(
+                                         run.store.resident_bytes()));
+    }
     const par::PhaseClock::Reading r = setup.stop();
     phases.partition = r.wall;
     phases.partition_cpu = r.cpu;

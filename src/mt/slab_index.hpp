@@ -48,17 +48,19 @@ struct SlabIndex {
 };
 
 /// The bound heads of a table whose minima are still in emission order
-/// (append_bounds / append_prepared, before seq::sort_minima): each
-/// minimum's two head edge ids, smaller first. Every minimum emits its
+/// (append_bounds over the contours in order, before seq::sort_minima):
+/// each minimum's two head edge ids, smaller first. Every minimum emits its
 /// forward chain, then its backward chain, as contiguous edge-id runs, so
-/// the heads ascend and split the edge array into its bounds.
+/// the heads ascend and split the edge array into its bounds. slab_clip
+/// writes the same heads while it assembles its table from the prepared
+/// fragments.
 std::vector<std::int32_t> bound_heads(const seq::BoundTable& bt);
 
 /// Cut `bt` (every bound a contiguous run of edge ids — the layout
-/// append_bounds / append_prepared emit; minima in any order) at the
-/// slab_lines of its schedule `ys`. `heads` are the bound heads in
-/// ascending order (bound_heads, taken before sort_minima), so the index
-/// needs no sort and can be built while the minima sort.
+/// append_bounds emits and slab_clip's fragment copy keeps; minima in any
+/// order) at the slab_lines of its schedule `ys`. `heads` are the bound
+/// heads in ascending order (bound_heads, taken before sort_minima), so
+/// the index needs no sort and can be built while the minima sort.
 ///
 /// Parallel over the bounds: each bound finds the lines it crosses by two
 /// binary searches over the lines and its edge at each of them by binary

@@ -114,8 +114,9 @@ struct SlabLoad {
   /// slab's successful attempt (seq::VattiScratch::resident_bytes),
   /// sampled right after the attempt. Capacity-based:
   /// a thread's reused scratch keeps capacity across slabs and clips, so
-  /// it reports the high-water mark of everything that thread swept —
-  /// exactly the number the memory-budget model charges (DESIGN.md §11).
+  /// it reports the high-water mark of everything that thread swept. The
+  /// memory budget charges the window's working set by size instead
+  /// (seq::window_bytes, DESIGN.md §11).
   std::int64_t peak_arena_bytes = 0;
 };
 

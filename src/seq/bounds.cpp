@@ -276,27 +276,6 @@ std::uint64_t contour_digest(const geom::Contour& c, bool is_clip) {
   return h;
 }
 
-void append_prepared(BoundTable& bt, const PreparedContour& pc) {
-  // Grow geometrically: vector::reserve allocates exactly what is asked,
-  // so an exact-size reserve per fragment would reallocate (and copy the
-  // whole table) on every append — quadratic over a slab's contour list.
-  const auto grow = [](auto& v, std::size_t need) {
-    if (v.capacity() < need) v.reserve(std::max(need, v.capacity() * 2));
-  };
-  const auto base = static_cast<std::int32_t>(bt.edges.size());
-  grow(bt.edges, bt.edges.size() + pc.bt.edges.size());
-  for (BoundEdge e : pc.bt.edges) {
-    if (e.next >= 0) e.next += base;
-    bt.edges.push_back(e);
-  }
-  grow(bt.minima, bt.minima.size() + pc.bt.minima.size());
-  for (LocalMin lm : pc.bt.minima) {
-    lm.edge_left += base;
-    lm.edge_right += base;
-    bt.minima.push_back(lm);
-  }
-}
-
 void scanbeam_ys_merged_into(const BoundTable& bt, std::vector<double>& ys) {
   ys.clear();
   ys.reserve(bt.edges.size() + bt.minima.size());
@@ -322,23 +301,31 @@ void scanbeam_ys_merged_into(const BoundTable& bt, std::vector<double>& ys) {
 }
 
 void merge_sorted_runs_unique(std::vector<double>& ys,
-                              std::vector<std::size_t>& run_end) {
-  // Bottom-up pairwise merges: O(total · log(runs)), mostly sequential
-  // streaming passes over already-ordered data.
-  std::vector<std::size_t> next_end;
+                              std::vector<std::size_t>& run_end,
+                              std::vector<double>& buf) {
+  // Bottom-up pairwise merges: O(total · log(runs)), sequential streaming
+  // passes over already-ordered data. Each level merges from one vector
+  // into the other; the run ends compact in place (entry r of the next
+  // level is written only after entries up to 2r + 2 were read).
+  buf.resize(ys.size());
+  double* from = ys.data();
+  double* to = buf.data();
   while (run_end.size() > 2) {
-    next_end.clear();
-    next_end.push_back(0);
-    std::size_t i = 0;
+    std::size_t runs = 1, i = 0;
     for (; i + 2 < run_end.size(); i += 2) {
-      std::inplace_merge(ys.begin() + static_cast<std::ptrdiff_t>(run_end[i]),
-                         ys.begin() + static_cast<std::ptrdiff_t>(run_end[i + 1]),
-                         ys.begin() + static_cast<std::ptrdiff_t>(run_end[i + 2]));
-      next_end.push_back(run_end[i + 2]);
+      std::merge(from + run_end[i], from + run_end[i + 1],
+                 from + run_end[i + 1], from + run_end[i + 2],
+                 to + run_end[i]);
+      run_end[runs++] = run_end[i + 2];
     }
-    if (i + 1 < run_end.size()) next_end.push_back(run_end[i + 1]);
-    run_end.swap(next_end);
+    if (i + 1 < run_end.size()) {
+      std::copy(from + run_end[i], from + run_end[i + 1], to + run_end[i]);
+      run_end[runs++] = run_end[i + 1];
+    }
+    run_end.resize(runs);
+    std::swap(from, to);
   }
+  if (from != ys.data()) ys.swap(buf);
   ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
 }
 

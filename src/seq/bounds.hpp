@@ -126,20 +126,18 @@ class PreparedSource {
       const geom::Contour& c, bool is_clip) = 0;
 };
 
-/// Append a prepared fragment to `bt`: edges copied with their
-/// intra-fragment `next` links rebased to the destination table, minima
-/// with their edge ids rebased. Appending fragments in contour order
-/// reproduces append_bounds over the same contour sequence byte for byte.
-void append_prepared(BoundTable& bt, const PreparedContour& pc);
-
 /// Merge sorted runs held back-to-back in `ys` (run r occupies
 /// ys[run_end[r], run_end[r+1]); run_end.front() must be 0 and
 /// run_end.back() == ys.size()) into one sorted distinct-value vector with
-/// bottom-up pairwise in-place merges. `run_end` is consumed as scratch.
-/// The slab engine uses it to merge the prepared fragments' schedule runs
-/// into one table's schedule.
+/// bottom-up pairwise stable merges (of equal values the earlier run's
+/// first, as std::inplace_merge keeps them). Each level merges between `ys`
+/// and `buf` (resized to ys.size(), contents discarded; the two may
+/// exchange storage), so a retained `buf` merges without allocating.
+/// `run_end` is consumed as scratch. The slab engine uses it to merge the
+/// prepared fragments' schedule runs into one table's schedule.
 void merge_sorted_runs_unique(std::vector<double>& ys,
-                              std::vector<std::size_t>& run_end);
+                              std::vector<std::size_t>& run_end,
+                              std::vector<double>& buf);
 
 /// The sweep prologue for a subject/clip pair, shared by vatti_clip and
 /// Algorithm 1 (core::scanbeam_clip): every contour through

@@ -1195,6 +1195,17 @@ PolygonSet vatti_clip(const PolygonSet& subject, const PolygonSet& clip,
   return run_sweep(s.bt, sc, op, stats, SweepWindow{});
 }
 
+std::size_t window_bytes(const BoundTable& bt, const SweepWindow& w) {
+  const std::size_t min_end = std::min(w.min_end, bt.minima.size());
+  const std::size_t active = w.seeds.size() +
+                             2 * (min_end - std::min(w.min_begin, min_end));
+  constexpr std::size_t kSlotBytes = sizeof(SweepEntry) + sizeof(double) +
+                                     sizeof(Extent) + sizeof(SortSlot) +
+                                     2 * sizeof(QueueEntry);
+  return (w.ys.size() + 2) * sizeof(double) +
+         bt.num_edges() * sizeof(std::int32_t) + active * kSlotBytes;
+}
+
 PolygonSet vatti_sweep_window(const BoundTable& bt, const SweepWindow& w,
                               BoolOp op, VattiStats* stats,
                               VattiScratch& scratch) {

@@ -92,9 +92,10 @@ struct VattiScratch {
 
   /// Approximate bytes resident in this scratch's buffers (capacities, not
   /// sizes — pooled buffers keep capacity across runs, and capacity is what
-  /// the process actually holds). Powers SlabLoad::peak_arena_bytes and the
-  /// slab attempt's memory-budget charge (DESIGN.md §11); the sweep's own
-  /// output charge counts only the run's output, not this capacity.
+  /// the process actually holds). Powers SlabLoad::peak_arena_bytes. No
+  /// memory-budget charge reads it (DESIGN.md §11): the sweep charges its
+  /// run's output and a slab attempt its window's size (window_bytes), so a
+  /// request's outcome does not depend on what its thread swept before.
   [[nodiscard]] std::size_t resident_bytes() const;
 
   struct Impl;  // buffer bundle, private to vatti.cpp
@@ -146,6 +147,15 @@ struct SweepWindow {
   /// The table's sorted distinct scanbeam ys inside (y_lo, y_hi).
   std::span<const double> ys;
 };
+
+/// The bytes a sweep of window `w` over `bt` works in, by size: the
+/// window's schedule, the edge-to-slot index over the table, and for every
+/// edge that can be active at once (the seeds and both bounds of each of
+/// the window's minima) an active-table slot with its certificate, extent,
+/// sort slot and two queue entries. It counts no capacity, so it does not
+/// depend on what a reused scratch swept before: the slab engine charges
+/// it against the request's memory budget before a slab's sweep.
+std::size_t window_bytes(const BoundTable& bt, const SweepWindow& w);
 
 /// The sweep restricted to one window of a shared bound table (Algorithm
 /// 2 Step 6 over a cut of the prepared bounds; nothing is copied or

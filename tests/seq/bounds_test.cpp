@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -159,6 +160,82 @@ TEST(Bounds, MergedScheduleBufferReuse) {
       build_bounds(test::random_polygon(21, 36, 0, 0, 10), {});
   scanbeam_ys_merged_into(bt, ys);
   EXPECT_EQ(ys, sorted_ys(bt));
+}
+
+// merge_sorted_runs_unique against the pairwise std::inplace_merge + unique
+// it replaces, bit for bit: odd and even run counts, one run, empty runs,
+// and -0.0 / 0.0 in different runs (the earlier run's zero is kept). The
+// same buffer serves every case, so one that starts larger or smaller than
+// the schedule is covered too.
+TEST(Bounds, MergeSortedRunsMatchesInplaceMergeReference) {
+  using Runs = std::vector<std::vector<double>>;
+  const auto reference = [](const Runs& runs) {
+    std::vector<double> ys;
+    std::vector<std::size_t> end{0};
+    for (const auto& r : runs) {
+      ys.insert(ys.end(), r.begin(), r.end());
+      end.push_back(ys.size());
+    }
+    while (end.size() > 2) {
+      std::vector<std::size_t> next{0};
+      std::size_t i = 0;
+      for (; i + 2 < end.size(); i += 2) {
+        std::inplace_merge(ys.begin() + static_cast<std::ptrdiff_t>(end[i]),
+                           ys.begin() + static_cast<std::ptrdiff_t>(end[i + 1]),
+                           ys.begin() + static_cast<std::ptrdiff_t>(end[i + 2]));
+        next.push_back(end[i + 2]);
+      }
+      if (i + 1 < end.size()) next.push_back(end[i + 1]);
+      end.swap(next);
+    }
+    ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+    return ys;
+  };
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> b;
+    for (const double y : v) b.push_back(std::bit_cast<std::uint64_t>(y));
+    return b;
+  };
+  const Runs cases[] = {
+      {},
+      {{}},
+      {{-1.0, 0.0, 2.5}},
+      {{-0.0, 1.0}, {0.0, 3.0}},
+      {{0.0, 1.0}, {-0.0, 3.0}},
+      {{-2.0, 0.0}, {}, {-0.0, 4.0, 5.0}},
+      {{1.0, 4.0}, {}, {2.0, 4.0}, {-0.0}, {0.0, 3.0}},
+      {{}, {}, {}, {}, {}},
+      {{3.0}, {0.0, 3.0}, {-5.0, -0.0}, {1.0, 2.0, 3.0, 4.0}, {-0.0}},
+  };
+  std::vector<double> buf(64, 9.0);
+  for (const Runs& runs : cases) {
+    std::vector<double> ys;
+    std::vector<std::size_t> end{0};
+    for (const auto& r : runs) {
+      ys.insert(ys.end(), r.begin(), r.end());
+      end.push_back(ys.size());
+    }
+    if (runs.empty()) end.push_back(0);  // one empty run
+    merge_sorted_runs_unique(ys, end, buf);
+    EXPECT_EQ(bits(ys), bits(reference(runs))) << runs.size() << " runs";
+  }
+  // Many runs of a random table's fragments: one run per contour.
+  for (const unsigned seed : {3u, 4u, 5u}) {
+    Runs runs;
+    for (unsigned k = 0; k < 7; ++k) {
+      const BoundTable bt = build_bounds(
+          test::random_polygon(seed * 10 + k, 12 + 5 * k, 0, 0, 4), {});
+      runs.push_back(sorted_ys(bt));
+    }
+    std::vector<double> ys;
+    std::vector<std::size_t> end{0};
+    for (const auto& r : runs) {
+      ys.insert(ys.end(), r.begin(), r.end());
+      end.push_back(ys.size());
+    }
+    merge_sorted_runs_unique(ys, end, buf);
+    EXPECT_EQ(bits(ys), bits(reference(runs))) << "seed " << seed;
+  }
 }
 
 // ---- Ring walk: byte-identical to the modulo-indexed decomposition. ----

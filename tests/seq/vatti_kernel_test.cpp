@@ -40,6 +40,7 @@
 #include "fuzz_cases.hpp"
 #include "geom/polygon.hpp"
 #include "golden_digests.hpp"
+#include "mt/algorithm2.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 #include "parallel/fault.hpp"
@@ -525,6 +526,54 @@ TEST(VattiThreadScratch, GovernedOutcomeIgnoresThreadHistory) {
     std::thread([&] { fresh = governed(limit); }).join();
     std::thread([&] {
       (void)seq::vatti_clip(large.subject, large.clip, kUnion);
+      warmed = governed(limit);
+    }).join();
+    EXPECT_EQ(fresh.ok, limit > kGranule);
+    EXPECT_EQ(warmed.ok, fresh.ok);
+    EXPECT_EQ(warmed.peak, fresh.peak);
+  }
+}
+
+// The same for a slab attempt: it charges its window's working set by
+// size, not the capacity a larger clip left in the thread's scratch. A
+// 2000-edge union in one slab on a one-thread pool (every step on the
+// calling thread), under a budget that it fits and one that it does not,
+// on a new thread and on one that has just clipped a 24k-edge pair the
+// same way: both the outcome and the budget's peak must agree.
+TEST(VattiThreadScratch, SlabBudgetIgnoresThreadHistory) {
+  const data::SyntheticPair small = data::synthetic_pair(5, 2000);
+  const data::SyntheticPair large = data::synthetic_pair(6, 24000);
+  constexpr geom::BoolOp kUnion = geom::BoolOp::kUnion;
+  par::ThreadPool one(1);
+  mt::Alg2Options o;
+  o.slabs = 1;
+  struct Outcome {
+    bool ok = false;
+    std::uint64_t peak = 0;
+  };
+  const auto governed = [&](std::uint64_t limit) {
+    auto budget = std::make_shared<par::ResourceBudget>(limit);
+    mt::Alg2Options g = o;
+    g.cancel = par::CancelToken::make();
+    g.cancel.set_budget(budget);
+    Outcome out;
+    try {
+      (void)mt::slab_clip(small.subject, small.clip, kUnion, one, g);
+      out.ok = true;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBudgetExceeded) << e.what();
+    }
+    out.peak = budget->peak();
+    return out;
+  };
+  constexpr std::uint64_t kGranule = par::gov::ScopedCharge::kGranule;
+  for (const std::uint64_t limit : {kGranule / 2, 16 * kGranule}) {
+    SCOPED_TRACE("limit " + std::to_string(limit));
+    Outcome fresh;
+    Outcome warmed;
+    std::thread([&] { fresh = governed(limit); }).join();
+    std::thread([&] {
+      (void)mt::slab_clip(large.subject, large.clip, kUnion, one, o);
       warmed = governed(limit);
     }).join();
     EXPECT_EQ(fresh.ok, limit > kGranule);
